@@ -17,8 +17,8 @@ from .diagnostics import LusetError, ParseError
 from .harness import (NIConfig, check_equational_soundness, check_non_interference,
                       check_semantics_preservation, check_simple_security,
                       check_type_preservation, generator_postcondition)
-from .infer import check_program, display_constraint, infer_program
-from .lang import BASE, elaborate
+from .infer import check_program, display_constraint, flatten_assignment, infer_program
+from .lang import elaborate
 from .normalize import normalize_program
 from .parser import parse_program, pretty_print
 from .sectypes import Lattice
@@ -59,7 +59,7 @@ def cmd_check(args) -> int:
                 print(f"  violated: {display_constraint(c)}")
             for call in nr.calls:
                 status = "secure" if call.secure else "insecure"
-                print(f"  call to {call.callee} (eq {call.equation}): {status}")
+                print(f"  call to {call.callee} (eq {call.eq_index}): {status}")
             if nr.solved:
                 print(f"  solved by least solution: {', '.join(nr.solved)}")
     return 0 if report.secure else 1
@@ -123,14 +123,11 @@ def cmd_run(args) -> int:
 
 def cmd_ni(args) -> int:
     prog = _load_program(args.program)
+    if not prog.has_node(args.node):
+        return _fail_usage(f"no node named {args.node}")
     lat = Lattice.load(args.lattice)
-    entries = _load_assignments(args.assign)
-    entry = next((e for e in entries if e.get("node") == args.node), entries[0])
-    assignment: dict[str, str] = {}
-    if "base" in entry:
-        assignment[BASE] = entry["base"]
-    for sect in ("inputs", "outputs"):
-        assignment.update(entry.get(sect, {}))
+    entries = [flatten_assignment(e) for e in _load_assignments(args.assign)]
+    assignment = next((flat for name, flat in entries if name == args.node), entries[0][1])
     levels = [args.level] if args.level else list(lat.elements)
     reports = []
     for level in levels:
@@ -156,6 +153,8 @@ def cmd_ni(args) -> int:
 
 def cmd_preserve(args) -> int:
     prog = _load_program(args.program)
+    if args.node and not prog.has_node(args.node):
+        return _fail_usage(f"no node named {args.node}")
     names = [args.node] if args.node else [n.name for n in prog.nodes]
     reports = []
     for name in names:

@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .diagnostics import EvalError, InferError, LusetError
-from .infer import InferenceResult, infer_program, type_expr
+from .infer import InferenceResult, infer_program, solve_interface, type_expr
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
                    Equation, Expr, Fby, Ite, Merge, Node, Program, Ty, Unop, Var,
-                   VarDecl, When, causality, elaborate, free_vars, well_formed)
+                   VarDecl, When, causality, clock_vars, elaborate, free_vars, well_formed)
 from .normalize import normalize_program
 from .sectypes import (EMPTY, Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
-                       canon, eval_ground, least_fixpoint, least_solution, satisfies)
-from .streams import ABSENT, History, eval_node, present, run_node, show_value
+                       canon, eval_ground, least_fixpoint, satisfies)
+from .streams import ABSENT, History, eval_clock, eval_node, run_node, show_value
 
 PASS = "pass"
 FAIL = "fail"
@@ -267,12 +267,7 @@ def _input_order(node: Node) -> list[VarDecl]:
     names_done: set[str] = set()
     while remaining:
         for d in remaining:
-            deps = set()
-            ck = d.clock
-            while isinstance(ck, ClockOn):
-                deps.add(ck.var)
-                ck = ck.base
-            if deps <= names_done:
+            if clock_vars(d.clock) <= names_done:
                 done.append(d)
                 names_done.add(d.name)
                 remaining.remove(d)
@@ -280,15 +275,6 @@ def _input_order(node: Node) -> list[VarDecl]:
         else:
             raise InferError("clock-mismatch", f"circular input clocks in {node.name}")
     return done
-
-
-def _clock_live(ck: Clock, streams: History, t: int) -> bool:
-    while isinstance(ck, ClockOn):
-        v = streams[ck.var][t]
-        if not present(v) or v != ck.value:
-            return False
-        ck = ck.base
-    return True
 
 
 def gen_inputs(rng: random.Random, node: Node, ticks: int,
@@ -301,9 +287,10 @@ def gen_inputs(rng: random.Random, node: Node, ticks: int,
         if shared is not None and d.name in shared:
             streams[d.name] = list(shared[d.name])
             continue
+        live = eval_clock(streams, [True] * ticks, d.clock)
         vs = []
         for t in range(ticks):
-            if _clock_live(d.clock, streams, t):
+            if live[t]:
                 vs.append(rng.random() < 0.5 if d.ty is Ty.BOOL else rng.randint(-9, 9))
             else:
                 vs.append(ABSENT)
@@ -357,25 +344,11 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     results = infer_program(prog)
     res = results[cfg.node]
     node = prog.node(cfg.node)
-    sig = res.signature
-
-    inst: dict[str, str] = {}
-    for var, label in cfg.assignment.items():
-        if var not in res.gamma:
-            raise InferError("unbound-var", f"{cfg.node} has no variable {var}")
-        inst[res.gamma[var]] = label
-    interface = set(sig.interface_vars())
-    inst = {v: c for v, c in inst.items() if v in interface}
-    solved = least_solution(sig.constraints, inst, lat)
-    satisfied = solved is not None
+    solved, satisfied = solve_interface(res, cfg.assignment, lat)
     if not satisfied and not cfg.force:
         return CheckReport("non-interference", SKIPPED, node=cfg.node, seed=cfg.seed,
                            reason="assignment does not satisfy the node constraints")
-    if solved is None:
-        solved = least_fixpoint(sig.constraints, inst, lat)
-    for v in interface:
-        solved.setdefault(v, lat.bottom)
-    levels = _variable_levels(res, {v: solved[v] for v in interface}, lat)
+    levels = _variable_levels(res, solved, lat)
 
     equal_inputs = _equal_closure(node, levels, cfg.level, lat)
     rng = random.Random(cfg.seed)
@@ -419,13 +392,9 @@ def _equal_closure(node: Node, levels: Mapping[str, str], level: str,
     while changed:
         changed = False
         for d in node.inputs:
-            if d.name in equal:
-                ck = d.clock
-                while isinstance(ck, ClockOn):
-                    if ck.var not in equal:
-                        equal.add(ck.var)
-                        changed = True
-                    ck = ck.base
+            if d.name in equal and not clock_vars(d.clock) <= equal:
+                equal |= clock_vars(d.clock)
+                changed = True
     return equal
 
 
@@ -720,14 +689,8 @@ def sample_satisfying_assignment(rng: random.Random, res: InferenceResult,
     """Random interface assignment satisfying a node's signature: inputs and
     the clock drawn uniformly, outputs completed by the least solution."""
     sig = res.signature
-    fixed = {v: rng.choice(lat.elements) for v in sig.inputs + (sig.clock,)}
-    solved = least_solution(sig.constraints, fixed, lat)
-    assert solved is not None, "output-free choice must be completable"
-    for v in sig.interface_vars():
-        solved.setdefault(v, lat.bottom)
-    interface = {tv: label for tv, label in solved.items()}
-    names = {}
-    for prog_var, tv in res.gamma.items():
-        if tv in interface and tv in set(sig.interface_vars()):
-            names[prog_var] = interface[tv]
-    return names
+    drawn = {tv: rng.choice(lat.elements) for tv in sig.inputs + (sig.clock,)}
+    given = {p: drawn[tv] for p, tv in res.gamma.items() if tv in drawn}
+    solved, satisfied = solve_interface(res, given, lat)
+    assert satisfied, "output-free choice must be completable"
+    return {p: solved[tv] for p, tv in res.gamma.items() if tv in solved}

@@ -13,7 +13,7 @@ from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equ
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
                    When, node_order)
 from .sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet, Lattice,
-                       Typing, join, least_fixpoint, least_solution,
+                       Typing, eval_ground, join, least_fixpoint, least_solution,
                        substitute_constraints, violations)
 
 GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
@@ -437,16 +437,44 @@ class Report:
                 "nodes": [n.to_json() for n in self.nodes]}
 
 
-def assignment_to_instantiation(res: InferenceResult, node: Node,
-                                assignment: Mapping[str, str]) -> dict[str, str]:
-    """Translate a program-variable assignment (with `base`) into an
-    instantiation of the node's interface type variables."""
-    s: dict[str, str] = {}
+def flatten_assignment(entry) -> tuple[str | None, dict[str, str]]:
+    """Node name and flat program-variable map (with `base`) of one
+    assignment entry {"node": ..., "base": ..., "inputs": {...}, "outputs": {...}}."""
+    if not isinstance(entry, dict):
+        raise InferError("bad-assignment", f"assignment entry {entry!r} is not an object")
+    flat: dict[str, str] = {}
+    if "base" in entry:
+        flat[BASE] = entry["base"]
+    for sect in ("inputs", "outputs"):
+        labels = entry.get(sect, {})
+        if not isinstance(labels, dict):
+            raise InferError("bad-assignment", f"assignment {sect} must be an object")
+        flat.update(labels)
+    return entry.get("node"), flat
+
+
+def solve_interface(res: InferenceResult, assignment: Mapping[str, str],
+                    lat: Lattice) -> tuple[dict[str, str], bool]:
+    """Complete a (possibly partial) program-variable assignment (with
+    `base`) to every interface type variable of the node by the least
+    solution of its signature constraints; labels for locals are ignored.
+
+    The flag tells whether the assignment is satisfiable. When it is not,
+    the least fixpoint stands in so that violations can still be reported.
+    """
+    sig = res.signature
+    interface = sig.interface_vars()
+    fixed: dict[str, str] = {}
     for name, label in assignment.items():
         if name not in res.gamma:
-            raise InferError("unbound-var", f"{node.name} has no variable {name}")
-        s[res.gamma[name]] = label
-    return s
+            raise InferError("unbound-var", f"{sig.name} has no variable {name}")
+        if res.gamma[name] in interface:
+            fixed[res.gamma[name]] = label
+    s = least_solution(sig.constraints, fixed, lat)
+    satisfiable = s is not None
+    if s is None:
+        s = least_fixpoint(sig.constraints, fixed, lat)
+    return {v: s.get(v, lat.bottom) for v in interface}, satisfiable
 
 
 def check_node(prog: Program, results: Mapping[str, InferenceResult], name: str,
@@ -457,23 +485,13 @@ def check_node(prog: Program, results: Mapping[str, InferenceResult], name: str,
     signature constraints. Internal node calls are then checked recursively
     under the instantiation induced by the least extension over locals.
     """
-    node = prog.node(name)
     res = results[name]
     sig = res.signature
-    interface = set(sig.interface_vars())
-    # labels given for locals are accepted in the file but ignored here
-    s_partial = {v: c for v, c in assignment_to_instantiation(res, node, assignment).items()
-                 if v in interface}
-    solved_vars = sorted(interface - set(s_partial))
-    s = least_solution(sig.constraints, s_partial, lat)
-    if s is None:
-        # unsatisfiable as fixed: pump anyway so violations can be reported
-        s = least_fixpoint(sig.constraints, s_partial, lat)
-    for v in interface:
-        s.setdefault(v, lat.bottom)
+    s, _ = solve_interface(res, assignment, lat)
+    solved_vars = sorted(set(s) - {res.gamma[p] for p in assignment})
     bad = violations(sig.constraints, s, lat)
 
-    calls = _check_calls(results, res, {v: s[v] for v in interface}, lat)
+    calls = _check_calls(results, res, s, lat)
     unsat = calls is None
 
     readable_assignment = {p: s[v] for p, v in res.gamma.items() if v in s}
@@ -494,9 +512,9 @@ def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
     for site in res.calls:
         callee_res = results[site.callee]
         callee_sig = callee_res.signature
-        inst: dict[str, str] = {callee_sig.clock: _eval(site.clock_type, full, lat)}
+        inst: dict[str, str] = {callee_sig.clock: eval_ground(site.clock_type, full, lat)}
         for v, t in zip(callee_sig.inputs, site.arg_types):
-            inst[v] = _eval(t, full, lat)
+            inst[v] = eval_ground(t, full, lat)
         for v, r in zip(callee_sig.outputs, site.result_vars):
             inst[v] = full[r] if r in full else lat.bottom
         sub_bad = violations(callee_sig.constraints, inst, lat)
@@ -514,13 +532,6 @@ def _interface_names(res: InferenceResult) -> dict[str, str]:
     return {p: v for p, v in res.gamma.items() if v in interface}
 
 
-def _eval(t: CanonType, s: Mapping[str, str], lat: Lattice) -> str:
-    out = lat.bottom
-    for v in t.vars:
-        out = lat.join(out, s.get(v, lat.bottom))
-    return out
-
-
 def check_program(prog: Program, lat: Lattice,
                   assignments: list[dict]) -> Report:
     """Check the nodes named in the assignment entries; each entry is
@@ -528,17 +539,10 @@ def check_program(prog: Program, lat: Lattice,
     results = infer_program(prog)
     reports = []
     for entry in assignments:
-        try:
-            name = entry["node"]
-        except KeyError as exc:
-            raise InferError("bad-assignment", "assignment entry lacks a node name") from exc
+        name, flat = flatten_assignment(entry)
+        if name is None:
+            raise InferError("bad-assignment", "assignment entry lacks a node name")
         if not prog.has_node(name):
             raise InferError("unknown-node", f"assignment names unknown node {name}")
-        flat: dict[str, str] = {}
-        if "base" in entry:
-            flat[BASE] = entry["base"]
-        for sect in ("inputs", "outputs"):
-            for var, label in entry.get(sect, {}).items():
-                flat[var] = label
         reports.append(check_node(prog, results, name, flat, lat))
     return Report(lat.name, reports)

@@ -399,12 +399,18 @@ def _calls_all(items: Iterable) -> set[str]:
     return out
 
 
-def node_order(prog: Program) -> list[str]:
-    """Topological order of the call graph, callees first."""
+def _call_deps(prog: Program) -> dict[str, set[str]]:
+    """Call graph: each node's name mapped to the program nodes it calls."""
     deps = {n.name: set() for n in prog.nodes}
     for n in prog.nodes:
         for eq in n.equations:
             deps[n.name] |= {f for f in _called_nodes(eq) if f in deps}
+    return deps
+
+
+def node_order(prog: Program) -> list[str]:
+    """Topological order of the call graph, callees first."""
+    deps = _call_deps(prog)
     order: list[str] = []
     done: set[str] = set()
     names = [n.name for n in prog.nodes]
@@ -421,10 +427,7 @@ def node_order(prog: Program) -> list[str]:
 
 
 def _call_graph_cycle(prog: Program) -> list[str] | None:
-    deps = {n.name: set() for n in prog.nodes}
-    for n in prog.nodes:
-        for eq in n.equations:
-            deps[n.name] |= {f for f in _called_nodes(eq) if f in deps}
+    deps = _call_deps(prog)
     color: dict[str, int] = {}
     stack: list[str] = []
 
@@ -753,7 +756,8 @@ def _ideps_all(items) -> set[str]:
     return out
 
 
-def _clock_vars(ck: Clock | None) -> set[str]:
+def clock_vars(ck: Clock | None) -> set[str]:
+    """Variables sampled anywhere on a clock's chain (none for the base clock)."""
     out: set[str] = set()
     while isinstance(ck, ClockOn):
         out.add(ck.var)
@@ -764,13 +768,13 @@ def _clock_vars(ck: Clock | None) -> set[str]:
 def eq_instantaneous_deps(eq: Equation) -> set[str]:
     match eq:
         case Def(_, ck, exprs):
-            return _ideps_all(exprs) | _clock_vars(ck)
+            return _ideps_all(exprs) | clock_vars(ck)
         case NDef(_, ck, e):
-            return instantaneous_deps(e) | _clock_vars(ck)
+            return instantaneous_deps(e) | clock_vars(ck)
         case NFby(_, ck, _, _):
-            return _clock_vars(ck)  # the head is a constant, the body is delayed
+            return clock_vars(ck)  # the head is a constant, the body is delayed
         case NCall(_, ck, _, args):
-            return _ideps_all(args) | _clock_vars(ck)
+            return _ideps_all(args) | clock_vars(ck)
     raise TypeError(f"eq_instantaneous_deps: unsupported {eq!r}")
 
 

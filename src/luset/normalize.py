@@ -16,7 +16,7 @@ from typing import Mapping
 from .diagnostics import InferError
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
-                   Var, VarDecl, When, elaborate)
+                   Var, VarDecl, When, clock_vars, elaborate)
 from .infer import FreshVars, InferenceResult, NodeSignature, infer_program
 from .sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet,
                        substitute_constraints)
@@ -320,9 +320,8 @@ def _norm_equation(ctx: _Ctx, eq: Def):
 
 def _clock_sec(ctx: _Ctx, ck: Clock) -> CanonType:
     out = ctx.sec_of(BASE)
-    while isinstance(ck, ClockOn):
-        out = out.join(ctx.sec_of(ck.var))
-        ck = ck.base
+    for x in clock_vars(ck):
+        out = out.join(ctx.sec_of(x))
     return out
 
 

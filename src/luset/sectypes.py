@@ -360,7 +360,12 @@ class Lattice:
         if spec == "two-point":
             return Lattice.two_point()
         if spec.startswith("powerset:"):
-            return Lattice.powerset(int(spec.split(":", 1)[1]))
+            size = spec.split(":", 1)[1]
+            try:
+                n = int(size)
+            except ValueError:
+                raise LatticeError(f"powerset size {size!r} is not an integer") from None
+            return Lattice.powerset(n)
         path = Path(spec)
         return Lattice.from_json(json.loads(path.read_text()), name=path.name)
 

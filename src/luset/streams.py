@@ -4,6 +4,11 @@ Streams are lists of length N holding plain Python values (int/bool) where a
 value is present and the ABSENT sentinel where it is not. Nodes execute
 tick-major: each tick, equations run in causal order, and delay state is
 updated once all of the tick's values are known.
+
+The whole-prefix stream operators (`lift_unop` … `respects_clock`) and the
+whole-prefix entry point `eval_expr` are the reference semantics: nothing in
+the package calls them, and the tests check the tick interpreter against them.
+All clock evaluation goes through `_tick_clock`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Iterable, Sequence, Union
 from .diagnostics import EvalError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
-                   Var, When, check_causality, eq_targets)
+                   Var, When, check_causality, clock_vars, eq_clock, eq_targets)
 
 
 class _Absent:
@@ -237,29 +242,17 @@ def respects_clock(history: History, bs: BStream) -> bool:
 
 def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
     """Boolean stream denoted by a clock expression under a history."""
-    match ck:
-        case ClockBase():
-            return list(bs)
-        case ClockOn(base, x, k):
-            sub = eval_clock(history, bs, base)
-            if x not in history:
-                raise EvalError("unbound-var", f"clock variable {x} has no stream")
-            xs = history[x]
-            out = []
-            for t, (b, v) in enumerate(zip(sub, xs)):
-                if b and v is ABSENT:
-                    raise EvalError("clocked-value-mismatch",
-                                    f"clock variable {x} absent while its clock is live", t, x)
-                if not b and present(v):
-                    raise EvalError("clocked-value-mismatch",
-                                    f"clock variable {x} present while its clock is idle", t, x)
-                out.append(bool(b and v == k))
-            return out
-    raise TypeError(f"eval_clock: unsupported {ck!r}")
+    names = clock_vars(ck)
+    for x in names:
+        if x not in history:
+            raise EvalError("unbound-var", f"clock variable {x} has no stream")
+    n = min([len(bs)] + [len(history[x]) for x in names])
+    return [_tick_clock(ck, {x: history[x][t] for x in names}, bs[t], t) for t in range(n)]
 
 
 def _tick_clock(ck: Clock, vals: dict, bs_t: bool, t: int) -> bool:
-    """eval_clock for a single tick, reading variables from the tick values."""
+    """Whether a clock is live at one tick, reading its variables from the
+    tick values."""
     match ck:
         case ClockBase():
             return bs_t
@@ -600,7 +593,7 @@ class NodeInstance:
         for eq, comp in self.ticked:
             outs = comp.eval(t, vals, bs_t)
             targets = eq_targets(eq)
-            ck = _eq_clock_of(eq)
+            ck = eq_clock(eq)
             live = _tick_clock(ck, vals, bs_t, t) if ck is not None else None
             for x, v in zip(targets, outs):
                 if live is not None and present(v) != live:
@@ -617,15 +610,6 @@ class NodeInstance:
             upd.update(t, vals, bs_t)
         self._last_vals = vals
         return [vals[d.name] for d in self.node.outputs]
-
-
-def _eq_clock_of(eq: Equation) -> Clock | None:
-    match eq:
-        case Def(_, ck, _):
-            return ck
-        case NDef(_, ck, _) | NFby(_, ck, _, _) | NCall(_, ck, _, _):
-            return ck
-    return None
 
 
 # ---------------------------------------------------------------------------

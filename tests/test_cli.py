@@ -109,6 +109,35 @@ def test_check_insecure_exit_one(files, capsys):
     assert "Leak: Insecure" in out and "violated" in out
 
 
+def test_check_text_lists_calls(files, capsys):
+    (files / "spd.json").write_text(json.dumps(
+        {"node": "SpdMtr", "base": "L", "inputs": {"acc": "L"}}))
+    code = main(["check", str(files / "ctr.lus"), "--lattice", "two-point",
+                 "--assign", str(files / "spd.json")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "SpdMtr: Secure" in out
+    assert "call to Ctr (eq 0): secure" in out and "call to Ctr (eq 1): secure" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ni", "leak.lus", "--node", "Nope", "--lattice", "two-point", "--assign", "leak.json"],
+    ["preserve", "leak.lus", "--node", "Nope"],
+    ["check", "leak.lus", "--lattice", "powerset:x", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "entry.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "entry.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "inputs.json"],
+], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
+        "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object"])
+def test_malformed_input_exit_two(files, capsys, argv):
+    (files / "entry.json").write_text("[1]")
+    (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
+    argv = [str(files / a) if a.endswith((".lus", ".json")) else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
+
+
 def test_check_json_schema(files, capsys):
     main(["check", str(files / "leak.lus"), "--lattice", "two-point",
           "--assign", str(files / "leak.json"), "--json"])

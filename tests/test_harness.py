@@ -197,6 +197,26 @@ def test_gen_inputs_honour_clocks():
                         assert present(v) == expected
 
 
+NESTED_CLOCK_SRC = """
+node Nest(x: int when a when not b; a: bool; b: bool when a)
+  returns (o: int when a when not b);
+let
+  o = x;
+tel
+"""
+
+
+def test_gen_inputs_two_level_clock():
+    node = elaborate(parse_program(NESTED_CLOCK_SRC)).node("Nest")
+    ins = gen_inputs(random.Random(4), node, 40)
+    a, b, x = ins["a"], ins["b"], ins["x"]
+    assert all(present(v) for v in a)
+    for t in range(40):
+        assert present(b[t]) == (a[t] is True)
+        assert present(x[t]) == (a[t] is True and b[t] is False)
+    assert 0 < sum(present(v) for v in x) < 40
+
+
 def test_sampled_assignments_satisfy():
     rng = random.Random(31)
     from luset.sectypes import satisfies

@@ -115,6 +115,15 @@ def test_eval_clock():
         [True, False, False]
     with pytest.raises(EvalError):
         eval_clock({"x": [A]}, [True], ClockOn(BASE_CLOCK, "x", True))
+    # two levels: b is sampled on `a`, the clock is live where a and not b
+    nested = ClockOn(ClockOn(BASE_CLOCK, "a", True), "b", False)
+    H2 = {"a": [True, True, False, True, A], "b": [False, True, A, False, A]}
+    assert eval_clock(H2, [True, True, True, True, False], nested) == \
+        [True, False, False, True, False]
+    with pytest.raises(EvalError, match="present while its clock is idle"):
+        eval_clock({"a": [False], "b": [True]}, [True], nested)
+    with pytest.raises(EvalError, match="unbound-var"):
+        eval_clock({"a": [True]}, [True], nested)
 
 
 # ---------------------------------------------------------------------------
