@@ -127,6 +127,8 @@ def cmd_ni(args) -> int:
         return _fail_usage(f"no node named {args.node}")
     lat = Lattice.load(args.lattice)
     entries = [flatten_assignment(e) for e in _load_assignments(args.assign)]
+    if not entries:
+        return _fail_usage(f"{args.assign}: no assignment entries")
     assignment = next((flat for name, flat in entries if name == args.node), entries[0][1])
     levels = [args.level] if args.level else list(lat.elements)
     reports = []
@@ -210,6 +212,16 @@ def cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="luset",
                                  description="Security-typed Lustre analyzer and interpreter")
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--node", required=True)
     p.add_argument("--inputs", required=True, help="CSV trace (header row, `_` = absent)")
-    p.add_argument("--ticks", type=int, default=None)
+    p.add_argument("--ticks", type=_positive_int, default=None)
     p.add_argument("--locals", action="store_true", help="also print local streams")
     p.set_defaults(fn=cmd_run)
 
@@ -250,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--assign", required=True)
     p.add_argument("--level", help="observation level (default: every lattice element)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ticks", type=int, default=64)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--ticks", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true",
                    help="run even when the assignment violates the constraints")
@@ -260,17 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preserve", help="semantics/type preservation under normalisation")
     add_common(p)
     p.add_argument("--node")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--ticks", type=int, default=64)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--ticks", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_preserve)
 
     p = sub.add_parser("suite", help="randomized property suite over generated programs")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--programs", type=int, default=10)
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--ticks", type=int, default=24)
+    p.add_argument("--programs", type=_positive_int, default=10)
+    p.add_argument("--samples", type=_positive_int, default=300)
+    p.add_argument("--trials", type=_positive_int, default=25)
+    p.add_argument("--ticks", type=_positive_int, default=24)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_suite)
     return ap

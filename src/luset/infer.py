@@ -119,7 +119,6 @@ class InferenceResult:
     signature: NodeSignature
     gamma: dict[str, str]  # program variable (and `base`) -> type variable
     full_constraints: ConstraintSet  # before local elimination
-    eliminated: tuple[str, ...]  # local + call-result type variables, in order
     calls: tuple[CallSite, ...]
 
 
@@ -362,14 +361,13 @@ def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSigna
         raise InferError("incomplete-elimination",
                          f"signature of {node.name} still mentions {sorted(leftover)}")
     sig = NodeSignature(node.name, tuple(alphas), tuple(betas), gamma, simplified)
-    return InferenceResult(sig, gamma_map, rho, tuple(elim), tuple(ctx.calls))
+    return InferenceResult(sig, gamma_map, rho, tuple(ctx.calls))
 
 
-def infer_program(prog: Program, fresh: FreshVars | None = None) -> dict[str, InferenceResult]:
+def infer_program(prog: Program) -> dict[str, InferenceResult]:
     """Infer signatures for every node, processing callees first. A single
     fresh supply is shared so variable names are stable across the file."""
-    if fresh is None:
-        fresh = FreshVars()
+    fresh = FreshVars()
     results: dict[str, InferenceResult] = {}
     sigs: dict[str, NodeSignature] = {}
     for name in node_order(prog):

@@ -373,7 +373,12 @@ class _Parser:
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse source text into a program. Raises ParseError with located
     diagnostics on malformed input."""
-    return _Parser(tokenize(text, filename)).program()
+    parser = _Parser(tokenize(text, filename))
+    try:
+        return parser.program()
+    except RecursionError:
+        raise ParseError([Diagnostic("nesting-too-deep", "expression nested too deeply",
+                                     parser.peek().span)]) from None
 
 
 # ---------------------------------------------------------------------------

@@ -726,7 +726,11 @@ def read_trace(path) -> tuple[History, BStream | None]:
     if not rows:
         return {}, None
     header = [h.strip() for h in rows[0]]
-    streams: History = {name: [] for name in header}
+    streams: History = {}
+    for name in header:
+        if name in streams:
+            raise EvalError("bad-trace", f"column {name!r} appears twice in the header")
+        streams[name] = []
     for row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue

@@ -5,7 +5,7 @@ import pytest
 
 from luset.cli import main
 
-from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
+from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
 
 CTR_CSV = """init,incr,rst
 1,1,false
@@ -127,12 +127,28 @@ def test_check_text_lists_calls(files, capsys):
     ["check", "leak.lus", "--lattice", "two-point", "--assign", "entry.json"],
     ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "entry.json"],
     ["check", "leak.lus", "--lattice", "two-point", "--assign", "inputs.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "empty.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "leak.json",
+     "--trials", "-5"],
+    ["preserve", "leak.lus", "--trials", "-2", "--ticks", "-4"],
+    ["run", "ctr.lus", "--node", "Ctr", "--inputs", "table.csv", "--ticks", "-3"],
+    ["suite", "--programs", "0"],
+    ["suite", "--samples", "-1"],
+    ["run", "ctr.lus", "--node", "Ctr", "--inputs", "dup.csv"],
+    ["signature", "deep.lus"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
-        "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object"])
+        "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
+        "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
+        "run-negative-ticks", "suite-zero-programs", "suite-negative-samples",
+        "run-duplicate-column", "deep-nesting"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
-    argv = [str(files / a) if a.endswith((".lus", ".json")) else a for a in argv]
+    (files / "empty.json").write_text("[]")
+    (files / "dup.csv").write_text("init,init,incr,rst\n1,2,3,false\n")
+    (files / "deep.lus").write_text(
+        "node f(x: int) returns (y: int); let y = " + "(" * 3000 + "x" + ")" * 3000 + "; tel")
+    argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
@@ -169,6 +185,61 @@ def test_normalize_emits_core_form(files, capsys):
     from luset.parser import parse_program
     reparsed = parse_program(out)
     assert {n.name for n in reparsed.nodes} == {"cnt_dn", "re_trig"}
+
+
+NORMALIZED = {
+    CNT_DN_SRC: """node cnt_dn(res: bool; n: int) returns (cpt: int);
+var v1: int; v2: bool; v3: int;
+let
+  v2 = true fby false;
+  v3 = 0 fby cpt - 1;
+  v1 = if v2 then n else v3;
+  cpt = if res then n else v1;
+tel
+""",
+    RE_TRIG_SRC: """node cnt_dn(res: bool; n: int) returns (cpt: int);
+var v1: int; v2: bool; v3: int;
+let
+  v2 = true fby false;
+  v3 = 0 fby cpt - 1;
+  v1 = if v2 then n else v3;
+  cpt = if res then n else v1;
+tel
+
+node re_trig(i: bool; n: int) returns (o: bool);
+var edge, ck: bool; v: int; v4, v5: bool; v6: int when ck;
+let
+  v4 = false fby not i;
+  edge = i and v4;
+  v5 = false fby o;
+  ck = edge or v5;
+  v6 = cnt_dn(edge when ck, n when ck); -- on base on ck
+  v = merge ck v6 (0 when not ck);
+  o = v > 0;
+tel
+""",
+    CTR_SPDMTR_SRC: """node Ctr(init, incr: int; rst: bool) returns (n: int);
+var fst: bool; pre_n: int;
+let
+  n = if fst or rst then init else pre_n + incr;
+  fst = true fby false;
+  pre_n = 0 fby n;
+tel
+
+node SpdMtr(acc: int) returns (spd, pos: int);
+let
+  spd = Ctr(0, acc, false);
+  pos = Ctr(3, spd, false);
+tel
+""",
+}
+
+
+@pytest.mark.parametrize("src", list(NORMALIZED), ids=["cnt_dn", "re_trig", "ctr_spdmtr"])
+def test_normalize_golden_text(tmp_path, capsys, src):
+    (tmp_path / "p.lus").write_text(src)
+    assert main(["normalize", str(tmp_path / "p.lus")]) == 0
+    assert capsys.readouterr().out == NORMALIZED[src]
 
 
 def test_normalize_bad_emit_target(files):

@@ -4,7 +4,7 @@ from luset.diagnostics import InferError
 from luset.infer import (FreshVars, NodeSignature, check_program, display_constraints,
                          infer_program, signatures, simplify, type_clock,
                          type_equation, type_expr)
-from luset.lang import (BASE, BASE_CLOCK, Call, ClockOn, Const, Def, Merge, Var,
+from luset.lang import (BASE, BASE_CLOCK, Call, ClockOn, Const, Def, Merge, Var, When,
                         elaborate)
 from luset.parser import parse_program
 from luset.sectypes import EMPTY, Lattice, cs, ct
@@ -58,6 +58,12 @@ def test_merge_joins_selector_and_branches():
     env = env_of(x="θ", a="α", b="β")
     [(t, rho)] = type_expr(env, Merge("x", (Var("a"),), (Var("b"),)), {})
     assert t == ct("θ", "α", "β") and rho == EMPTY
+
+
+def test_when_joins_sampler_into_every_component():
+    env = env_of(a="α1", b="α2", x="θ")
+    e = When((Var("a"), Var("b")), "x", True)
+    assert type_expr(env, e, {}) == [(ct("α1", "θ"), EMPTY), (ct("α2", "θ"), EMPTY)]
 
 
 def test_call_instantiates_signature():

@@ -7,7 +7,6 @@ from luset.lang import (BASE_CLOCK, Binop, ClockOn, Const, Def, Fby, Ite, NCall,
                         well_formed)
 from luset.normalize import normalize_equation, normalize_expr, normalize_program
 from luset.parser import parse_program
-from luset.sectypes import ct
 
 
 def sig_tuple(res):
@@ -21,7 +20,7 @@ def sig_tuple(res):
 
 def test_normalize_const_passthrough(cnt_dn_prog):
     out = normalize_expr(cnt_dn_prog, "cnt_dn", Const(3))
-    assert out.exprs == [(Const(3), ct())]
+    assert out.exprs == [Const(3)]
     assert out.new_equations == [] and out.new_locals == []
 
 
@@ -29,10 +28,7 @@ def test_normalize_when_distributes(cnt_dn_prog):
     # a sampled pair becomes two singleton sampled expressions
     e = When((Var("res"), Var("n")), "res", True)
     out = normalize_expr(cnt_dn_prog, "cnt_dn", e)
-    assert [x for x, _ in out.exprs] == [When((Var("res"),), "res", True),
-                                         When((Var("n"),), "res", True)]
-    # component types are joined with the sampler's type
-    assert all("α1" in t.vars for _, t in out.exprs)
+    assert out.exprs == [When((Var("res"),), "res", True), When((Var("n"),), "res", True)]
     assert out.new_equations == []
 
 
@@ -48,7 +44,7 @@ def test_normalize_nested_fby_introduces_local(cnt_dn_prog):
 def test_normalize_equation_flat_is_identity(ctr_spdmtr_prog):
     eq = Def(("spd",), BASE_CLOCK, (Binop("+", Var("acc"), Const(1)),))
     prog = parse_program("node f(acc: int) returns (spd: int); let spd = acc + 1; tel")
-    eqs, rho, new_locals = normalize_equation(prog, "f", eq)
+    eqs, new_locals = normalize_equation(prog, "f", eq)
     assert eqs == [NDef("spd", BASE_CLOCK, Binop("+", Var("acc"), Const(1)))]
     assert new_locals == []
 
@@ -56,7 +52,7 @@ def test_normalize_equation_flat_is_identity(ctr_spdmtr_prog):
 def test_normalize_tuple_equation_splits():
     prog = parse_program("node f(x: int) returns (a, b: int); let (a, b) = (x, x + 1); tel")
     eq = prog.node("f").equations[0]
-    eqs, _, _ = normalize_equation(prog, "f", Def(eq.targets, BASE_CLOCK, eq.exprs))
+    eqs, _ = normalize_equation(prog, "f", Def(eq.targets, BASE_CLOCK, eq.exprs))
     assert eqs == [NDef("a", BASE_CLOCK, Var("x")),
                    NDef("b", BASE_CLOCK, Binop("+", Var("x"), Const(1)))]
 
@@ -92,11 +88,7 @@ def test_nonconstant_head_fby_expands(cnt_dn_prog):
 
 def test_fby_init_constraints_recorded(cnt_dn_prog):
     _, info = normalize_program(cnt_dn_prog)
-    rho = info["cnt_dn"].constraints
-    # the three-equation scheme contributes γ ⊑ δ-flag and γ⊔β ⊑ δ-prev
-    deltas = [nm for nm, _, _, tv in info["cnt_dn"].new_locals]
-    assert len(deltas) == 3
-    assert any(c.lhs == ct("γ") for c in rho)
+    assert len(info["cnt_dn"]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +112,7 @@ def test_re_trig_matches_figure(re_trig_prog):
     nprog, info = normalize_program(re_trig_prog)
     assert nlustre_violations(nprog) == []
     node = nprog.node("re_trig")
-    assert len(info["re_trig"].new_locals) == 3
+    assert len(info["re_trig"]) == 3
     call_eqs = [eq for eq in node.equations if isinstance(eq, NCall)]
     assert len(call_eqs) == 1
     (call,) = call_eqs
@@ -151,7 +143,7 @@ def test_output_is_well_formed_and_causal():
 def test_fresh_names_avoid_source_identifiers():
     src = "node f(v1: int) returns (y: int); let y = (v1 + 1) fby v1; tel"
     nprog, info = normalize_program(parse_program(src))
-    names = {nm for nm, _, _, _ in info["f"].new_locals}
+    names = {d.name for d in info["f"]}
     assert "v1" not in names and names
     assert well_formed(nprog) == []
 
