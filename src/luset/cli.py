@@ -308,6 +308,11 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"bad JSON input: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # The parser bounds its own nesting; the later passes recurse once per level.
+        print(f"{getattr(args, 'program', 'input')}: nesting-too-deep: expression nested too deeply",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

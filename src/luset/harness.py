@@ -95,7 +95,7 @@ class _GenNode:
         self.equations: list[Equation] = []
 
 
-def gen_program(rng: random.Random, max_nodes: int = 3, ticks_hint: int = 0) -> Program:
+def gen_program(rng: random.Random, max_nodes: int = 3) -> Program:
     """Random well-clocked, causal, type-correct program.
 
     Nodes may call earlier base-interface nodes; equations are generated in

@@ -223,6 +223,38 @@ class Program:
 # Free and defined variables
 # ---------------------------------------------------------------------------
 
+def _subexprs(e: Expr) -> tuple[Expr, ...]:
+    """Immediate sub-expressions of an expression, left to right.
+
+    The one place that knows the shape of every expression form; the
+    structural walks below recurse through it with a plain loop, so each
+    nesting level costs them a single stack frame.
+    """
+    match e:
+        case Const() | Var():
+            return ()
+        case Unop(_, a):
+            return (a,)
+        case Binop(_, a, b):
+            return (a, b)
+        case When(args, _, _) | Call(_, args):
+            return args
+        case Merge(_, ts, fs):
+            return ts + fs
+        case Ite(c, ts, fs):
+            return (c,) + ts + fs
+        case Fby(e0s, es):
+            return e0s + es
+    raise TypeError(f"_subexprs: unsupported {e!r}")
+
+
+def _union(fn, items: Iterable) -> set[str]:
+    out: set[str] = set()
+    for it in items:
+        out |= fn(it)
+    return out
+
+
 def free_vars(item) -> set[str]:
     """Free variables of an expression, clock or equation.
 
@@ -231,53 +263,29 @@ def free_vars(item) -> set[str]:
     plain equations do not.
     """
     match item:
-        case Const():
-            return set()
         case Var(name):
             return {name}
-        case Unop(_, a):
-            return free_vars(a)
-        case Binop(_, a, b):
-            return free_vars(a) | free_vars(b)
-        case When(args, x, _):
-            return _fv_all(args) | {x}
-        case Merge(x, ts, fs):
-            return {x} | _fv_all(ts) | _fv_all(fs)
-        case Ite(c, ts, fs):
-            return free_vars(c) | _fv_all(ts) | _fv_all(fs)
-        case Fby(e0s, es):
-            return _fv_all(e0s) | _fv_all(es)
-        case Call(_, args):
-            return _fv_all(args)
+        case When(_, x, _) | Merge(x, _, _):
+            out = {x}
         case ClockBase():
             return {BASE}
         case ClockOn(ck, x, _):
             return free_vars(ck) | {x}
         case Def(targets, _, exprs):
-            return _fv_all(exprs) - set(targets)
-        case NDef(x, ck, e):
-            return (free_vars(ck) | free_vars(e)) - {x}
-        case NFby(x, ck, _, e):
+            return _union(free_vars, exprs) - set(targets)
+        case NDef(x, ck, e) | NFby(x, ck, _, e):
             return (free_vars(ck) | free_vars(e)) - {x}
         case NCall(xs, ck, _, args):
-            return (free_vars(ck) | _fv_all(args)) - set(xs)
-    raise TypeError(f"free_vars: unsupported {item!r}")
-
-
-def _fv_all(items: Iterable) -> set[str]:
-    out: set[str] = set()
-    for it in items:
-        out |= free_vars(it)
+            return (free_vars(ck) | _union(free_vars, args)) - set(xs)
+        case _:
+            out = set()
+    for sub in _subexprs(item):
+        out |= free_vars(sub)
     return out
 
 
 def defined_vars(eq: Equation) -> set[str]:
-    match eq:
-        case Def(targets, _, _) | NCall(targets, _, _, _):
-            return set(targets)
-        case NDef(x, _, _) | NFby(x, _, _, _):
-            return {x}
-    raise TypeError(f"defined_vars: unsupported {eq!r}")
+    return set(eq_targets(eq))
 
 
 def eq_targets(eq: Equation) -> tuple[str, ...]:
@@ -287,13 +295,6 @@ def eq_targets(eq: Equation) -> tuple[str, ...]:
         case NDef(x, _, _) | NFby(x, _, _, _):
             return (x,)
     raise TypeError(f"eq_targets: unsupported {eq!r}")
-
-
-def eq_clock(eq: Equation) -> Clock | None:
-    match eq:
-        case Def(_, ck, _) | NDef(_, ck, _) | NFby(_, ck, _, _) | NCall(_, ck, _, _):
-            return ck
-    raise TypeError(f"eq_clock: unsupported {eq!r}")
 
 
 def equations_free_vars(eqs: Iterable[Equation]) -> set[str]:
@@ -360,42 +361,27 @@ def well_formed(prog: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("missing-definition",
                                     f"no equation defines {', '.join(sorted(missing))}", node=node.name))
 
-    cycle = _call_graph_cycle(prog)
+    deps = _call_deps(prog)
+    cycle = _find_cycle(deps, deps)
     if cycle:
-        diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle)}"))
+        diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
     return diags
 
 
 def _called_nodes(item) -> set[str]:
     match item:
-        case Call(f, args):
-            return {f} | _calls_all(args)
-        case NCall(_, _, f, args):
-            return {f} | _calls_all(args)
-        case Const() | Var():
-            return set()
-        case Unop(_, a):
-            return _called_nodes(a)
-        case Binop(_, a, b):
-            return _called_nodes(a) | _called_nodes(b)
-        case When(args, _, _):
-            return _calls_all(args)
-        case Merge(_, ts, fs) | Ite(_, ts, fs):
-            extra = _called_nodes(item.cond) if isinstance(item, Ite) else set()
-            return extra | _calls_all(ts) | _calls_all(fs)
-        case Fby(e0s, es):
-            return _calls_all(e0s) | _calls_all(es)
         case Def(_, _, exprs):
-            return _calls_all(exprs)
+            return _union(_called_nodes, exprs)
         case NDef(_, _, e) | NFby(_, _, _, e):
             return _called_nodes(e)
-    raise TypeError(f"_called_nodes: unsupported {item!r}")
-
-
-def _calls_all(items: Iterable) -> set[str]:
-    out: set[str] = set()
-    for it in items:
-        out |= _called_nodes(it)
+        case NCall(_, _, f, args):
+            return {f} | _union(_called_nodes, args)
+        case Call(f, _):
+            out = {f}
+        case _:
+            out = set()
+    for sub in _subexprs(item):
+        out |= _called_nodes(sub)
     return out
 
 
@@ -408,49 +394,67 @@ def _call_deps(prog: Program) -> dict[str, set[str]]:
     return deps
 
 
-def node_order(prog: Program) -> list[str]:
-    """Topological order of the call graph, callees first."""
-    deps = _call_deps(prog)
-    order: list[str] = []
-    done: set[str] = set()
-    names = [n.name for n in prog.nodes]
-    while len(order) < len(names):
+def _schedule(deps: dict) -> list:
+    """Topological order of a dependency graph, dependencies first.
+
+    Repeated passes over the keys in their dict order, each appending every
+    key whose dependencies are all scheduled, until a pass adds nothing. The
+    order is therefore deterministic, and callers rely on it: it fixes the
+    fresh-variable numbering of signatures and the execution order of
+    equations. Keys on or behind a cycle (a key depending on itself
+    included) are left out, so a short result means the graph is cyclic.
+    """
+    order: list = []
+    done: set = set()
+    progress = True
+    while progress and len(order) < len(deps):
         progress = False
-        for name in names:
-            if name not in done and deps[name] <= done:
-                order.append(name)
-                done.add(name)
+        for k, ds in deps.items():
+            if k not in done and ds <= done:
+                order.append(k)
+                done.add(k)
                 progress = True
-        if not progress:
-            raise ElaborationError([Diagnostic("recursive-call", "node call cycle")])
     return order
 
 
-def _call_graph_cycle(prog: Program) -> list[str] | None:
-    deps = _call_deps(prog)
-    color: dict[str, int] = {}
-    stack: list[str] = []
+def _find_cycle(graph: dict[str, set[str]], roots: Iterable[str]) -> list[str] | None:
+    """First cycle met by a depth-first search of `graph`.
 
-    def visit(name: str) -> list[str] | None:
-        color[name] = 1
-        stack.append(name)
-        for callee in sorted(deps[name]):
-            if color.get(callee, 0) == 1:
-                return stack[stack.index(callee):] + [callee]
-            if color.get(callee, 0) == 0:
-                found = visit(callee)
-                if found:
-                    return found
-        stack.pop()
-        color[name] = 2
-        return None
-
-    for name in deps:
-        if color.get(name, 0) == 0:
-            found = visit(name)
-            if found:
-                return found
+    The search starts from each root in turn and follows successors in
+    sorted order. The cycle is returned as the path from its first node,
+    without repeating that node at the end; None means no cycle is
+    reachable from the roots.
+    """
+    done: set[str] = set()
+    for root in roots:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        pending = [iter(sorted(graph.get(root, ())))]
+        while pending:
+            for y in pending[-1]:
+                if y in on_path:
+                    return path[path.index(y):]
+                if y not in done:
+                    path.append(y)
+                    on_path.add(y)
+                    pending.append(iter(sorted(graph.get(y, ()))))
+                    break
+            else:
+                pending.pop()
+                x = path.pop()
+                on_path.discard(x)
+                done.add(x)
     return None
+
+
+def node_order(prog: Program) -> list[str]:
+    """Topological order of the call graph, callees first."""
+    order = _schedule(_call_deps(prog))
+    if len(order) < len(prog.nodes):
+        raise ElaborationError([Diagnostic("recursive-call", "node call cycle")])
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -637,58 +641,38 @@ def elaborate(prog: Program) -> Program:
             _check_decl_clock(env, d, diags)
         new_eqs = []
         for i, eq in enumerate(node.equations):
+            targets = eq_targets(eq)
             match eq:
-                case Def(targets, _, exprs):
-                    slots = []
-                    for ex in exprs:
-                        slots.extend(_expr_slots(env, ex, diags, i))
-                    if len(slots) != len(targets):
-                        diags.append(Diagnostic(
-                            "arity-mismatch",
-                            f"{len(targets)} target(s) but {len(slots)} stream(s)",
-                            node=node.name, eq_index=i))
-                        new_eqs.append(eq)
-                        continue
-                    ck: Clock | None = _POLY
-                    for t in targets:
-                        ck = _unify_clocks(ck, env.clock_of(t), diags, node.name, i)
-                    for t, (ty, c) in zip(targets, slots):
-                        if ty is not env.ty_of(t):
-                            diags.append(Diagnostic("type-mismatch",
-                                                    f"{t} is {env.ty_of(t)} but defined as {ty}",
-                                                    node=node.name, eq_index=i))
-                        _unify_clocks(ck, c, diags, node.name, i)
-                    new_eqs.append(replace(eq, clock=ck if ck is not _POLY else BASE_CLOCK))
-                case NDef(x, ck, ex) | NFby(x, ck, _, ex):
-                    body = ex if isinstance(eq, NDef) else Fby((eq.init,), (ex,))
-                    slots = _expr_slots(env, body, diags, i)
-                    if len(slots) != 1:
-                        diags.append(Diagnostic("arity-mismatch", "tuple in a singleton equation",
-                                                node=node.name, eq_index=i))
-                    else:
-                        ty, c = slots[0]
-                        if ty is not env.ty_of(x):
-                            diags.append(Diagnostic("type-mismatch",
-                                                    f"{x} is {env.ty_of(x)} but defined as {ty}",
-                                                    node=node.name, eq_index=i))
-                        _unify_clocks(_unify_clocks(ck, env.clock_of(x), diags, node.name, i),
-                                      c, diags, node.name, i)
-                    new_eqs.append(eq)
-                case NCall(targets, ck, f, args):
-                    slots = _expr_slots(env, Call(f, args), diags, i)
-                    if len(slots) != len(targets):
-                        diags.append(Diagnostic("arity-mismatch",
-                                                f"{len(targets)} target(s) but {len(slots)} output(s)",
-                                                node=node.name, eq_index=i))
-                    else:
-                        for t, (ty, c) in zip(targets, slots):
-                            if ty is not env.ty_of(t):
-                                diags.append(Diagnostic("type-mismatch",
-                                                        f"{t} is {env.ty_of(t)} but defined as {ty}",
-                                                        node=node.name, eq_index=i))
-                            _unify_clocks(_unify_clocks(ck, env.clock_of(t), diags, node.name, i),
-                                          c, diags, node.name, i)
-                    new_eqs.append(eq)
+                case Def(_, _, exprs):
+                    ck, what = _POLY, "stream(s)"  # a Def's clock is its targets'
+                case NDef(_, ck, e):
+                    exprs, what = (e,), None
+                case NFby(_, ck, c, e):
+                    exprs, what = (Fby((c,), (e,)),), None
+                case NCall(_, ck, f, args):
+                    exprs, what = (Call(f, args),), "output(s)"
+            slots = []
+            for ex in exprs:
+                slots.extend(_expr_slots(env, ex, diags, i))
+            if len(slots) != len(targets):
+                diags.append(Diagnostic(
+                    "arity-mismatch",
+                    f"{len(targets)} target(s) but {len(slots)} {what}" if what
+                    else "tuple in a singleton equation",
+                    node=node.name, eq_index=i))
+                new_eqs.append(eq)
+                continue
+            for t in targets:
+                ck = _unify_clocks(ck, env.clock_of(t), diags, node.name, i)
+            for t, (ty, c) in zip(targets, slots):
+                if ty is not env.ty_of(t):
+                    diags.append(Diagnostic("type-mismatch",
+                                            f"{t} is {env.ty_of(t)} but defined as {ty}",
+                                            node=node.name, eq_index=i))
+                _unify_clocks(ck, c, diags, node.name, i)
+            if isinstance(eq, Def):
+                eq = replace(eq, clock=ck if ck is not _POLY else BASE_CLOCK)
+            new_eqs.append(eq)
         new_nodes.append(replace(node, equations=tuple(new_eqs)))
     if diags:
         raise ElaborationError(diags)
@@ -728,31 +712,14 @@ def instantaneous_deps(expr: Expr) -> set[str]:
     """Variables read at the current tick. A fby delays its second argument
     but its first argument is consumed every tick."""
     match expr:
-        case Const():
-            return set()
         case Var(x):
             return {x}
-        case Unop(_, a):
-            return instantaneous_deps(a)
-        case Binop(_, a, b):
-            return instantaneous_deps(a) | instantaneous_deps(b)
-        case When(args, x, _):
-            return {x} | _ideps_all(args)
-        case Merge(x, ts, fs):
-            return {x} | _ideps_all(ts) | _ideps_all(fs)
-        case Ite(c, ts, fs):
-            return instantaneous_deps(c) | _ideps_all(ts) | _ideps_all(fs)
-        case Fby(e0s, _):
-            return _ideps_all(e0s)
-        case Call(_, args):
-            return _ideps_all(args)
-    raise TypeError(f"instantaneous_deps: unsupported {expr!r}")
-
-
-def _ideps_all(items) -> set[str]:
-    out: set[str] = set()
-    for it in items:
-        out |= instantaneous_deps(it)
+        case When(_, x, _) | Merge(x, _, _):
+            out = {x}
+        case _:
+            out = set()
+    for sub in expr.init if isinstance(expr, Fby) else _subexprs(expr):
+        out |= instantaneous_deps(sub)
     return out
 
 
@@ -767,14 +734,12 @@ def clock_vars(ck: Clock | None) -> set[str]:
 
 def eq_instantaneous_deps(eq: Equation) -> set[str]:
     match eq:
-        case Def(_, ck, exprs):
-            return _ideps_all(exprs) | clock_vars(ck)
+        case Def(_, ck, exprs) | NCall(_, ck, _, exprs):
+            return _union(instantaneous_deps, exprs) | clock_vars(ck)
         case NDef(_, ck, e):
             return instantaneous_deps(e) | clock_vars(ck)
         case NFby(_, ck, _, _):
             return clock_vars(ck)  # the head is a constant, the body is delayed
-        case NCall(_, ck, _, args):
-            return _ideps_all(args) | clock_vars(ck)
     raise TypeError(f"eq_instantaneous_deps: unsupported {eq!r}")
 
 
@@ -798,57 +763,20 @@ def causality(node: Node) -> Causality:
         for x in eq_targets(eq):
             owner[x] = i
     graph: dict[str, set[str]] = {}
-    eq_deps: dict[int, set[int]] = {i: set() for i in range(len(node.equations))}
+    eq_deps: dict[int, set[int]] = {}
     for i, eq in enumerate(node.equations):
         reads = eq_instantaneous_deps(eq)
         for x in eq_targets(eq):
             graph[x] = set(reads)
-        for y in reads:
-            if y in owner:
-                eq_deps[i].add(owner[y])  # owner == i marks a self-cycle
-
-    order: list[int] = []
-    done: set[int] = set()
-    while len(order) < len(node.equations):
-        progress = False
-        for i in range(len(node.equations)):
-            if i not in done and eq_deps[i] <= done:
-                order.append(i)
-                done.add(i)
-                progress = True
-        if not progress:
-            cycle = _find_var_cycle(node, owner, done)
-            return Causality(graph, None, tuple(cycle))
-    return Causality(graph, tuple(order), None)
-
-
-def _find_var_cycle(node: Node, owner: dict[str, int], done: set[int]) -> list[str]:
+        eq_deps[i] = {owner[y] for y in reads if y in owner}  # owner == i marks a self-cycle
+    order = _schedule(eq_deps)
+    if len(order) == len(eq_deps):
+        return Causality(graph, tuple(order), None)
+    done = set(order)
     remaining = {x for x, i in owner.items() if i not in done}
-    reads = {x: (eq_instantaneous_deps(node.equations[owner[x]]) & remaining) for x in remaining}
-    path: list[str] = []
-    on_path: set[str] = set()
-    visited: set[str] = set()
-
-    def visit(x: str) -> list[str] | None:
-        path.append(x)
-        on_path.add(x)
-        for y in sorted(reads.get(x, ())):
-            if y in on_path:
-                return path[path.index(y):]
-            if y not in visited:
-                found = visit(y)
-                if found:
-                    return found
-        on_path.discard(x)
-        visited.add(x)
-        path.pop()
-        return None
-
-    for x in sorted(remaining):
-        found = visit(x)
-        if found:
-            return found
-    return sorted(remaining)
+    # every unscheduled equation waits on another, so the variables they own hold a cycle
+    cycle = _find_cycle({x: graph[x] & remaining for x in remaining}, sorted(remaining))
+    return Causality(graph, None, tuple(cycle))
 
 
 def check_causality(node: Node) -> tuple[int, ...]:

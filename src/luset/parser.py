@@ -442,13 +442,6 @@ def _show_branch(items: tuple[Expr, ...]) -> str:
     return "(" + ", ".join(_show_expr(i) for i in items) + ")"
 
 
-def _show_clock(ck: Clock) -> str:
-    if isinstance(ck, ClockBase):
-        return BASE
-    k = "" if ck.value else "not "
-    return f"{_show_clock(ck.base)} on {k}{ck.var}"
-
-
 def _clock_suffix_text(ck: Clock) -> str:
     parts: list[str] = []
     while isinstance(ck, ClockOn):
@@ -476,7 +469,7 @@ def _show_equation(eq) -> str:
         case Def(targets, ck, exprs):
             lhs = targets[0] if len(targets) == 1 else "(" + ", ".join(targets) + ")"
             rhs = ", ".join(_show_expr(e) for e in exprs)
-            note = f" -- on {_show_clock(ck)}" if ck is not None and not isinstance(ck, ClockBase) else ""
+            note = f" -- on {ck}" if ck is not None and not isinstance(ck, ClockBase) else ""
             return f"  {lhs} = {rhs};{note}"
         case NDef(x, ck, e):
             return _show_equation(Def((x,), ck, (e,)))

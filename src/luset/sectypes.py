@@ -212,13 +212,6 @@ def join(a: Typing, b: Typing) -> Typing:
     return a[0].join(b[0]), a[1] | b[1]
 
 
-def join_all(parts: Iterable[Typing]) -> Typing:
-    out: Typing = (TBOT, EMPTY)
-    for p in parts:
-        out = join(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, Union
 from .diagnostics import EvalError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
-                   Var, When, check_causality, clock_vars, eq_clock, eq_targets)
+                   Var, When, check_causality, clock_vars, eq_targets)
 
 
 class _Absent:
@@ -497,10 +497,9 @@ class NodeInstance:
     """One activation of a node: compiled equations in causal order plus all
     delay state. Each step consumes one tick of inputs."""
 
-    def __init__(self, prog: Program, node: Node, nlustre: bool = False):
+    def __init__(self, prog: Program, node: Node):
         self.prog = prog
         self.node = node
-        self.nlustre = nlustre
         self.order = check_causality(node)
         self.updaters: list = []
         self.t = -1
@@ -529,7 +528,7 @@ class NodeInstance:
                 return comp
             case NCall(targets, ck, f, args):
                 callee = self.prog.node(f)
-                inst = NodeInstance(self.prog, callee, self.nlustre)
+                inst = NodeInstance(self.prog, callee)
                 trees = _CMany([self._compile(a, ck, clocks) for a in args])
                 call = _CCall(inst, trees, ck)
                 if call.width != len(targets):
@@ -574,7 +573,7 @@ class NodeInstance:
                 return comp
             case Call(f, args):
                 callee = self.prog.node(f)
-                inst = NodeInstance(self.prog, callee, self.nlustre)
+                inst = NodeInstance(self.prog, callee)
                 return _CCall(inst, _CMany([self._compile(a, ambient, clocks) for a in args]),
                               ambient)
         raise TypeError(f"unsupported expression {e!r}")
@@ -593,7 +592,7 @@ class NodeInstance:
         for eq, comp in self.ticked:
             outs = comp.eval(t, vals, bs_t)
             targets = eq_targets(eq)
-            ck = eq_clock(eq)
+            ck = eq.clock
             live = _tick_clock(ck, vals, bs_t, t) if ck is not None else None
             for x, v in zip(targets, outs):
                 if live is not None and present(v) != live:
@@ -601,11 +600,6 @@ class NodeInstance:
                                     f"{x} is {'present' if present(v) else 'absent'} "
                                     f"while its clock is {'live' if live else 'idle'}", t, x)
                 vals[x] = v
-        if self.nlustre and not bs_t:
-            for x, v in vals.items():
-                if present(v):
-                    raise EvalError("clocked-value-mismatch",
-                                    f"{x} present while the base clock is idle", t, x)
         for upd in self.updaters:
             upd.update(t, vals, bs_t)
         self._last_vals = vals
@@ -641,7 +635,7 @@ def eval_expr(prog: Program, history: History, bs: BStream, e: Expr) -> list[VSt
 
 
 def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
-             bs: BStream | None = None, nlustre: bool = False) -> tuple[History, BStream]:
+             bs: BStream | None = None) -> tuple[History, BStream]:
     """Run a node for a finite prefix, returning the full history of its
     variables (inputs, outputs and locals) along with the base clock used.
 
@@ -665,7 +659,7 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
             bs = [any(present(inputs[x][t]) for x in declared) for t in range(n_ticks)]
         else:
             bs = [True] * n_ticks
-    inst = NodeInstance(prog, node, nlustre=nlustre)
+    inst = NodeInstance(prog, node)
     history: History = {d.name: [] for d in node.declarations}
     for t in range(n_ticks):
         row = [inputs[x][t] for x in declared]
@@ -688,15 +682,14 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     return history, bs
 
 
-def eval_node(prog: Program, name: str, inputs: list[VStream], n_ticks: int,
-              nlustre: bool = False) -> list[VStream]:
+def eval_node(prog: Program, name: str, inputs: list[VStream], n_ticks: int) -> list[VStream]:
     """Output streams of a node applied to positional input streams."""
     node = prog.node(name)
     if len(inputs) != len(node.inputs):
         raise EvalError("arity-mismatch",
                         f"{name} expects {len(node.inputs)} input(s), got {len(inputs)}")
     named = {d.name: vs for d, vs in zip(node.inputs, inputs)}
-    history, _ = run_node(prog, name, named, n_ticks, nlustre=nlustre)
+    history, _ = run_node(prog, name, named, n_ticks)
     return [history[d.name] for d in node.outputs]
 
 

@@ -120,6 +120,10 @@ def test_check_text_lists_calls(files, capsys):
     assert "call to Ctr (eq 0): secure" in out and "call to Ctr (eq 1): secure" in out
 
 
+# parses (the parser loops over a flat sum) but nests 3000 deep for the later passes
+FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 3000) + "; tel"
+
+
 @pytest.mark.parametrize("argv", [
     ["ni", "leak.lus", "--node", "Nope", "--lattice", "two-point", "--assign", "leak.json"],
     ["preserve", "leak.lus", "--node", "Nope"],
@@ -136,11 +140,15 @@ def test_check_text_lists_calls(files, capsys):
     ["suite", "--samples", "-1"],
     ["run", "ctr.lus", "--node", "Ctr", "--inputs", "dup.csv"],
     ["signature", "deep.lus"],
+    ["signature", "flat.lus"],
+    ["normalize", "flat.lus"],
+    ["run", "flat.lus", "--node", "f", "--inputs", "flat.csv"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
         "run-negative-ticks", "suite-zero-programs", "suite-negative-samples",
-        "run-duplicate-column", "deep-nesting"])
+        "run-duplicate-column", "deep-nesting", "deep-flat-sum-signature",
+        "deep-flat-sum-normalize", "deep-flat-sum-run"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -148,10 +156,19 @@ def test_malformed_input_exit_two(files, capsys, argv):
     (files / "dup.csv").write_text("init,init,incr,rst\n1,2,3,false\n")
     (files / "deep.lus").write_text(
         "node f(x: int) returns (y: int); let y = " + "(" * 3000 + "x" + ")" * 3000 + "; tel")
+    (files / "flat.lus").write_text(FLAT_SUM_SRC)
+    (files / "flat.csv").write_text("x\n1\n2\n")
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+def test_deep_flat_sum_is_one_line_diagnostic(files, capsys):
+    flat = files / "flat.lus"
+    flat.write_text(FLAT_SUM_SRC)
+    assert main(["signature", str(flat)]) == 2
+    assert capsys.readouterr().err == f"{flat}: nesting-too-deep: expression nested too deeply\n"
 
 
 def test_check_json_schema(files, capsys):

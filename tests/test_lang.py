@@ -1,10 +1,12 @@
 import pytest
 
+from luset.cli import main
 from luset.diagnostics import ElaborationError
+from luset.infer import infer_program
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Def, Fby, Ite,
                         Merge, NCall, NDef, NFby, Ty, Unop, Var, VarDecl, When,
                         causality, defined_vars, elaborate, equations_free_vars,
-                        free_vars, well_formed)
+                        free_vars, node_order, well_formed)
 from luset.parser import parse_program
 
 from conftest import CTR_SPDMTR_SRC
@@ -255,3 +257,71 @@ def test_order_reads_only_earlier_or_delayed(ctr_prog):
         deps = eq_instantaneous_deps(eq) - inputs - {"base"}
         assert deps <= seen
         seen |= set(eq_targets(eq))
+
+
+# ---------------------------------------------------------------------------
+# schedules, cycles and recursion budget pinned to exact values
+# ---------------------------------------------------------------------------
+
+def test_node_order_and_signature_numbering():
+    prog = elaborate(parse_program("""
+node A(x: int) returns (y: int); let y = B(x); tel
+node B(x: int) returns (y: int); let y = C(x) + 1; tel
+node C(x: int) returns (y: int); let y = x; tel
+node D(a, b: int) returns (y: int); let y = a + b; tel
+"""))
+    # each pass schedules every ready node in program order
+    assert node_order(prog) == ["C", "D", "B", "A"]
+    sigs = {name: res.signature.display() for name, res in infer_program(prog).items()}
+    assert sigs["A"] == "A(α4) ⇒γ3 β3 {| γ3⊔α4 ⊑ β3 |}"
+    assert sigs["D"] == "D(α1, α2) ⇒γ1 β1 {| γ1⊔α1⊔α2 ⊑ β1 |}"
+
+
+def test_causality_order_is_pass_by_pass():
+    prog = parse_program("""
+node f(a: int) returns (y: int);
+var x1, x2, z: int;
+let
+  y = x2 + 1;
+  x2 = x1 + 1;
+  x1 = a;
+  z = a;
+tel
+""")
+    assert causality(prog.node("f")).order == (2, 3, 1, 0)
+
+
+def test_causality_cycle_found_from_smallest_name():
+    prog = parse_program("""
+node f(x: int) returns (y: int);
+var a, b, c, d: int;
+let
+  d = a;
+  a = b;
+  b = c;
+  c = a + x;
+  y = d;
+tel
+""")
+    # d and y wait on the cycle but are not part of it
+    assert causality(prog.node("f")).cycle == ("a", "b", "c")
+
+
+def test_call_cycle_message_closes_the_cycle():
+    prog = parse_program("""
+node f(x: int) returns (y: int); let y = g(x); tel
+node g(x: int) returns (y: int); let y = h(x); tel
+node h(x: int) returns (y: int); let y = g(x); tel
+""")
+    assert [str(d) for d in well_formed(prog)] == ["recursive-call: node call cycle: g -> h -> g"]
+
+
+@pytest.mark.parametrize("command, terms", [("signature", 300), ("normalize", 400), ("run", 400)])
+def test_long_flat_sum_within_recursion_budget(tmp_path, capsys, command, terms):
+    src = tmp_path / "sum.lus"
+    src.write_text("node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * terms) + "; tel")
+    (tmp_path / "x.csv").write_text("x\n1\n2\n")
+    run = ["--node", "f", "--inputs", str(tmp_path / "x.csv")] if command == "run" else []
+    assert main([command, str(src)] + run) == 0
+    if command == "run":
+        assert capsys.readouterr().out == f"y,{terms},{2 * terms}\n"
