@@ -8,7 +8,7 @@ from .lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def, Fby,
                    nlustre_violations, well_formed)
 from .parser import parse_program, pretty_print
 from .sectypes import (CanonType, Constraint, ConstraintSet, Lattice, canon,
-                       eval_ground, join, least_solution, satisfies)
+                       eval_ground, least_solution, satisfies)
 from .infer import (FreshVars, NodeSignature, check_program, infer_node_signature,
                     infer_program, signatures, simplify, type_clock, type_equation,
                     type_expr)

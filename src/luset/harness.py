@@ -18,7 +18,7 @@ from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Con
                    Equation, Expr, Fby, Ite, Merge, Node, Program, Ty, Unop, Var,
                    VarDecl, When, causality, clock_vars, elaborate, free_vars, well_formed)
 from .normalize import normalize_program
-from .sectypes import (EMPTY, Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
+from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, satisfies)
 from .streams import ABSENT, History, eval_clock, eval_node, run_node, show_value
 
@@ -645,15 +645,15 @@ def check_simple_security(samples: int = 1000, seed: int = 0) -> CheckReport:
         env = {}
         for i, x in enumerate(names):
             k = rng.randint(1, 2)
-            env[x] = (CanonType(tuple(rng.choice("abcdef") + str(i) for _ in range(k))), EMPTY)
-        env[BASE] = (CanonType(("g",)), EMPTY)
+            env[x] = CanonType(tuple(rng.choice("abcdef") + str(i) for _ in range(k)))
+        env[BASE] = CanonType(("g",))
         e = _gen_plain_expr(rng, names, rng.randint(1, 4))
-        slots = type_expr(env, e, {})
+        slots, _ = type_expr(env, e, {})
         covered: set[str] = set()
-        for t, _ in slots:
+        for t in slots:
             covered |= set(t.vars)
         for x in free_vars(e):
-            if not set(env[x][0].vars) <= covered:
+            if not set(env[x].vars) <= covered:
                 return CheckReport("simple-security", FAIL, trials=trial + 1, seed=seed,
                                    counterexample={"expr": repr(e), "variable": x})
     return CheckReport("simple-security", PASS, trials=samples, seed=seed)

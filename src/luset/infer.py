@@ -12,9 +12,8 @@ from .diagnostics import InferError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
                    When, node_order)
-from .sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet, Lattice,
-                       Typing, eval_ground, join, least_fixpoint, least_solution,
-                       substitute_constraints, violations)
+from .sectypes import (TBOT, CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
+                       least_fixpoint, least_solution, substitute_constraints, violations)
 
 GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
 _ASCII = {"α": "a", "β": "b", "γ": "g", "δ": "d"}
@@ -122,92 +121,100 @@ class InferenceResult:
     calls: tuple[CallSite, ...]
 
 
-TypeEnv = dict[str, Typing]
+TypeEnv = dict[str, CanonType]
 
 
-def type_clock(env: TypeEnv, ck: Clock) -> Typing:
+def type_clock(env: TypeEnv, ck: Clock) -> CanonType:
     """Security type of a clock: the base entry joined with every sampled
     variable on the chain."""
     match ck:
         case ClockBase():
             return _lookup(env, BASE)
         case ClockOn(base, x, _):
-            return join(_lookup(env, x), type_clock(env, base))
+            return _lookup(env, x).join(type_clock(env, base))
     raise TypeError(f"type_clock: unsupported {ck!r}")
 
 
-def _lookup(env: TypeEnv, name: str) -> Typing:
+def _lookup(env: TypeEnv, name: str) -> CanonType:
     if name not in env:
         raise InferError("unbound-var", f"no security type for {name}")
     return env[name]
 
 
 class _CallCtx:
-    """Threads the fresh supply and records call sites while typing a node."""
+    """Everything typing one node body reads and generates: the type
+    environment, callee signatures and fresh supply, and the node's
+    constraints, call sites and call-result variables in order."""
 
-    def __init__(self, fresh: FreshVars, sigs: Mapping[str, NodeSignature]):
-        self.fresh = fresh
+    def __init__(self, env: TypeEnv, sigs: Mapping[str, NodeSignature], fresh: FreshVars):
+        self.env = env
         self.sigs = sigs
+        self.fresh = fresh
+        self.constraints: list[Constraint] = []
         self.extra_vars: list[str] = []
         self.calls: list[CallSite] = []
         self.eq_index = 0
 
 
-def type_expr(env: TypeEnv, e: Expr, sigs: Mapping[str, NodeSignature],
-              ctx: _CallCtx | None = None) -> list[Typing]:
-    """One (type, surfaced constraints) pair per component stream of e.
+def type_expr(env: TypeEnv, e: Expr,
+              sigs: Mapping[str, NodeSignature]) -> tuple[list[CanonType], ConstraintSet]:
+    """One type per component stream of e, and the constraints its node
+    calls generate."""
+    ctx = _CallCtx(env, sigs, FreshVars())
+    types = _expr(ctx, e)
+    return types, ConstraintSet(ctx.constraints)
 
-    Node calls instantiate the callee signature: the clock variable maps to
-    the caller's base entry, inputs to argument types, and outputs to fresh
-    variables that stand for the results at this call site.
+
+def _expr(ctx: _CallCtx, e: Expr) -> list[CanonType]:
+    """One type per component stream of e.
+
+    Node calls instantiate the callee signature into ctx.constraints: the
+    clock variable maps to the caller's base entry, inputs to argument
+    types, and outputs to fresh variables that stand for the results at
+    this call site.
     """
-    if ctx is None:
-        ctx = _CallCtx(FreshVars(), sigs)
-
-    def rec(sub) -> list[Typing]:
-        return type_expr(env, sub, sigs, ctx)
-
-    def rec_all(items) -> list[Typing]:
-        out: list[Typing] = []
-        for it in items:
-            out.extend(rec(it))
-        return out
-
-    def one(sub) -> Typing:
-        slots = rec(sub)
-        if len(slots) != 1:
-            raise InferError("arity-mismatch", "tuple used as a single stream")
-        return slots[0]
-
     match e:
         case Const():
-            return [(TBOT, EMPTY)]
+            return [TBOT]
         case Var(x):
-            return [_lookup(env, x)]
+            return [_lookup(ctx.env, x)]
         case Unop(_, a):
-            return [one(a)]
+            return [_one(_expr(ctx, a))]
         case Binop(_, a, b):
-            return [join(one(a), one(b))]
+            return [_one(_expr(ctx, a)).join(_one(_expr(ctx, b)))]
         case When(args, x, _):
-            gx = _lookup(env, x)
-            return [join(t, gx) for t in rec_all(args)]
+            gx = _lookup(ctx.env, x)
+            return [t.join(gx) for t in _exprs(ctx, args)]
         case Merge(x, ts, fs):
-            gx = _lookup(env, x)
-            tslots, fslots = rec_all(ts), rec_all(fs)
+            gx = _lookup(ctx.env, x)
+            tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
             _same_width(tslots, fslots, "merge")
-            return [join(join(gx, a), b) for a, b in zip(tslots, fslots)]
+            return [gx.join(a).join(b) for a, b in zip(tslots, fslots)]
         case Ite(c, ts, fs):
-            theta = one(c)
-            tslots, fslots = rec_all(ts), rec_all(fs)
+            theta = _one(_expr(ctx, c))
+            tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
             _same_width(tslots, fslots, "if")
-            return [join(join(theta, a), b) for a, b in zip(tslots, fslots)]
+            return [theta.join(a).join(b) for a, b in zip(tslots, fslots)]
         case Fby(e0s, es):
-            islots, rslots = rec_all(e0s), rec_all(es)
+            islots, rslots = _exprs(ctx, e0s), _exprs(ctx, es)
             _same_width(islots, rslots, "fby")
-            return [join(a, b) for a, b in zip(islots, rslots)]
+            return [a.join(b) for a, b in zip(islots, rslots)]
         case Call(f, args):
-            return _type_call(env, f, args, sigs, ctx, type_clock(env, ClockBase()))
+            return _type_call(ctx, f, args, _lookup(ctx.env, BASE))
     raise TypeError(f"type_expr: unsupported {e!r}")
+
+
+def _exprs(ctx: _CallCtx, items) -> list[CanonType]:
+    out: list[CanonType] = []
+    for it in items:
+        out.extend(_expr(ctx, it))
+    return out
+
+
+def _one(slots: list[CanonType]) -> CanonType:
+    if len(slots) != 1:
+        raise InferError("arity-mismatch", "tuple used as a single stream")
+    return slots[0]
 
 
 def _same_width(a: list, b: list, what: str):
@@ -215,88 +222,68 @@ def _same_width(a: list, b: list, what: str):
         raise InferError("arity-mismatch", f"{what} branches have widths {len(a)} and {len(b)}")
 
 
-def _type_call(env: TypeEnv, f: str, args, sigs: Mapping[str, NodeSignature],
-               ctx: _CallCtx, clock_type: Typing) -> list[Typing]:
-    if f not in sigs:
+def _type_call(ctx: _CallCtx, f: str, args, clock_type: CanonType) -> list[CanonType]:
+    if f not in ctx.sigs:
         raise InferError("unknown-node", f"no signature for node {f}")
-    sig = sigs[f]
-    arg_slots: list[Typing] = []
-    for a in args:
-        arg_slots.extend(type_expr(env, a, sigs, ctx))
-    if len(arg_slots) != len(sig.inputs):
+    sig = ctx.sigs[f]
+    arg_types = _exprs(ctx, args)
+    if len(arg_types) != len(sig.inputs):
         raise InferError("arity-mismatch",
-                         f"{f} expects {len(sig.inputs)} argument stream(s), got {len(arg_slots)}")
+                         f"{f} expects {len(sig.inputs)} argument stream(s), got {len(arg_types)}")
     result_vars = [ctx.fresh.one("delta") for _ in sig.outputs]
     ctx.extra_vars.extend(result_vars)
-    sub: dict[str, Typing] = {sig.clock: clock_type}
-    for v, slot in zip(sig.inputs, arg_slots):
-        sub[v] = slot
-    for v, r in zip(sig.outputs, result_vars):
-        sub[v] = (CanonType((r,)), EMPTY)
-    rho = substitute_constraints(sig.constraints, sub)
-    surfaced = EMPTY
-    for _, extra in arg_slots:
-        surfaced = surfaced | extra
-    ctx.calls.append(CallSite(
-        callee=f,
-        eq_index=ctx.eq_index,
-        arg_types=tuple(t for t, _ in arg_slots),
-        clock_type=clock_type[0],
-        result_vars=tuple(result_vars),
-    ))
-    return [(CanonType((r,)), rho | surfaced) for r in result_vars]
+    results = [CanonType((r,)) for r in result_vars]
+    sub = dict(zip((sig.clock,) + sig.inputs + sig.outputs, [clock_type] + arg_types + results))
+    ctx.constraints.extend(substitute_constraints(sig.constraints, sub))
+    ctx.calls.append(CallSite(f, ctx.eq_index, tuple(arg_types), clock_type,
+                              tuple(result_vars)))
+    return results
 
 
-def type_equation(env: TypeEnv, eq: Equation, sigs: Mapping[str, NodeSignature],
-                  ctx: _CallCtx | None = None) -> ConstraintSet:
+def type_equation(env: TypeEnv, eq: Equation,
+                  sigs: Mapping[str, NodeSignature]) -> ConstraintSet:
     """Constraints of one equation: γ ⊔ αi ⊑ βi per defined variable, plus
-    all refinement constraints surfaced from the right-hand side."""
-    if ctx is None:
-        ctx = _CallCtx(FreshVars(), sigs)
+    the instantiated constraints of every node it calls."""
+    ctx = _CallCtx(env, sigs, FreshVars())
+    _equation(ctx, eq)
+    return ConstraintSet(ctx.constraints)
+
+
+def _equation(ctx: _CallCtx, eq: Equation):
     match eq:
         case Def(targets, ck, exprs):
-            gamma = type_clock(env, ck if ck is not None else ClockBase())
-            slots: list[Typing] = []
-            for e in exprs:
-                slots.extend(type_expr(env, e, sigs, ctx))
+            gamma = type_clock(ctx.env, ck if ck is not None else ClockBase())
+            slots = _exprs(ctx, exprs)
         case NDef(x, ck, e):
-            gamma = type_clock(env, ck)
+            gamma = type_clock(ctx.env, ck)
             targets = (x,)
-            slots = type_expr(env, e, sigs, ctx)
+            slots = _expr(ctx, e)
         case NFby(x, ck, _, e):
-            gamma = type_clock(env, ck)
+            gamma = type_clock(ctx.env, ck)
             targets = (x,)
-            slots = type_expr(env, e, sigs, ctx)  # the constant head adds ⊥
+            slots = _expr(ctx, e)  # the constant head adds ⊥
         case NCall(xs, ck, f, args):
-            gamma = type_clock(env, ck)
+            gamma = type_clock(ctx.env, ck)
             targets = xs
-            slots = _type_call(env, f, args, sigs, ctx, gamma)
+            slots = _type_call(ctx, f, args, gamma)
         case _:
             raise TypeError(f"type_equation: unsupported {eq!r}")
     if len(slots) != len(targets):
         raise InferError("arity-mismatch",
                          f"{len(targets)} target(s) but {len(slots)} stream(s)")
-    out: list[Constraint] = []
-    surfaced = EMPTY
-    for x, (alpha, rho) in zip(targets, slots):
-        beta, rho_b = _lookup(env, x)
-        lhs, rho_g = join(gamma, (alpha, rho))
-        out.append(Constraint.make(lhs, beta))
-        surfaced = surfaced | rho_g | rho_b
-    return ConstraintSet(out) | surfaced
+    for x, alpha in zip(targets, slots):
+        ctx.constraints.append(Constraint.make(gamma.join(alpha), _lookup(ctx.env, x)))
 
 
-def simplify(types: list[CanonType], rho: ConstraintSet,
-             order: list[str]) -> tuple[list[CanonType], ConstraintSet]:
-    """Eliminate the given type variables from rho (and from the carried
-    types) by substituting each variable's unique defining constraint.
+def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
+    """Eliminate the given type variables from rho by substituting each
+    variable's unique defining constraint.
 
     For δ with a defining constraint ν ⊑ δ (or ν ⊔ δ ⊑ δ), substitute ν
     (with δ removed) for δ everywhere and drop the constraint; a variable
     with no defining constraint is skipped. More than one defining
     constraint violates the precondition.
     """
-    current = list(types)
     constraints = rho
     for delta in order:
         defining = [c for c in constraints if c.rhs.vars == (delta,)]
@@ -306,17 +293,9 @@ def simplify(types: list[CanonType], rho: ConstraintSet,
         if not defining:
             continue
         chosen = defining[0]
-        nu = (chosen.lhs.without((delta,)), EMPTY)
-        rest = ConstraintSet(c for c in constraints if c != chosen)
-        constraints = substitute_constraints(rest, {delta: nu})
-        current = [substitute_constraints_type(t, delta, nu[0]) for t in current]
-    return current, constraints
-
-
-def substitute_constraints_type(t: CanonType, var: str, repl: CanonType) -> CanonType:
-    if var not in t.vars:
-        return t
-    return t.without((var,)).join(repl)
+        rest = [c for c in constraints if c != chosen]
+        constraints = substitute_constraints(rest, {delta: chosen.lhs.without((delta,))})
+    return constraints
 
 
 def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSignature],
@@ -335,26 +314,18 @@ def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSigna
     gamma = fresh.one("gamma")
     deltas = fresh.take("delta", len(node.locals)) if node.locals else []
 
-    env: TypeEnv = {BASE: (CanonType((gamma,)), EMPTY)}
     gamma_map: dict[str, str] = {BASE: gamma}
-    for decl, v in zip(node.inputs, alphas):
-        env[decl.name] = (CanonType((v,)), EMPTY)
-        gamma_map[decl.name] = v
-    for decl, v in zip(node.outputs, betas):
-        env[decl.name] = (CanonType((v,)), EMPTY)
-        gamma_map[decl.name] = v
-    for decl, v in zip(node.locals, deltas):
-        env[decl.name] = (CanonType((v,)), EMPTY)
-        gamma_map[decl.name] = v
+    for decls, vs in ((node.inputs, alphas), (node.outputs, betas), (node.locals, deltas)):
+        gamma_map.update((decl.name, v) for decl, v in zip(decls, vs))
+    env: TypeEnv = {name: CanonType((v,)) for name, v in gamma_map.items()}
 
-    ctx = _CallCtx(fresh, sigs)
-    rho = EMPTY
+    ctx = _CallCtx(env, sigs, fresh)
     for i, eq in enumerate(node.equations):
         ctx.eq_index = i
-        rho = rho | type_equation(env, eq, sigs, ctx)
+        _equation(ctx, eq)
+    rho = ConstraintSet(ctx.constraints)
 
-    elim = list(deltas) + list(ctx.extra_vars)
-    _, simplified = simplify([], rho, elim)
+    simplified = simplify(rho, list(deltas) + ctx.extra_vars)
     interface = set(alphas) | set(betas) | {gamma}
     leftover = simplified.variables - interface
     if leftover:

@@ -501,8 +501,7 @@ def _expr_slots(env: _NodeEnv, e: Expr, diags, i) -> list[tuple[Ty, Clock | None
             out.extend(_expr_slots(env, sub, diags, i))
         return out
 
-    def one(sub) -> tuple[Ty, Clock | None]:
-        slots = _expr_slots(env, sub, diags, i)
+    def one(slots) -> tuple[Ty, Clock | None]:
         if len(slots) != 1:
             bad("arity-mismatch", "tuple used where a single stream is required")
             return slots[0] if slots else (Ty.INT, _POLY)
@@ -517,14 +516,14 @@ def _expr_slots(env: _NodeEnv, e: Expr, diags, i) -> list[tuple[Ty, Clock | None
                 return [(Ty.INT, _POLY)]
             return [(env.ty_of(x), env.clock_of(x))]
         case Unop(op, a):
-            ty, ck = one(a)
+            ty, ck = one(_expr_slots(env, a, diags, i))
             want = Ty.BOOL if op == "not" else Ty.INT
             if ty is not want:
                 bad("type-mismatch", f"operator {op} applied to {ty}")
             return [(want, ck)]
         case Binop(op, a, b):
-            lt, lc = one(a)
-            rt, rc = one(b)
+            lt, lc = one(_expr_slots(env, a, diags, i))
+            rt, rc = one(_expr_slots(env, b, diags, i))
             ck = _unify_clocks(lc, rc, diags, name, i)
             if op in ARITH_OPS:
                 if lt is not Ty.INT or rt is not Ty.INT:
@@ -577,7 +576,7 @@ def _expr_slots(env: _NodeEnv, e: Expr, diags, i) -> list[tuple[Ty, Clock | None
                 out.append((tt, ck_x))
             return out
         case Ite(c, ts, fs):
-            ct, cc = one(c)
+            ct, cc = one(_expr_slots(env, c, diags, i))
             if ct is not Ty.BOOL:
                 bad("type-mismatch", "if condition must be bool")
             tslots = all_slots(ts)

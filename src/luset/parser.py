@@ -330,6 +330,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
+            # length first: int() refuses very long digit strings
+            if len(tok.text.lstrip("0")) > 19 or int(tok.text) >= 1 << 63:
+                raise ParseError([Diagnostic("int-out-of-range",
+                                             "integer literal exceeds 2^63-1", span=tok.span)])
             return Const(int(tok.text))
         if self.eat("true"):
             return Const(True)

@@ -10,10 +10,12 @@ duplicate-free variable sets paired with a constraint set.
 Note that flattening an ordering between refined types into a plain
 ordering plus the union of both refinement sets makes the refinements
 unconditional: a refinement carried by either side must hold outright,
-not merely when the ordering is consulted. Inference only ever attaches
-refinements that are required anyway (instantiated callee constraints),
-so nothing is lost, but hand-built types should be written with this
-reading in mind.
+not merely when the ordering is consulted. Inference never builds refined
+types: it types expressions to plain canonical types and collects every
+constraint of a node in one set. Refinements arise only when raw types
+are canonicalised (`canon`, `canon_constraints`, and the equational
+soundness check), so hand-built types should be written with this reading
+in mind.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def cs(*pairs: tuple[CanonType, CanonType]) -> ConstraintSet:
     return ConstraintSet(Constraint.make(l, r) for l, r in pairs)
 
 
-Typing = tuple[CanonType, ConstraintSet]  # a type together with surfaced refinements
+Typing = tuple[CanonType, ConstraintSet]  # a raw type's canonical form and its floated refinements
 
 
 def canon(t: SecType) -> Typing:
@@ -199,47 +201,30 @@ def canon_constraints(pairs: Iterable[tuple[SecType, SecType]]) -> ConstraintSet
     """Canonicalise raw constraint pairs; refinements on either side are
     flattened into the resulting set."""
     out: list[Constraint] = []
-    extra = EMPTY
     for l, r in pairs:
         cl, rl = canon(l)
         cr, rr = canon(r)
         out.append(Constraint.make(cl, cr))
-        extra = extra | rl | rr
-    return ConstraintSet(out) | extra
-
-
-def join(a: Typing, b: Typing) -> Typing:
-    return a[0].join(b[0]), a[1] | b[1]
+        out.extend(rl)
+        out.extend(rr)
+    return ConstraintSet(out)
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
 
-def substitute_type(t: CanonType, sub: Mapping[str, Typing]) -> Typing:
-    """Simultaneous substitution into a canonical type. Refinements carried
-    by the substituted types are surfaced into the returned set."""
-    out = TBOT
-    extra = EMPTY
+def substitute_type(t: CanonType, sub: Mapping[str, CanonType]) -> CanonType:
+    """Simultaneous substitution into a canonical type."""
+    out: list[str] = []
     for v in t.vars:
-        if v in sub:
-            ty, rho = sub[v]
-            out = out.join(ty)
-            extra = extra | rho
-        else:
-            out = out.join(CanonType((v,)))
-    return out, extra
+        out.extend(sub[v].vars if v in sub else (v,))
+    return CanonType(tuple(out))
 
 
-def substitute_constraints(rho: ConstraintSet, sub: Mapping[str, Typing]) -> ConstraintSet:
-    out: list[Constraint] = []
-    extra = EMPTY
-    for c in rho:
-        lhs, el = substitute_type(c.lhs, sub)
-        rhs, er = substitute_type(c.rhs, sub)
-        out.append(Constraint.make(lhs, rhs))
-        extra = extra | el | er
-    return ConstraintSet(out) | extra
+def substitute_constraints(rho: Iterable[Constraint], sub: Mapping[str, CanonType]) -> ConstraintSet:
+    return ConstraintSet(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub))
+                         for c in rho)
 
 
 # ---------------------------------------------------------------------------

@@ -706,9 +706,12 @@ def _parse_cell(text: str, where: str) -> Value:
     if cell == "false":
         return False
     try:
-        return int(cell)
+        v = int(cell)
     except ValueError:
         raise EvalError("bad-trace", f"cannot read {cell!r} in column {where}") from None
+    if _wrap64(v) != v:
+        raise EvalError("bad-trace", f"{cell} in column {where} is outside the 64-bit range")
+    return v
 
 
 def read_trace(path) -> tuple[History, BStream | None]:

@@ -220,7 +220,7 @@ def test_criterion_7_simplify_correctness():
             if violations(rho, s, lat):
                 continue  # sampled instantiation must satisfy the system
             produced += 1
-            _, simplified = simplify([], rho, locals_)
+            simplified = simplify(rho, locals_)
             assert not violations(simplified, s, lat), \
                 f"simplified system violated: {rho} -> {simplified} under {s}"
             # eliminated variables never remain on the right of a constraint

@@ -143,12 +143,15 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["signature", "flat.lus"],
     ["normalize", "flat.lus"],
     ["run", "flat.lus", "--node", "f", "--inputs", "flat.csv"],
+    ["signature", "big.lus"],
+    ["run", "echo.lus", "--node", "f", "--inputs", "big.csv"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
         "run-negative-ticks", "suite-zero-programs", "suite-negative-samples",
         "run-duplicate-column", "deep-nesting", "deep-flat-sum-signature",
-        "deep-flat-sum-normalize", "deep-flat-sum-run"])
+        "deep-flat-sum-normalize", "deep-flat-sum-run", "literal-out-of-range",
+        "trace-cell-out-of-range"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -158,6 +161,10 @@ def test_malformed_input_exit_two(files, capsys, argv):
         "node f(x: int) returns (y: int); let y = " + "(" * 3000 + "x" + ")" * 3000 + "; tel")
     (files / "flat.lus").write_text(FLAT_SUM_SRC)
     (files / "flat.csv").write_text("x\n1\n2\n")
+    (files / "big.lus").write_text(
+        "node f(x: int) returns (y: int); let y = x + 9223372036854775808; tel")
+    (files / "echo.lus").write_text("node f(x: int) returns (y: int); let y = x; tel")
+    (files / "big.csv").write_text("x\n1\n99999999999999999999\n")
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

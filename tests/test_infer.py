@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from luset.diagnostics import InferError
@@ -15,9 +17,9 @@ TWO = Lattice.two_point()
 
 
 def env_of(**kw):
-    env = {BASE: (ct("γ"), EMPTY)}
+    env = {BASE: ct("γ")}
     for name, vs in kw.items():
-        env[name] = (ct(*vs) if isinstance(vs, tuple) else ct(vs), EMPTY)
+        env[name] = ct(*vs) if isinstance(vs, tuple) else ct(vs)
     return env
 
 
@@ -26,19 +28,19 @@ def env_of(**kw):
 # ---------------------------------------------------------------------------
 
 def test_type_clock_base():
-    assert type_clock(env_of(), BASE_CLOCK) == (ct("γ"), EMPTY)
+    assert type_clock(env_of(), BASE_CLOCK) == ct("γ")
 
 
 def test_type_clock_on():
     env = env_of(x="γ1")
-    env[BASE] = (ct("γ2"), EMPTY)
-    assert type_clock(env, ClockOn(BASE_CLOCK, "x", True)) == (ct("γ1", "γ2"), EMPTY)
+    env[BASE] = ct("γ2")
+    assert type_clock(env, ClockOn(BASE_CLOCK, "x", True)) == ct("γ1", "γ2")
 
 
 def test_type_clock_nested_on():
     env = env_of(x="a", y="b")
     ck = ClockOn(ClockOn(BASE_CLOCK, "x", True), "y", False)
-    assert type_clock(env, ck)[0] == ct("γ", "a", "b")
+    assert type_clock(env, ck) == ct("γ", "a", "b")
 
 
 def test_type_clock_unbound():
@@ -51,19 +53,19 @@ def test_type_clock_unbound():
 # ---------------------------------------------------------------------------
 
 def test_const_is_bottom():
-    assert type_expr(env_of(), Const(0), {}) == [(ct(), EMPTY)]
+    assert type_expr(env_of(), Const(0), {}) == ([ct()], EMPTY)
 
 
 def test_merge_joins_selector_and_branches():
     env = env_of(x="θ", a="α", b="β")
-    [(t, rho)] = type_expr(env, Merge("x", (Var("a"),), (Var("b"),)), {})
+    [t], rho = type_expr(env, Merge("x", (Var("a"),), (Var("b"),)), {})
     assert t == ct("θ", "α", "β") and rho == EMPTY
 
 
 def test_when_joins_sampler_into_every_component():
     env = env_of(a="α1", b="α2", x="θ")
     e = When((Var("a"), Var("b")), "x", True)
-    assert type_expr(env, e, {}) == [(ct("α1", "θ"), EMPTY), (ct("α2", "θ"), EMPTY)]
+    assert type_expr(env, e, {}) == ([ct("α1", "θ"), ct("α2", "θ")], EMPTY)
 
 
 def test_call_instantiates_signature():
@@ -71,8 +73,8 @@ def test_call_instantiates_signature():
     # constrained by the instantiated set
     sig = NodeSignature("f", ("α",), ("β",), "γ", cs((ct("γ", "α"), ct("β"))))
     env = env_of(x="δx")
-    env[BASE] = (ct("γ0"), EMPTY)
-    [(t, rho)] = type_expr(env, Call("f", (Var("x"),)), {"f": sig})
+    env[BASE] = ct("γ0")
+    [t], rho = type_expr(env, Call("f", (Var("x"),)), {"f": sig})
     (result_var,) = t.vars
     assert rho == cs((ct("γ0", "δx"), ct(result_var)))
 
@@ -116,7 +118,7 @@ def test_simplify_ctr_constraints():
     rho = cs((ct("γ", "δ1", "α3", "α1", "δ2", "α2"), ct("β")),
              (ct("γ"), ct("δ1")),
              (ct("γ", "β"), ct("δ2")))
-    _, out = simplify([], rho, ["δ1", "δ2"])
+    out = simplify(rho, ["δ1", "δ2"])
     assert out == cs((ct("γ", "α1", "α2", "α3"), ct("β")))
 
 
@@ -126,33 +128,32 @@ def test_simplify_cnt_dn_constraints():
              (ct("γ", "β"), ct("δ3")),
              (ct("γ", "δ2", "δ3"), ct("δ1")),
              (ct("γ", "α1", "α2", "δ1"), ct("β")))
-    types, out = simplify([ct("β")], rho, ["δ1", "δ2", "δ3"])
-    assert types == [ct("β")]
+    out = simplify(rho, ["δ1", "δ2", "δ3"])
     assert out == cs((ct("γ", "α1", "α2"), ct("β")))
 
 
 def test_simplify_empty_locals_is_identity():
     rho = cs((ct("γ", "α"), ct("β")))
-    assert simplify([ct("β")], rho, []) == ([ct("β")], rho)
+    assert simplify(rho, []) == rho
 
 
 def test_simplify_self_referential_constraint():
     # ν ⊔ δ ⊑ δ: drop δ from the left side and substitute
     rho = cs((ct("ν", "δ"), ct("δ")), (ct("δ"), ct("β")))
-    _, out = simplify([], rho, ["δ"])
+    out = simplify(rho, ["δ"])
     assert out == cs((ct("ν"), ct("β")))
 
 
 def test_simplify_unconstrained_local_skipped():
     rho = cs((ct("α"), ct("β")))
-    _, out = simplify([], rho, ["δ"])
+    out = simplify(rho, ["δ"])
     assert out == rho
 
 
 def test_simplify_multiple_defining_constraints_rejected():
     rho = cs((ct("a"), ct("δ")), (ct("b"), ct("δ")))
     with pytest.raises(InferError):
-        simplify([], rho, ["δ"])
+        simplify(rho, ["δ"])
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,27 @@ def test_signatures_contain_no_local_variables(re_trig_prog):
     for name, res in infer_program(re_trig_prog).items():
         sig = res.signature
         assert sig.constraints.variables <= set(sig.interface_vars())
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("sample,node,full,calls", [
+    ("ctr.lus", "SpdMtr",
+     "{α4⊔γ1 ⊑ δ3, β1⊔γ1 ⊑ δ4, γ1⊔δ3 ⊑ β1, γ1⊔δ4 ⊑ β2}",
+     [("Ctr", 0, ("⊥", "α4", "⊥"), "γ1", ("δ3",)),
+      ("Ctr", 1, ("⊥", "β1", "⊥"), "γ1", ("δ4",))]),
+    ("retrig.lus", "re_trig",
+     "{α3⊔γ1 ⊑ δ1, α4⊔γ1⊔δ1⊔δ2 ⊑ δ4, β1⊔γ1⊔δ1 ⊑ δ2, γ1⊔δ2⊔δ4 ⊑ δ3, γ1⊔δ3 ⊑ β1}",
+     [("cnt_dn", 2, ("δ1⊔δ2", "α4⊔δ2"), "γ1", ("δ4",))]),
+], ids=["SpdMtr", "re_trig"])
+def test_full_constraints_and_call_sites_pinned(sample, node, full, calls):
+    # NI levels and the per-call check read these, not only the signature
+    prog = elaborate(parse_program((SAMPLES / sample).read_text()))
+    res = infer_program(prog)[node]
+    assert str(res.full_constraints) == full
+    assert [(c.callee, c.eq_index, tuple(str(t) for t in c.arg_types), str(c.clock_type),
+             c.result_vars) for c in res.calls] == calls
 
 
 def test_inference_deterministic(ctr_spdmtr_prog):

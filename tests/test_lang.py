@@ -316,7 +316,8 @@ node h(x: int) returns (y: int); let y = g(x); tel
     assert [str(d) for d in well_formed(prog)] == ["recursive-call: node call cycle: g -> h -> g"]
 
 
-@pytest.mark.parametrize("command, terms", [("signature", 300), ("normalize", 400), ("run", 400)])
+@pytest.mark.parametrize("command, terms", [("signature", 300), ("normalize", 400), ("run", 400),
+                                            ("signature", 800), ("normalize", 800), ("run", 800)])
 def test_long_flat_sum_within_recursion_budget(tmp_path, capsys, command, terms):
     src = tmp_path / "sum.lus"
     src.write_text("node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * terms) + "; tel")

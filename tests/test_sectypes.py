@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from luset.diagnostics import InferError, LatticeError
 from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, Lattice,
-                            Lub, Refine, TVar, canon, cs, ct, eval_ground, join,
+                            Lub, Refine, TVar, canon, cs, ct, eval_ground,
                             least_solution, lub, satisfies, substitute_constraints,
                             substitute_type, violations)
 
@@ -63,12 +63,6 @@ def test_bottom_lhs_constraints_dropped():
 # join algebra
 # ---------------------------------------------------------------------------
 
-def test_join_examples():
-    assert join((ct("α"), EMPTY), (ct("β"), EMPTY)) == (ct("α", "β"), EMPTY)
-    x = (ct("α", "β"), cs((ct("a"), ct("b"))))
-    assert join(x, (TBOT, EMPTY)) == x
-
-
 def test_join_properties_exhaustive_small():
     vals = [CanonType(v) for k in range(3) for v in itertools.combinations("abc", k)]
     for a, b in itertools.product(vals, repeat=2):
@@ -91,27 +85,18 @@ def test_join_commutative_random(xs, ys):
 # ---------------------------------------------------------------------------
 
 def test_substitute_simple():
-    t, rho = substitute_type(ct("δ"), {"δ": (ct("α", "β"), EMPTY)})
-    assert t == ct("α", "β") and rho == EMPTY
+    assert substitute_type(ct("δ"), {"δ": ct("α", "β")}) == ct("α", "β")
 
 
 def test_substitute_missing_var_is_identity():
-    t, rho = substitute_type(ct("α"), {"δ": (ct("β"), EMPTY)})
-    assert t == ct("α") and rho == EMPTY
+    assert substitute_type(ct("α"), {"δ": ct("β")}) == ct("α")
 
 
 def test_substitute_constraint_with_absorption():
     # {γ⊔δ1⊔α3⊔α1⊔δ2⊔α2 ⊑ β}[γ/δ1][γ⊔β/δ2] = {γ⊔α1⊔α2⊔α3 ⊑ β}
     rho = cs((ct("γ", "δ1", "α3", "α1", "δ2", "α2"), ct("β")))
-    out = substitute_constraints(rho, {"δ1": (ct("γ"), EMPTY),
-                                       "δ2": (ct("γ", "β"), EMPTY)})
+    out = substitute_constraints(rho, {"δ1": ct("γ"), "δ2": ct("γ", "β")})
     assert out == cs((ct("γ", "α1", "α2", "α3"), ct("β")))
-
-
-def test_substitute_surfaces_refinements():
-    carried = cs((ct("p"), ct("q")))
-    out = substitute_constraints(cs((ct("δ"), ct("β"))), {"δ": (ct("α"), carried)})
-    assert out == cs((ct("α"), ct("β")), (ct("p"), ct("q")))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +192,7 @@ def test_substitute_commutes_with_eval(target, var, repl):
     s = {v: rng.choice(lat.elements) for v in "pqr"}
     t = CanonType(tuple(target))
     u = CanonType(tuple(repl))
-    substituted, _ = substitute_type(t, {var: (u, EMPTY)})
+    substituted = substitute_type(t, {var: u})
     s2 = dict(s)
     s2[var] = eval_ground(u, s, lat)
     assert eval_ground(substituted, s, lat) == eval_ground(t, s2, lat)
