@@ -13,7 +13,8 @@ from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equ
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
                    When, node_order)
 from .sectypes import (TBOT, CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
-                       least_fixpoint, least_solution, substitute_constraints, violations)
+                       least_fixpoint, least_solution, substitute_constraints, substitute_type,
+                       violations)
 
 GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
 _ASCII = {"α": "a", "β": "b", "γ": "g", "δ": "d"}
@@ -283,19 +284,43 @@ def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
     (with δ removed) for δ everywhere and drop the constraint; a variable
     with no defining constraint is skipped. More than one defining
     constraint violates the precondition.
+
+    The elimination works on a live set of constraints and an index from
+    each variable to the live constraints that mention it. Eliminating δ
+    reads its defining constraints from the index, since an earlier
+    substitution may have made one, and rewrites only the constraints that
+    mention δ; rewritten constraints that turn trivial or repeat a live one
+    are dropped. The result is sorted once, at the end.
     """
-    constraints = rho
+    live: set[Constraint] = set()
+    mentions: dict[str, set[Constraint]] = {}
+
+    def add(c: Constraint):
+        if not c.trivial and c not in live:
+            live.add(c)
+            for v in c.lhs.vars + c.rhs.vars:
+                mentions.setdefault(v, set()).add(c)
+
+    for c in rho:
+        add(c)
     for delta in order:
-        defining = [c for c in constraints if c.rhs.vars == (delta,)]
+        touched = list(mentions.get(delta, ()))
+        defining = [c for c in touched if c.rhs.vars == (delta,)]
         if len(defining) > 1:
             raise InferError("multiple-defining-constraints",
                              f"{delta} has {len(defining)} defining constraints")
         if not defining:
             continue
         chosen = defining[0]
-        rest = [c for c in constraints if c != chosen]
-        constraints = substitute_constraints(rest, {delta: chosen.lhs.without((delta,))})
-    return constraints
+        sub = {delta: chosen.lhs.without((delta,))}
+        for c in touched:
+            live.remove(c)
+            for v in c.lhs.vars + c.rhs.vars:
+                mentions[v].discard(c)
+        for c in touched:
+            if c != chosen:
+                add(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub)))
+    return ConstraintSet(live)
 
 
 def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSignature],
@@ -460,7 +485,7 @@ def check_node(prog: Program, results: Mapping[str, InferenceResult], name: str,
     solved_vars = sorted(set(s) - {res.gamma[p] for p in assignment})
     bad = violations(sig.constraints, s, lat)
 
-    calls = _check_calls(results, res, s, lat)
+    calls = _check_calls(results, res, s, lat, {})
     unsat = calls is None
 
     readable_assignment = {p: s[v] for p, v in res.gamma.items() if v in s}
@@ -469,11 +494,16 @@ def check_node(prog: Program, results: Mapping[str, InferenceResult], name: str,
 
 
 def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
-                 interface_inst: Mapping[str, str], lat: Lattice) -> list[CallCheck] | None:
+                 interface_inst: Mapping[str, str], lat: Lattice,
+                 memo: dict[tuple, bool]) -> list[CallCheck] | None:
     """Security of a node's calls under an interface instantiation, per the
     recursive definition: each call's induced instantiation must satisfy the
     callee's constraints, and the callee's own calls must be secure under it.
-    Returns None when the node's internal constraints cannot be met at all."""
+    Returns None when the node's internal constraints cannot be met at all.
+
+    `memo` maps (callee, sorted instantiation) to whether the callee's own
+    calls are secure under it, so each callee is walked once per distinct
+    instantiation rather than once per call path."""
     full = least_solution(res.full_constraints, interface_inst, lat)
     if full is None:
         return None
@@ -489,8 +519,11 @@ def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
         sub_bad = violations(callee_sig.constraints, inst, lat)
         ok = not sub_bad
         if ok:
-            deeper = _check_calls(results, callee_res, inst, lat)
-            ok = deeper is not None and all(c.secure for c in deeper)
+            key = (site.callee, tuple(sorted(inst.items())))
+            if key not in memo:
+                deeper = _check_calls(results, callee_res, inst, lat, memo)
+                memo[key] = deeper is not None and all(c.secure for c in deeper)
+            ok = memo[key]
         readable = {p: inst[v] for p, v in _interface_names(callee_res).items()}
         checks.append(CallCheck(site.callee, site.eq_index, ok, readable, sub_bad))
     return checks

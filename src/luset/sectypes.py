@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Union
@@ -268,14 +269,19 @@ class Lattice:
             if e not in leq[self.bottom]:
                 raise LatticeError(f"bottom is not below {e!r}")
         self._up = leq
+        # The common upper set of a and b is itself an upper set, so its
+        # unique minimal element, when there is one, is the element whose
+        # own upper set equals it. Antisymmetry makes that element unique.
+        # The first failing pair in element order lies on or above the
+        # diagonal, so the upper triangle finds the same one.
+        by_up = {frozenset(up): e for e, up in leq.items()}
         self._join: dict[tuple[str, str], str] = {}
-        for a in self.elements:
-            for b in self.elements:
-                uppers = [x for x in self.elements if self._leq_raw(a, x) and self._leq_raw(b, x)]
-                lubs = [x for x in uppers if all(self._leq_raw(x, y) for y in uppers)]
-                if len(lubs) != 1:
+        for i, a in enumerate(self.elements):
+            for b in self.elements[i:]:
+                lub_ab = by_up.get(frozenset(leq[a] & leq[b]))
+                if lub_ab is None:
                     raise LatticeError(f"elements {a!r} and {b!r} lack a unique join")
-                self._join[(a, b)] = lubs[0]
+                self._join[(a, b)] = self._join[(b, a)] = lub_ab
 
     def _leq_raw(self, a: str, b: str) -> bool:
         return b in self._up[a]
@@ -376,21 +382,39 @@ def least_fixpoint(rho: ConstraintSet, fixed: Mapping[str, str], lat: Lattice) -
     """Pump x := x ⊔ eval(lhs) over constraints whose rhs is a single free
     variable, starting free variables at bottom. The result is the least
     candidate extension of `fixed`; it may still violate constraints whose
-    rhs is fixed or compound."""
+    rhs is fixed or compound.
+
+    A worklist keyed by variable drives the pumping: every pumpable
+    constraint is visited once in set order, and when s[x] rises only the
+    constraints whose lhs mentions x are queued again. Each variable rises
+    at most the lattice height, so the work is linear in the size of rho
+    for a fixed lattice (Rehof and Mogensen, "Tractable constraints in
+    finite semilattices", 1999). The least fixpoint is unique, so the visit
+    order does not change the result.
+    """
     s = {v: lat.bottom for v in rho.variables}
     s.update(fixed)
     fixed_vars = set(fixed)
     pumpable = [c for c in rho
                 if len(c.rhs.vars) == 1 and c.rhs.vars[0] not in fixed_vars]
-    changed = True
-    while changed:
-        changed = False
-        for c in pumpable:
-            target = c.rhs.vars[0]
-            val = lat.join(s[target], eval_ground(c.lhs, s, lat))
-            if val != s[target]:
-                s[target] = val
-                changed = True
+    readers: dict[str, list[int]] = {}
+    for i, c in enumerate(pumpable):
+        for v in c.lhs.vars:
+            readers.setdefault(v, []).append(i)
+    queue = deque(range(len(pumpable)))
+    queued = [True] * len(pumpable)
+    while queue:
+        i = queue.popleft()
+        queued[i] = False
+        c = pumpable[i]
+        target = c.rhs.vars[0]
+        val = lat.join(s[target], eval_ground(c.lhs, s, lat))
+        if val != s[target]:
+            s[target] = val
+            for j in readers.get(target, ()):
+                if not queued[j]:
+                    queued[j] = True
+                    queue.append(j)
     return s
 
 

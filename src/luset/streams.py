@@ -705,12 +705,13 @@ def _parse_cell(text: str, where: str) -> Value:
         return True
     if cell == "false":
         return False
+    shown = cell if len(cell) <= 40 else cell[:40] + "…"  # keep the diagnostic one short line
     try:
         v = int(cell)
     except ValueError:
-        raise EvalError("bad-trace", f"cannot read {cell!r} in column {where}") from None
+        raise EvalError("bad-trace", f"cannot read {shown!r} in column {where}") from None
     if _wrap64(v) != v:
-        raise EvalError("bad-trace", f"{cell} in column {where} is outside the 64-bit range")
+        raise EvalError("bad-trace", f"{shown} in column {where} is outside the 64-bit range")
     return v
 
 

@@ -67,6 +67,39 @@ CTR_TABLE = {
 }
 
 
+_CHAIN_BODIES = ("{p} + {q}", "{p} * 3 - {q}", "0 fby ({p} + {q})",
+                 "if {p} > 5 then {q} else {p} - 1")
+
+
+def chain_src(k: int) -> str:
+    """One node `chain` with four int inputs and k equations in a chain:
+    equation j reads the link j-1 and one input or earlier link."""
+    inputs = ["a1", "a2", "a3", "a4"]
+    lines = [f"node chain({', '.join(inputs)}: int) returns (y: int);"]
+    if k > 1:
+        lines.append(f"var {', '.join(f'x{j}' for j in range(1, k))}: int;")
+    lines.append("let")
+    for j in range(1, k + 1):
+        p = f"x{j - 1}" if j > 1 else "a1"
+        q = inputs[j - 1] if j <= len(inputs) else f"x{j // 2}"
+        target = "y" if j == k else f"x{j}"
+        lines.append(f"  {target} = {_CHAIN_BODIES[j % 4].format(p=p, q=q)};")
+    lines.append("tel")
+    return "\n".join(lines) + "\n"
+
+
+def tree_src(depth: int) -> str:
+    """Nodes N0..N<depth>, where N<i> calls N<i-1> twice, so the call tree
+    of N<depth> has 2^depth paths."""
+    out = ["node N0(x: int) returns (y: int);", "let",
+           "  y = if x > 0 then x - 1 else 0 fby x;", "tel"]
+    for i in range(1, depth + 1):
+        out += [f"node N{i}(x: int) returns (y: int);", "var u, w: int;", "let",
+                f"  u = N{i - 1}(x);", f"  w = N{i - 1}(1 fby (x + u));",
+                "  y = if u > w then u - 2 else w + 3;", "tel"]
+    return "\n".join(out) + "\n"
+
+
 @pytest.fixture
 def ctr_prog():
     return elaborate(parse_program(CTR_SRC))

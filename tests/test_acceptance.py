@@ -3,6 +3,7 @@ and enforcing its runtime budget. Run with `pytest tests/test_acceptance.py -v`
 (add `-s` to see the per-criterion lines as they complete).
 """
 
+import json
 import random
 import time
 
@@ -19,7 +20,7 @@ from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, cs, c
 from luset.streams import run_node
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_TABLE, LEAK_ITE_SRC,
-                      LEAK_MERGE_SRC, RE_TRIG_SRC)
+                      LEAK_MERGE_SRC, RE_TRIG_SRC, chain_src, tree_src)
 
 TWO = Lattice.two_point()
 
@@ -226,3 +227,50 @@ def test_criterion_7_simplify_correctness():
             # eliminated variables never remain on the right of a constraint
             assert all(c.rhs.vars[0] not in locals_ for c in simplified)
         assert produced == 500
+
+
+def test_check_scales_linearly_in_call_tree_depth():
+    """Checking the top of a depth-20 call tree (2^20 call paths) visits
+    each (callee, instantiation) pair once: all-L and one input H."""
+    with _Budget("scaling check depth-20 call tree", 2.0):
+        prog = elaborate(parse_program(tree_src(20)))
+        report = check_program(prog, TWO, [
+            {"node": "N20", "base": "L", "inputs": {"x": "L"}, "outputs": {"y": "L"}},
+            {"node": "N20", "base": "L", "inputs": {"x": "H"}}])
+        assert report.secure
+        assert [len(n.calls) for n in report.nodes] == [2, 2]
+
+
+def test_inference_scales_linearly_in_chain_length():
+    """Signature inference eliminates the 1599 locals of a chain without
+    re-sorting the whole constraint set per local."""
+    with _Budget("scaling infer 1600-equation chain", 2.0):
+        sig = infer_program(elaborate(parse_program(chain_src(1600))))["chain"].signature
+        assert sig.constraints == cs((ct("γ", "α1", "α2", "α3", "α4"), ct("β")))
+
+
+# The report `check --json` prints for N12 of the depth-12 call tree (all
+# L; x H and y L; x H and y solved), recorded before call checking was
+# memoised.
+TREE12_REPORT = (
+    '{"lattice": "two-point", "verdict": "insecure", "nodes": ['
+    '{"node": "N12", "verdict": "secure", "assignment": {"base": "L", "x": "L", "y": "L"}, '
+    '"violated": [], "solved": [], "calls": ['
+    '{"callee": "N11", "equation": 0, "verdict": "secure", "violated": []}, '
+    '{"callee": "N11", "equation": 1, "verdict": "secure", "violated": []}]}, '
+    '{"node": "N12", "verdict": "insecure", "assignment": {"base": "L", "x": "H", "y": "L"}, '
+    '"violated": ["γ12⊔α12 ⊑ β12"], "solved": [], "calls": []}, '
+    '{"node": "N12", "verdict": "secure", "assignment": {"base": "L", "x": "H", "y": "H"}, '
+    '"violated": [], "solved": ["β12"], "calls": ['
+    '{"callee": "N11", "equation": 0, "verdict": "secure", "violated": []}, '
+    '{"callee": "N11", "equation": 1, "verdict": "secure", "violated": []}]}]}')
+
+
+def test_check_report_of_call_tree_pinned():
+    with _Budget("check report depth-12 call tree", 2.0):
+        prog = elaborate(parse_program(tree_src(12)))
+        report = check_program(prog, TWO, [
+            {"node": "N12", "base": "L", "inputs": {"x": "L"}, "outputs": {"y": "L"}},
+            {"node": "N12", "base": "L", "inputs": {"x": "H"}, "outputs": {"y": "L"}},
+            {"node": "N12", "base": "L", "inputs": {"x": "H"}}])
+        assert json.dumps(report.to_json(), ensure_ascii=False) == TREE12_REPORT

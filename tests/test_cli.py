@@ -145,13 +145,14 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["run", "flat.lus", "--node", "f", "--inputs", "flat.csv"],
     ["signature", "big.lus"],
     ["run", "echo.lus", "--node", "f", "--inputs", "big.csv"],
+    ["run", "echo.lus", "--node", "f", "--inputs", "long.csv"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
         "run-negative-ticks", "suite-zero-programs", "suite-negative-samples",
         "run-duplicate-column", "deep-nesting", "deep-flat-sum-signature",
         "deep-flat-sum-normalize", "deep-flat-sum-run", "literal-out-of-range",
-        "trace-cell-out-of-range"])
+        "trace-cell-out-of-range", "trace-cell-too-long"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -165,10 +166,14 @@ def test_malformed_input_exit_two(files, capsys, argv):
         "node f(x: int) returns (y: int); let y = x + 9223372036854775808; tel")
     (files / "echo.lus").write_text("node f(x: int) returns (y: int); let y = x; tel")
     (files / "big.csv").write_text("x\n1\n99999999999999999999\n")
+    (files / "long.csv").write_text("x\n" + "9" * 5000 + "\n")
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+    # one short diagnostic line, after argparse's usage lines for usage errors
+    assert err.startswith("usage:") or err.count("\n") == 1, err[:300]
+    assert len(err.splitlines()[-1]) < 300, err[:300]
 
 
 def test_deep_flat_sum_is_one_line_diagnostic(files, capsys):

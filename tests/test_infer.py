@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -9,11 +10,14 @@ from luset.infer import (FreshVars, NodeSignature, check_program, display_constr
 from luset.lang import (BASE, BASE_CLOCK, Call, ClockOn, Const, Def, Merge, Var, When,
                         elaborate)
 from luset.parser import parse_program
-from luset.sectypes import EMPTY, Lattice, cs, ct
+from luset.harness import gen_program
+from luset.sectypes import (EMPTY, Constraint, ConstraintSet, Lattice, cs, ct,
+                            substitute_constraints)
 
-from conftest import LEAK_ITE_SRC, LEAK_MERGE_SRC
+from conftest import LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src
 
 TWO = Lattice.two_point()
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def env_of(**kw):
@@ -156,6 +160,69 @@ def test_simplify_multiple_defining_constraints_rejected():
         simplify(rho, ["δ"])
 
 
+def _simplify_oracle(rho, order):
+    """Reference elimination: rebuild the whole set after each variable."""
+    constraints = rho
+    for delta in order:
+        defining = [c for c in constraints if c.rhs.vars == (delta,)]
+        if len(defining) > 1:
+            raise InferError("multiple-defining-constraints",
+                             f"{delta} has {len(defining)} defining constraints")
+        if not defining:
+            continue
+        chosen = defining[0]
+        rest = [c for c in constraints if c != chosen]
+        constraints = substitute_constraints(rest, {delta: chosen.lhs.without((delta,))})
+    return constraints
+
+
+def _outcome(fn, rho, order):
+    try:
+        return fn(rho, order)
+    except InferError as exc:
+        return ("error", str(exc))
+
+
+def _elimination_cases():
+    """(full constraints, elimination order) of every node of the samples,
+    of chains and of generated programs, in the order inference uses:
+    locals in declaration order, then call results in creation order."""
+    progs = [elaborate(parse_program(f.read_text())) for f in sorted(SAMPLES.glob("*.lus"))]
+    progs += [elaborate(parse_program(chain_src(k))) for k in (1, 2, 5, 17, 64)]
+    rng = random.Random(6)
+    progs += [elaborate(gen_program(rng)) for _ in range(300)]
+    for prog in progs:
+        for name, res in infer_program(prog).items():
+            order = [res.gamma[d.name] for d in prog.node(name).locals]
+            order += [r for site in res.calls for r in site.result_vars]
+            yield res.full_constraints, order
+
+
+def test_simplify_matches_oracle_on_programs():
+    for rho, order in _elimination_cases():
+        assert simplify(rho, order) == _simplify_oracle(rho, order), (rho, order)
+
+
+def test_simplify_matches_oracle_on_random_systems():
+    # compound right-hand sides over locals can turn into the defining
+    # constraint of a later local; several defining constraints must raise
+    rng = random.Random(61)
+    errors = 0
+    for _ in range(2000):
+        pool = [f"f{i}" for i in range(rng.randint(1, 3))] + \
+               [f"d{i}" for i in range(rng.randint(1, 5))]
+        rho = ConstraintSet(
+            Constraint.make(ct(*rng.sample(pool, rng.randint(0, min(3, len(pool))))),
+                            ct(*rng.sample(pool, rng.randint(1, 2))))
+            for _ in range(rng.randint(0, 8)))
+        order = [v for v in pool if v.startswith("d")]
+        rng.shuffle(order)
+        expected = _outcome(_simplify_oracle, rho, order)
+        assert _outcome(simplify, rho, order) == expected, (rho, order)
+        errors += isinstance(expected, tuple)
+    assert 0 < errors < 2000
+
+
 # ---------------------------------------------------------------------------
 # node signatures
 # ---------------------------------------------------------------------------
@@ -193,9 +260,6 @@ def test_signatures_contain_no_local_variables(re_trig_prog):
     for name, res in infer_program(re_trig_prog).items():
         sig = res.signature
         assert sig.constraints.variables <= set(sig.interface_vars())
-
-
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.mark.parametrize("sample,node,full,calls", [

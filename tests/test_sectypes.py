@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luset.diagnostics import InferError, LatticeError
-from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, Lattice,
-                            Lub, Refine, TVar, canon, cs, ct, eval_ground,
-                            least_solution, lub, satisfies, substitute_constraints,
-                            substitute_type, violations)
+from luset.harness import gen_lattice, gen_program
+from luset.infer import infer_program
+from luset.lang import elaborate
+from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, ConstraintSet,
+                            Lattice, Lub, Refine, TVar, canon, cs, ct, eval_ground,
+                            least_fixpoint, least_solution, lub, satisfies,
+                            substitute_constraints, substitute_type, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +135,52 @@ def test_lattice_rejects_cycles_and_unknowns():
         Lattice(["a"], "a", [("a", "zzz")])
 
 
+def _join_oracle(elements, covers):
+    """Reference join table: the least of all common upper bounds, found by
+    comparing every pair of them; or the error for the first pair without."""
+    up = {e: {e} for e in elements}
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in covers:
+            if not up[hi] <= up[lo]:
+                up[lo] |= up[hi]
+                changed = True
+    table = {}
+    for a in elements:
+        for b in elements:
+            uppers = [x for x in elements if x in up[a] and x in up[b]]
+            lubs = [x for x in uppers if all(y in up[x] for y in uppers)]
+            if len(lubs) != 1:
+                return f"elements {a!r} and {b!r} lack a unique join"
+            table[(a, b)] = lubs[0]
+    return table
+
+
+def test_join_table_matches_oracle_on_random_posets():
+    # acyclic covers over a bottom element; many of these posets are not
+    # join-complete, and the element order decides which pair is reported
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        names = [f"e{i}" for i in range(n)]
+        covers = [("e0", e) for e in names[1:]]
+        covers += [(names[i], names[j]) for i in range(1, n) for j in range(i + 1, n)
+                   if rng.random() < 0.3]
+        elements = names[:]
+        rng.shuffle(elements)
+        expected = _join_oracle(elements, covers)
+        try:
+            lat = Lattice(elements, "e0", covers)
+        except LatticeError as exc:
+            assert str(exc) == expected
+            rejected += 1
+            continue
+        assert {(a, b): lat.join(a, b) for a in elements for b in elements} == expected
+    assert 0 < rejected < 1500
+
+
 def test_lattice_load_builtins(tmp_path):
     assert Lattice.load("two-point").name == "two-point"
     assert Lattice.load("powerset:3").name == "powerset:3"
@@ -231,3 +280,48 @@ def test_violations_reported():
 def test_lub_helper_builds_joins():
     assert canon(lub(TVar("a"), TVar("b"), BOT)) == (ct("a", "b"), EMPTY)
     assert canon(lub()) == (TBOT, EMPTY)
+
+
+def _least_fixpoint_oracle(rho, fixed, lat):
+    """Reference least fixpoint: sweep every pumpable constraint until a
+    whole sweep changes nothing."""
+    s = {v: lat.bottom for v in rho.variables}
+    s.update(fixed)
+    pumpable = [c for c in rho if len(c.rhs.vars) == 1 and c.rhs.vars[0] not in fixed]
+    changed = True
+    while changed:
+        changed = False
+        for c in pumpable:
+            target = c.rhs.vars[0]
+            val = lat.join(s[target], eval_ground(c.lhs, s, lat))
+            if val != s[target]:
+                s[target] = val
+                changed = True
+    return s
+
+
+def test_least_fixpoint_matches_oracle_on_random_systems():
+    rng = random.Random(12)
+    lattices = [Lattice.two_point()] + [Lattice.powerset(n) for n in (1, 2, 3)]
+    for _ in range(1500):
+        lat = gen_lattice(rng) if rng.random() < 0.7 else rng.choice(lattices)
+        pool = [f"v{i}" for i in range(rng.randint(1, 8))]
+        rho = ConstraintSet(
+            Constraint.make(ct(*rng.sample(pool, rng.randint(1, min(3, len(pool))))),
+                            ct(*rng.sample(pool, rng.randint(1, min(2, len(pool))))))
+            for _ in range(rng.randint(0, 12)))
+        fixed = {v: rng.choice(lat.elements) for v in pool if rng.random() < 0.3}
+        got = least_fixpoint(rho, fixed, lat)
+        assert list(got.items()) == list(_least_fixpoint_oracle(rho, fixed, lat).items())
+
+
+def test_least_fixpoint_matches_oracle_on_program_constraints():
+    # the systems checking solves: full node constraints with the interface fixed
+    rng = random.Random(13)
+    for _ in range(150):
+        for res in infer_program(elaborate(gen_program(rng))).values():
+            lat = gen_lattice(rng)
+            fixed = {v: rng.choice(lat.elements) for v in res.signature.interface_vars()}
+            rho = res.full_constraints
+            got = least_fixpoint(rho, fixed, lat)
+            assert list(got.items()) == list(_least_fixpoint_oracle(rho, fixed, lat).items())
