@@ -1,0 +1,268 @@
+"""Compilation of core-form nodes to Python step classes.
+
+`streams.run_node` runs a node through this module. The program is
+normalised, every node reachable from the top node becomes one generated
+Python class whose `step` runs the node's equations in causal order, and
+the top node's equations are inlined in a generated tick loop that appends
+to the history lists. This is clock-directed modular code generation
+(Biernacki, Colaço, Hamon & Pouzet, LCTES 2008), and it rests on what the
+core form guarantees:
+
+- a value is present exactly when its clock is live, so values carry no
+  presence flag. Each operator runs under an `if` on its own clock, which is
+  where the tree interpreter computes it: a division by zero in the untaken
+  branch of an `if`, or under an idle `when`, still raises;
+- a clock `ck on x` (`ck on not x`) is live exactly when x holds true
+  (false), because x is absent whenever ck is idle, so each clock test
+  reads one variable;
+- a delay `x = c fby e` is a register reset to c, read by the equation and
+  overwritten with e at the end of the tick;
+- a call is a sub-instance stepped only when the call's clock is live. On
+  an idle tick every input of the callee is absent, every clock inside it
+  is idle and its registers keep their values, so skipping the step is
+  exact.
+
+What the core form takes for granted of the top node's inputs is checked at
+every tick: each input is present exactly when its declared clock is live
+and holds a value of its declared type, and the base clock holds booleans.
+A failed check raises `EvalError`; `run_node` then re-runs the tree
+interpreter, which reports the reference diagnostic.
+
+The code is flat, one temporary per operator, so that neither `compile`
+nor the generator recurses more than once per level of expression nesting.
+"""
+
+from __future__ import annotations
+
+from itertools import groupby
+from typing import Callable
+
+from .diagnostics import EvalError, LusetError
+from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
+                   Node, Program, Ty, Unop, Var, When, check_causality, elaborate)
+from .normalize import normalize_program
+from .streams import ABSENT, _apply_binop, _apply_unop, _wrap64
+
+_MIN, _MAX = -(1 << 63), (1 << 63) - 1
+_INLINE = {"+": "+", "-": "-", "*": "*", "=": "==", "<>": "!=", "<": "<", "<=": "<=",
+           ">": ">", ">=": ">=", "and": "and", "or": "or"}
+_WRAPPED = {"+", "-", "*"}
+
+
+class _Unsupported(Exception):
+    """A construct outside the core form, or a constant that is neither int
+    nor bool: the generator does not compile it and the interpreter runs it."""
+
+
+def _off_clock():
+    raise EvalError("clocked-value-mismatch", "input off its declared clock or type")
+
+
+def runner(prog: Program, name: str) -> Callable | None:
+    """The compiled tick loop of node `name`, or None if its program does not
+    compile: it fails to elaborate, normalise or schedule, or it is not
+    elaborated already (the interpreter runs equation clocks as given).
+
+    Built on first use and kept in `prog.memo` for the lifetime of `prog`.
+    `run(ins, bs, hist)` takes the input streams in declaration order, the
+    base clock, and one empty list per output and local of the node, in
+    declaration order, which it fills with one value per tick.
+    """
+    if name not in prog.memo:
+        prog.memo[name] = _build(prog, name)
+    return prog.memo[name]
+
+
+def _build(prog: Program, name: str) -> Callable | None:
+    node = prog.node(name)
+    try:
+        eprog = elaborate(prog)
+        if any(a.clock != b.clock for n, m in zip(prog.nodes, eprog.nodes)
+               for a, b in zip(n.equations, m.equations)):
+            return None  # the interpreter reads the clocks as given, not as elaborated
+        nprog, _ = normalize_program(eprog)
+        reach = [name]
+        for f in reach:
+            check_causality(prog.node(f))  # a tuple equation may hide a cycle normalisation splits
+            for eq in nprog.node(f).equations:
+                if isinstance(eq, NCall) and eq.node not in reach:
+                    reach.append(eq.node)
+        source = _module(nprog, reach, [d.name for d in node.outputs + node.locals])
+    except (LusetError, RecursionError, _Unsupported):
+        return None
+    namespace = {"ABSENT": ABSENT, "Absent": type(ABSENT), "wrap64": _wrap64,
+                 "unop": _apply_unop, "binop": _apply_binop, "off_clock": _off_clock}
+    exec(compile(source, f"<step code of {name}>", "exec"), namespace)
+    return namespace["run"]
+
+
+def _module(nprog: Program, reach: list[str], recorded: list[str]) -> str:
+    """Source of `run` for the top node reach[0], and of one class for each
+    callee in the rest of `reach`."""
+    class_of = {f: f"N{i}" for i, f in enumerate(reach)}
+    lines: list[str] = []
+    for f in reach[1:]:
+        lines += _NodeCode(nprog.node(f), class_of, "self.").class_lines(class_of[f])
+    lines += _NodeCode(nprog.node(reach[0]), class_of, "").run_lines(recorded)
+    return "\n".join(lines) + "\n"
+
+
+def _indent(lines: list[str], depth: int = 1) -> list[str]:
+    return ["    " * depth + line for line in lines]
+
+
+class _NodeCode:
+    """Statements of one live tick of a normalised node, with the registers
+    and sub-instances they use.
+
+    Each statement is kept with the test of the clock it runs on (None for
+    the base clock) and, for an equation, the statement that makes its
+    targets absent when that clock is idle. `ref` prefixes registers and
+    sub-instances: "self." in a class, "" in the inlined tick loop.
+    """
+
+    def __init__(self, node: Node, class_of: dict[str, str], ref: str):
+        self.node = node
+        self.ref = ref
+        self.var = {d.name: f"x{i}" for i, d in enumerate(node.declarations)}
+        self.clock = {d.name: d.clock for d in node.declarations}
+        self.registers: list[str] = []  # initial values, as literals
+        self.instances: list[str] = []  # class of each sub-instance
+        self.items: list[tuple[str | None, str, str | None]] = []
+        self.temps = 0
+        delays = []
+        for i in check_causality(node):
+            eq = node.equations[i]
+            match eq:
+                case NDef(x, ck, Merge(c, (a,), (b,))):
+                    on_true = self._expr(a, ClockOn(self.clock[c], c, True))
+                    on_false = self._expr(b, ClockOn(self.clock[c], c, False))
+                    self._assign(ck, [x], f"{on_true} if {self.var[c]} else {on_false}")
+                case NDef(x, ck, Ite(c, (a,), (b,))):
+                    cond, on_true, on_false = (self._expr(e, ck) for e in (c, a, b))
+                    self._assign(ck, [x], f"{on_true} if {cond} else {on_false}")
+                case NDef(x, ck, e):
+                    self._assign(ck, [x], self._expr(e, ck))
+                case NFby(x, ck, c, e):
+                    reg = f"{ref}r{len(self.registers)}"
+                    self.registers.append(self._const(c.value))
+                    self._assign(ck, [x], reg)
+                    delays.append((reg, ck, e))
+                case NCall(xs, ck, f, args):
+                    argv = ", ".join(self._expr(a, ck) for a in args)
+                    inst = f"{ref}s{len(self.instances)}"
+                    self.instances.append(class_of[f])
+                    self._assign(ck, xs, f"{inst}({argv})")
+                case _:
+                    raise _Unsupported(f"equation {eq!r}")
+        for reg, ck, e in delays:
+            value = self._expr(e, ck)
+            self.items.append((self._flag(ck), f"{reg} = {value}", None))
+
+    # -- statements ---------------------------------------------------------
+    def _flag(self, ck: Clock) -> str | None:
+        if isinstance(ck, ClockBase):
+            return None
+        return f"{self.var[ck.var]} is {bool(ck.value)}"
+
+    def _assign(self, ck: Clock, targets, value: str):
+        names = [self.var[x] for x in targets]
+        flag = self._flag(ck)
+        line = f"{', '.join(names)} = {value}" if names else value
+        idle = " = ".join(names + ["ABSENT"]) if names and flag else None
+        self.items.append((flag, line, idle))
+
+    def _temp(self, ck: Clock, value: str, wrap: bool = False) -> str:
+        self.temps += 1
+        t = f"t{self.temps}"
+        flag = self._flag(ck)
+        self.items.append((flag, f"{t} = {value}", None))
+        if wrap:
+            self.items.append((flag, f"if not {_MIN} <= {t} <= {_MAX}: {t} = wrap64({t})", None))
+        return t
+
+    @staticmethod
+    def _const(v) -> str:
+        if type(v) is bool:
+            return repr(v)
+        if type(v) is int:
+            return repr(v) if v >= 0 else f"({v})"
+        raise _Unsupported(f"constant {v!r}")
+
+    def _expr(self, e: Expr, ck: Clock) -> str:
+        """Emit the operators of a simple expression on clock ck; return the
+        Python expression (a name or a literal) holding its value."""
+        match e:
+            case Const(v):
+                return self._const(v)
+            case Var(x):
+                return self.var[x]
+            case Unop(op, a):
+                arg = self._expr(a, ck)
+                if op == "not":
+                    return self._temp(ck, f"not {arg}")
+                if op == "-":
+                    return self._temp(ck, f"-{arg}", wrap=True)
+                return self._temp(ck, f"unop({op!r}, {arg}, None)")
+            case Binop(op, a, b):
+                left = self._expr(a, ck)
+                right = self._expr(b, ck)
+                if op in _INLINE:
+                    return self._temp(ck, f"{left} {_INLINE[op]} {right}", wrap=op in _WRAPPED)
+                return self._temp(ck, f"binop({op!r}, {left}, {right}, None)")
+            case When((a,), x, _):
+                return self._expr(a, self.clock[x])
+        raise _Unsupported(f"expression {e!r}")
+
+    def _body(self) -> list[str]:
+        lines: list[str] = []
+        for flag, group in groupby(self.items, key=lambda item: item[0]):
+            group = list(group)
+            if flag is None:
+                lines += [line for _, line, _ in group]
+                continue
+            lines.append(f"if {flag}:")
+            lines += _indent([line for _, line, _ in group])
+            idle = [line for _, _, line in group if line]
+            if idle:
+                lines.append("else:")
+                lines += _indent(idle)
+        return lines
+
+    # -- rendering ----------------------------------------------------------
+    def _setup(self) -> list[str]:
+        return ([f"{self.ref}r{i} = {v}" for i, v in enumerate(self.registers)] +
+                [f"{self.ref}s{i} = {c}().step" for i, c in enumerate(self.instances)])
+
+    def class_lines(self, cls: str) -> list[str]:
+        slots = tuple([f"r{i}" for i in range(len(self.registers))] +
+                      [f"s{i}" for i in range(len(self.instances))])
+        params = ", ".join(["self"] + [self.var[d.name] for d in self.node.inputs])
+        outs = ", ".join(self.var[d.name] for d in self.node.outputs) or "None"
+        return ([f"class {cls}:", f"    __slots__ = {slots!r}",
+                 "    def __init__(self):"] + _indent(self._setup() or ["pass"], 2) +
+                [f"    def step({params}):"] + _indent(self._body(), 2) +
+                [f"        return {outs}", ""])
+
+    def run_lines(self, recorded: list[str]) -> list[str]:
+        ins = [self.var[d.name] for d in self.node.inputs]
+        outs = [self.var[x] for x in recorded]
+        checks = []
+        for d in self.node.inputs:
+            ty = "bool" if d.ty is Ty.BOOL else "int"
+            if isinstance(d.clock, ClockBase):
+                checks.append(f"if type({self.var[d.name]}) is not {ty}: off_clock()")
+            else:
+                checks.append(f"if type({self.var[d.name]}) is not "
+                              f"({ty} if {self._flag(d.clock)} else Absent): off_clock()")
+        idle = ["if b is not False: off_clock()"]
+        idle += [f"if {x} is not ABSENT: off_clock()" for x in ins]
+        if outs:
+            idle.append(" = ".join(outs + ["ABSENT"]))
+        loop = (f"for b, {', '.join(ins)} in zip(bs, *ins):" if ins else "for b in bs:")
+        return (["def run(ins, bs, hist):"] +
+                _indent([f"h{j} = hist[{j}].append" for j in range(len(outs))] +
+                         self._setup() + [loop]) +
+                _indent(["if b is True:"] + _indent(checks + self._body()) +
+                        ["else:"] + _indent(idle) +
+                        [f"h{j}({x})" for j, x in enumerate(outs)], 2))

@@ -1,15 +1,16 @@
 """Abstract syntax for the Lustre subset and its normalised core form.
 
-All values are immutable after construction and safe to share. The module
-also provides the classic front-end analyses: free/defined variables,
-structural well-formedness, clock/data-type elaboration and the
+All values are immutable after construction and safe to share; a `Program`
+also carries a memo of results derived from it, which is not part of its
+value. The module also provides the classic front-end analyses: free/defined
+variables, structural well-formedness, clock/data-type elaboration and the
 instantaneous-dependency (causality) check.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
 from .diagnostics import CausalityError, Diagnostic, ElaborationError
@@ -204,6 +205,9 @@ class Node:
 @dataclass(frozen=True)
 class Program:
     nodes: tuple[Node, ...]
+    # Results derived from this program object, computed at most once in its
+    # lifetime: the compiled tick loops of `codegen.runner`, by node name.
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, name: str) -> Node:
         for n in self.nodes:

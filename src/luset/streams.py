@@ -5,10 +5,16 @@ value is present and the ABSENT sentinel where it is not. Nodes execute
 tick-major: each tick, equations run in causal order, and delay state is
 updated once all of the tick's values are known.
 
-The whole-prefix stream operators (`lift_unop` … `respects_clock`) and the
-whole-prefix entry point `eval_expr` are the reference semantics: nothing in
-the package calls them, and the tests check the tick interpreter against them.
-All clock evaluation goes through `_tick_clock`.
+`run_node` runs nodes as compiled core-form code (see `codegen`). The tree
+interpreter below ("Compiled tick-wise evaluation": `NodeInstance` walking
+an object tree per equation, reached through `interpret_node`) is the
+reference the compiled code is tested against, and the fallback that runs
+a program which does not compile or whose compiled run fails, so every
+result and diagnostic is the interpreter's. The whole-prefix stream
+operators (`lift_unop` … `respects_clock`) and the whole-prefix entry point
+`eval_expr` are in turn the reference for the tree interpreter: nothing in
+the package calls them, and the tests check the interpreter against them.
+All clock evaluation of the interpreter goes through `_tick_clock`.
 """
 
 from __future__ import annotations
@@ -270,7 +276,8 @@ def _tick_clock(ck: Clock, vals: dict, bs_t: bool, t: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Compiled tick-wise evaluation
+# Compiled tick-wise evaluation: the tree interpreter, reference and fallback
+# of the generated code of `codegen`
 # ---------------------------------------------------------------------------
 
 class _Compiled:
@@ -642,8 +649,14 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     The base clock defaults to the pointwise presence of the inputs (inputs
     declared on sub-clocks count where present); a node without inputs runs
     on an always-live clock.
+
+    The node runs as compiled core-form code (`codegen`). When its program
+    does not compile, or the compiled run raises `EvalError`, the tree
+    interpreter runs it instead, so results and diagnostics are the
+    interpreter's.
     """
     node = prog.node(name)
+    n_ticks = max(n_ticks, 0)  # a negative prefix is empty
     declared = [d.name for d in node.inputs]
     missing = [x for x in declared if x not in inputs]
     if missing:
@@ -654,11 +667,33 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     for x, vs in inputs.items():
         if len(vs) < n_ticks:
             raise EvalError("arity-mismatch", f"input {x} is shorter than {n_ticks} ticks")
+    ins = [list(inputs[x][:n_ticks]) for x in declared]
     if bs is None:
-        if declared:
-            bs = [any(present(inputs[x][t]) for x in declared) for t in range(n_ticks)]
+        bs = [not ins] * n_ticks  # a node without inputs runs at every tick
+        for vs in ins:
+            bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
+    elif len(bs) < n_ticks:
+        raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
+    else:
+        bs = bs[:n_ticks]
+    from .codegen import runner  # imported on first use: codegen builds on this module
+    run = runner(prog, name)
+    if run is not None:
+        rest = [d.name for d in node.outputs + node.locals]
+        hist = [[] for _ in rest]
+        try:
+            run(ins, bs, hist)
+        except EvalError:
+            pass  # the interpreter re-runs and reports the reference diagnostic
         else:
-            bs = [True] * n_ticks
+            return dict(zip(declared + rest, ins + hist)), bs
+    return interpret_node(prog, node, inputs, n_ticks, bs), bs
+
+
+def interpret_node(prog: Program, node: Node, inputs: History, n_ticks: int,
+                   bs: BStream) -> History:
+    """`run_node` on the tree interpreter: the reference semantics."""
+    declared = [d.name for d in node.inputs]
     inst = NodeInstance(prog, node)
     history: History = {d.name: [] for d in node.declarations}
     for t in range(n_ticks):
@@ -679,7 +714,7 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
                 if present(history[d.name][t]) != bs[t]:
                     raise EvalError("clocked-value-mismatch",
                                     f"input {d.name} off the base clock", t, d.name)
-    return history, bs
+    return history
 
 
 def eval_node(prog: Program, name: str, inputs: list[VStream], n_ticks: int) -> list[VStream]:

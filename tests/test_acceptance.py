@@ -249,6 +249,20 @@ def test_inference_scales_linearly_in_chain_length():
         assert sig.constraints == cs((ct("γ", "α1", "α2", "α3", "α4"), ct("β")))
 
 
+def test_run_scales_to_long_traces():
+    """SpdMtr runs 100 000 ticks within the budget and agrees with its two
+    counters written out by hand."""
+    acc = [random.Random(2601).randint(-9, 9) for _ in range(100_000)]
+    with _Budget("scaling run 100000 ticks of SpdMtr", 2.0):
+        history, _ = run_node(elaborate(parse_program(CTR_SPDMTR_SRC)), "SpdMtr",
+                              {"acc": acc}, len(acc))
+    spd, pos = [0], [3]
+    for a in acc[1:]:
+        spd.append(spd[-1] + a)
+        pos.append(pos[-1] + spd[-1])
+    assert history["spd"] == spd and history["pos"] == pos
+
+
 # The report `check --json` prints for N12 of the depth-12 call tree (all
 # L; x H and y L; x H and y solved), recorded before call checking was
 # memoised.

@@ -277,6 +277,15 @@ def test_absent_base_ticks_freeze_node():
     assert H["n"] == [1, A, 2, A, 3]
 
 
+def test_base_clock_length_checked(ctr_prog):
+    ins = {k: CTR_TABLE[k] for k in ("init", "incr", "rst")}
+    with pytest.raises(EvalError) as err:
+        run_node(ctr_prog, "Ctr", ins, 3, bs=[True])
+    assert err.value.kind == "arity-mismatch"
+    H, bs = run_node(ctr_prog, "Ctr", ins, 3, bs=[True] * 7)
+    assert bs == [True] * 3 and H["n"] == CTR_TABLE["n"][:3]
+
+
 # ---------------------------------------------------------------------------
 # traces
 # ---------------------------------------------------------------------------
