@@ -20,7 +20,8 @@ from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Con
 from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, satisfies)
-from .streams import ABSENT, History, eval_clock, eval_node, run_node, show_value
+from .streams import (ABSENT, History, default_base_clock, eval_clock, eval_node,
+                      interpret_node, run_node, show_value)
 
 PASS = "pass"
 FAIL = "fail"
@@ -428,7 +429,11 @@ def _streams_equal(xs, ys) -> bool:
 def check_semantics_preservation(prog: Program, node_name: str, trials: int = 100,
                                  ticks: int = 64, seed: int = 0) -> CheckReport:
     """Outputs of a node agree, value for value, before and after
-    normalisation, over random clock-honouring input prefixes."""
+    normalisation, over random clock-honouring input prefixes.
+
+    The source runs on the tree interpreter (`streams.interpret_node`) and
+    the normal form through `eval_node`, which runs compiled core-form code,
+    so the two sides never share an evaluator."""
     prog = elaborate(prog)
     try:
         nprog, _ = normalize_program(prog)
@@ -441,7 +446,8 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
         ins = gen_inputs(rng, node, ticks)
         positional = [ins[d.name] for d in node.inputs]
         try:
-            out1 = eval_node(prog, node_name, positional, ticks)
+            ref = interpret_node(prog, node, ins, ticks, default_base_clock(positional, ticks))
+            out1 = [ref[d.name] for d in node.outputs]
             out2 = eval_node(nprog, node_name, [list(vs) for vs in positional], ticks)
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,

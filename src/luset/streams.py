@@ -410,12 +410,15 @@ class _CIte(_Compiled):
 
 
 class _CFby(_Compiled):
-    """Full-language delay. Emits during the tick's first evaluation; the
-    delayed operand is read during the update sweep at the end of the tick."""
+    """Delay: a full-language `fby`, or the constant-initialised `NFby` of
+    the normal form, whose `target` names its diagnostics. Emits during the
+    tick's first evaluation; the delayed operand is read during the update
+    sweep at the end of the tick."""
 
-    def __init__(self, init: _CMany, rest: _CMany):
+    def __init__(self, init: _CMany, rest: _CMany, target: str | None = None):
         self.init = init
         self.rest = rest
+        self.target = target  # the defined variable of an equation-level delay
         self.width = init.width
         self.started = [False] * self.width
         self.saved: list = [None] * self.width
@@ -447,6 +450,10 @@ class _CFby(_Compiled):
             raise EvalError("arity-mismatch", "fby arguments have different widths", t)
         for i, v in enumerate(tails):
             if present(v) != self._pres[i]:
+                if self.target is not None:
+                    raise EvalError("clocked-value-mismatch",
+                                    f"delayed operand of {self.target} off its clock",
+                                    t, self.target)
                 raise EvalError("clocked-value-mismatch",
                                 "fby operands disagree on presence", t)
             if present(v):
@@ -475,29 +482,6 @@ class _CCall(_Compiled):
         self._out = self.instance.step(argv, live)
         self._tick = t
         return list(self._out)
-
-
-class _EqFby:
-    """Equation-level constant-initialised delay (normalised form)."""
-
-    def __init__(self, target: str, clock: Clock, init_value, body: _Compiled):
-        self.target = target
-        self.clock = clock
-        self.saved = init_value
-        self.body = body
-        self._pres = False
-
-    def eval(self, t, vals, bs_t):
-        self._pres = _tick_clock(self.clock, vals, bs_t, t)
-        return [self.saved if self._pres else ABSENT]
-
-    def update(self, t, vals, bs_t):
-        [v] = self.body.eval(t, vals, bs_t)
-        if present(v) != self._pres:
-            raise EvalError("clocked-value-mismatch",
-                            f"delayed operand of {self.target} off its clock", t, self.target)
-        if present(v):
-            self.saved = v
 
 
 class NodeInstance:
@@ -530,7 +514,8 @@ class NodeInstance:
             case NDef(_, ck, e):
                 return _CMany([self._compile(e, ck, clocks)])
             case NFby(x, ck, c, e):
-                comp = _EqFby(x, ck, c.value, self._compile(e, ck, clocks))
+                comp = _CFby(_CMany([_CConst(c.value, ck)]),
+                             _CMany([self._compile(e, ck, clocks)]), x)
                 self.updaters.append(comp)
                 return comp
             case NCall(targets, ck, f, args):
@@ -669,9 +654,7 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
             raise EvalError("arity-mismatch", f"input {x} is shorter than {n_ticks} ticks")
     ins = [list(inputs[x][:n_ticks]) for x in declared]
     if bs is None:
-        bs = [not ins] * n_ticks  # a node without inputs runs at every tick
-        for vs in ins:
-            bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
+        bs = default_base_clock(ins, n_ticks)
     elif len(bs) < n_ticks:
         raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
     else:
@@ -688,6 +671,15 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
         else:
             return dict(zip(declared + rest, ins + hist)), bs
     return interpret_node(prog, node, inputs, n_ticks, bs), bs
+
+
+def default_base_clock(inputs: list[VStream], n_ticks: int) -> BStream:
+    """The pointwise presence of the inputs over the first `n_ticks` ticks;
+    a node without inputs runs at every tick."""
+    bs = [not inputs] * n_ticks
+    for vs in inputs:
+        bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
+    return bs
 
 
 def interpret_node(prog: Program, node: Node, inputs: History, n_ticks: int,

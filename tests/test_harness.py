@@ -127,6 +127,29 @@ def test_semantics_preservation_already_normal(ctr_prog):
     assert report.verdict == "pass"
 
 
+def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_prog):
+    """The source side runs on the tree interpreter, not on the normal form,
+    so a wrong normal form fails the check even though every compiled run
+    goes through the same (wrong) normalisation."""
+    from dataclasses import replace
+    from luset import codegen, harness
+    from luset.lang import Const, NFby
+    from luset.normalize import normalize_program
+
+    def bad_normalize(prog):
+        nprog, introduced = normalize_program(prog)
+        nodes = tuple(replace(n, equations=tuple(
+            replace(eq, init=Const(False)) if isinstance(eq, NFby) and eq.init == Const(True)
+            else eq
+            for eq in n.equations)) for n in nprog.nodes)
+        return replace(nprog, nodes=nodes), introduced
+
+    monkeypatch.setattr(harness, "normalize_program", bad_normalize)
+    monkeypatch.setattr(codegen, "normalize_program", bad_normalize)
+    report = check_semantics_preservation(cnt_dn_prog, "cnt_dn", trials=20, ticks=32, seed=4)
+    assert report.verdict == "fail", report.to_json()
+
+
 def test_type_preservation_goldens(cnt_dn_prog, re_trig_prog):
     for prog, name in ((cnt_dn_prog, "cnt_dn"), (re_trig_prog, "re_trig")):
         report = check_type_preservation(prog, name, seed=0)

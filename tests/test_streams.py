@@ -5,10 +5,11 @@ import pytest
 from luset.diagnostics import CausalityError, EvalError
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, NCall, Unop,
                         Var, elaborate)
+from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.streams import (ABSENT, base_of, const_stream, eval_clock, eval_expr,
-                           eval_node, fby_lustre, fby_nlustre, ite_stream, lift_binop,
-                           lift_unop, merge_stream, read_trace, respects_clock,
+                           eval_node, fby_lustre, fby_nlustre, interpret_node, ite_stream,
+                           lift_binop, lift_unop, merge_stream, read_trace, respects_clock,
                            run_node, when_stream, write_trace)
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
@@ -284,6 +285,22 @@ def test_base_clock_length_checked(ctr_prog):
     assert err.value.kind == "arity-mismatch"
     H, bs = run_node(ctr_prog, "Ctr", ins, 3, bs=[True] * 7)
     assert bs == [True] * 3 and H["n"] == CTR_TABLE["n"][:3]
+
+
+def test_delay_operand_off_clock_diagnostics():
+    """Both delay forms run through one class; an equation-level delay of
+    the normal form names its target, a source `fby` does not."""
+    prog = elaborate(parse_program(
+        "node f(a: int; b: int) returns (y: int) let y = 0 fby a; tel"))
+    nprog, _ = normalize_program(prog)
+    ins = {"a": [1, A, 3], "b": [1, 2, 3]}
+    for p, msg, var in ((prog, "fby operands disagree on presence", None),
+                        (nprog, "delayed operand of y off its clock", "y")):
+        with pytest.raises(EvalError) as err:
+            interpret_node(p, p.node("f"), ins, 3, [True] * 3)
+        assert (err.value.kind, err.value.tick, err.value.var) == \
+            ("clocked-value-mismatch", 1, var)
+        assert msg in str(err.value)
 
 
 # ---------------------------------------------------------------------------
