@@ -8,7 +8,8 @@ updated once all of the tick's values are known.
 `run_node` runs nodes as compiled core-form code (see `codegen`). The tree
 interpreter below ("Compiled tick-wise evaluation": `NodeInstance` walking
 an object tree per equation, reached through `interpret_node`) is the
-reference the compiled code is tested against, and the fallback that runs
+reference the compiled code is tested against, the evaluator of the source
+side of the harness's semantics-preservation check, and the fallback that runs
 a program which does not compile or whose compiled run fails, so every
 result and diagnostic is the interpreter's. The whole-prefix stream
 operators (`lift_unop` … `respects_clock`) and the whole-prefix entry point
