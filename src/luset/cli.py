@@ -26,13 +26,26 @@ from .streams import read_trace, run_node, show_value
 
 
 def _load_program(path: str):
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_program(text, filename=path)
 
 
 def _load_assignments(path: str) -> list[dict]:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     return data if isinstance(data, list) else [data]
+
+
+def _undecodable_input(args) -> str:
+    """The input file that failed to decode. Every command reads its files
+    in this order and stops at the first failure."""
+    for attr in ("program", "lattice", "assign", "inputs"):
+        path = getattr(args, attr, None)
+        if path and Path(path).is_file():
+            try:
+                Path(path).read_text(encoding="utf-8")
+            except UnicodeDecodeError:
+                return path
+    return "input"
 
 
 def _fail_usage(message: str) -> int:
@@ -302,8 +315,11 @@ def main(argv: list[str] | None = None) -> int:
     except LusetError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"{_undecodable_input(args)}: not UTF-8 text ({exc.reason})", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"bad JSON input: {exc}", file=sys.stderr)

@@ -351,7 +351,7 @@ class Lattice:
                 raise LatticeError(f"powerset size {size!r} is not an integer") from None
             return Lattice.powerset(n)
         path = Path(spec)
-        return Lattice.from_json(json.loads(path.read_text()), name=path.name)
+        return Lattice.from_json(json.loads(path.read_text(encoding="utf-8")), name=path.name)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ All clock evaluation of the interpreter goes through `_tick_clock`.
 from __future__ import annotations
 
 import csv
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .diagnostics import EvalError
@@ -743,11 +744,20 @@ def _parse_cell(text: str, where: str) -> Value:
     return v
 
 
-def read_trace(path) -> tuple[History, BStream | None]:
-    """Read a CSV trace: a header of variable names (plus an optional `base`
-    column) and one row per tick; `_` marks absence."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise EvalError("bad-trace", f"line {reader.line_num}: {exc}") from None
+
+
+def _trace_by_rows(rows) -> tuple[History, BStream | None]:
+    """Row-major reading of CSV rows (header first), one `_parse_cell` per
+    cell. It is the reference for `read_trace` and the only producer of its
+    `bad-trace` diagnostics, so which error wins in a file with several is
+    fixed here: the header, then each row in order, then the base column."""
     if not rows:
         return {}, None
     header = [h.strip() for h in rows[0]]
@@ -772,6 +782,57 @@ def read_trace(path) -> tuple[History, BStream | None]:
                 raise EvalError("bad-trace", "base column must hold true/false")
             bs.append(v)
     return streams, bs
+
+
+_WORDS = {"_": ABSENT, "true": True, "false": False}
+
+
+def _decode_column(col: Sequence[str]) -> VStream | None:
+    """The values of one column of cells, or None when a cell is unreadable
+    or out of range. Equal to `_parse_cell` per cell: `int` accepts only
+    whitespace that `str.strip` removes, and fails on the rest, which leaves
+    those cells to the slower tries."""
+    try:
+        vs = list(map(int, col))
+    except ValueError:
+        pass
+    else:
+        return vs if not vs or (min(vs) >= -(1 << 63) and max(vs) < 1 << 63) else None
+    try:
+        return [_WORDS[c.strip()] for c in col]
+    except KeyError:
+        pass
+    try:
+        return [_parse_cell(c, "") for c in col]
+    except EvalError:
+        return None
+
+
+def read_trace(path) -> tuple[History, BStream | None]:
+    """Read a UTF-8 CSV trace: a header of variable names (plus an optional
+    `base` column) and one row per tick; `_` marks absence. Cells are
+    stripped and blank rows skipped.
+
+    Columns are decoded whole. The rows of a file with any irregularity go
+    to `_trace_by_rows`, which raises its diagnostic."""
+    rows = _csv_rows(path)
+    if not rows:
+        return {}, None
+    header = [h.strip() for h in rows[0]]
+    body = [row for row in rows[1:] if "".join(row).strip()]
+    del rows
+    if len(set(header)) < len(header) or set(map(len, body)) - {len(header)}:
+        return _trace_by_rows([header, *body])
+    # one exact-size list per column; zip(*body) would hold an iterator per row
+    cols = [list(map(itemgetter(j), body)) for j in range(len(header))]
+    del body  # the columns share the cell strings; release the row lists
+    streams: History = {}
+    for name, col in zip(header, cols):
+        vs = _decode_column(col)
+        if vs is None or name == BASE and not all(isinstance(v, bool) for v in vs):
+            return _trace_by_rows([header, *zip(*cols)])
+        streams[name] = vs
+    return streams, streams.pop(BASE, None)
 
 
 def write_trace(path, history: History, order: Iterable[str] | None = None):

@@ -146,13 +146,21 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["signature", "big.lus"],
     ["run", "echo.lus", "--node", "f", "--inputs", "big.csv"],
     ["run", "echo.lus", "--node", "f", "--inputs", "long.csv"],
+    ["signature", "latin1.lus"],
+    ["run", "echo.lus", "--node", "f", "--inputs", "latin1.csv"],
+    ["check", "leak.lus", "--lattice", "latin1.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "latin1.json"],
+    ["run", "ctr.lus", "--node", "SpdMtr", "--inputs", "dir.csv"],
+    ["run", "echo.lus", "--node", "f", "--inputs", "wide.csv"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
         "run-negative-ticks", "suite-zero-programs", "suite-negative-samples",
         "run-duplicate-column", "deep-nesting", "deep-flat-sum-signature",
         "deep-flat-sum-normalize", "deep-flat-sum-run", "literal-out-of-range",
-        "trace-cell-out-of-range", "trace-cell-too-long"])
+        "trace-cell-out-of-range", "trace-cell-too-long", "program-not-utf8",
+        "trace-not-utf8", "lattice-not-utf8", "assignment-not-utf8", "trace-is-a-directory",
+        "trace-field-over-csv-limit"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -167,6 +175,11 @@ def test_malformed_input_exit_two(files, capsys, argv):
     (files / "echo.lus").write_text("node f(x: int) returns (y: int); let y = x; tel")
     (files / "big.csv").write_text("x\n1\n99999999999999999999\n")
     (files / "long.csv").write_text("x\n" + "9" * 5000 + "\n")
+    (files / "latin1.lus").write_bytes(b"node f(x: int) returns (y: int); let y = x; tel -- \xff")
+    (files / "latin1.csv").write_bytes(b"x\n1\n\xff\n")
+    (files / "latin1.json").write_bytes(b'{"node": "Leak", "base": "\xff"}')
+    (files / "dir.csv").mkdir()
+    (files / "wide.csv").write_text("x\n" + "9" * 140_000 + "\n")
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -174,6 +187,18 @@ def test_malformed_input_exit_two(files, capsys, argv):
     # one short diagnostic line, after argparse's usage lines for usage errors
     assert err.startswith("usage:") or err.count("\n") == 1, err[:300]
     assert len(err.splitlines()[-1]) < 300, err[:300]
+
+
+@pytest.mark.parametrize("bad", ["program", "lattice", "assign"])
+def test_undecodable_input_is_named(files, capsys, bad):
+    paths = {"program": files / "leak.lus", "lattice": files / "lattice.json",
+             "assign": files / "leak.json"}
+    paths["lattice"].write_text(json.dumps(
+        {"elements": ["L", "H"], "bottom": "L", "covers": [["L", "H"]]}))
+    paths[bad].write_bytes(paths[bad].read_bytes() + b"\xff")
+    assert main(["check", str(paths["program"]), "--lattice", str(paths["lattice"]),
+                 "--assign", str(paths["assign"])]) == 2
+    assert capsys.readouterr().err == f"{paths[bad]}: not UTF-8 text (invalid start byte)\n"
 
 
 def test_deep_flat_sum_is_one_line_diagnostic(files, capsys):

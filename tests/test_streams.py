@@ -7,7 +7,7 @@ from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, NCall, Uno
                         Var, elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import (ABSENT, base_of, const_stream, eval_clock, eval_expr,
+from luset.streams import (ABSENT, _csv_rows, _trace_by_rows, base_of, const_stream, eval_clock, eval_expr,
                            eval_node, fby_lustre, fby_nlustre, interpret_node, ite_stream,
                            lift_binop, lift_unop, merge_stream, read_trace, respects_clock,
                            run_node, when_stream, write_trace)
@@ -359,3 +359,45 @@ def test_trace_bad_cell(tmp_path):
     path.write_text("x\noops\n")
     with pytest.raises(EvalError):
         read_trace(path)
+
+
+TRACE_NAMES = ["a", "b", "base", " c", "a "]
+TRACE_CELLS = [" 1", "2 ", "-3", "0", "_", " _ ", "true", "false", " true", str(-(1 << 63)),
+               str((1 << 63) - 1), "9223372036854775808", "-9223372036854775809", "1_000", "+4",
+               "٣", "\x1c5", "True", "junk", "", " "]
+COLUMN_KINDS = {"int": ["-7", "0", "12", " 3"], "bool": ["true", "false"],
+                "mixed": ["_", "1", " 2", "true"], "pool": TRACE_CELLS}
+
+
+def _trace_outcome(read):
+    try:
+        streams, bs = read()
+    except EvalError as exc:
+        return "error", exc.kind, str(exc)
+    typed = {x: [(type(v), v) for v in vs] for x, vs in streams.items()}
+    return "ok", list(streams), typed, bs and [(type(v), v) for v in bs]
+
+
+def test_read_trace_matches_row_major_reader(tmp_path):
+    """The columnar decoder against the row-major reference on random traces:
+    same values and value types, or the same diagnostic."""
+    rng = random.Random(8)
+    path = tmp_path / "t.csv"
+    seen = {"ok": 0, "error": 0}
+    for _ in range(3000):
+        header = [rng.choice(TRACE_NAMES) for _ in range(rng.randint(0, 4))]
+        kinds = [rng.choice(list(COLUMN_KINDS)) for _ in header]
+        lines = [",".join(header)]
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.08:
+                lines.append(rng.choice(["", " ", ",", " , "]))
+                continue
+            row = [rng.choice(COLUMN_KINDS[k]) for k in kinds]
+            if rng.random() < 0.05:
+                row = row + ["1"] if rng.random() < 0.5 else row[:-1]
+            lines.append(",".join(row))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = _trace_outcome(lambda: read_trace(path))
+        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(path))), lines
+        seen[got[0]] += 1
+    assert min(seen.values()) > 500, seen
