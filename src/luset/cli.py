@@ -143,6 +143,8 @@ def cmd_ni(args) -> int:
     if not entries:
         return _fail_usage(f"{args.assign}: no assignment entries")
     assignment = next((flat for name, flat in entries if name == args.node), entries[0][1])
+    if args.level:
+        lat.leq(args.level, args.level)  # an unknown level is a LatticeError: exit 2
     levels = [args.level] if args.level else list(lat.elements)
     reports = []
     for level in levels:
@@ -153,8 +155,7 @@ def cmd_ni(args) -> int:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
         for r in reports:
-            lvl = r.details.get("level", "?")
-            print(f"{r.check} {args.node} at level {lvl}: {r.verdict}"
+            print(f"{r.check} {args.node} at level {r.details['level']}: {r.verdict}"
                   f" ({r.trials} trials, seed {r.seed})")
             if r.counterexample:
                 c = r.counterexample

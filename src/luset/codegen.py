@@ -39,7 +39,8 @@ from typing import Callable
 
 from .diagnostics import EvalError, LusetError
 from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
-                   Node, Program, Ty, Unop, Var, When, check_causality, elaborate)
+                   Node, Program, Ty, Unop, Var, When, check_causality, derived,
+                   elaborate)
 from .normalize import normalize_program
 from .streams import ABSENT, _apply_binop, _apply_unop, _wrap64
 
@@ -63,24 +64,20 @@ def runner(prog: Program, name: str) -> Callable | None:
     compile: it fails to elaborate, normalise or schedule, or it is not
     elaborated already (the interpreter runs equation clocks as given).
 
-    Built on first use and kept in `prog.memo` for the lifetime of `prog`.
-    `run(ins, bs, hist)` takes the input streams in declaration order, the
-    base clock, and one empty list per output and local of the node, in
-    declaration order, which it fills with one value per tick.
+    Built once per program object. `run(ins, bs, hist)` takes the input
+    streams in declaration order, the base clock, and one empty list per
+    output and local of the node, in declaration order, which it fills with
+    one value per tick.
     """
-    if name not in prog.memo:
-        prog.memo[name] = _build(prog, name)
-    return prog.memo[name]
+    return derived(prog, _build, name)
 
 
 def _build(prog: Program, name: str) -> Callable | None:
     node = prog.node(name)
     try:
-        eprog = elaborate(prog)
-        if any(a.clock != b.clock for n, m in zip(prog.nodes, eprog.nodes)
-               for a, b in zip(n.equations, m.equations)):
+        if elaborate(prog) != prog:
             return None  # the interpreter reads the clocks as given, not as elaborated
-        nprog, _ = normalize_program(eprog)
+        nprog, _ = normalize_program(prog)
         reach = [name]
         for f in reach:
             check_causality(prog.node(f))  # a tuple equation may hide a cycle normalisation splits

@@ -346,9 +346,11 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     res = results[cfg.node]
     node = prog.node(cfg.node)
     solved, satisfied = solve_interface(res, cfg.assignment, lat)
+    details = {"level": cfg.level, "satisfied": satisfied}
     if not satisfied and not cfg.force:
         return CheckReport("non-interference", SKIPPED, node=cfg.node, seed=cfg.seed,
-                           reason="assignment does not satisfy the node constraints")
+                           reason="assignment does not satisfy the node constraints",
+                           details=details)
     levels = _variable_levels(res, solved, lat)
 
     equal_inputs = _equal_closure(node, levels, cfg.level, lat)
@@ -363,7 +365,7 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
         except EvalError as exc:
             return CheckReport("non-interference", INCONCLUSIVE, node=cfg.node,
                                trials=trial + 1, seed=cfg.seed,
-                               reason=str(exc))
+                               reason=str(exc), details=details)
         p1 = project_history(h1, levels, cfg.level, lat)
         p2 = project_history(h2, levels, cfg.level, lat)
         diff = _first_difference(p1, p2)
@@ -378,9 +380,9 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
                     "inputs1": {x: [show_value(v) for v in vs] for x, vs in ins1.items()},
                     "inputs2": {x: [show_value(v) for v in vs] for x, vs in ins2.items()},
                 },
-                details={"level": cfg.level, "satisfied": satisfied})
+                details=details)
     return CheckReport("non-interference", PASS, node=cfg.node, trials=cfg.trials,
-                       seed=cfg.seed, details={"level": cfg.level, "satisfied": satisfied})
+                       seed=cfg.seed, details=details)
 
 
 def _equal_closure(node: Node, levels: Mapping[str, str], level: str,

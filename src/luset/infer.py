@@ -11,7 +11,7 @@ from typing import Mapping
 from .diagnostics import InferError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
-                   When, node_order)
+                   When, derived, node_order)
 from .sectypes import (TBOT, CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
                        least_fixpoint, least_solution, substitute_constraints, substitute_type,
                        violations)
@@ -362,7 +362,12 @@ def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSigna
 
 def infer_program(prog: Program) -> dict[str, InferenceResult]:
     """Infer signatures for every node, processing callees first. A single
-    fresh supply is shared so variable names are stable across the file."""
+    fresh supply is shared so variable names are stable across the file.
+    Computed once per program object; callers must not change the result."""
+    return derived(prog, _infer_program)
+
+
+def _infer_program(prog: Program) -> dict[str, InferenceResult]:
     fresh = FreshVars()
     results: dict[str, InferenceResult] = {}
     sigs: dict[str, NodeSignature] = {}

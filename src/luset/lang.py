@@ -205,8 +205,8 @@ class Node:
 @dataclass(frozen=True)
 class Program:
     nodes: tuple[Node, ...]
-    # Results derived from this program object, computed at most once in its
-    # lifetime: the compiled tick loops of `codegen.runner`, by node name.
+    # Results derived from this program object, each computed at most once
+    # in its lifetime (see `derived`), and the flag `elaborate` sets on its output.
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, name: str) -> Node:
@@ -299,16 +299,6 @@ def eq_targets(eq: Equation) -> tuple[str, ...]:
         case NDef(x, _, _) | NFby(x, _, _, _):
             return (x,)
     raise TypeError(f"eq_targets: unsupported {eq!r}")
-
-
-def equations_free_vars(eqs: Iterable[Equation]) -> set[str]:
-    """fv of a block of equations: union of fv minus everything defined."""
-    fv: set[str] = set()
-    dv: set[str] = set()
-    for eq in eqs:
-        fv |= free_vars(eq)
-        dv |= defined_vars(eq)
-    return fv - dv
 
 
 # ---------------------------------------------------------------------------
@@ -626,13 +616,33 @@ def _expr_slots(env: _NodeEnv, e: Expr, diags, i) -> list[tuple[Ty, Clock | None
     raise TypeError(f"_expr_slots: unsupported {e!r}")
 
 
+def derived(prog: Program, fn, *args):
+    """`fn(prog, *args)`, computed once per program object and kept in
+    `prog.memo` under `(fn, *args)`. An exception is not kept, so a failing
+    call fails again the next time."""
+    key = (fn, *args)
+    if key not in prog.memo:
+        prog.memo[key] = fn(prog, *args)
+    return prog.memo[key]
+
+
+_ELABORATED = "elaborated"  # memo flag: this program is an output of elaborate
+
+
 def elaborate(prog: Program) -> Program:
     """Annotate every equation with its clock, checking types and widths.
 
     Declared clocks are the source of truth; expression clocks are computed
     bottom-up with constants adapting to their context. Raises
-    ElaborationError on any inconsistency.
+    ElaborationError on any inconsistency. The result is computed once per
+    program object, and elaborating a result returns it unchanged.
     """
+    if _ELABORATED in prog.memo:
+        return prog
+    return derived(prog, _elaborate)
+
+
+def _elaborate(prog: Program) -> Program:
     wf = well_formed(prog)
     if wf:
         raise ElaborationError(wf)
@@ -679,7 +689,9 @@ def elaborate(prog: Program) -> Program:
         new_nodes.append(replace(node, equations=tuple(new_eqs)))
     if diags:
         raise ElaborationError(diags)
-    return Program(tuple(new_nodes))
+    out = Program(tuple(new_nodes))
+    out.memo[_ELABORATED] = True
+    return out
 
 
 def _check_decl_clock(env: _NodeEnv, decl: VarDecl, diags: list[Diagnostic]):

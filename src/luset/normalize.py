@@ -14,16 +14,7 @@ from itertools import islice
 
 from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockOn, Const, Def, Equation, Expr,
                    Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
-                   VarDecl, When, elaborate)
-
-
-@dataclass
-class NormResult:
-    """Outcome of normalising an expression (or tuple of expressions)."""
-
-    exprs: list[Expr]
-    new_equations: list[Equation]
-    new_locals: list[VarDecl]
+                   VarDecl, When, derived, elaborate)
 
 
 @dataclass
@@ -139,15 +130,6 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock) -> list[_Slot]:
     raise TypeError(f"_norm: unsupported {e!r}")
 
 
-def normalize_expr(prog: Program, node_name: str, e: Expr) -> NormResult:
-    """Normalise one expression in the context of a node (public entry point
-    used by the unit tests; programs go through normalize_program)."""
-    prog = elaborate(prog)
-    ctx = _Ctx(prog, prog.node(node_name), ProgVars(_all_idents(prog)))
-    slots = _norm(ctx, e, BASE_CLOCK)
-    return NormResult([s.expr for s in slots], _finish_fby(ctx), ctx.new_locals)
-
-
 def _all_idents(prog: Program) -> set[str]:
     used: set[str] = set()
     for node in prog.nodes:
@@ -184,14 +166,6 @@ def _finish_fby(ctx: _Ctx) -> list[Equation]:
         else:
             out.append(eq)
     return out
-
-
-def normalize_equation(prog: Program, node_name: str, eq: Def) -> tuple[list[Equation], list[VarDecl]]:
-    """Normalise a single equation (unit-test entry point)."""
-    prog = elaborate(prog)
-    ctx = _Ctx(prog, prog.node(node_name), ProgVars(_all_idents(prog)))
-    _norm_equation(ctx, eq)
-    return _finish_fby(ctx), ctx.new_locals
 
 
 def _norm_equation(ctx: _Ctx, eq: Def):
@@ -239,8 +213,13 @@ def normalize_program(prog: Program) -> tuple[Program, dict[str, tuple[VarDecl, 
     live in the v<n> namespace; emitted equations are in definition order
     (definitions before instantaneous uses). The second component maps each
     node name to the declarations of the locals normalisation introduced.
+    Computed once per elaborated program object; callers must not change
+    the result.
     """
-    prog = elaborate(prog)
+    return derived(elaborate(prog), _normalize_program)
+
+
+def _normalize_program(prog: Program) -> tuple[Program, dict[str, tuple[VarDecl, ...]]]:
     pvars = ProgVars(_all_idents(prog))
     new_nodes = []
     introduced: dict[str, tuple[VarDecl, ...]] = {}

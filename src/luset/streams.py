@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .diagnostics import EvalError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
@@ -834,12 +834,3 @@ def read_trace(path) -> tuple[History, BStream | None]:
         streams[name] = vs
     return streams, streams.pop(BASE, None)
 
-
-def write_trace(path, history: History, order: Iterable[str] | None = None):
-    names = list(order) if order is not None else sorted(history)
-    n = len(history[names[0]]) if names else 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for t in range(n):
-            writer.writerow([show_value(history[name][t]) for name in names])

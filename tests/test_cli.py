@@ -152,6 +152,8 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["check", "leak.lus", "--lattice", "two-point", "--assign", "latin1.json"],
     ["run", "ctr.lus", "--node", "SpdMtr", "--inputs", "dir.csv"],
     ["run", "echo.lus", "--node", "f", "--inputs", "wide.csv"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "leak.json",
+     "--level", "Z"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
@@ -160,7 +162,7 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
         "deep-flat-sum-normalize", "deep-flat-sum-run", "literal-out-of-range",
         "trace-cell-out-of-range", "trace-cell-too-long", "program-not-utf8",
         "trace-not-utf8", "lattice-not-utf8", "assignment-not-utf8", "trace-is-a-directory",
-        "trace-field-over-csv-limit"])
+        "trace-field-over-csv-limit", "ni-unknown-level"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -309,6 +311,21 @@ def test_ni_json_schema_and_exit(files, capsys):
     data = json.loads(capsys.readouterr().out)
     jsonschema.validate(data, NI_REPORT_SCHEMA)
     assert data[0]["verdict"] == "fail"
+
+
+def test_ni_skipped_reports_name_their_level(files, capsys):
+    code = main(["ni", str(files / "leak.lus"), "--node", "Leak",
+                 "--lattice", "two-point", "--assign", str(files / "leak.json")])
+    assert code == 0
+    reason = "  reason: assignment does not satisfy the node constraints\n"
+    assert capsys.readouterr().out == (
+        "non-interference Leak at level L: vacuously-skipped (0 trials, seed 0)\n" + reason +
+        "non-interference Leak at level H: vacuously-skipped (0 trials, seed 0)\n" + reason)
+    main(["ni", str(files / "leak.lus"), "--node", "Leak", "--lattice", "two-point",
+          "--assign", str(files / "leak.json"), "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert [(r["verdict"], r["level"], r["satisfied"]) for r in data] == [
+        ("vacuously-skipped", "L", False), ("vacuously-skipped", "H", False)]
 
 
 def test_ni_pass_exit_zero(files, capsys):

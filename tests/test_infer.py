@@ -14,7 +14,7 @@ from luset.harness import gen_program
 from luset.sectypes import (EMPTY, Constraint, ConstraintSet, Lattice, cs, ct,
                             substitute_constraints)
 
-from conftest import LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src
+from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src
 
 TWO = Lattice.two_point()
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -280,9 +280,10 @@ def test_full_constraints_and_call_sites_pinned(sample, node, full, calls):
              c.result_vars) for c in res.calls] == calls
 
 
-def test_inference_deterministic(ctr_spdmtr_prog):
-    a = signatures(ctr_spdmtr_prog)
-    b = signatures(ctr_spdmtr_prog)
+def test_inference_deterministic():
+    # two separately parsed copies: inference runs once per program object
+    a = signatures(elaborate(parse_program(CTR_SPDMTR_SRC)))
+    b = signatures(elaborate(parse_program(CTR_SPDMTR_SRC)))
     assert {k: v.constraints for k, v in a.items()} == {k: v.constraints for k, v in b.items()}
 
 

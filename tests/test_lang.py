@@ -5,7 +5,7 @@ from luset.diagnostics import ElaborationError
 from luset.infer import infer_program
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Def, Fby, Ite,
                         Merge, NCall, NDef, NFby, Ty, Unop, Var, VarDecl, When,
-                        causality, defined_vars, elaborate, equations_free_vars,
+                        causality, defined_vars, elaborate,
                         free_vars, node_order, well_formed)
 from luset.parser import parse_program
 
@@ -76,10 +76,11 @@ def test_defined_vars_examples():
 
 def test_equations_free_vars_of_node_body(ctr_prog):
     node = ctr_prog.node("Ctr")
-    assert equations_free_vars(node.equations) == {"init", "incr", "rst"}
-    dv = set()
+    fv, dv = set(), set()
     for eq in node.equations:
+        fv |= free_vars(eq)
         dv |= defined_vars(eq)
+    assert fv - dv == {"init", "incr", "rst"}
     assert dv == {"n", "fst", "pre_n"}
 
 

@@ -2,10 +2,10 @@ import random
 
 from luset.harness import gen_program
 from luset.infer import infer_program
-from luset.lang import (BASE_CLOCK, Binop, ClockOn, Const, Def, Fby, Ite, NCall,
+from luset.lang import (BASE_CLOCK, Binop, ClockOn, Const, Ite, NCall,
                         NDef, NFby, Var, When, elaborate, nlustre_violations,
                         well_formed)
-from luset.normalize import normalize_equation, normalize_expr, normalize_program
+from luset.normalize import normalize_program
 from luset.parser import parse_program
 
 
@@ -18,43 +18,50 @@ def sig_tuple(res):
 # expression-level rules
 # ---------------------------------------------------------------------------
 
-def test_normalize_const_passthrough(cnt_dn_prog):
-    out = normalize_expr(cnt_dn_prog, "cnt_dn", Const(3))
-    assert out.exprs == [Const(3)]
-    assert out.new_equations == [] and out.new_locals == []
+def _normalized(src):
+    """Equations and introduced locals of the one node of a program."""
+    nprog, info = normalize_program(parse_program(src))
+    [node] = nprog.nodes
+    return node.equations, info[node.name]
 
 
-def test_normalize_when_distributes(cnt_dn_prog):
+def test_normalize_const_passthrough():
+    eqs, new_locals = _normalized("node f(x: int) returns (y: int); let y = 3; tel")
+    assert eqs == (NDef("y", BASE_CLOCK, Const(3)),)
+    assert new_locals == ()
+
+
+def test_normalize_when_distributes():
     # a sampled pair becomes two singleton sampled expressions
-    e = When((Var("res"), Var("n")), "res", True)
-    out = normalize_expr(cnt_dn_prog, "cnt_dn", e)
-    assert out.exprs == [When((Var("res"),), "res", True), When((Var("n"),), "res", True)]
-    assert out.new_equations == []
+    eqs, new_locals = _normalized(
+        "node f(res: bool; n: int) returns (a: bool when res; b: int when res);"
+        " let (a, b) = (res, n) when res; tel")
+    ck = ClockOn(BASE_CLOCK, "res", True)
+    assert eqs == (NDef("a", ck, When((Var("res"),), "res", True)),
+                   NDef("b", ck, When((Var("n"),), "res", True)))
+    assert new_locals == ()
 
 
-def test_normalize_nested_fby_introduces_local(cnt_dn_prog):
-    e = Ite(Var("res"), (Var("n"),), (Fby((Var("n"),), (Binop("-", Var("cpt"), Const(1)),)),))
-    out = normalize_expr(cnt_dn_prog, "cnt_dn", e)
+def test_normalize_nested_fby_introduces_local():
+    eqs, new_locals = _normalized(
+        "node f(res: bool; n: int) returns (cpt: int);"
+        " let cpt = 1 + (if res then n else (n fby (cpt - 1))); tel")
     # the nested delay and the conditional both got their own equation
-    assert len(out.new_locals) == 4  # fby var + init flag + prev + ite var
-    kinds = [type(eq).__name__ for eq in out.new_equations]
-    assert kinds.count("NFby") == 2 and kinds.count("NDef") == 2
+    assert len(new_locals) == 4  # fby var + init flag + prev + ite var
+    kinds = [type(eq).__name__ for eq in eqs]
+    assert kinds.count("NFby") == 2 and kinds.count("NDef") == 3  # two new NDefs + cpt
 
 
-def test_normalize_equation_flat_is_identity(ctr_spdmtr_prog):
-    eq = Def(("spd",), BASE_CLOCK, (Binop("+", Var("acc"), Const(1)),))
-    prog = parse_program("node f(acc: int) returns (spd: int); let spd = acc + 1; tel")
-    eqs, new_locals = normalize_equation(prog, "f", eq)
-    assert eqs == [NDef("spd", BASE_CLOCK, Binop("+", Var("acc"), Const(1)))]
-    assert new_locals == []
+def test_normalize_equation_flat_is_identity():
+    eqs, new_locals = _normalized("node f(acc: int) returns (spd: int); let spd = acc + 1; tel")
+    assert eqs == (NDef("spd", BASE_CLOCK, Binop("+", Var("acc"), Const(1))),)
+    assert new_locals == ()
 
 
 def test_normalize_tuple_equation_splits():
-    prog = parse_program("node f(x: int) returns (a, b: int); let (a, b) = (x, x + 1); tel")
-    eq = prog.node("f").equations[0]
-    eqs, _ = normalize_equation(prog, "f", Def(eq.targets, BASE_CLOCK, eq.exprs))
-    assert eqs == [NDef("a", BASE_CLOCK, Var("x")),
-                   NDef("b", BASE_CLOCK, Binop("+", Var("x"), Const(1)))]
+    eqs, _ = _normalized("node f(x: int) returns (a, b: int); let (a, b) = (x, x + 1); tel")
+    assert eqs == (NDef("a", BASE_CLOCK, Var("x")),
+                   NDef("b", BASE_CLOCK, Binop("+", Var("x"), Const(1))))
 
 
 # ---------------------------------------------------------------------------
