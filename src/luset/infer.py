@@ -323,7 +323,7 @@ def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
     return ConstraintSet(live)
 
 
-def infer_node_signature(prog: Program, node: Node, sigs: Mapping[str, NodeSignature],
+def infer_node_signature(node: Node, sigs: Mapping[str, NodeSignature],
                          fresh: FreshVars | None = None) -> InferenceResult:
     """Infer the security signature of one node (callee signatures given).
 
@@ -372,7 +372,7 @@ def _infer_program(prog: Program) -> dict[str, InferenceResult]:
     results: dict[str, InferenceResult] = {}
     sigs: dict[str, NodeSignature] = {}
     for name in node_order(prog):
-        res = infer_node_signature(prog, prog.node(name), sigs, fresh)
+        res = infer_node_signature(prog.node(name), sigs, fresh)
         results[name] = res
         sigs[name] = res.signature
     return {name: results[name] for name in prog.node_names}
@@ -476,7 +476,7 @@ def solve_interface(res: InferenceResult, assignment: Mapping[str, str],
     return {v: s.get(v, lat.bottom) for v in interface}, satisfiable
 
 
-def check_node(prog: Program, results: Mapping[str, InferenceResult], name: str,
+def check_node(results: Mapping[str, InferenceResult], name: str,
                assignment: Mapping[str, str], lat: Lattice) -> NodeReport:
     """Verdict for one node under a (possibly partial) interface assignment.
 
@@ -551,5 +551,5 @@ def check_program(prog: Program, lat: Lattice,
             raise InferError("bad-assignment", "assignment entry lacks a node name")
         if not prog.has_node(name):
             raise InferError("unknown-node", f"assignment names unknown node {name}")
-        reports.append(check_node(prog, results, name, flat, lat))
+        reports.append(check_node(results, name, flat, lat))
     return Report(lat.name, reports)

@@ -1,4 +1,4 @@
-"""Concrete syntax: a tokenizer, recursive-descent parser and pretty-printer.
+"""Concrete syntax: a regex tokenizer, recursive-descent parser and pretty-printer.
 
 Grammar sketch (see README for the operator precedence table):
 
@@ -11,12 +11,19 @@ Grammar sketch (see README for the operator precedence table):
     equation  := lhs "=" exprlist ";"
     lhs       := ident | "(" ident ("," ident)* ")"
 
-`--` starts a comment running to the end of the line.
+Lexical rules: an identifier starts with a letter or `_` and goes on with
+letters, digits and `_`; an integer literal is a run of decimal digits;
+space, tab, CR and LF are the only blanks, and `--` starts a comment running
+to the end of the line. Any other character is `unexpected character`.
+Binary operators are parsed by precedence climbing over `_BINARY`, the table
+the printer reads too, so printed programs re-parse to themselves.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
@@ -27,68 +34,58 @@ KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else",
             "merge", "when", "fby", "not", "and", "or", "div", "mod",
             "true", "false", "int", "bool", BASE}
 
-_SYMBOLS = ("<>", "<=", ">=", "(", ")", ":", ";", ",", "=", "<", ">", "+", "-", "*")
+# Unnamed alternatives (blanks, comments) are skipped. `\d` is a Unicode
+# decimal digit, as `int` reads it; `\w+` is checked for a letter or `_` first.
+_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r]+
+  | --[^\n]*
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<sym><>|<=|>=|[():;,=<>+*-])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+# Binary operator -> (level, chains). Loosest first; comparisons do not chain.
+# `fby` (level 1) and `when` (level 2) bind looser, prefix `not` and `-`
+# (`_UNARY`) tighter.
+_BINARY = {"or": (3, True), "and": (4, True),
+           **{op: (5, False) for op in ("=", "<>", "<=", ">=", "<", ">")},
+           "+": (6, True), "-": (6, True),
+           "*": (7, True), "div": (7, True), "mod": (7, True)}
+_FBY, _WHEN, _UNARY = 1, 2, 8
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | "kw" | "sym" | "eof"
     text: str
-    span: SourceSpan
+    line: int
+    col: int
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span(l0, c0, l1, c1):
-        return SourceSpan(filename, l0, c0, l1, c1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_l, start_c = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], span(start_l, start_c, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, span(start_l, start_c, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, span(start_l, start_c, line, col + len(sym))))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError([Diagnostic("syntax-error", f"unexpected character {c!r}",
-                                         span=span(start_l, start_c, line, col + 1))])
-    toks.append(Token("eof", "", span(line, col, line, col)))
+        lexeme = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
+            if lexeme[0].isalpha() or lexeme[0] == "_":
+                kind = "kw" if lexeme in KEYWORDS else "ident"
+            else:
+                kind = "bad"
+        if kind == "bad":
+            raise ParseError([Diagnostic("syntax-error", f"unexpected character {lexeme[0]!r}",
+                                         span=SourceSpan(filename, line, col, line, col + 1))])
+        toks.append(Token(kind, lexeme, line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -109,9 +106,10 @@ def _flatten(items) -> tuple[Expr, ...]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], filename: str):
         self.toks = tokens
         self.pos = 0
+        self.filename = filename
 
     # -- token helpers ------------------------------------------------------
     def peek(self) -> Token:
@@ -123,8 +121,9 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("kw", "sym")
+        # only keyword and symbol texts are asked for, and no identifier or
+        # literal is spelt like one
+        return self.toks[self.pos].text == text
 
     def eat(self, text: str) -> bool:
         if self.at(text):
@@ -143,10 +142,15 @@ class _Parser:
             self.fail("expected an identifier")
         return self.next()
 
+    def error(self, kind: str, message: str) -> ParseError:
+        tok = self.peek()
+        span = SourceSpan(self.filename, tok.line, tok.col, tok.line, tok.col + len(tok.text))
+        return ParseError([Diagnostic(kind, message, span=span)])
+
     def fail(self, message: str):
         tok = self.peek()
         got = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError([Diagnostic("syntax-error", f"{message}, found {got!r}", span=tok.span)])
+        raise self.error("syntax-error", f"{message}, found {got!r}")
 
     # -- program structure --------------------------------------------------
     def program(self) -> Program:
@@ -190,7 +194,7 @@ class _Parser:
             self.fail("expected a type (int or bool)")
         ck: Clock = BASE_CLOCK
         while self.at("when"):
-            ck = self.clock_suffix(ck)
+            ck = ClockOn(ck, *self.when_suffix())
         return [VarDecl(nm, ty, ck) for nm in names]
 
     def decls(self, stop: str) -> tuple[VarDecl, ...]:
@@ -219,15 +223,13 @@ class _Parser:
             if self.peek().kind != "ident":
                 return tuple(out)
 
-    def clock_suffix(self, ck: Clock) -> Clock:
+    def when_suffix(self) -> tuple[str, bool]:
+        """`when [not] x [= true|false]`, on a declaration or an expression."""
         self.expect("when")
         if self.eat("not"):
-            return ClockOn(ck, self.expect_ident().text, False)
+            return self.expect_ident().text, False
         name = self.expect_ident().text
-        value = True
-        if self.eat("="):
-            value = self.bool_literal()
-        return ClockOn(ck, name, value)
+        return name, self.bool_literal() if self.eat("=") else True
 
     def bool_literal(self) -> bool:
         if self.eat("true"):
@@ -255,68 +257,30 @@ class _Parser:
 
     # -- expressions, loosest binding first ---------------------------------
     def expr(self):
-        return self.fby_level()
-
-    def fby_level(self):
-        left = self.when_level()
-        if self.eat("fby"):
-            right = self.fby_level()  # right associative
-            return Fby(_flatten([left]), _flatten([right]))
-        return left
-
-    def when_level(self):
-        e = self.or_level()
+        e = self.binary(_WHEN + 1)
         while self.at("when"):
-            self.next()
-            if self.eat("not"):
-                name, value = self.expect_ident().text, False
-            else:
-                name = self.expect_ident().text
-                value = self.bool_literal() if self.eat("=") else True
-            e = When(_flatten([e]), name, value)
+            e = When(_flatten([e]), *self.when_suffix())
+        if self.eat("fby"):  # right associative
+            return Fby(_flatten([e]), _flatten([self.expr()]))
         return e
 
-    def or_level(self):
-        e = self.and_level()
-        while self.at("or"):
-            self.next()
-            e = Binop("or", self.single(e), self.single(self.and_level()))
-        return e
-
-    def and_level(self):
-        e = self.cmp_level()
-        while self.at("and"):
-            self.next()
-            e = Binop("and", self.single(e), self.single(self.cmp_level()))
-        return e
-
-    def cmp_level(self):
-        e = self.add_level()
-        for op in ("=", "<>", "<=", ">=", "<", ">"):
-            if self.at(op):
-                self.next()
-                return Binop(op, self.single(e), self.single(self.add_level()))
-        return e
-
-    def add_level(self):
-        e = self.mul_level()
-        while self.at("+") or self.at("-"):
-            op = self.next().text
-            e = Binop(op, self.single(e), self.single(self.mul_level()))
-        return e
-
-    def mul_level(self):
+    def binary(self, min_level: int):
+        """Precedence climbing (Pratt, POPL 1973) over `_BINARY`: operators
+        of at least `min_level`; after a non-chaining one, only looser ones."""
         e = self.unary()
-        while self.at("*") or self.at("div") or self.at("mod"):
-            op = self.next().text
-            e = Binop(op, self.single(e), self.single(self.unary()))
-        return e
+        max_level = _UNARY
+        while True:
+            op = self.peek().text
+            level, chains = _BINARY.get(op, (0, True))
+            if not min_level <= level <= max_level:
+                return e
+            self.next()
+            e = Binop(op, self.single(e), self.single(self.binary(level + 1)))
+            max_level = level if chains else level - 1
 
     def unary(self):
-        if self.eat("not"):
-            return Unop("not", self.single(self.unary()))
-        if self.eat("-"):
-            return Unop("-", self.single(self.unary()))
+        if self.at("not") or self.at("-"):
+            return Unop(self.next().text, self.single(self.unary()))
         return self.primary()
 
     def single(self, e) -> Expr:
@@ -329,11 +293,10 @@ class _Parser:
     def primary(self, no_call: bool = False):
         tok = self.peek()
         if tok.kind == "int":
-            self.next()
             # length first: int() refuses very long digit strings
             if len(tok.text.lstrip("0")) > 19 or int(tok.text) >= 1 << 63:
-                raise ParseError([Diagnostic("int-out-of-range",
-                                             "integer literal exceeds 2^63-1", span=tok.span)])
+                raise self.error("int-out-of-range", "integer literal exceeds 2^63-1")
+            self.next()
             return Const(int(tok.text))
         if self.eat("true"):
             return Const(True)
@@ -377,23 +340,16 @@ class _Parser:
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse source text into a program. Raises ParseError with located
     diagnostics on malformed input."""
-    parser = _Parser(tokenize(text, filename))
+    parser = _Parser(tokenize(text, filename), filename)
     try:
         return parser.program()
     except RecursionError:
-        raise ParseError([Diagnostic("nesting-too-deep", "expression nested too deeply",
-                                     parser.peek().span)]) from None
+        raise parser.error("nesting-too-deep", "expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------
-
-_PREC = {"fby": 1, "when": 2, "or": 3, "and": 4,
-         "=": 5, "<>": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-         "+": 6, "-": 6, "*": 7, "div": 7, "mod": 7}
-_UNARY_PREC = 8
-
 
 def _show_const(c: Const) -> str:
     if isinstance(c.value, bool):
@@ -411,24 +367,22 @@ def _show_expr(e: Expr, prec: int = 0) -> str:
         case Var(x):
             return x
         case Unop(op, a):
-            body = _show_expr(a, _UNARY_PREC)
+            body = _show_expr(a, _UNARY)
             sep = " " if op == "not" or body.startswith("-") else ""
-            return paren(f"{op}{sep}{body}", _UNARY_PREC)
+            return paren(f"{op}{sep}{body}", _UNARY)
         case Binop(op, a, b):
-            p = _PREC[op]
-            return paren(f"{_show_expr(a, p)} {op} {_show_expr(b, p + 1)}", p)
+            p, chains = _BINARY[op]
+            return paren(f"{_show_expr(a, p if chains else p + 1)} {op} {_show_expr(b, p + 1)}", p)
         case When(args, x, k):
-            inner = _show_tuple(args, _PREC["when"])
             tail = x if k else f"not {x}"
-            return paren(f"{inner} when {tail}", _PREC["when"])
+            return paren(f"{_show_tuple(args, _WHEN)} when {tail}", _WHEN)
         case Merge(x, ts, fs):
             return f"merge {x} {_show_branch(ts)} {_show_branch(fs)}"
         case Ite(c, ts, fs):
             body = f"if {_show_expr(c)} then {_show_tuple(ts, 0)} else {_show_tuple(fs, 0)}"
             return paren(body, 0) if prec > 0 else body
         case Fby(e0s, es):
-            p = _PREC["fby"]
-            return paren(f"{_show_tuple(e0s, p + 1)} fby {_show_tuple(es, p)}", p)
+            return paren(f"{_show_tuple(e0s, _FBY + 1)} fby {_show_tuple(es, _FBY)}", _FBY)
         case Call(f, args):
             return f"{f}({', '.join(_show_expr(a) for a in args)})"
     raise TypeError(f"_show_expr: unsupported {e!r}")

@@ -283,9 +283,6 @@ class Lattice:
                     raise LatticeError(f"elements {a!r} and {b!r} lack a unique join")
                 self._join[(a, b)] = self._join[(b, a)] = lub_ab
 
-    def _leq_raw(self, a: str, b: str) -> bool:
-        return b in self._up[a]
-
     def leq(self, a: str, b: str) -> bool:
         self._check(a)
         self._check(b)
@@ -302,7 +299,7 @@ class Lattice:
 
     @property
     def top(self) -> str | None:
-        tops = [e for e in self.elements if all(self._leq_raw(x, e) for x in self.elements)]
+        tops = [e for e in self.elements if all(e in self._up[x] for x in self.elements)]
         return tops[0] if tops else None
 
     # -- constructors --------------------------------------------------------

@@ -154,6 +154,8 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["run", "echo.lus", "--node", "f", "--inputs", "wide.csv"],
     ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "leak.json",
      "--level", "Z"],
+    ["signature", "sup.lus"],
+    ["signature", "sup_after_digit.lus"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
@@ -162,7 +164,8 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
         "deep-flat-sum-normalize", "deep-flat-sum-run", "literal-out-of-range",
         "trace-cell-out-of-range", "trace-cell-too-long", "program-not-utf8",
         "trace-not-utf8", "lattice-not-utf8", "assignment-not-utf8", "trace-is-a-directory",
-        "trace-field-over-csv-limit", "ni-unknown-level"])
+        "trace-field-over-csv-limit", "ni-unknown-level", "non-decimal-digit",
+        "non-decimal-digit-after-digit"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -182,6 +185,8 @@ def test_malformed_input_exit_two(files, capsys, argv):
     (files / "latin1.json").write_bytes(b'{"node": "Leak", "base": "\xff"}')
     (files / "dir.csv").mkdir()
     (files / "wide.csv").write_text("x\n" + "9" * 140_000 + "\n")
+    (files / "sup.lus").write_text("node f(x: int) returns (y: int); let y = ²; tel")
+    (files / "sup_after_digit.lus").write_text("node f(x: int) returns (y: int); let y = 1²; tel")
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -363,3 +368,16 @@ def test_suite_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert any(d["check"] == "non-interference" for d in data)
     assert all(d["verdict"] in ("pass", "vacuously-skipped") for d in data)
+
+
+@pytest.mark.parametrize("rhs", ["(a = b) = c", "(a < b) = c"])
+def test_normalize_output_is_a_fixpoint(tmp_path, capsys, rhs):
+    """Comparisons do not chain, so a comparison left of another one keeps
+    its parentheses and normalising the output again reproduces it."""
+    src = tmp_path / "cmp.lus"
+    src.write_text(f"node f(a, b: int; c: bool) returns (y: bool); let y = {rhs}; tel\n")
+    assert main(["normalize", str(src)]) == 0
+    once = capsys.readouterr().out
+    (tmp_path / "once.lus").write_text(once)
+    assert main(["normalize", str(tmp_path / "once.lus")]) == 0
+    assert capsys.readouterr().out == once

@@ -6,7 +6,7 @@ from luset.diagnostics import ParseError
 from luset.harness import gen_program
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, Ite, Merge,
                         Ty, Var, When)
-from luset.parser import parse_program, pretty_print
+from luset.parser import parse_program, pretty_print, tokenize
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_SRC, LEAK_ITE_SRC,
                       LEAK_MERGE_SRC, RE_TRIG_SRC)
@@ -143,3 +143,49 @@ tel
     assert node.decl("s").clock == ClockOn(BASE_CLOCK, "c", True)
     assert node.decl("u").clock == ClockOn(BASE_CLOCK, "c", False)
     assert parse_program(pretty_print(prog)) == prog
+
+
+@pytest.mark.parametrize("rhs", ["(a = b) = c", "(a < b) = c"])
+def test_comparison_left_operand_round_trips(rhs):
+    prog = parse_program(f"node f(a, b: int; c: bool) returns (y: bool); let y = {rhs}; tel")
+    once = pretty_print(prog)
+    assert parse_program(once) == prog
+    assert pretty_print(parse_program(once)) == once
+
+
+_HEADER = "node f(x: int) returns (y: int);"
+
+
+@pytest.mark.parametrize("text, diagnostic", [
+    (_HEADER + "\nlet\n\ty = x $;\ntel\n", "f.lus:3:8: syntax-error: unexpected character '$'"),
+    (_HEADER + "\r\nlet\r\n  y = x +;\r\ntel\r\n",
+     "f.lus:3:10: syntax-error: expected an expression, found ';'"),
+    (_HEADER + " -- note\nlet y = x x; tel\n", "f.lus:2:11: syntax-error: expected ';', found 'x'"),
+    (_HEADER + " let y = ½; tel", "f.lus:1:42: syntax-error: unexpected character '½'"),
+    (_HEADER + " let y = x;\f tel", "f.lus:1:44: syntax-error: unexpected character '\\x0c'"),
+    (_HEADER + " let y =\xa0x; tel", "f.lus:1:41: syntax-error: unexpected character '\\xa0'"),
+    (_HEADER + " let y = ²; tel", "f.lus:1:42: syntax-error: unexpected character '²'"),
+    (_HEADER + " let y = x; -- end",
+     "f.lus:1:51: syntax-error: expected an identifier, found 'end of input'"),
+], ids=["after-tab", "after-crlf", "after-comment", "vulgar-half", "form-feed", "nbsp",
+        "superscript-two", "eof-after-comment"])
+def test_lexer_diagnostic_positions(text, diagnostic):
+    with pytest.raises(ParseError) as err:
+        parse_program(text, filename="f.lus")
+    assert str(err.value) == diagnostic
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("12abc", [("int", "12"), ("ident", "abc")]),
+    ("<>=", [("sym", "<>"), ("sym", "=")]),
+    ("α1", [("ident", "α1")]),
+    ("٣", [("int", "٣")]),
+])
+def test_token_kinds(text, tokens):
+    assert [(t.kind, t.text) for t in tokenize(text)] == tokens + [("eof", "")]
+
+
+def test_unicode_identifier_and_decimal_digit():
+    (eq,) = parse_program("node f(α1: int) returns (y: int); let y = α1 + ٣; tel"
+                          ).node("f").equations
+    assert eq.exprs == (Binop("+", Var("α1"), Const(3)),)
