@@ -51,11 +51,14 @@ class ParseError(LusetError):
 
 
 class ElaborationError(LusetError):
-    """Clock or data-type inconsistency found while annotating a program."""
+    """Clock or data-type inconsistency found while annotating a program.
+
+    Identical diagnostics (a clock error repeated at every level of a nested
+    `merge`) are reported once, in the order first found."""
 
     def __init__(self, diagnostics: list[Diagnostic]):
-        self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
+        self.diagnostics = list(dict.fromkeys(diagnostics))
+        super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
 class CausalityError(LusetError):

@@ -278,24 +278,50 @@ def _input_order(node: Node) -> list[VarDecl]:
     return done
 
 
+_INT_LO, _INT_HI = -9, 9
+_INT_SPAN = _INT_HI - _INT_LO + 1
+_INT_BITS = _INT_SPAN.bit_length()
+
+
+def _samples(rng: random.Random, ty: Ty, n: int) -> list:
+    """n random values of a type: `random() < 0.5` for a bool, and for an
+    int what `randint(_INT_LO, _INT_HI)` draws in CPython 3.10-3.12
+    (`getrandbits` of the span's bit length until below the span)."""
+    if ty is Ty.BOOL:
+        random_ = rng.random
+        return [random_() < 0.5 for _ in range(n)]
+    getrandbits = rng.getrandbits
+    vs = []
+    for _ in range(n):
+        r = getrandbits(_INT_BITS)
+        while r >= _INT_SPAN:
+            r = getrandbits(_INT_BITS)
+        vs.append(r + _INT_LO)
+    return vs
+
+
 def gen_inputs(rng: random.Random, node: Node, ticks: int,
                shared: Mapping[str, list] | None = None) -> History:
     """Random input streams honouring declared clocks: a stream is present
     exactly where its clock (evaluated over the sampled drivers) is live.
-    Streams named in `shared` are copied instead of sampled."""
+    Streams named in `shared` are copied instead of sampled.
+
+    The draws are exactly those of drawing each input in `_input_order`,
+    tick by tick on its live ticks, with `rng.random() < 0.5` for a bool
+    and `rng.randint(-9, 9)` for an int, so the values and the generator
+    state after the call are those of that loop, and so is every
+    `suite --seed` output. `tests/test_draws.py` pins both.
+    """
     streams: History = {}
     for d in _input_order(node):
         if shared is not None and d.name in shared:
             streams[d.name] = list(shared[d.name])
-            continue
-        live = eval_clock(streams, [True] * ticks, d.clock)
-        vs = []
-        for t in range(ticks):
-            if live[t]:
-                vs.append(rng.random() < 0.5 if d.ty is Ty.BOOL else rng.randint(-9, 9))
-            else:
-                vs.append(ABSENT)
-        streams[d.name] = vs
+        elif isinstance(d.clock, ClockBase):  # live at every tick
+            streams[d.name] = _samples(rng, d.ty, ticks)
+        else:
+            live = eval_clock(streams, [True] * ticks, d.clock)
+            samples = iter(_samples(rng, d.ty, live.count(True)))
+            streams[d.name] = [next(samples) if b else ABSENT for b in live]
     return streams
 
 
@@ -318,8 +344,13 @@ class NIConfig:
 def project_history(history: History, levels: Mapping[str, str], level: str,
                     lat: Lattice) -> History:
     """Restrict a history to the variables at or below the given level."""
-    return {x: vs for x, vs in history.items()
-            if x in levels and lat.leq(levels[x], level)}
+    observed = _observed(levels, level, lat)
+    return {x: vs for x, vs in history.items() if x in observed}
+
+
+def _observed(levels: Mapping[str, str], level: str, lat: Lattice) -> set[str]:
+    """The variables at or below the given level."""
+    return {x for x, c in levels.items() if lat.leq(c, level)}
 
 
 def _variable_levels(res: InferenceResult, interface_inst: Mapping[str, str],
@@ -354,6 +385,7 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     levels = _variable_levels(res, solved, lat)
 
     equal_inputs = _equal_closure(node, levels, cfg.level, lat)
+    observed = _observed(levels, cfg.level, lat)
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
         shared = gen_inputs(rng, node, cfg.ticks)
@@ -366,9 +398,8 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
             return CheckReport("non-interference", INCONCLUSIVE, node=cfg.node,
                                trials=trial + 1, seed=cfg.seed,
                                reason=str(exc), details=details)
-        p1 = project_history(h1, levels, cfg.level, lat)
-        p2 = project_history(h2, levels, cfg.level, lat)
-        diff = _first_difference(p1, p2)
+        diff = _first_difference({x: vs for x, vs in h1.items() if x in observed},
+                                 {x: vs for x, vs in h2.items() if x in observed})
         if diff is not None:
             var, tick = diff
             return CheckReport(
@@ -402,11 +433,16 @@ def _equal_closure(node: Node, levels: Mapping[str, str], level: str,
 
 
 def _first_difference(h1: History, h2: History) -> tuple[str, int] | None:
+    """First differing (variable, tick) in name order, comparing streams
+    over their common prefix; (name, -1) for a variable only one side has."""
     if set(h1) != set(h2):
         stray = set(h1) ^ set(h2)
         return sorted(stray)[0], -1
     for x in sorted(h1):
-        for t, (a, b) in enumerate(zip(h1[x], h2[x])):
+        xs, ys = h1[x], h2[x]
+        if _streams_equal(xs, ys):
+            continue
+        for t, (a, b) in enumerate(zip(xs, ys)):
             if not _values_equal(a, b):
                 return x, t
     return None
@@ -421,7 +457,10 @@ def _values_equal(a, b) -> bool:
 
 
 def _streams_equal(xs, ys) -> bool:
-    return len(xs) == len(ys) and all(_values_equal(a, b) for a, b in zip(xs, ys))
+    """Same length and `_values_equal` at every tick, a whole list at a
+    time: `==` alone takes `True` for `1` and `False` for `0`, so the types
+    are compared too, and `ABSENT` is a singleton equal only to itself."""
+    return xs == ys and list(map(type, xs)) == list(map(type, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,19 @@ def test_deep_flat_sum_is_one_line_diagnostic(files, capsys):
     assert capsys.readouterr().err == f"{flat}: nesting-too-deep: expression nested too deeply\n"
 
 
+def test_nested_merge_clock_error_reported_once(files, capsys):
+    """Each of 50 nested `merge c (...) (x when not c)` finds the same clock
+    error in `x`; it is printed once."""
+    body = "x"
+    for _ in range(50):
+        body = f"merge c ({body}) (x when not c)"
+    deep = files / "merge50.lus"
+    deep.write_text(f"node f(x: int; c: bool) returns (y: int); let y = {body}; tel")
+    assert main(["signature", str(deep)]) == 2
+    assert capsys.readouterr().err == \
+        "f#eq0: clock-mismatch: expected clock 'base', found 'base on c'\n"
+
+
 def test_check_json_schema(files, capsys):
     main(["check", str(files / "leak.lus"), "--lattice", "two-point",
           "--assign", str(files / "leak.json"), "--json"])
