@@ -21,7 +21,7 @@ from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, satisfies)
 from .streams import (ABSENT, History, default_base_clock, eval_clock, eval_node,
-                      interpret_node, run_node, show_value)
+                      interpret_node, run_compiled, run_node, show_value)
 
 PASS = "pass"
 FAIL = "fail"
@@ -64,6 +64,12 @@ class CheckReport:
 
 def gen_lattice(rng: random.Random, max_elements: int = 8) -> Lattice:
     """A random join-semilattice: the OR-closure of a few 4-bit masks."""
+    return _mask_lattice(_draw_masks(rng, max_elements))
+
+
+def _draw_masks(rng: random.Random, max_elements: int = 8) -> frozenset[int]:
+    """The OR-closure of a few random 4-bit masks and 0, redrawn until it
+    has at most `max_elements` masks."""
     while True:
         seeds = {rng.randrange(1, 16) for _ in range(rng.randint(1, 3))}
         masks = {0} | seeds
@@ -76,7 +82,11 @@ def gen_lattice(rng: random.Random, max_elements: int = 8) -> Lattice:
                         masks.add(a | b)
                         changed = True
         if len(masks) <= max_elements:
-            break
+            return frozenset(masks)
+
+
+def _mask_lattice(masks: frozenset[int]) -> Lattice:
+    """The lattice of a set of masks ordered by inclusion."""
     names = {m: f"m{m}" for m in sorted(masks)}
     covers = [(names[a], names[b]) for a in masks for b in masks
               if a != b and a | b == b]
@@ -472,9 +482,12 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     """Outputs of a node agree, value for value, before and after
     normalisation, over random clock-honouring input prefixes.
 
-    The source runs on the tree interpreter (`streams.interpret_node`) and
-    the normal form through `eval_node`, which runs compiled core-form code,
-    so the two sides never share an evaluator."""
+    The source runs on the tree interpreter (`streams.interpret_node`). The
+    normal form runs as the compiled code of `codegen.runner(prog, node)`,
+    which is generated from this very normal form and is the build that
+    non-interference trials of the node reuse. When that code is refused or
+    its run raises, the normal form runs through `eval_node`, and never the
+    source, so the two sides never share an evaluator."""
     prog = elaborate(prog)
     try:
         nprog, _ = normalize_program(prog)
@@ -486,14 +499,17 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     for trial in range(trials):
         ins = gen_inputs(rng, node, ticks)
         positional = [ins[d.name] for d in node.inputs]
+        bs = default_base_clock(positional, ticks)
         try:
-            ref = interpret_node(prog, node, ins, ticks, default_base_clock(positional, ticks))
+            ref = interpret_node(prog, node, ins, ticks, bs)
             out1 = [ref[d.name] for d in node.outputs]
-            out2 = eval_node(nprog, node_name, [list(vs) for vs in positional], ticks)
+            out2 = run_compiled(prog, node_name, positional, bs)
+            if out2 is None:
+                out2 = eval_node(nprog, node_name, [list(vs) for vs in positional], ticks)
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                                trials=trial + 1, seed=seed, reason=str(exc))
-        for d, s1, s2 in zip(node.outputs, out1, out2):
+        for d, s1, s2 in zip(node.outputs, out1, out2):  # out2 may go on with the locals
             if not _streams_equal(s1, s2):
                 tick = next(t for t, (a, b) in enumerate(zip(s1, s2))
                             if not _values_equal(a, b))
@@ -607,6 +623,7 @@ def check_equational_soundness(samples: int = 1000, instantiations: int = 10,
     constraint sets are equi-satisfiable."""
     rng = random.Random(seed)
     pool = [f"δ{i}" for i in range(1, 7)]
+    lattices: dict[frozenset[int], Lattice] = {}  # built once per mask set this call draws
     for trial in range(samples):
         t = _gen_raw_type(rng, pool, rng.randint(1, 4))
         t2 = _restructure(rng, t)
@@ -617,7 +634,10 @@ def check_equational_soundness(samples: int = 1000, instantiations: int = 10,
                                counterexample={"type": repr(t), "rewritten": repr(t2),
                                                "canon1": str(c1), "canon2": str(c2)})
         for _ in range(instantiations):
-            lat = gen_lattice(rng)
+            masks = _draw_masks(rng)
+            if masks not in lattices:
+                lattices[masks] = _mask_lattice(masks)
+            lat = lattices[masks]
             s = {v: rng.choice(lat.elements) for v in pool}
             if eval_ground(c1, s, lat) != eval_ground(c2, s, lat) or \
                     satisfies(r1, s, lat) != satisfies(r2, s, lat):

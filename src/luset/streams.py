@@ -5,28 +5,32 @@ value is present and the ABSENT sentinel where it is not. Nodes execute
 tick-major: each tick, equations run in causal order, and delay state is
 updated once all of the tick's values are known.
 
-`run_node` runs nodes as compiled core-form code (see `codegen`). The tree
-interpreter below ("Compiled tick-wise evaluation": `NodeInstance` walking
-an object tree per equation, reached through `interpret_node`) is the
-reference the compiled code is tested against, the evaluator of the source
-side of the harness's semantics-preservation check, and the fallback that runs
-a program which does not compile or whose compiled run fails, so every
-result and diagnostic is the interpreter's. The whole-prefix stream
+`run_node` runs nodes as compiled core-form code (see `codegen`) through
+`run_compiled`. The tree interpreter below ("Compiled tick-wise evaluation":
+`NodeInstance`, reached through `interpret_node`) compiles each expression
+of a node once into a Python closure `fn(t, vals, bs_t)` that returns the
+expression's values at one tick (Feeley & Lapalme, "Using closures for code
+generation", 1987), with delay and call state in two small classes. It is
+the reference the compiled code is tested against, the evaluator of the
+source side of the harness's semantics-preservation check, and the fallback
+that runs a program which does not compile or whose compiled run fails, so
+every result and diagnostic is the interpreter's. The whole-prefix stream
 operators (`lift_unop` … `respects_clock`) and the whole-prefix entry point
 `eval_expr` are in turn the reference for the tree interpreter: nothing in
 the package calls them, and the tests check the interpreter against them.
-All clock evaluation of the interpreter goes through `_tick_clock`.
+A closure on the base clock reads `bs_t` directly; every other clock of
+the interpreter goes through `_tick_clock`.
 """
 
 from __future__ import annotations
 
 import csv
 from operator import itemgetter
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .diagnostics import EvalError
-from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
-                   Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
+from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
+                   Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
                    Var, When, check_causality, clock_vars, eq_targets)
 
 
@@ -282,294 +286,260 @@ def _tick_clock(ck: Clock, vals: dict, bs_t: bool, t: int) -> bool:
 # of the generated code of `codegen`
 # ---------------------------------------------------------------------------
 
-class _Compiled:
-    width: int = 1
-
-    def eval(self, t: int, vals: dict, bs_t: bool) -> list:
-        raise NotImplementedError
-
-
-class _CConst(_Compiled):
-    def __init__(self, value, clock: Clock):
-        self.value = value
-        self.clock = clock
-
-    def eval(self, t, vals, bs_t):
-        return [self.value if _tick_clock(self.clock, vals, bs_t, t) else ABSENT]
+# An expression of a node instance compiled to a closure `fn(t, vals, bs_t)`:
+# its values at tick t, one per component, from the values the tick has
+# computed so far and the base clock's value at t.
+Tick = Callable[[int, dict, bool], list]
 
 
-class _CVar(_Compiled):
-    def __init__(self, name: str):
-        self.name = name
-
-    def eval(self, t, vals, bs_t):
-        return [vals[self.name]]
+def _const(value, ck: Clock) -> Tick:
+    if isinstance(ck, ClockBase):
+        return lambda t, vals, bs_t: [value if bs_t else ABSENT]
+    return lambda t, vals, bs_t: [value if _tick_clock(ck, vals, bs_t, t) else ABSENT]
 
 
-class _CUnop(_Compiled):
-    def __init__(self, op, arg: _Compiled):
-        self.op = op
-        self.arg = arg
-
-    def eval(self, t, vals, bs_t):
-        [v] = self.arg.eval(t, vals, bs_t)
-        return [ABSENT if v is ABSENT else _apply_unop(self.op, v, t)]
+def _var(x: str) -> Tick:
+    return lambda t, vals, bs_t: [vals[x]]
 
 
-class _CBinop(_Compiled):
-    def __init__(self, op, left: _Compiled, right: _Compiled):
-        self.op = op
-        self.left = left
-        self.right = right
-
-    def eval(self, t, vals, bs_t):
-        [a] = self.left.eval(t, vals, bs_t)
-        [b] = self.right.eval(t, vals, bs_t)
-        if present(a) != present(b):
-            raise EvalError("clocked-value-mismatch",
-                            f"operands of {self.op} disagree on presence", t)
-        return [ABSENT if a is ABSENT else _apply_binop(self.op, a, b, t)]
+def _unop(op: str, arg: Tick) -> Tick:
+    def fn(t, vals, bs_t):
+        [v] = arg(t, vals, bs_t)
+        return [ABSENT if v is ABSENT else _apply_unop(op, v, t)]
+    return fn
 
 
-class _CMany(_Compiled):
-    """Shared shape for operators over flattened argument lists."""
+def _binop(op: str, left: Tick, right: Tick) -> Tick:
+    def fn(t, vals, bs_t):
+        [a] = left(t, vals, bs_t)
+        [b] = right(t, vals, bs_t)
+        if (a is ABSENT) != (b is ABSENT):
+            raise EvalError("clocked-value-mismatch", f"operands of {op} disagree on presence", t)
+        return [ABSENT if a is ABSENT else _apply_binop(op, a, b, t)]
+    return fn
 
-    def __init__(self, parts: list[_Compiled]):
-        self.parts = parts
-        self.width = sum(p.width for p in parts)
 
-    def flat(self, t, vals, bs_t) -> list:
+def _many(parts: list[tuple[Tick, int]]) -> tuple[Tick, int]:
+    """The flattened values of a list of compiled expressions, and their
+    total width."""
+    if len(parts) == 1:
+        return parts[0]
+    fns = [fn for fn, _ in parts]
+
+    def fn(t, vals, bs_t):
         out = []
-        for p in self.parts:
-            out.extend(p.eval(t, vals, bs_t))
+        for f in fns:
+            out += f(t, vals, bs_t)
         return out
+    return fn, sum(w for _, w in parts)
 
-    eval = flat
 
-
-class _CWhen(_Compiled):
-    def __init__(self, args: _CMany, var: str, value: bool):
-        self.args = args
-        self.var = var
-        self.value = value
-        self.width = args.width
-
-    def eval(self, t, vals, bs_t):
-        x = vals[self.var]
+def _when(args: Tick, x: str, k: bool) -> Tick:
+    def fn(t, vals, bs_t):
+        c = vals[x]
         out = []
-        for v in self.args.flat(t, vals, bs_t):
-            if present(x) != present(v):
+        for v in args(t, vals, bs_t):
+            if (c is ABSENT) != (v is ABSENT):
                 raise EvalError("clocked-value-mismatch",
-                                "when operands disagree on presence", t, self.var)
-            if x is ABSENT or x != self.value:
-                out.append(ABSENT)
-            else:
-                out.append(v)
+                                "when operands disagree on presence", t, x)
+            out.append(ABSENT if c is ABSENT or c != k else v)
         return out
+    return fn
 
 
-class _CMerge(_Compiled):
-    def __init__(self, var: str, ts: _CMany, fs: _CMany):
-        self.var = var
-        self.ts = ts
-        self.fs = fs
-        self.width = ts.width
-
-    def eval(self, t, vals, bs_t):
-        x = vals[self.var]
+def _merge(x: str, ts: Tick, fs: Tick) -> Tick:
+    def fn(t, vals, bs_t):
+        c = vals[x]
         out = []
-        for a, b in zip(self.ts.flat(t, vals, bs_t), self.fs.flat(t, vals, bs_t)):
-            if x is ABSENT:
-                if present(a) or present(b):
+        for a, b in zip(ts(t, vals, bs_t), fs(t, vals, bs_t)):
+            if c is ABSENT:
+                if a is not ABSENT or b is not ABSENT:
                     raise EvalError("clocked-value-mismatch",
-                                    "merge branch present while selector is absent", t, self.var)
+                                    "merge branch present while selector is absent", t, x)
                 out.append(ABSENT)
-            elif (x is True and (not present(a) or present(b))) or \
-                 (x is False and (present(a) or not present(b))):
+            elif (c is True and (a is ABSENT or b is not ABSENT)) or \
+                 (c is False and (a is not ABSENT or b is ABSENT)):
                 raise EvalError("clocked-value-mismatch",
-                                "merge branches must be complementary", t, self.var)
+                                "merge branches must be complementary", t, x)
             else:
-                out.append(a if x else b)
+                out.append(a if c else b)
         return out
+    return fn
 
 
-class _CIte(_Compiled):
-    def __init__(self, cond: _Compiled, ts: _CMany, fs: _CMany):
-        self.cond = cond
-        self.ts = ts
-        self.fs = fs
-        self.width = ts.width
-
-    def eval(self, t, vals, bs_t):
-        [c] = self.cond.eval(t, vals, bs_t)
+def _ite(cond: Tick, ts: Tick, fs: Tick) -> Tick:
+    def fn(t, vals, bs_t):
+        [c] = cond(t, vals, bs_t)
         out = []
-        for a, b in zip(self.ts.flat(t, vals, bs_t), self.fs.flat(t, vals, bs_t)):
-            if present(c) != present(a) or present(c) != present(b):
+        for a, b in zip(ts(t, vals, bs_t), fs(t, vals, bs_t)):
+            if (c is ABSENT) != (a is ABSENT) or (c is ABSENT) != (b is ABSENT):
                 raise EvalError("clocked-value-mismatch",
                                 "if operands disagree on presence", t)
             out.append(ABSENT if c is ABSENT else (a if c else b))
         return out
+    return fn
 
 
-class _CFby(_Compiled):
-    """Delay: a full-language `fby`, or the constant-initialised `NFby` of
-    the normal form, whose `target` names its diagnostics. Emits during the
-    tick's first evaluation; the delayed operand is read during the update
-    sweep at the end of the tick."""
+class _Delay:
+    """Delay state: a full-language `fby`, or the constant-initialised `NFby`
+    of the normal form, whose `target` names its diagnostics. `eval` emits
+    during the tick's first evaluation; `update`, in the sweep at the end of
+    the tick, reads the delayed operand."""
 
-    def __init__(self, init: _CMany, rest: _CMany, target: str | None = None):
+    def __init__(self, init: Tick, rest: Tick, width: int, target: str | None = None):
         self.init = init
         self.rest = rest
+        self.width = width
         self.target = target  # the defined variable of an equation-level delay
-        self.width = init.width
-        self.started = [False] * self.width
-        self.saved: list = [None] * self.width
+        self.started = [False] * width
+        self.saved: list = [None] * width
         self._tick = -1
         self._out: list = []
         self._pres: list = []
 
     def eval(self, t, vals, bs_t):
-        if self._tick == t:
-            return list(self._out)
-        heads = self.init.flat(t, vals, bs_t)
-        out = []
-        for i, h in enumerate(heads):
-            if h is ABSENT:
-                out.append(ABSENT)
-            elif self.started[i]:
-                out.append(self.saved[i])
-            else:
-                out.append(h)
-        self._tick = t
-        self._out = out
-        self._pres = [present(h) for h in heads]
-        return list(out)
+        if self._tick != t:
+            heads = self.init(t, vals, bs_t)
+            self._out = [ABSENT if h is ABSENT else (s if started else h)
+                         for h, s, started in zip(heads, self.saved, self.started)]
+            self._pres = [h is not ABSENT for h in heads]
+            self._tick = t
+        return self._out
 
     def update(self, t, vals, bs_t):
         self.eval(t, vals, bs_t)
-        tails = self.rest.flat(t, vals, bs_t)
+        tails = self.rest(t, vals, bs_t)
         if len(tails) != self.width:
             raise EvalError("arity-mismatch", "fby arguments have different widths", t)
         for i, v in enumerate(tails):
-            if present(v) != self._pres[i]:
+            if (v is not ABSENT) != self._pres[i]:
                 if self.target is not None:
                     raise EvalError("clocked-value-mismatch",
                                     f"delayed operand of {self.target} off its clock",
                                     t, self.target)
                 raise EvalError("clocked-value-mismatch",
                                 "fby operands disagree on presence", t)
-            if present(v):
+            if v is not ABSENT:
                 self.saved[i] = v
                 self.started[i] = True
 
 
-class _CCall(_Compiled):
-    def __init__(self, instance: "NodeInstance", args: _CMany, clock: Clock):
+class _Call:
+    """Call state: a sub-instance stepped at most once per tick, on the
+    presence of its arguments, or for a call without arguments on its
+    activation clock (None for the base clock)."""
+
+    def __init__(self, instance: "NodeInstance", args: Tick, clock: Clock):
         self.instance = instance
         self.args = args
-        self.clock = clock  # activation clock for calls without arguments
-        self.width = len(instance.node.outputs)
+        self.clock = None if isinstance(clock, ClockBase) else clock
         self._tick = -1
         self._out: list = []
 
     def eval(self, t, vals, bs_t):
-        if self._tick == t:
-            return list(self._out)
-        argv = self.args.flat(t, vals, bs_t)
-        flags = {present(v) for v in argv}
-        if len(flags) > 1:
-            raise EvalError("clocked-value-mismatch",
-                            f"arguments of {self.instance.node.name} disagree on presence", t)
-        live = flags.pop() if flags else _tick_clock(self.clock, vals, bs_t, t)
-        self._out = self.instance.step(argv, live)
-        self._tick = t
-        return list(self._out)
+        if self._tick != t:
+            argv = self.args(t, vals, bs_t)
+            flags = {v is not ABSENT for v in argv}
+            if len(flags) > 1:
+                raise EvalError("clocked-value-mismatch",
+                                f"arguments of {self.instance.node.name} disagree on presence", t)
+            if flags:
+                live = flags.pop()
+            else:
+                live = bs_t if self.clock is None else _tick_clock(self.clock, vals, bs_t, t)
+            self._out = self.instance.step(argv, live)
+            self._tick = t
+        return self._out
 
 
 class NodeInstance:
-    """One activation of a node: compiled equations in causal order plus all
-    delay state. Each step consumes one tick of inputs."""
+    """One activation of a node: its equations compiled to closures in
+    causal order, each with its targets and clock, plus all delay state.
+    Each step consumes one tick of inputs; `vals` holds the values of the
+    last tick."""
 
     def __init__(self, prog: Program, node: Node):
         self.prog = prog
         self.node = node
-        self.order = check_causality(node)
-        self.updaters: list = []
+        self.inputs = [d.name for d in node.inputs]
+        self.outputs = [d.name for d in node.outputs]
+        self.updaters: list[_Delay] = []
         self.t = -1
-        self._last_vals: dict = {}
+        self.vals: dict = {}
         clocks = {d.name: d.clock for d in node.declarations}
-        self.ticked: list[tuple[Equation, object]] = []
-        for idx in self.order:
-            eq = node.equations[idx]
-            self.ticked.append((eq, self._compile_equation(eq, clocks)))
+        self.ticked: list[tuple[Tick, tuple[str, ...], Clock | None]] = [
+            self._compile_equation(node.equations[i], clocks) for i in check_causality(node)]
 
     # -- compilation --------------------------------------------------------
     def _compile_equation(self, eq: Equation, clocks):
+        """The equation's closure, its targets, and the clock they are
+        checked against (`BASE_CLOCK` for the base clock, None for none)."""
         match eq:
             case Def(targets, ck, exprs):
-                ck = ck if ck is not None else ClockBase()
-                trees = _CMany([self._compile(e, ck, clocks) for e in exprs])
-                if trees.width != len(targets):
+                ambient = ck if ck is not None else BASE_CLOCK
+                fn, width = _many([self._compile(e, ambient, clocks) for e in exprs])
+                if width != len(targets):
                     raise EvalError("arity-mismatch",
-                                    f"{len(targets)} target(s) but {trees.width} stream(s)")
-                return trees
+                                    f"{len(targets)} target(s) but {width} stream(s)")
             case NDef(_, ck, e):
-                return _CMany([self._compile(e, ck, clocks)])
+                fn, _ = self._compile(e, ck, clocks)
             case NFby(x, ck, c, e):
-                comp = _CFby(_CMany([_CConst(c.value, ck)]),
-                             _CMany([self._compile(e, ck, clocks)]), x)
-                self.updaters.append(comp)
-                return comp
+                delay = _Delay(_const(c.value, ck), self._compile(e, ck, clocks)[0], 1, x)
+                self.updaters.append(delay)
+                fn = delay.eval
             case NCall(targets, ck, f, args):
-                callee = self.prog.node(f)
-                inst = NodeInstance(self.prog, callee)
-                trees = _CMany([self._compile(a, ck, clocks) for a in args])
-                call = _CCall(inst, trees, ck)
-                if call.width != len(targets):
+                inst = NodeInstance(self.prog, self.prog.node(f))
+                argv, _ = _many([self._compile(a, ck, clocks) for a in args])
+                fn = _Call(inst, argv, ck).eval
+                if len(inst.outputs) != len(targets):
                     raise EvalError("arity-mismatch",
-                                    f"{len(targets)} target(s) but {call.width} output(s)")
-                return call
-        raise TypeError(f"unsupported equation {eq!r}")
+                                    f"{len(targets)} target(s) but {len(inst.outputs)} output(s)")
+            case _:
+                raise TypeError(f"unsupported equation {eq!r}")
+        ck = eq.clock
+        return fn, eq_targets(eq), BASE_CLOCK if isinstance(ck, ClockBase) else ck
 
-    def _compile(self, e: Expr, ambient: Clock, clocks) -> _Compiled:
+    def _compile(self, e: Expr, ambient: Clock, clocks) -> tuple[Tick, int]:
+        """The closure of an expression on clock `ambient`, and its width."""
         match e:
             case Const():
-                return _CConst(e.value, ambient)
+                return _const(e.value, ambient), 1
             case Var(x):
-                return _CVar(x)
+                return _var(x), 1
             case Unop(op, a):
-                return _CUnop(op, self._compile(a, ambient, clocks))
+                return _unop(op, self._compile(a, ambient, clocks)[0]), 1
             case Binop(op, a, b):
-                return _CBinop(op, self._compile(a, ambient, clocks),
-                               self._compile(b, ambient, clocks))
+                return _binop(op, self._compile(a, ambient, clocks)[0],
+                              self._compile(b, ambient, clocks)[0]), 1
             case When(args, x, k):
                 inner = clocks.get(x, ambient)
-                return _CWhen(_CMany([self._compile(a, inner, clocks) for a in args]), x, k)
+                fn, width = _many([self._compile(a, inner, clocks) for a in args])
+                return _when(fn, x, k), width
             case Merge(x, ts, fs):
                 base = clocks.get(x, ambient)
-                cts = _CMany([self._compile(a, ClockOn(base, x, True), clocks) for a in ts])
-                cfs = _CMany([self._compile(a, ClockOn(base, x, False), clocks) for a in fs])
-                if cts.width != cfs.width:
+                on_t, width = _many([self._compile(a, ClockOn(base, x, True), clocks) for a in ts])
+                on_f, width_f = _many([self._compile(a, ClockOn(base, x, False), clocks)
+                                       for a in fs])
+                if width != width_f:
                     raise EvalError("arity-mismatch", "merge branches have different widths")
-                return _CMerge(x, cts, cfs)
+                return _merge(x, on_t, on_f), width
             case Ite(c, ts, fs):
-                cc = self._compile(c, ambient, clocks)
-                cts = _CMany([self._compile(a, ambient, clocks) for a in ts])
-                cfs = _CMany([self._compile(a, ambient, clocks) for a in fs])
-                if cts.width != cfs.width:
+                cond, _ = self._compile(c, ambient, clocks)
+                on_t, width = _many([self._compile(a, ambient, clocks) for a in ts])
+                on_f, width_f = _many([self._compile(a, ambient, clocks) for a in fs])
+                if width != width_f:
                     raise EvalError("arity-mismatch", "if branches have different widths")
-                return _CIte(cc, cts, cfs)
+                return _ite(cond, on_t, on_f), width
             case Fby(e0s, es):
-                heads = _CMany([self._compile(a, ambient, clocks) for a in e0s])
-                tails = _CMany([self._compile(a, ambient, clocks) for a in es])
-                comp = _CFby(heads, tails)
-                self.updaters.append(comp)
-                return comp
+                heads, width = _many([self._compile(a, ambient, clocks) for a in e0s])
+                tails, _ = _many([self._compile(a, ambient, clocks) for a in es])
+                delay = _Delay(heads, tails, width)
+                self.updaters.append(delay)
+                return delay.eval, width
             case Call(f, args):
-                callee = self.prog.node(f)
-                inst = NodeInstance(self.prog, callee)
-                return _CCall(inst, _CMany([self._compile(a, ambient, clocks) for a in args]),
-                              ambient)
+                inst = NodeInstance(self.prog, self.prog.node(f))
+                argv, _ = _many([self._compile(a, ambient, clocks) for a in args])
+                return _Call(inst, argv, ambient).eval, len(inst.outputs)
         raise TypeError(f"unsupported expression {e!r}")
 
     # -- execution -----------------------------------------------------------
@@ -577,27 +547,26 @@ class NodeInstance:
         """Advance one tick given per-input values; returns output values."""
         self.t += 1
         t = self.t
-        if len(inputs) != len(self.node.inputs):
+        if len(inputs) != len(self.inputs):
             raise EvalError("arity-mismatch",
-                            f"{self.node.name} expects {len(self.node.inputs)} input(s)")
-        vals: dict = {}
-        for decl, v in zip(self.node.inputs, inputs):
-            vals[decl.name] = v
-        for eq, comp in self.ticked:
-            outs = comp.eval(t, vals, bs_t)
-            targets = eq_targets(eq)
-            ck = eq.clock
-            live = _tick_clock(ck, vals, bs_t, t) if ck is not None else None
+                            f"{self.node.name} expects {len(self.inputs)} input(s)")
+        vals = dict(zip(self.inputs, inputs))
+        for fn, targets, ck in self.ticked:
+            outs = fn(t, vals, bs_t)
+            if ck is None:
+                vals.update(zip(targets, outs))
+                continue
+            live = bs_t if ck is BASE_CLOCK else _tick_clock(ck, vals, bs_t, t)
             for x, v in zip(targets, outs):
-                if live is not None and present(v) != live:
+                if (v is not ABSENT) != live:
                     raise EvalError("clocked-value-mismatch",
-                                    f"{x} is {'present' if present(v) else 'absent'} "
+                                    f"{x} is {'present' if v is not ABSENT else 'absent'} "
                                     f"while its clock is {'live' if live else 'idle'}", t, x)
                 vals[x] = v
         for upd in self.updaters:
             upd.update(t, vals, bs_t)
-        self._last_vals = vals
-        return [vals[d.name] for d in self.node.outputs]
+        self.vals = vals
+        return [vals[x] for x in self.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +581,15 @@ def eval_expr(prog: Program, history: History, bs: BStream, e: Expr) -> list[VSt
     """
     node = Node("<expr>", (), (), (), ())
     inst = NodeInstance(prog, node)
-    comp = inst._compile(e, ClockBase(), {})
+    fn, width = inst._compile(e, BASE_CLOCK, {})
     n = len(bs)
     for vs in history.values():
         if len(vs) != n:
             raise EvalError("arity-mismatch", "history streams must share the prefix length")
-    outs: list[VStream] = [[] for _ in range(comp.width)]
+    outs: list[VStream] = [[] for _ in range(width)]
     for t in range(n):
         vals = {x: vs[t] for x, vs in history.items()}
-        row = comp.eval(t, vals, bs[t])
+        row = fn(t, vals, bs[t])
         for upd in inst.updaters:
             upd.update(t, vals, bs[t])
         for i, v in enumerate(row):
@@ -661,18 +630,31 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
         raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
     else:
         bs = bs[:n_ticks]
+    hist = run_compiled(prog, name, ins, bs)
+    if hist is not None:
+        rest = [d.name for d in node.outputs + node.locals]
+        return dict(zip(declared + rest, ins + hist)), bs
+    return interpret_node(prog, node, inputs, n_ticks, bs), bs
+
+
+def run_compiled(prog: Program, name: str, ins: list[VStream],
+                 bs: BStream) -> list[VStream] | None:
+    """The streams of the outputs and locals of node `name`, in declaration
+    order, from its compiled code (`codegen.runner`) run on the input
+    streams `ins` (in declaration order, as long as `bs`) and the base clock
+    `bs`; None when the program does not compile or the run raises
+    `EvalError`, for the caller to run the tree interpreter instead."""
     from .codegen import runner  # imported on first use: codegen builds on this module
     run = runner(prog, name)
-    if run is not None:
-        rest = [d.name for d in node.outputs + node.locals]
-        hist = [[] for _ in rest]
-        try:
-            run(ins, bs, hist)
-        except EvalError:
-            pass  # the interpreter re-runs and reports the reference diagnostic
-        else:
-            return dict(zip(declared + rest, ins + hist)), bs
-    return interpret_node(prog, node, inputs, n_ticks, bs), bs
+    if run is None:
+        return None
+    node = prog.node(name)
+    hist = [[] for _ in range(len(node.outputs) + len(node.locals))]
+    try:
+        run(ins, bs, hist)
+    except EvalError:
+        return None  # the interpreter re-runs and reports the reference diagnostic
+    return hist
 
 
 def default_base_clock(inputs: list[VStream], n_ticks: int) -> BStream:
@@ -689,16 +671,13 @@ def interpret_node(prog: Program, node: Node, inputs: History, n_ticks: int,
     """`run_node` on the tree interpreter: the reference semantics."""
     declared = [d.name for d in node.inputs]
     inst = NodeInstance(prog, node)
-    history: History = {d.name: [] for d in node.declarations}
+    ticks = []
     for t in range(n_ticks):
-        row = [inputs[x][t] for x in declared]
-        outs = inst.step(row, bs[t])
-        for x, v in zip(declared, row):
-            history[x].append(v)
-        for d, v in zip(node.outputs, outs):
-            history[d.name].append(v)
-        for d in node.locals:
-            history[d.name].append(inst._last_vals[d.name])
+        inst.step([inputs[x][t] for x in declared], bs[t])
+        ticks.append(inst.vals)
+    history: History = {x: list(inputs[x][:n_ticks]) for x in declared}
+    for d in node.outputs + node.locals:
+        history[d.name] = [vals[d.name] for vals in ticks]
     # validate declared input clocks against the run
     for d in node.inputs:
         if isinstance(d.clock, ClockOn):

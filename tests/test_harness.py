@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from luset.harness import (NIConfig, check_canonical_order_independence,
                            check_equational_soundness, check_non_interference,
                            check_semantics_preservation, check_simple_security,
@@ -127,10 +129,14 @@ def test_semantics_preservation_already_normal(ctr_prog):
     assert report.verdict == "pass"
 
 
-def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_prog):
+@pytest.mark.parametrize("runner_refuses", [False, True], ids=["compiled", "runner-refuses"])
+def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_prog,
+                                                            runner_refuses):
     """The source side runs on the tree interpreter, not on the normal form,
     so a wrong normal form fails the check even though every compiled run
-    goes through the same (wrong) normalisation."""
+    goes through the same (wrong) normalisation. When the compiler refuses
+    every program, the normal side falls back to interpreting the normal
+    form, never the source, and the check still fails."""
     from dataclasses import replace
     from luset import codegen, harness
     from luset.lang import Const, NFby
@@ -146,6 +152,8 @@ def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_
 
     monkeypatch.setattr(harness, "normalize_program", bad_normalize)
     monkeypatch.setattr(codegen, "normalize_program", bad_normalize)
+    if runner_refuses:
+        monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
     report = check_semantics_preservation(cnt_dn_prog, "cnt_dn", trials=20, ticks=32, seed=4)
     assert report.verdict == "fail", report.to_json()
 
