@@ -20,8 +20,8 @@ from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Con
 from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, satisfies)
-from .streams import (ABSENT, History, default_base_clock, eval_clock, eval_node,
-                      interpret_node, run_compiled, run_node, show_value)
+from .streams import (ABSENT, History, NodeInstance, default_base_clock, eval_clock,
+                      eval_node, interpret_node, run_compiled, show_value)
 
 PASS = "pass"
 FAIL = "fail"
@@ -321,9 +321,20 @@ def gen_inputs(rng: random.Random, node: Node, ticks: int,
     and `rng.randint(-9, 9)` for an int, so the values and the generator
     state after the call are those of that loop, and so is every
     `suite --seed` output. `tests/test_draws.py` pins both.
+
+    The clocks are evaluated under an always-live base clock, so the first
+    input in that order is on the base clock and present at every tick, and
+    `default_base_clock` of a draw is always-live too. The checks below draw
+    through `_draw_inputs` with the order computed once per call.
     """
+    return _draw_inputs(rng, _input_order(node), ticks, shared)
+
+
+def _draw_inputs(rng: random.Random, order: list[VarDecl], ticks: int,
+                 shared: Mapping[str, list] | None = None) -> History:
+    """`gen_inputs` over inputs already in `_input_order`."""
     streams: History = {}
-    for d in _input_order(node):
+    for d in order:
         if shared is not None and d.name in shared:
             streams[d.name] = list(shared[d.name])
         elif isinstance(d.clock, ClockBase):  # live at every tick
@@ -380,6 +391,15 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     Each trial draws two input histories that agree on every input at or
     below the level (and on the clock drivers of such inputs), runs the node
     on both, and compares the projections of the full histories.
+
+    What stays the same between trials is worked out once per call: the
+    input order of the draws, the names of the history and the observed
+    ones, and the base clock, always-live for every draw (see `gen_inputs`).
+    The node runs as compiled code (`streams.run_compiled`), or on the tree
+    interpreter when that code is refused or its run raises, as `run_node`
+    would. When every input must agree, the two histories are copies of one
+    draw and the node runs once: the semantics is deterministic, so the
+    second run could only repeat the first.
     """
     prog = elaborate(prog)
     lat = cfg.lattice
@@ -396,20 +416,38 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
 
     equal_inputs = _equal_closure(node, levels, cfg.level, lat)
     observed = _observed(levels, cfg.level, lat)
+    order = _input_order(node)
+    declared = [d.name for d in node.inputs]
+    names = declared + [d.name for d in node.outputs + node.locals]
+    watched = [x for x in names if x in observed]
+    bs = [True] * cfg.ticks
+    one_run = equal_inputs >= set(declared)
+
+    def run(ins: History) -> History:
+        positional = [ins[x] for x in declared]
+        hist = run_compiled(prog, cfg.node, positional, bs)
+        if hist is None:
+            return interpret_node(prog, node, ins, cfg.ticks, bs)
+        return dict(zip(names, positional + hist))
+
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
-        shared = gen_inputs(rng, node, cfg.ticks)
-        ins1 = gen_inputs(rng, node, cfg.ticks, shared={x: shared[x] for x in equal_inputs})
-        ins2 = gen_inputs(rng, node, cfg.ticks, shared={x: shared[x] for x in equal_inputs})
+        shared = _draw_inputs(rng, order, cfg.ticks)
+        if one_run:
+            ins1 = ins2 = shared
+        else:
+            ins1 = _draw_inputs(rng, order, cfg.ticks, {x: shared[x] for x in equal_inputs})
+            ins2 = _draw_inputs(rng, order, cfg.ticks, {x: shared[x] for x in equal_inputs})
         try:
-            h1, _ = run_node(prog, cfg.node, ins1, cfg.ticks)
-            h2, _ = run_node(prog, cfg.node, ins2, cfg.ticks)
+            h1 = run(ins1)
+            if one_run:
+                continue
+            h2 = run(ins2)
         except EvalError as exc:
             return CheckReport("non-interference", INCONCLUSIVE, node=cfg.node,
                                trials=trial + 1, seed=cfg.seed,
                                reason=str(exc), details=details)
-        diff = _first_difference({x: vs for x, vs in h1.items() if x in observed},
-                                 {x: vs for x, vs in h2.items() if x in observed})
+        diff = _first_difference({x: h1[x] for x in watched}, {x: h2[x] for x in watched})
         if diff is not None:
             var, tick = diff
             return CheckReport(
@@ -482,12 +520,16 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     """Outputs of a node agree, value for value, before and after
     normalisation, over random clock-honouring input prefixes.
 
-    The source runs on the tree interpreter (`streams.interpret_node`). The
-    normal form runs as the compiled code of `codegen.runner(prog, node)`,
-    which is generated from this very normal form and is the build that
-    non-interference trials of the node reuse. When that code is refused or
-    its run raises, the normal form runs through `eval_node`, and never the
-    source, so the two sides never share an evaluator."""
+    The source runs on the tree interpreter: one `streams.NodeInstance` per
+    call, built in the first trial and reset before each later one, which
+    runs as a fresh instance would (`interpret_node`). The normal form runs
+    as the compiled code of `codegen.runner(prog, node)`, which is generated
+    from this very normal form and is the build that non-interference trials
+    of the node reuse. When that code is refused or its run raises, the
+    normal form runs through `eval_node`, and never the source, so the two
+    sides never share an evaluator. The input order of the draws and the
+    base clock, always-live for every draw (see `gen_inputs`), are worked
+    out once per call."""
     prog = elaborate(prog)
     try:
         nprog, _ = normalize_program(prog)
@@ -495,13 +537,19 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
         return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                            seed=seed, reason=str(exc))
     node = prog.node(node_name)
+    order = _input_order(node)
+    bs = [True] * ticks
+    inst = None
     rng = random.Random(seed)
     for trial in range(trials):
-        ins = gen_inputs(rng, node, ticks)
+        ins = _draw_inputs(rng, order, ticks)
         positional = [ins[d.name] for d in node.inputs]
-        bs = default_base_clock(positional, ticks)
         try:
-            ref = interpret_node(prog, node, ins, ticks, bs)
+            if inst is None:
+                inst = NodeInstance(prog, node)  # in the try: a build error is trial 1's
+            else:
+                inst.reset()
+            ref = inst.run(ins, ticks, bs)
             out1 = [ref[d.name] for d in node.outputs]
             out2 = run_compiled(prog, node_name, positional, bs)
             if out2 is None:
@@ -732,7 +780,9 @@ def check_simple_security(samples: int = 1000, seed: int = 0) -> CheckReport:
 
 def generator_postcondition(samples: int = 50, seed: int = 0) -> CheckReport:
     """The random program generator only emits well-formed, well-clocked,
-    causal programs that survive inference and a short run."""
+    causal programs that survive inference and a short run of each node on
+    the tree interpreter (the compiled code is checked against it
+    elsewhere, and building it would cost more than the run)."""
     rng = random.Random(seed)
     for trial in range(samples):
         prog = gen_program(rng)
@@ -744,7 +794,8 @@ def generator_postcondition(samples: int = 50, seed: int = 0) -> CheckReport:
             infer_program(eprog)
             for node in eprog.nodes:
                 ins = gen_inputs(rng, node, 8)
-                run_node(eprog, node.name, ins, 8)
+                positional = [ins[d.name] for d in node.inputs]
+                interpret_node(eprog, node, ins, 8, default_base_clock(positional, 8))
         except (AssertionError, LusetError) as exc:
             return CheckReport("generator-postcondition", FAIL, trials=trial + 1,
                                seed=seed, reason=str(exc))

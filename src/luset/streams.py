@@ -12,7 +12,8 @@ of a node once into a Python closure `fn(t, vals, bs_t)` that returns the
 expression's values at one tick (Feeley & Lapalme, "Using closures for code
 generation", 1987), with delay and call state in two small classes. It is
 the reference the compiled code is tested against, the evaluator of the
-source side of the harness's semantics-preservation check, and the fallback
+source side of the harness's semantics-preservation check and of the
+generator's post-condition, and the fallback
 that runs a program which does not compile or whose compiled run fails, so
 every result and diagnostic is the interpreter's. The whole-prefix stream
 operators (`lift_unop` … `respects_clock`) and the whole-prefix entry point
@@ -423,6 +424,11 @@ class _Delay:
                 self.saved[i] = v
                 self.started[i] = True
 
+    def reset(self):
+        self.started = [False] * self.width
+        self.saved = [None] * self.width
+        self._tick = -1
+
 
 class _Call:
     """Call state: a sub-instance stepped at most once per tick, on the
@@ -451,12 +457,17 @@ class _Call:
             self._tick = t
         return self._out
 
+    def reset(self):
+        self.instance.reset()
+        self._tick = -1
+
 
 class NodeInstance:
     """One activation of a node: its equations compiled to closures in
-    causal order, each with its targets and clock, plus all delay state.
-    Each step consumes one tick of inputs; `vals` holds the values of the
-    last tick."""
+    causal order, each with its targets and clock, plus all delay and call
+    state. Each step consumes one tick of inputs; `vals` holds the values of
+    the last tick. `reset` returns it to the state it was built in, so one
+    instance can run many prefixes."""
 
     def __init__(self, prog: Program, node: Node):
         self.prog = prog
@@ -464,6 +475,7 @@ class NodeInstance:
         self.inputs = [d.name for d in node.inputs]
         self.outputs = [d.name for d in node.outputs]
         self.updaters: list[_Delay] = []
+        self.calls: list[_Call] = []
         self.t = -1
         self.vals: dict = {}
         clocks = {d.name: d.clock for d in node.declarations}
@@ -490,7 +502,7 @@ class NodeInstance:
             case NCall(targets, ck, f, args):
                 inst = NodeInstance(self.prog, self.prog.node(f))
                 argv, _ = _many([self._compile(a, ck, clocks) for a in args])
-                fn = _Call(inst, argv, ck).eval
+                fn = self._call(inst, argv, ck)
                 if len(inst.outputs) != len(targets):
                     raise EvalError("arity-mismatch",
                                     f"{len(targets)} target(s) but {len(inst.outputs)} output(s)")
@@ -539,8 +551,13 @@ class NodeInstance:
             case Call(f, args):
                 inst = NodeInstance(self.prog, self.prog.node(f))
                 argv, _ = _many([self._compile(a, ambient, clocks) for a in args])
-                return _Call(inst, argv, ambient).eval, len(inst.outputs)
+                return self._call(inst, argv, ambient), len(inst.outputs)
         raise TypeError(f"unsupported expression {e!r}")
+
+    def _call(self, inst: "NodeInstance", args: Tick, ck: Clock) -> Tick:
+        call = _Call(inst, args, ck)
+        self.calls.append(call)
+        return call.eval
 
     # -- execution -----------------------------------------------------------
     def step(self, inputs: list, bs_t: bool) -> list:
@@ -567,6 +584,39 @@ class NodeInstance:
             upd.update(t, vals, bs_t)
         self.vals = vals
         return [vals[x] for x in self.outputs]
+
+    def reset(self):
+        """Forget every tick run so far: the instance is as built, down to
+        the delays and calls of its sub-instances, also after a run that
+        raised partway through a tick."""
+        self.t = -1
+        self.vals = {}
+        for upd in self.updaters:
+            upd.reset()
+        for call in self.calls:
+            call.reset()
+
+    def run(self, inputs: History, n_ticks: int, bs: BStream) -> History:
+        """`interpret_node` on this instance, from its current state."""
+        node = self.node
+        declared = self.inputs
+        ticks = []
+        for t in range(n_ticks):
+            self.step([inputs[x][t] for x in declared], bs[t])
+            ticks.append(self.vals)
+        history: History = {x: list(inputs[x][:n_ticks]) for x in declared}
+        for d in node.outputs + node.locals:
+            history[d.name] = [vals[d.name] for vals in ticks]
+        # validate declared input clocks against the run
+        for d in node.inputs:
+            if isinstance(d.clock, ClockOn):
+                eval_clock(history, bs, d.clock)  # raises on inconsistency
+            else:
+                for t in range(n_ticks):
+                    if present(history[d.name][t]) != bs[t]:
+                        raise EvalError("clocked-value-mismatch",
+                                        f"input {d.name} off the base clock", t, d.name)
+        return history
 
 
 # ---------------------------------------------------------------------------
@@ -668,26 +718,9 @@ def default_base_clock(inputs: list[VStream], n_ticks: int) -> BStream:
 
 def interpret_node(prog: Program, node: Node, inputs: History, n_ticks: int,
                    bs: BStream) -> History:
-    """`run_node` on the tree interpreter: the reference semantics."""
-    declared = [d.name for d in node.inputs]
-    inst = NodeInstance(prog, node)
-    ticks = []
-    for t in range(n_ticks):
-        inst.step([inputs[x][t] for x in declared], bs[t])
-        ticks.append(inst.vals)
-    history: History = {x: list(inputs[x][:n_ticks]) for x in declared}
-    for d in node.outputs + node.locals:
-        history[d.name] = [vals[d.name] for vals in ticks]
-    # validate declared input clocks against the run
-    for d in node.inputs:
-        if isinstance(d.clock, ClockOn):
-            eval_clock(history, bs, d.clock)  # raises on inconsistency
-        else:
-            for t in range(n_ticks):
-                if present(history[d.name][t]) != bs[t]:
-                    raise EvalError("clocked-value-mismatch",
-                                    f"input {d.name} off the base clock", t, d.name)
-    return history
+    """`run_node` on the tree interpreter: the reference semantics, on a
+    fresh `NodeInstance`."""
+    return NodeInstance(prog, node).run(inputs, n_ticks, bs)
 
 
 def eval_node(prog: Program, name: str, inputs: list[VStream], n_ticks: int) -> list[VStream]:

@@ -1,0 +1,132 @@
+"""What the harness checks rely on when they set a check up once per call:
+runs are deterministic, drawn inputs run on an always-live base clock, and
+non-interference runs the node once per trial when both runs must share
+every input. Also pins the `luset ni --json` reports of the samples, on the
+compiled code and on the tree interpreter."""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from luset import codegen, harness
+from luset.cli import main
+from luset.harness import NIConfig, check_non_interference, gen_inputs, gen_program
+from luset.infer import flatten_assignment
+from luset.lang import ClockOn, elaborate
+from luset.parser import parse_program
+from luset.sectypes import Lattice
+from luset.streams import NodeInstance, default_base_clock, interpret_node, run_node
+
+from conftest import CTR_SRC
+
+ROOT = Path(__file__).parent.parent
+SAMPLES = ROOT / "samples"
+TWO = Lattice.two_point()
+
+# (golden, arguments of `luset ni`, exit code): a failing forced check whose
+# witness is found at trial 1, and a passing one whose every input is public,
+# so that each trial runs the node once
+NI_RUNS = [
+    ("ni_Leak.json", ["samples/leak.lus", "--node", "Leak", "--assign", "samples/leak_assign.json",
+                      "--level", "L", "--force"], 1),
+    ("ni_Leak2.json", ["samples/leak.lus", "--node", "Leak2", "--assign",
+                       "samples/leak_assign.json", "--level", "L", "--force"], 1),
+    ("ni_Ctr.json", ["samples/ctr.lus", "--node", "Ctr", "--assign", "samples/ctr_assign.json"], 0),
+]
+
+
+def _typed(history):
+    """A history with the type of every value, since `True == 1`."""
+    return {x: [(type(v), v) for v in vs] for x, vs in history.items()}
+
+
+def test_runs_are_deterministic():
+    """Two runs on one draw give one history: `run_node` twice, and one
+    reset interpreter instance twice with a run on another draw in
+    between."""
+    rng = random.Random(11)
+    runs = 0
+    for _ in range(300):
+        prog = elaborate(gen_program(rng))
+        for node in prog.nodes:
+            n = rng.randint(1, 24)
+            ins, other = gen_inputs(rng, node, n), gen_inputs(rng, node, n)
+            first, _ = run_node(prog, node.name, ins, n)
+            again, _ = run_node(prog, node.name, ins, n)
+            assert _typed(first) == _typed(again)
+            bs = [True] * n
+            inst = NodeInstance(prog, node)
+            ref = _typed(inst.run(ins, n, bs))
+            assert ref == _typed(interpret_node(prog, node, ins, n, bs))
+            inst.reset()
+            inst.run(other, n, bs)
+            inst.reset()
+            assert _typed(inst.run(ins, n, bs)) == ref
+            runs += 1
+    assert runs > 500
+
+
+def test_drawn_inputs_run_on_an_always_live_base_clock():
+    """The checks run every draw on `[True] * ticks`, which is what
+    `run_node` would take as its base clock."""
+    rng = random.Random(12)
+    draws = sub_clocked = 0
+    while draws < 500:
+        for node in elaborate(gen_program(rng)).nodes:
+            n = rng.randint(0, 30)
+            ins = gen_inputs(rng, node, n)
+            assert default_base_clock([ins[d.name] for d in node.inputs], n) == [True] * n
+            draws += 1
+            sub_clocked += any(isinstance(d.clock, ClockOn) for d in node.inputs)
+    assert sub_clocked > 50
+
+
+@pytest.mark.parametrize("level, runs_per_trial", [("H", 1), ("L", 2)])
+def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, level,
+                                                          runs_per_trial):
+    """At the top every input is observed, so both runs would share every
+    input and the node runs once per trial; below it, with secret inputs,
+    twice."""
+    calls = []
+
+    def counting(prog, name, ins, bs):
+        calls.append(name)
+        return run_compiled(prog, name, ins, bs)
+
+    run_compiled = harness.run_compiled
+    monkeypatch.setattr(harness, "run_compiled", counting)
+    cfg = NIConfig("Ctr", TWO, {"base": "L", "init": "H", "incr": "H", "rst": "H", "n": "H"},
+                   level=level, trials=37, ticks=16, seed=3)
+    report = check_non_interference(parse_program(CTR_SRC), cfg)
+    assert report.verdict == "pass" and report.trials == 37
+    assert len(calls) == 37 * runs_per_trial
+
+
+@pytest.mark.parametrize("golden, args, code", NI_RUNS, ids=[g for g, _, _ in NI_RUNS])
+def test_ni_report_of_sample_golden(golden, args, code, monkeypatch, capsys):
+    """`luset ni … --lattice two-point --json`, byte for byte."""
+    monkeypatch.chdir(ROOT)
+    assert main(["ni", *args, "--lattice", "two-point", "--json"]) == code
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / golden).read_text()
+
+
+@pytest.mark.parametrize("node, sample, level, force", [
+    ("Leak", "leak", "L", True), ("Leak2", "leak", "L", True),
+    ("Ctr", "ctr", "L", False), ("Ctr", "ctr", "H", False)])
+def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node, sample,
+                                                               level, force):
+    """A program whose code the compiler refuses gives the very report of
+    its compiled runs."""
+    prog = parse_program((SAMPLES / f"{sample}.lus").read_text())
+    entries = json.loads((SAMPLES / f"{sample}_assign.json").read_text())
+    assignment = next(flat for name, flat in map(flatten_assignment, entries
+                                                  if isinstance(entries, list) else [entries])
+                      if name == node)
+    cfg = NIConfig(node, TWO, assignment, level, trials=30, ticks=24, seed=5, force=force)
+    assert codegen.runner(elaborate(prog), node) is not None
+    compiled = check_non_interference(prog, cfg).to_json()
+    monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
+    assert check_non_interference(prog, cfg).to_json() == compiled
+    assert compiled["verdict"] == ("fail" if force else "pass")

@@ -14,7 +14,7 @@ from luset.harness import gen_inputs, gen_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import ABSENT, interpret_node, show_value
+from luset.streams import ABSENT, NodeInstance, interpret_node, show_value
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC
 from test_codegen import CALLS_SRC, DIVMOD_SRC, OFF_CLOCK_SRC, WHEN2_SRC
@@ -63,13 +63,30 @@ def _holes(rng, inputs, n):
     return {x: [v if b else A for v, b in zip(vs, bs)] for x, vs in inputs.items()}, bs
 
 
-def _outcome(prog, name, inputs, n, bs=None):
+def _reused(instances, prog, node):
+    """The instance of (prog, node) kept in `instances`, reset, or a new one
+    kept there."""
+    key = (id(prog), node.name)
+    if key in instances:
+        inst = instances[key][1]
+        inst.reset()
+        return inst
+    inst = NodeInstance(prog, node)
+    instances[key] = (prog, inst)  # holding the program keeps its id from being reused
+    return inst
+
+
+def _outcome(prog, name, inputs, n, bs=None, instances=None):
     """The typed history of one interpreter run, or its error's type, kind,
-    tick, variable and message."""
+    tick, variable and message. With `instances`, the run is on the reused
+    instance of (prog, node) there."""
     node = prog.node(name)
     bs = _default_bs(node, inputs, n) if bs is None else bs
     try:
-        history = interpret_node(prog, node, inputs, n, bs)
+        if instances is None:
+            history = interpret_node(prog, node, inputs, n, bs)
+        else:
+            history = _reused(instances, prog, node).run(inputs, n, bs)
     except LusetError as exc:
         return ("error", type(exc).__name__, getattr(exc, "kind", None),
                 getattr(exc, "tick", None), getattr(exc, "var", None), str(exc))
@@ -151,6 +168,33 @@ def test_interpreter_results_are_pinned():
     digest, runs, errors, idle = _interpreter_digest()
     assert runs > 1300 and errors > 100 and idle > 300
     assert digest == INTERPRETER_DIGEST
+
+
+def test_reset_instance_gives_the_pinned_results():
+    """One `NodeInstance` per (program, node), reset before each run after
+    its first, gives the pinned histories and diagnostics. The run list is
+    replayed twice through the same instances, so that each is reused. Then
+    each run that raises partway through its prefix is followed, on its
+    instance, by a run of the ticks before the error, which must give what a
+    fresh instance gives."""
+    cases = list(_cases())
+    instances: dict = {}
+    for _ in range(2):
+        h = hashlib.sha256()
+        for prog, name, inputs, n, bs in cases:
+            h.update(repr((name, n, _outcome(prog, name, inputs, n, bs, instances))).encode())
+        assert h.hexdigest() == INTERPRETER_DIGEST
+    clean = 0
+    for prog, name, inputs, n, bs in cases:
+        got = _outcome(prog, name, inputs, n, bs, instances)
+        if got[0] != "error" or not got[3]:
+            continue
+        t = got[3]
+        prefix = ({x: vs[:t] for x, vs in inputs.items()}, t, bs and bs[:t])
+        again = _outcome(prog, name, *prefix, instances)
+        assert again == _outcome(prog, name, *prefix)
+        clean += again[0] != "error"
+    assert clean > 100
 
 
 def test_long_flat_sum_preserves(tmp_path, capsys):
