@@ -10,17 +10,20 @@ updated once all of the tick's values are known.
 `NodeInstance`, reached through `interpret_node`) compiles each expression
 of a node once into a Python closure `fn(t, vals, bs_t)` that returns the
 expression's values at one tick (Feeley & Lapalme, "Using closures for code
-generation", 1987), with delay and call state in two small classes. It is
-the reference the compiled code is tested against, the evaluator of the
-source side of the harness's semantics-preservation check and of the
-generator's post-condition, and the fallback
-that runs a program which does not compile or whose compiled run fails, so
-every result and diagnostic is the interpreter's. The whole-prefix stream
-operators (`lift_unop` … `respects_clock`) and the whole-prefix entry point
-`eval_expr` are in turn the reference for the tree interpreter: nothing in
-the package calls them, and the tests check the interpreter against them.
-A closure on the base clock reads `bs_t` directly; every other clock of
-the interpreter goes through `_tick_clock`.
+generation", 1987), with delay and call state in two small classes. Each
+equation becomes one closure that evaluates it, checks each target against
+the equation's clock and stores it in the tick's values; each clock becomes
+one closure `live(t, vals, bs_t)` (`_clock`), which every clock test of the
+interpreter and `eval_clock` go through. `step` and `run` share one tick
+body. The interpreter is the reference the compiled code is tested
+against, the evaluator of the source side of the harness's
+semantics-preservation check and of the generator's post-condition, and the
+fallback that runs a program which does not compile or whose compiled run
+fails, so every result and diagnostic is the interpreter's. The
+whole-prefix stream operators (`lift_unop` … `respects_clock`) and the
+whole-prefix entry point `eval_expr` are in turn the reference for the tree
+interpreter: nothing in the package calls them, and the tests check the
+interpreter against them.
 """
 
 from __future__ import annotations
@@ -260,26 +263,8 @@ def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
         if x not in history:
             raise EvalError("unbound-var", f"clock variable {x} has no stream")
     n = min([len(bs)] + [len(history[x]) for x in names])
-    return [_tick_clock(ck, {x: history[x][t] for x in names}, bs[t], t) for t in range(n)]
-
-
-def _tick_clock(ck: Clock, vals: dict, bs_t: bool, t: int) -> bool:
-    """Whether a clock is live at one tick, reading its variables from the
-    tick values."""
-    match ck:
-        case ClockBase():
-            return bs_t
-        case ClockOn(base, x, k):
-            b = _tick_clock(base, vals, bs_t, t)
-            v = vals[x]
-            if b and v is ABSENT:
-                raise EvalError("clocked-value-mismatch",
-                                f"clock variable {x} absent while its clock is live", t, x)
-            if not b and present(v):
-                raise EvalError("clocked-value-mismatch",
-                                f"clock variable {x} present while its clock is idle", t, x)
-            return bool(b and v == k)
-    raise TypeError(f"_tick_clock: unsupported {ck!r}")
+    live = _clock(ck)
+    return [live(t, {x: history[x][t] for x in names}, bs[t]) for t in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +276,39 @@ def _tick_clock(ck: Clock, vals: dict, bs_t: bool, t: int) -> bool:
 # its values at tick t, one per component, from the values the tick has
 # computed so far and the base clock's value at t.
 Tick = Callable[[int, dict, bool], list]
+# A clock compiled to a closure `live(t, vals, bs_t)`: whether it is live at
+# tick t, read the same way.
+Live = Callable[[int, dict, bool], bool]
+
+
+def _base_live(t, vals, bs_t):
+    return bs_t
+
+
+def _clock(ck: Clock) -> Live:
+    """The closure of a clock: a clock variable must be present exactly
+    where the clock it is sampled on is live."""
+    if isinstance(ck, ClockBase):
+        return _base_live
+    if not isinstance(ck, ClockOn):
+        raise TypeError(f"unsupported clock {ck!r}")
+    outer, x, k = _clock(ck.base), ck.var, ck.value
+
+    def live(t, vals, bs_t):
+        b = outer(t, vals, bs_t)
+        v = vals[x]
+        if (v is ABSENT) == (not b):
+            return v == k  # where b is idle, v is ABSENT and equals neither value
+        state = "absent while its clock is live" if b else "present while its clock is idle"
+        raise EvalError("clocked-value-mismatch", f"clock variable {x} {state}", t, x)
+    return live
 
 
 def _const(value, ck: Clock) -> Tick:
     if isinstance(ck, ClockBase):
         return lambda t, vals, bs_t: [value if bs_t else ABSENT]
-    return lambda t, vals, bs_t: [value if _tick_clock(ck, vals, bs_t, t) else ABSENT]
+    live = _clock(ck)
+    return lambda t, vals, bs_t: [value if live(t, vals, bs_t) else ABSENT]
 
 
 def _var(x: str) -> Tick:
@@ -385,7 +397,8 @@ class _Delay:
     """Delay state: a full-language `fby`, or the constant-initialised `NFby`
     of the normal form, whose `target` names its diagnostics. `eval` emits
     during the tick's first evaluation; `update`, in the sweep at the end of
-    the tick, reads the delayed operand."""
+    the tick, reads the delayed operand, which must be present where the
+    output is, that is where the head is. `_Delay1` runs a delay of width 1."""
 
     def __init__(self, init: Tick, rest: Tick, width: int, target: str | None = None):
         self.init = init
@@ -396,33 +409,32 @@ class _Delay:
         self.saved: list = [None] * width
         self._tick = -1
         self._out: list = []
-        self._pres: list = []
 
     def eval(self, t, vals, bs_t):
         if self._tick != t:
             heads = self.init(t, vals, bs_t)
             self._out = [ABSENT if h is ABSENT else (s if started else h)
                          for h, s, started in zip(heads, self.saved, self.started)]
-            self._pres = [h is not ABSENT for h in heads]
             self._tick = t
         return self._out
 
     def update(self, t, vals, bs_t):
-        self.eval(t, vals, bs_t)
+        out = self.eval(t, vals, bs_t)
         tails = self.rest(t, vals, bs_t)
         if len(tails) != self.width:
             raise EvalError("arity-mismatch", "fby arguments have different widths", t)
-        for i, v in enumerate(tails):
-            if (v is not ABSENT) != self._pres[i]:
-                if self.target is not None:
-                    raise EvalError("clocked-value-mismatch",
-                                    f"delayed operand of {self.target} off its clock",
-                                    t, self.target)
-                raise EvalError("clocked-value-mismatch",
-                                "fby operands disagree on presence", t)
+        for i, (v, o) in enumerate(zip(tails, out)):
+            if (v is ABSENT) != (o is ABSENT):
+                raise self._off_clock(t)
             if v is not ABSENT:
                 self.saved[i] = v
                 self.started[i] = True
+
+    def _off_clock(self, t: int) -> EvalError:
+        if self.target is not None:
+            return EvalError("clocked-value-mismatch",
+                             f"delayed operand of {self.target} off its clock", t, self.target)
+        return EvalError("clocked-value-mismatch", "fby operands disagree on presence", t)
 
     def reset(self):
         self.started = [False] * self.width
@@ -430,15 +442,38 @@ class _Delay:
         self._tick = -1
 
 
+class _Delay1(_Delay):
+    """A `_Delay` of width 1, over the same state."""
+
+    def eval(self, t, vals, bs_t):
+        if self._tick != t:
+            h = self.init(t, vals, bs_t)[0]
+            self._out = [h if h is ABSENT or not self.started[0] else self.saved[0]]
+            self._tick = t
+        return self._out
+
+    def update(self, t, vals, bs_t):
+        out = (self._out if self._tick == t else self.eval(t, vals, bs_t))[0]
+        tails = self.rest(t, vals, bs_t)
+        if len(tails) != 1:
+            raise EvalError("arity-mismatch", "fby arguments have different widths", t)
+        v = tails[0]
+        if (v is ABSENT) != (out is ABSENT):
+            raise self._off_clock(t)
+        if v is not ABSENT:
+            self.saved[0] = v
+            self.started[0] = True
+
+
 class _Call:
     """Call state: a sub-instance stepped at most once per tick, on the
     presence of its arguments, or for a call without arguments on its
-    activation clock (None for the base clock)."""
+    activation clock."""
 
     def __init__(self, instance: "NodeInstance", args: Tick, clock: Clock):
         self.instance = instance
         self.args = args
-        self.clock = None if isinstance(clock, ClockBase) else clock
+        self.live = _clock(clock)
         self._tick = -1
         self._out: list = []
 
@@ -449,10 +484,7 @@ class _Call:
             if len(flags) > 1:
                 raise EvalError("clocked-value-mismatch",
                                 f"arguments of {self.instance.node.name} disagree on presence", t)
-            if flags:
-                live = flags.pop()
-            else:
-                live = bs_t if self.clock is None else _tick_clock(self.clock, vals, bs_t, t)
+            live = flags.pop() if flags else self.live(t, vals, bs_t)
             self._out = self.instance.step(argv, live)
             self._tick = t
         return self._out
@@ -462,12 +494,56 @@ class _Call:
         self._tick = -1
 
 
+def _target_off_clock(x: str, v, live, t: int) -> EvalError:
+    return EvalError("clocked-value-mismatch",
+                     f"{x} is {'present' if v is not ABSENT else 'absent'} "
+                     f"while its clock is {'live' if live else 'idle'}", t, x)
+
+
+def _equation(fn: Tick, width: int, targets: tuple[str, ...], ck: Clock | None):
+    """The closure `eq(t, vals, bs_t)` of an equation: it evaluates `fn`,
+    checks each target against the equation's clock `ck` (None for no check)
+    and stores it in `vals`."""
+    if ck is None:
+        def unchecked(t, vals, bs_t):
+            vals.update(zip(targets, fn(t, vals, bs_t)))
+        return unchecked
+    if width == len(targets) == 1:
+        [x] = targets
+        if isinstance(ck, ClockBase):
+            def on_base(t, vals, bs_t):
+                v = fn(t, vals, bs_t)[0]
+                if (v is not ABSENT) != bs_t:
+                    raise _target_off_clock(x, v, bs_t, t)
+                vals[x] = v
+            return on_base
+        live = _clock(ck)
+
+        def on_clock(t, vals, bs_t):
+            v = fn(t, vals, bs_t)[0]
+            b = live(t, vals, bs_t)
+            if (v is not ABSENT) != b:
+                raise _target_off_clock(x, v, b, t)
+            vals[x] = v
+        return on_clock
+    live = _clock(ck)
+
+    def tuple_eq(t, vals, bs_t):
+        outs = fn(t, vals, bs_t)
+        b = live(t, vals, bs_t)
+        for x, v in zip(targets, outs):
+            if (v is not ABSENT) != b:
+                raise _target_off_clock(x, v, b, t)
+            vals[x] = v
+    return tuple_eq
+
+
 class NodeInstance:
     """One activation of a node: its equations compiled to closures in
-    causal order, each with its targets and clock, plus all delay and call
-    state. Each step consumes one tick of inputs; `vals` holds the values of
-    the last tick. `reset` returns it to the state it was built in, so one
-    instance can run many prefixes."""
+    causal order, plus all delay and call state. Each tick runs the
+    equations, then updates the delays; `vals` holds the values of the last
+    tick. `reset` returns it to the state it was built in, so one instance
+    can run many prefixes."""
 
     def __init__(self, prog: Program, node: Node):
         self.prog = prog
@@ -479,13 +555,11 @@ class NodeInstance:
         self.t = -1
         self.vals: dict = {}
         clocks = {d.name: d.clock for d in node.declarations}
-        self.ticked: list[tuple[Tick, tuple[str, ...], Clock | None]] = [
-            self._compile_equation(node.equations[i], clocks) for i in check_causality(node)]
+        self.equations = [self._compile_equation(node.equations[i], clocks)
+                          for i in check_causality(node)]
 
     # -- compilation --------------------------------------------------------
     def _compile_equation(self, eq: Equation, clocks):
-        """The equation's closure, its targets, and the clock they are
-        checked against (`BASE_CLOCK` for the base clock, None for none)."""
         match eq:
             case Def(targets, ck, exprs):
                 ambient = ck if ck is not None else BASE_CLOCK
@@ -494,22 +568,21 @@ class NodeInstance:
                     raise EvalError("arity-mismatch",
                                     f"{len(targets)} target(s) but {width} stream(s)")
             case NDef(_, ck, e):
-                fn, _ = self._compile(e, ck, clocks)
+                fn, width = self._compile(e, ck, clocks)
             case NFby(x, ck, c, e):
-                delay = _Delay(_const(c.value, ck), self._compile(e, ck, clocks)[0], 1, x)
+                delay = _Delay1(_const(c.value, ck), self._compile(e, ck, clocks)[0], 1, x)
                 self.updaters.append(delay)
-                fn = delay.eval
+                fn, width = delay.eval, 1
             case NCall(targets, ck, f, args):
                 inst = NodeInstance(self.prog, self.prog.node(f))
                 argv, _ = _many([self._compile(a, ck, clocks) for a in args])
-                fn = self._call(inst, argv, ck)
-                if len(inst.outputs) != len(targets):
+                fn, width = self._call(inst, argv, ck), len(inst.outputs)
+                if width != len(targets):
                     raise EvalError("arity-mismatch",
-                                    f"{len(targets)} target(s) but {len(inst.outputs)} output(s)")
+                                    f"{len(targets)} target(s) but {width} output(s)")
             case _:
                 raise TypeError(f"unsupported equation {eq!r}")
-        ck = eq.clock
-        return fn, eq_targets(eq), BASE_CLOCK if isinstance(ck, ClockBase) else ck
+        return _equation(fn, width, eq_targets(eq), eq.clock)
 
     def _compile(self, e: Expr, ambient: Clock, clocks) -> tuple[Tick, int]:
         """The closure of an expression on clock `ambient`, and its width."""
@@ -545,7 +618,7 @@ class NodeInstance:
             case Fby(e0s, es):
                 heads, width = _many([self._compile(a, ambient, clocks) for a in e0s])
                 tails, _ = _many([self._compile(a, ambient, clocks) for a in es])
-                delay = _Delay(heads, tails, width)
+                delay = (_Delay1 if width == 1 else _Delay)(heads, tails, width)
                 self.updaters.append(delay)
                 return delay.eval, width
             case Call(f, args):
@@ -560,29 +633,23 @@ class NodeInstance:
         return call.eval
 
     # -- execution -----------------------------------------------------------
+    def _advance(self, t: int, vals: dict, bs_t: bool):
+        """The tick body: `vals` holds the tick's inputs, and gets every
+        other value of the tick."""
+        for eq in self.equations:
+            eq(t, vals, bs_t)
+        for upd in self.updaters:
+            upd.update(t, vals, bs_t)
+        self.vals = vals
+
     def step(self, inputs: list, bs_t: bool) -> list:
         """Advance one tick given per-input values; returns output values."""
         self.t += 1
-        t = self.t
         if len(inputs) != len(self.inputs):
             raise EvalError("arity-mismatch",
                             f"{self.node.name} expects {len(self.inputs)} input(s)")
         vals = dict(zip(self.inputs, inputs))
-        for fn, targets, ck in self.ticked:
-            outs = fn(t, vals, bs_t)
-            if ck is None:
-                vals.update(zip(targets, outs))
-                continue
-            live = bs_t if ck is BASE_CLOCK else _tick_clock(ck, vals, bs_t, t)
-            for x, v in zip(targets, outs):
-                if (v is not ABSENT) != live:
-                    raise EvalError("clocked-value-mismatch",
-                                    f"{x} is {'present' if v is not ABSENT else 'absent'} "
-                                    f"while its clock is {'live' if live else 'idle'}", t, x)
-                vals[x] = v
-        for upd in self.updaters:
-            upd.update(t, vals, bs_t)
-        self.vals = vals
+        self._advance(self.t, vals, bs_t)
         return [vals[x] for x in self.outputs]
 
     def reset(self):
@@ -597,25 +664,33 @@ class NodeInstance:
             call.reset()
 
     def run(self, inputs: History, n_ticks: int, bs: BStream) -> History:
-        """`interpret_node` on this instance, from its current state."""
+        """`interpret_node` on this instance, from its current state: the
+        tick body of `step` over the first `n_ticks` ticks, then a check of
+        each input against its declared clock."""
         node = self.node
         declared = self.inputs
+        advance = self._advance
         ticks = []
-        for t in range(n_ticks):
-            self.step([inputs[x][t] for x in declared], bs[t])
-            ticks.append(self.vals)
+        for i in range(n_ticks):
+            vals = {x: inputs[x][i] for x in declared}
+            bs_t = bs[i]
+            self.t += 1
+            advance(self.t, vals, bs_t)
+            ticks.append(vals)
         history: History = {x: list(inputs[x][:n_ticks]) for x in declared}
         for d in node.outputs + node.locals:
             history[d.name] = [vals[d.name] for vals in ticks]
-        # validate declared input clocks against the run
         for d in node.inputs:
             if isinstance(d.clock, ClockOn):
-                eval_clock(history, bs, d.clock)  # raises on inconsistency
+                live, where = eval_clock(history, bs, d.clock), "its clock"
             else:
-                for t in range(n_ticks):
-                    if present(history[d.name][t]) != bs[t]:
+                live, where = bs[:n_ticks], "the base clock"
+            col = history[d.name]
+            if [v is not ABSENT for v in col] != live:  # scan only to name the tick
+                for t, v, b in zip(range(n_ticks), col, live):
+                    if (v is not ABSENT) != b:
                         raise EvalError("clocked-value-mismatch",
-                                        f"input {d.name} off the base clock", t, d.name)
+                                        f"input {d.name} off {where}", t, d.name)
         return history
 
 
@@ -687,6 +762,9 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     return interpret_node(prog, node, inputs, n_ticks, bs), bs
 
 
+_codegen = None  # the `codegen` module, once `run_compiled` has run
+
+
 def run_compiled(prog: Program, name: str, ins: list[VStream],
                  bs: BStream) -> list[VStream] | None:
     """The streams of the outputs and locals of node `name`, in declaration
@@ -694,8 +772,11 @@ def run_compiled(prog: Program, name: str, ins: list[VStream],
     streams `ins` (in declaration order, as long as `bs`) and the base clock
     `bs`; None when the program does not compile or the run raises
     `EvalError`, for the caller to run the tree interpreter instead."""
-    from .codegen import runner  # imported on first use: codegen builds on this module
-    run = runner(prog, name)
+    global _codegen
+    if _codegen is None:
+        from . import codegen  # bound on first use: codegen builds on this module
+        _codegen = codegen
+    run = _codegen.runner(prog, name)
     if run is None:
         return None
     node = prog.node(name)

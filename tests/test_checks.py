@@ -12,12 +12,13 @@ import pytest
 
 from luset import codegen, harness
 from luset.cli import main
+from luset.diagnostics import EvalError
 from luset.harness import NIConfig, check_non_interference, gen_inputs, gen_program
 from luset.infer import flatten_assignment
 from luset.lang import ClockOn, elaborate
 from luset.parser import parse_program
 from luset.sectypes import Lattice
-from luset.streams import NodeInstance, default_base_clock, interpret_node, run_node
+from luset.streams import ABSENT, NodeInstance, default_base_clock, interpret_node, run_node
 
 from conftest import CTR_SRC
 
@@ -66,6 +67,53 @@ def test_runs_are_deterministic():
             assert _typed(inst.run(ins, n, bs)) == ref
             runs += 1
     assert runs > 500
+
+
+def _stepped(inst, ins, n, bs):
+    """The history of `n` ticks of `step` on `inst`, as `run` records it,
+    or the error of the tick that raises."""
+    declared, recorded = inst.inputs, [d.name for d in inst.node.outputs + inst.node.locals]
+    ticks = []
+    try:
+        for t in range(n):
+            outs = inst.step([ins[x][t] for x in declared], bs[t])
+            assert outs == [inst.vals[x] for x in inst.outputs]
+            ticks.append(inst.vals)
+    except EvalError as exc:
+        return (exc.kind, exc.tick, exc.var, str(exc))
+    history = {x: ins[x][:n] for x in declared}
+    history.update({x: [vals[x] for vals in ticks] for x in recorded})
+    return _typed(history)
+
+
+def test_step_and_run_share_one_tick_body():
+    """Stepping a fresh instance tick by tick gives `run`'s history, or the
+    error of the same tick. A third of the draws has one value put off its
+    clock, which raises during a tick or, after the last tick, in `run`'s
+    check of the inputs, which stepping does not make."""
+    rng = random.Random(13)
+    runs = tick_errors = input_errors = 0
+    for _ in range(300):
+        prog = elaborate(gen_program(rng))
+        for node in prog.nodes:
+            n = rng.randint(1, 24)
+            ins, bs = gen_inputs(rng, node, n), [True] * n
+            if ins and rng.random() < 0.3:
+                x, t = rng.choice(sorted(ins)), rng.randrange(n)
+                ins[x][t] = 1 if ins[x][t] is ABSENT else ABSENT
+            try:
+                ran = _typed(NodeInstance(prog, node).run(ins, n, bs))
+            except EvalError as exc:
+                ran = (exc.kind, exc.tick, exc.var, str(exc))
+            stepped = _stepped(NodeInstance(prog, node), ins, n, bs)
+            if isinstance(stepped, dict) and isinstance(ran, tuple):
+                assert f"input {ran[2]} off " in ran[3]
+                input_errors += 1
+            else:
+                assert stepped == ran
+                tick_errors += isinstance(ran, tuple)
+            runs += 1
+    assert runs > 500 and tick_errors > 20 and input_errors > 20
 
 
 def test_drawn_inputs_run_on_an_always_live_base_clock():

@@ -94,6 +94,19 @@ def test_run_locals_flag(files, capsys):
     assert "fst,true,false,false,false,false,false,false" in out
 
 
+def test_run_input_off_its_sub_clock_exit_two(files, capsys):
+    """`y` is present at tick 1, where `b` is false: the compiled code
+    refuses the run, and so does the interpreter it falls back to."""
+    (files / "m.lus").write_text(
+        "node M(b: bool; y: int when b) returns (o: int); let o = 1; tel")
+    (files / "m.csv").write_text("b,y\ntrue,1\nfalse,5\ntrue,_\n")
+    assert main(["run", str(files / "m.lus"), "--node", "M",
+                 "--inputs", str(files / "m.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "clocked-value-mismatch at tick 1 (y): input y off its clock\n"
+
+
 def test_check_secure_exit_zero(files, capsys):
     code = main(["check", str(files / "ctr.lus"), "--lattice", "two-point",
                  "--assign", str(files / "ctr_low.json")])

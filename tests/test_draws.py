@@ -6,6 +6,7 @@ import hashlib
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +83,13 @@ def test_suite_seed_0_golden(capsys):
     """`luset suite --seed 0 --json`, byte for byte."""
     assert main(["suite", "--seed", "0", "--json"]) == 0
     assert capsys.readouterr().out == (DATA / "suite_seed0.json").read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_suite_seed_golden(seed, capsys):
+    """`luset suite --seed <seed> --json`, byte for byte."""
+    assert main(["suite", "--seed", str(seed), "--json"]) == 0
+    assert capsys.readouterr().out == (DATA / f"suite_seed{seed}.json").read_text()
 
 
 # ---------------------------------------------------------------------------

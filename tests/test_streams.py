@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from luset.diagnostics import CausalityError, EvalError
-from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, NCall, Unop,
-                        Var, elaborate)
+from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby, NCall, Unop,
+                        Var, clock_vars, elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import (ABSENT, _csv_rows, _trace_by_rows, base_of, const_stream, eval_clock, eval_expr,
-                           eval_node, fby_lustre, fby_nlustre, interpret_node, ite_stream,
-                           lift_binop, lift_unop, merge_stream, read_trace, respects_clock,
-                           run_node, show_value, when_stream)
+from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
+                           const_stream, eval_clock, eval_expr, eval_node, fby_lustre,
+                           fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
+                           merge_stream, read_trace, respects_clock, run_node, show_value,
+                           when_stream)
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
 
@@ -125,6 +128,74 @@ def test_eval_clock():
         eval_clock({"a": [False], "b": [True]}, [True], nested)
     with pytest.raises(EvalError, match="unbound-var"):
         eval_clock({"a": [True]}, [True], nested)
+
+
+def _ref_tick_clock(ck, vals, bs_t, t):
+    """The recursive per-tick clock evaluator that compiled clocks replaced."""
+    match ck:
+        case ClockBase():
+            return bs_t
+        case ClockOn(base, x, k):
+            b = _ref_tick_clock(base, vals, bs_t, t)
+            v = vals[x]
+            if b and v is A:
+                raise EvalError("clocked-value-mismatch",
+                                f"clock variable {x} absent while its clock is live", t, x)
+            if not b and v is not A:
+                raise EvalError("clocked-value-mismatch",
+                                f"clock variable {x} present while its clock is idle", t, x)
+            return bool(b and v == k)
+    raise TypeError(f"unsupported {ck!r}")
+
+
+def _ref_eval_clock(history, bs, ck):
+    names = clock_vars(ck)
+    for x in names:
+        if x not in history:
+            raise EvalError("unbound-var", f"clock variable {x} has no stream")
+    n = min([len(bs)] + [len(history[x]) for x in names])
+    return [_ref_tick_clock(ck, {x: history[x][t] for x in names}, bs[t], t) for t in range(n)]
+
+
+def _clock_outcome(evaluate, history, bs, ck):
+    try:
+        return [(type(b), b) for b in evaluate(history, bs, ck)]
+    except EvalError as exc:
+        return (exc.kind, exc.tick, exc.var, str(exc))
+
+
+def _rarely():
+    return st.sampled_from([False] * 11 + [True])
+
+
+@st.composite
+def _clocked_histories(draw):
+    """A nested clock, a base clock and a history of the clock's variables:
+    each value is present where the clock it is sampled on is live, except
+    where a draw puts it off that clock; now and then a variable is missing."""
+    n = draw(st.integers(0, 6))
+    bs = draw(st.lists(st.booleans(), min_size=n, max_size=n + 2))
+    ck, live, history = BASE_CLOCK, bs[:n], {}
+    for _ in range(draw(st.integers(0, 4))):
+        ck = ClockOn(ck, draw(st.sampled_from("abcd")), draw(st.booleans()))
+        if ck.var not in history:
+            history[ck.var] = [draw(st.sampled_from([True, False, 0, 1, 2]))
+                               if b != draw(_rarely()) else A for b in live]
+        live = [b and v is not A and v == ck.value for b, v in zip(live, history[ck.var])]
+    if history and draw(_rarely()):
+        del history[draw(st.sampled_from(sorted(history)))]
+    return history, bs, ck
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_clocked_histories())
+def test_compiled_clocks_match_the_recursive_evaluator(case):
+    """`eval_clock` runs each clock compiled once; it gives the recursive
+    evaluator's list, or its error with the same kind, tick, variable and
+    message."""
+    history, bs, ck = case
+    assert _clock_outcome(eval_clock, history, bs, ck) == \
+        _clock_outcome(_ref_eval_clock, history, bs, ck)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +372,49 @@ def test_delay_operand_off_clock_diagnostics():
         assert (err.value.kind, err.value.tick, err.value.var) == \
             ("clocked-value-mismatch", 1, var)
         assert msg in str(err.value)
+
+
+@pytest.mark.parametrize("src, elaborated, ins, width, diagnostic", [
+    ("node f(a: int; b: int) returns (y, z: int) let (y, z) = (0, 0) fby (a, b); tel", True,
+     {"a": [1, A, 3], "b": [1, 2, 3]}, 2,
+     ("clocked-value-mismatch", 1, None, "fby operands disagree on presence")),
+    ("node f(a: int; b: int) returns (y, z: int) let (y, z) = (0, 0) fby a; tel", False,
+     {"a": [1, 2, 3], "b": [1, 2, 3]}, 2,
+     ("arity-mismatch", 0, None, "fby arguments have different widths")),
+    ("node f(a: int; b: int) returns (y: int) let y = 0 fby (a, b); tel", False,
+     {"a": [1, 2, 3], "b": [1, 2, 3]}, 1,
+     ("arity-mismatch", 0, None, "fby arguments have different widths")),
+])
+def test_delay_diagnostics_of_both_widths(src, elaborated, ins, width, diagnostic):
+    """A `fby` of width 2 runs through the general delay and one of width 1
+    through its own, with the same diagnostics."""
+    prog = parse_program(src)
+    prog = elaborate(prog) if elaborated else prog
+    inst = NodeInstance(prog, prog.node("f"))
+    assert [d.width for d in inst.updaters] == [width]
+    with pytest.raises(EvalError) as err:
+        inst.run(ins, 3, [True] * 3)
+    kind, tick, var, msg = diagnostic
+    assert (err.value.kind, err.value.tick, err.value.var) == (kind, tick, var)
+    assert str(err.value).endswith(msg)
+
+
+@pytest.mark.parametrize("src, ins, msg", [
+    ("node f(c: bool; x: int) returns (o: int) let o = x; tel",
+     {"c": [True, True], "x": [1, A]}, "o is absent while its clock is live"),
+    ("node f(c: bool; x: int when c) returns (o: int when c) let o = x; tel",
+     {"c": [True, False], "x": [1, 5]}, "o is present while its clock is idle"),
+    ("node f(c: bool; x: int when c) returns (o, p: int when c) let (o, p) = (x, x); tel",
+     {"c": [True, True], "x": [1, A]}, "o is absent while its clock is live"),
+], ids=["base-clock", "sub-clock", "tuple"])
+def test_equation_targets_checked_against_their_clock(src, ins, msg):
+    """Each form of equation closure checks its targets against the
+    equation's clock during the tick, before the inputs are checked."""
+    prog = elaborate(parse_program(src))
+    with pytest.raises(EvalError) as err:
+        interpret_node(prog, prog.node("f"), ins, 2, [True, True])
+    assert (err.value.kind, err.value.tick, err.value.var) == ("clocked-value-mismatch", 1, "o")
+    assert str(err.value).endswith(msg)
 
 
 # ---------------------------------------------------------------------------
