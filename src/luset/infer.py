@@ -13,8 +13,7 @@ from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equ
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
                    When, derived, node_order)
 from .sectypes import (TBOT, CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
-                       least_fixpoint, least_solution, substitute_constraints, substitute_type,
-                       violations)
+                       least_fixpoint, least_solution, substitute_constraints, violations)
 
 GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
 _ASCII = {"α": "a", "β": "b", "γ": "g", "δ": "d"}
@@ -285,42 +284,76 @@ def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
     with no defining constraint is skipped. More than one defining
     constraint violates the precondition.
 
-    The elimination works on a live set of constraints and an index from
-    each variable to the live constraints that mention it. Eliminating δ
-    reads its defining constraints from the index, since an earlier
-    substitution may have made one, and rewrites only the constraints that
-    mention δ; rewritten constraints that turn trivial or repeat a live one
-    are dropped. The result is sorted once, at the end.
+    The elimination runs on bitsets: each variable gets one bit when first
+    seen, and a constraint is a pair of masks (lhs, rhs), absorbed as
+    lhs & ~rhs and trivial when that is 0. It keeps a live set of pairs and
+    an index from each bit to the live pairs that mention it. Eliminating δ
+    reads its defining pairs (rhs == δ) from the index, since an earlier
+    substitution may have made one, and rewrites only the pairs that
+    mention δ, substituting ν for δ as (m & ~δ) | ν; rewritten pairs that
+    turn trivial or repeat a live one are dropped. Masks turn back into
+    constraints once, at the end.
     """
-    live: set[Constraint] = set()
-    mentions: dict[str, set[Constraint]] = {}
+    bits: dict[str, int] = {}
+    names: list[str] = []
 
-    def add(c: Constraint):
-        if not c.trivial and c not in live:
+    def mask(t: CanonType) -> int:
+        m = 0
+        for v in t.vars:
+            b = bits.get(v)
+            if b is None:
+                b = bits[v] = 1 << len(names)
+                names.append(v)
+            m |= b
+        return m
+
+    live: set[tuple[int, int]] = set()
+    mentions: dict[int, set[tuple[int, int]]] = {}
+
+    def add(lhs: int, rhs: int):
+        lhs &= ~rhs
+        c = (lhs, rhs)
+        if lhs and c not in live:
             live.add(c)
-            for v in c.lhs.vars + c.rhs.vars:
-                mentions.setdefault(v, set()).add(c)
+            m = lhs | rhs
+            while m:
+                b = m & -m
+                mentions.setdefault(b, set()).add(c)
+                m ^= b
 
     for c in rho:
-        add(c)
+        add(mask(c.lhs), mask(c.rhs))
     for delta in order:
-        touched = list(mentions.get(delta, ()))
-        defining = [c for c in touched if c.rhs.vars == (delta,)]
+        d = bits.get(delta)
+        touched = list(mentions.get(d, ()))
+        defining = [c for c in touched if c[1] == d]
         if len(defining) > 1:
             raise InferError("multiple-defining-constraints",
                              f"{delta} has {len(defining)} defining constraints")
         if not defining:
             continue
         chosen = defining[0]
-        sub = {delta: chosen.lhs.without((delta,))}
+        sub = chosen[0]
         for c in touched:
             live.remove(c)
-            for v in c.lhs.vars + c.rhs.vars:
-                mentions[v].discard(c)
-        for c in touched:
-            if c != chosen:
-                add(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub)))
-    return ConstraintSet(live)
+            m = c[0] | c[1]
+            while m:
+                b = m & -m
+                mentions[b].discard(c)
+                m ^= b
+        for lhs, rhs in touched:
+            if (lhs, rhs) != chosen:
+                add((lhs & ~d) | sub if lhs & d else lhs, (rhs & ~d) | sub if rhs & d else rhs)
+
+    def canon_type(m: int) -> CanonType:
+        out = []
+        while m:
+            b = m & -m
+            out.append(names[b.bit_length() - 1])
+            m ^= b
+        return CanonType(tuple(out))
+
+    return ConstraintSet(Constraint(canon_type(lhs), canon_type(rhs)) for lhs, rhs in live)
 
 
 def infer_node_signature(node: Node, sigs: Mapping[str, NodeSignature],

@@ -320,6 +320,7 @@ def well_formed(prog: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
         seen.add(node.name)
 
+    deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}  # the call graph
     for node in prog.nodes:
         declared = node.var_names
         decl_names = [d.name for d in node.declarations]
@@ -347,7 +348,9 @@ def well_formed(prog: Program) -> list[Diagnostic]:
                 diags.append(Diagnostic("free-variable", f"undeclared variable(s) {', '.join(sorted(stray))}",
                                         node=node.name, eq_index=i))
             for f in _called_nodes(eq):
-                if not prog.has_node(f):
+                if f in deps:
+                    deps[node.name].add(f)
+                else:
                     diags.append(Diagnostic("unknown-node", f"call to undefined node {f}",
                                             node=node.name, eq_index=i))
         missing = must_define - set(defined)
@@ -355,7 +358,6 @@ def well_formed(prog: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("missing-definition",
                                     f"no equation defines {', '.join(sorted(missing))}", node=node.name))
 
-    deps = _call_deps(prog)
     cycle = _find_cycle(deps, deps)
     if cycle:
         diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))

@@ -188,7 +188,7 @@ def _elimination_cases():
     of chains and of generated programs, in the order inference uses:
     locals in declaration order, then call results in creation order."""
     progs = [elaborate(parse_program(f.read_text())) for f in sorted(SAMPLES.glob("*.lus"))]
-    progs += [elaborate(parse_program(chain_src(k))) for k in (1, 2, 5, 17, 64)]
+    progs += [elaborate(parse_program(chain_src(k))) for k in (1, 2, 5, 17, 64, 200)]
     rng = random.Random(6)
     progs += [elaborate(gen_program(rng)) for _ in range(300)]
     for prog in progs:
@@ -221,6 +221,32 @@ def test_simplify_matches_oracle_on_random_systems():
         assert _outcome(simplify, rho, order) == expected, (rho, order)
         errors += isinstance(expected, tuple)
     assert 0 < errors < 2000
+
+
+def test_simplify_matches_oracle_on_systems_wider_than_a_word():
+    # more than 64 variables, so masks outgrow a machine word; most locals
+    # get one defining constraint, and about a third of the systems give
+    # one local a second
+    rng = random.Random(62)
+    errors = 0
+    for _ in range(24):
+        fs = [f"f{i}" for i in range(rng.randint(4, 12))]
+        ds = [f"d{i}" for i in range(rng.randint(72, 90))]
+        pool = fs + ds
+        pairs = [(rng.sample(pool, rng.randint(0, 4)), [d]) for d in ds if rng.random() < 0.8]
+        pairs += [(rng.sample(pool, rng.randint(0, 4)),
+                   rng.sample(fs, 1) if rng.random() < 0.7 else rng.sample(pool, 2))
+                  for _ in range(rng.randint(10, 40))]
+        if rng.random() < 0.3:
+            pairs.append((rng.sample(pool, 3), [rng.choice(ds)]))
+        rho = ConstraintSet(Constraint.make(ct(*lhs), ct(*rhs)) for lhs, rhs in pairs)
+        assert len(rho.variables) > 64
+        order = list(ds)
+        rng.shuffle(order)
+        expected = _outcome(_simplify_oracle, rho, order)
+        assert _outcome(simplify, rho, order) == expected, (rho, order)
+        errors += isinstance(expected, tuple)
+    assert 0 < errors < 12
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,21 @@ node h(x: int) returns (y: int); let y = g(x); tel
     assert [str(d) for d in well_formed(prog)] == ["recursive-call: node call cycle: g -> h -> g"]
 
 
+def test_call_graph_diagnostics_in_order():
+    # an unknown callee is left out of the call graph; the calls of a node
+    # defined twice join under its one name
+    prog = parse_program("""
+node a(x: int) returns (y: int); let y = b(x); tel
+node b(x: int) returns (y: int); let y = c(x) + q(x); tel
+node c(x: int) returns (y: int); let y = x; tel
+node c(x: int) returns (y: int); let y = b(x) + a(x); tel
+""")
+    assert [str(d) for d in well_formed(prog)] == [
+        "c: duplicate-node: node c defined twice",
+        "b#eq0: unknown-node: call to undefined node q",
+        "recursive-call: node call cycle: a -> b -> c -> a"]
+
+
 @pytest.mark.parametrize("command, terms", [("signature", 300), ("normalize", 400), ("run", 400),
                                             ("signature", 800), ("normalize", 800), ("run", 800)])
 def test_long_flat_sum_within_recursion_budget(tmp_path, capsys, command, terms):

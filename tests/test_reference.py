@@ -1,6 +1,7 @@
 """Pins the results of the tree interpreter (`streams.interpret_node`), the
-reference every faster path is checked against, so that a rewrite of its
-internals is checked to give the very same histories and diagnostics."""
+reference every faster path is checked against, and of security inference
+(`infer.infer_program`), so that a rewrite of either's internals is checked
+to give the very same histories, signatures and diagnostics."""
 
 import hashlib
 import random
@@ -9,14 +10,15 @@ from pathlib import Path
 import pytest
 
 from luset.cli import main
-from luset.diagnostics import LusetError
+from luset.diagnostics import InferError, LusetError
 from luset.harness import gen_inputs, gen_program
+from luset.infer import infer_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.streams import ABSENT, NodeInstance, interpret_node, show_value
 
-from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC
+from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC, chain_src
 from test_codegen import CALLS_SRC, DIVMOD_SRC, OFF_CLOCK_SRC, WHEN2_SRC
 
 ROOT = Path(__file__).parent.parent
@@ -26,6 +28,9 @@ SAMPLES = sorted((ROOT / "samples").glob("*.lus"))
 # closures, then re-recorded once an input off its sub-clock became an error:
 # 11 runs went from a history to `input <x> off its clock`, and no other moved
 INTERPRETER_DIGEST = "7efb03336a8c4ab7c656e51d043ad1fc608ac3f5590aec21a671cef250ed655c"
+
+# recorded with the set-based local elimination of `infer.simplify`
+INFERENCE_DIGEST = "d3b65a8366f3765ec33341e727fd9fbe68af474d52c7da5103520ea660a698af"
 
 A = ABSENT
 BIG = (1 << 63) - 1
@@ -213,4 +218,68 @@ def test_preserve_report_of_sample_golden(sample, capsys):
     """`luset preserve <sample> --json`, byte for byte."""
     assert main(["preserve", str(sample), "--json"]) == 0
     golden = ROOT / "tests" / "data" / f"preserve_{sample.stem}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+# parsed but not elaborated, so that inference itself meets the fault
+INFER_ERROR_SRCS = [
+    "node f(x: int) returns (a, b: int); let (a, b) = x; tel",
+    "node f(x: int) returns (y: int); let y = g(x); tel",
+    "node f(x: int) returns (y: int); var t: int; let t = x; t = 0; y = t; tel",
+]
+
+
+def _inference_outcome(prog):
+    """Per node, the signature, the full constraints and the call sites
+    inference gives, or its error's kind and message."""
+    try:
+        results = infer_program(prog)
+    except InferError as exc:
+        return ("error", exc.kind, str(exc))
+    return [(name, res.signature.display(), str(res.full_constraints),
+             [(c.callee, c.eq_index, tuple(str(t) for t in c.arg_types), str(c.clock_type),
+               c.result_vars) for c in res.calls])
+            for name, res in results.items()]
+
+
+def _inference_programs():
+    for f in SAMPLES:
+        yield elaborate(parse_program(f.read_text()))
+    for k in (1, 17, 64, 200):
+        yield elaborate(parse_program(chain_src(k)))
+    rng = random.Random(11)
+    for _ in range(300):
+        yield elaborate(gen_program(rng))
+    for src in INFER_ERROR_SRCS:
+        yield parse_program(src)
+
+
+def test_inference_results_are_pinned():
+    h = hashlib.sha256()
+    programs = errors = 0
+    for prog in _inference_programs():
+        got = _inference_outcome(prog)
+        h.update(repr(got).encode())
+        programs += 1
+        errors += got[0] == "error"
+    assert programs == 310 and errors == len(INFER_ERROR_SRCS)
+    assert h.hexdigest() == INFERENCE_DIGEST
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.stem)
+def test_signature_report_of_sample_golden(sample, capsys):
+    """`luset signature <sample> --json`, byte for byte."""
+    assert main(["signature", str(sample), "--json"]) == 0
+    golden = ROOT / "tests" / "data" / f"signature_{sample.stem}.json"
+    assert capsys.readouterr().out == golden.read_text()
+
+
+@pytest.mark.parametrize("name,code", [("leak", 1), ("ctr", 0)])
+def test_check_report_of_sample_golden(name, code, capsys):
+    """`luset check <sample> --json` with the sample's assignment, byte for
+    byte; exit code 1 is the `insecure` verdict on the leaks."""
+    argv = ["check", str(ROOT / "samples" / f"{name}.lus"), "--lattice", "two-point",
+            "--assign", str(ROOT / "samples" / f"{name}_assign.json"), "--json"]
+    assert main(argv) == code
+    golden = ROOT / "tests" / "data" / f"check_{name}.json"
     assert capsys.readouterr().out == golden.read_text()
