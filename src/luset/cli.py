@@ -118,8 +118,6 @@ def cmd_run(args) -> int:
     ticks = args.ticks if args.ticks is not None else min(lengths or {0})
     if bs is not None:
         ticks = min(ticks, len(bs))
-        bs = bs[:ticks]
-    streams = {x: vs[:ticks] for x, vs in streams.items()}
     history, _ = run_node(prog, args.node, streams, ticks, bs=bs)
     rows = {d.name: history[d.name] for d in node.outputs}
     if args.locals:

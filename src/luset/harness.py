@@ -21,7 +21,7 @@ from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, satisfies)
 from .streams import (ABSENT, History, NodeInstance, default_base_clock, eval_clock,
-                      eval_node, interpret_node, run_compiled, show_value)
+                      interpret_node, run_compiled, show_value)
 
 PASS = "pass"
 FAIL = "fail"
@@ -379,10 +379,7 @@ def _variable_levels(res: InferenceResult, interface_inst: Mapping[str, str],
     """Security class of every node variable: the interface instantiation
     extended over locals by the least fixpoint of the full constraints."""
     full = least_fixpoint(res.full_constraints, interface_inst, lat)
-    out = {}
-    for prog_var, tv in res.gamma.items():
-        out[prog_var] = full.get(tv, interface_inst.get(tv, lat.bottom))
-    return out
+    return {prog_var: full.get(tv, lat.bottom) for prog_var, tv in res.gamma.items()}
 
 
 def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
@@ -406,9 +403,9 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     results = infer_program(prog)
     res = results[cfg.node]
     node = prog.node(cfg.node)
-    solved, satisfied = solve_interface(res, cfg.assignment, lat)
-    details = {"level": cfg.level, "satisfied": satisfied}
-    if not satisfied and not cfg.force:
+    solved, violated = solve_interface(res, cfg.assignment, lat)
+    details = {"level": cfg.level, "satisfied": not violated}
+    if violated and not cfg.force:
         return CheckReport("non-interference", SKIPPED, node=cfg.node, seed=cfg.seed,
                            reason="assignment does not satisfy the node constraints",
                            details=details)
@@ -526,10 +523,10 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     as the compiled code of `codegen.runner(prog, node)`, which is generated
     from this very normal form and is the build that non-interference trials
     of the node reuse. When that code is refused or its run raises, the
-    normal form runs through `eval_node`, and never the source, so the two
-    sides never share an evaluator. The input order of the draws and the
-    base clock, always-live for every draw (see `gen_inputs`), are worked
-    out once per call."""
+    normal form runs on the tree interpreter (`interpret_node`), and never
+    the source, so the two sides never share an evaluator. The input order
+    of the draws and the base clock, always-live for every draw (see
+    `gen_inputs`), are worked out once per call."""
     prog = elaborate(prog)
     try:
         nprog, _ = normalize_program(prog)
@@ -553,7 +550,8 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
             out1 = [ref[d.name] for d in node.outputs]
             out2 = run_compiled(prog, node_name, positional, bs)
             if out2 is None:
-                out2 = eval_node(nprog, node_name, [list(vs) for vs in positional], ticks)
+                normal = interpret_node(nprog, nprog.node(node_name), ins, ticks, bs)
+                out2 = [normal[d.name] for d in node.outputs]
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                                trials=trial + 1, seed=seed, reason=str(exc))
@@ -809,6 +807,6 @@ def sample_satisfying_assignment(rng: random.Random, res: InferenceResult,
     sig = res.signature
     drawn = {tv: rng.choice(lat.elements) for tv in sig.inputs + (sig.clock,)}
     given = {p: drawn[tv] for p, tv in res.gamma.items() if tv in drawn}
-    solved, satisfied = solve_interface(res, given, lat)
-    assert satisfied, "output-free choice must be completable"
+    solved, violated = solve_interface(res, given, lat)
+    assert not violated, "output-free choice must be completable"
     return {p: solved[tv] for p, tv in res.gamma.items() if tv in solved}

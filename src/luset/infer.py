@@ -424,7 +424,6 @@ class CallCheck:
     callee: str
     eq_index: int
     secure: bool
-    instantiation: dict[str, str]
     violated: list[Constraint] = field(default_factory=list)
 
 
@@ -436,7 +435,6 @@ class NodeReport:
     violated: list[Constraint]
     solved: list[str]  # interface variables filled in by the least solution
     calls: list[CallCheck]
-    unsatisfiable: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -486,13 +484,15 @@ def flatten_assignment(entry) -> tuple[str | None, dict[str, str]]:
 
 
 def solve_interface(res: InferenceResult, assignment: Mapping[str, str],
-                    lat: Lattice) -> tuple[dict[str, str], bool]:
+                    lat: Lattice) -> tuple[dict[str, str], list[Constraint]]:
     """Complete a (possibly partial) program-variable assignment (with
     `base`) to every interface type variable of the node by the least
-    solution of its signature constraints; labels for locals are ignored.
+    fixpoint of its signature constraints; labels for locals are ignored.
 
-    The flag tells whether the assignment is satisfiable. When it is not,
-    the least fixpoint stands in so that violations can still be reported.
+    Returns the completion and the signature constraints it violates. With
+    none violated, the completion is the least solution; otherwise no
+    solution extends the assignment, and the violations are what a check
+    reports against it.
     """
     sig = res.signature
     interface = sig.interface_vars()
@@ -502,33 +502,27 @@ def solve_interface(res: InferenceResult, assignment: Mapping[str, str],
             raise InferError("unbound-var", f"{sig.name} has no variable {name}")
         if res.gamma[name] in interface:
             fixed[res.gamma[name]] = label
-    s = least_solution(sig.constraints, fixed, lat)
-    satisfiable = s is not None
-    if s is None:
-        s = least_fixpoint(sig.constraints, fixed, lat)
-    return {v: s.get(v, lat.bottom) for v in interface}, satisfiable
+    s = least_fixpoint(sig.constraints, fixed, lat)
+    return {v: s.get(v, lat.bottom) for v in interface}, violations(sig.constraints, s, lat)
 
 
 def check_node(results: Mapping[str, InferenceResult], name: str,
                assignment: Mapping[str, str], lat: Lattice) -> NodeReport:
     """Verdict for one node under a (possibly partial) interface assignment.
 
-    Missing interface variables are filled in by the least solution of the
-    signature constraints. Internal node calls are then checked recursively
-    under the instantiation induced by the least extension over locals.
+    Missing interface variables are filled in by `solve_interface`, which
+    also gives the violated signature constraints. Internal node calls are
+    then checked recursively under the instantiation induced by the least
+    extension over locals; when the node's full constraints cannot be met,
+    no call is listed and the node is insecure.
     """
     res = results[name]
-    sig = res.signature
-    s, _ = solve_interface(res, assignment, lat)
+    s, bad = solve_interface(res, assignment, lat)
     solved_vars = sorted(set(s) - {res.gamma[p] for p in assignment})
-    bad = violations(sig.constraints, s, lat)
-
     calls = _check_calls(results, res, s, lat, {})
-    unsat = calls is None
-
     readable_assignment = {p: s[v] for p, v in res.gamma.items() if v in s}
-    secure = not bad and not unsat and all(c.secure for c in calls or [])
-    return NodeReport(name, secure, readable_assignment, bad, solved_vars, calls or [], unsat)
+    secure = not bad and calls is not None and all(c.secure for c in calls)
+    return NodeReport(name, secure, readable_assignment, bad, solved_vars, calls or [])
 
 
 def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
@@ -537,7 +531,9 @@ def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
     """Security of a node's calls under an interface instantiation, per the
     recursive definition: each call's induced instantiation must satisfy the
     callee's constraints, and the callee's own calls must be secure under it.
-    Returns None when the node's internal constraints cannot be met at all.
+    One `CallCheck` per call site, with the callee constraints its
+    instantiation violates; None when the node's full constraints cannot be
+    met at all.
 
     `memo` maps (callee, sorted instantiation) to whether the callee's own
     calls are secure under it, so each callee is walked once per distinct
@@ -562,14 +558,8 @@ def _check_calls(results: Mapping[str, InferenceResult], res: InferenceResult,
                 deeper = _check_calls(results, callee_res, inst, lat, memo)
                 memo[key] = deeper is not None and all(c.secure for c in deeper)
             ok = memo[key]
-        readable = {p: inst[v] for p, v in _interface_names(callee_res).items()}
-        checks.append(CallCheck(site.callee, site.eq_index, ok, readable, sub_bad))
+        checks.append(CallCheck(site.callee, site.eq_index, ok, sub_bad))
     return checks
-
-
-def _interface_names(res: InferenceResult) -> dict[str, str]:
-    interface = set(res.signature.interface_vars())
-    return {p: v for p, v in res.gamma.items() if v in interface}
 
 
 def check_program(prog: Program, lat: Lattice,

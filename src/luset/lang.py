@@ -313,6 +313,12 @@ def well_formed(prog: Program) -> list[Diagnostic]:
     equations have no free variables outside the interface, all called nodes
     exist and the call graph is a DAG.
     """
+    return _well_formed(prog)[0]
+
+
+def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
+    """`well_formed`'s diagnostics, and the call graph its walk builds: each
+    node's name mapped to the program nodes it calls."""
     diags: list[Diagnostic] = []
     seen: set[str] = set()
     for node in prog.nodes:
@@ -320,7 +326,7 @@ def well_formed(prog: Program) -> list[Diagnostic]:
             diags.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
         seen.add(node.name)
 
-    deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}  # the call graph
+    deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
     for node in prog.nodes:
         declared = node.var_names
         decl_names = [d.name for d in node.declarations]
@@ -361,7 +367,7 @@ def well_formed(prog: Program) -> list[Diagnostic]:
     cycle = _find_cycle(deps, deps)
     if cycle:
         diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
-    return diags
+    return diags, deps
 
 
 def _called_nodes(item) -> set[str]:
@@ -379,15 +385,6 @@ def _called_nodes(item) -> set[str]:
     for sub in _subexprs(item):
         out |= _called_nodes(sub)
     return out
-
-
-def _call_deps(prog: Program) -> dict[str, set[str]]:
-    """Call graph: each node's name mapped to the program nodes it calls."""
-    deps = {n.name: set() for n in prog.nodes}
-    for n in prog.nodes:
-        for eq in n.equations:
-            deps[n.name] |= {f for f in _called_nodes(eq) if f in deps}
-    return deps
 
 
 def _schedule(deps: dict) -> list:
@@ -446,8 +443,9 @@ def _find_cycle(graph: dict[str, set[str]], roots: Iterable[str]) -> list[str] |
 
 
 def node_order(prog: Program) -> list[str]:
-    """Topological order of the call graph, callees first."""
-    order = _schedule(_call_deps(prog))
+    """Topological order of the call graph, callees first. The graph is the
+    one `well_formed` walks, kept on an elaborated program by `elaborate`."""
+    order = _schedule(derived(prog, _well_formed)[1])
     if len(order) < len(prog.nodes):
         raise ElaborationError([Diagnostic("recursive-call", "node call cycle")])
     return order
@@ -645,7 +643,7 @@ def elaborate(prog: Program) -> Program:
 
 
 def _elaborate(prog: Program) -> Program:
-    wf = well_formed(prog)
+    wf, calls = _well_formed(prog)
     if wf:
         raise ElaborationError(wf)
     diags: list[Diagnostic] = []
@@ -693,6 +691,7 @@ def _elaborate(prog: Program) -> Program:
         raise ElaborationError(diags)
     out = Program(tuple(new_nodes))
     out.memo[_ELABORATED] = True
+    out.memo[(_well_formed,)] = wf, calls  # elaboration keeps the nodes and their calls
     return out
 
 
@@ -764,7 +763,6 @@ def eq_instantaneous_deps(eq: Equation) -> set[str]:
 class Causality:
     """Result of the per-node scheduling analysis."""
 
-    graph: dict[str, set[str]]  # reader variable -> variables it reads now
     order: tuple[int, ...] | None  # equation indices, schedulable order
     cycle: tuple[str, ...] | None
 
@@ -779,21 +777,17 @@ def causality(node: Node) -> Causality:
     for i, eq in enumerate(node.equations):
         for x in eq_targets(eq):
             owner[x] = i
-    graph: dict[str, set[str]] = {}
-    eq_deps: dict[int, set[int]] = {}
-    for i, eq in enumerate(node.equations):
-        reads = eq_instantaneous_deps(eq)
-        for x in eq_targets(eq):
-            graph[x] = set(reads)
-        eq_deps[i] = {owner[y] for y in reads if y in owner}  # owner == i marks a self-cycle
+    reads = [eq_instantaneous_deps(eq) for eq in node.equations]
+    # owner == i marks a self-cycle
+    eq_deps = {i: {owner[y] for y in r if y in owner} for i, r in enumerate(reads)}
     order = _schedule(eq_deps)
     if len(order) == len(eq_deps):
-        return Causality(graph, tuple(order), None)
+        return Causality(tuple(order), None)
     done = set(order)
     remaining = {x for x, i in owner.items() if i not in done}
     # every unscheduled equation waits on another, so the variables they own hold a cycle
-    cycle = _find_cycle({x: graph[x] & remaining for x in remaining}, sorted(remaining))
-    return Causality(graph, None, tuple(cycle))
+    cycle = _find_cycle({x: reads[owner[x]] & remaining for x in remaining}, sorted(remaining))
+    return Causality(None, tuple(cycle))
 
 
 def check_causality(node: Node) -> tuple[int, ...]:

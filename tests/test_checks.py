@@ -178,3 +178,18 @@ def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node
     monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
     assert check_non_interference(prog, cfg).to_json() == compiled
     assert compiled["verdict"] == ("fail" if force else "pass")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    *[(["preserve", f"samples/{s}.lus", "--json"], f"preserve_{s}.json")
+      for s in ("ctr", "leak", "retrig")],
+    *[(["suite", "--seed", str(seed), "--json"], f"suite_seed{seed}.json") for seed in (0, 1)],
+], ids=["preserve-ctr", "preserve-leak", "preserve-retrig", "suite-0", "suite-1"])
+def test_semantics_check_falls_back_to_the_interpreter_with_the_same_report(
+        monkeypatch, capsys, argv, golden):
+    """With no compiled code, the semantics check interprets the normal form
+    and every report is the one the compiled runs give."""
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / golden).read_text()

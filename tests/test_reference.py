@@ -274,12 +274,18 @@ def test_signature_report_of_sample_golden(sample, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
-@pytest.mark.parametrize("name,code", [("leak", 1), ("ctr", 0)])
-def test_check_report_of_sample_golden(name, code, capsys):
-    """`luset check <sample> --json` with the sample's assignment, byte for
-    byte; exit code 1 is the `insecure` verdict on the leaks."""
-    argv = ["check", str(ROOT / "samples" / f"{name}.lus"), "--lattice", "two-point",
-            "--assign", str(ROOT / "samples" / f"{name}_assign.json"), "--json"]
+@pytest.mark.parametrize("name,code,sample,assign", [
+    ("leak", 1, "leak", "samples/leak_assign.json"),
+    ("ctr", 0, "ctr", "samples/ctr_assign.json"),
+    ("ctr_partial", 1, "ctr", "tests/data/ctr_partial_assign.json"),
+], ids=["leak-1", "ctr-0", "ctr_partial-1"])
+def test_check_report_of_sample_golden(name, code, sample, assign, capsys):
+    """`luset check <sample> --json` with an assignment, byte for byte; exit
+    code 1 is the `insecure` verdict on the leaks and on `Ctr` with a secret
+    increment and a public output. The partial assignment has the least
+    solution fill in the rest, and checks `SpdMtr`'s calls under it."""
+    argv = ["check", str(ROOT / "samples" / f"{sample}.lus"), "--lattice", "two-point",
+            "--assign", str(ROOT / assign), "--json"]
     assert main(argv) == code
     golden = ROOT / "tests" / "data" / f"check_{name}.json"
     assert capsys.readouterr().out == golden.read_text()
