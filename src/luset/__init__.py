@@ -13,9 +13,9 @@ from .infer import (FreshVars, NodeSignature, check_program, infer_node_signatur
                     infer_program, signatures, simplify, type_clock, type_equation,
                     type_expr)
 from .normalize import init_fby, normalize_program
-from .streams import (ABSENT, base_of, const_stream, eval_clock, eval_expr, eval_node,
-                      fby_lustre, fby_nlustre, ite_stream, lift_binop, lift_unop,
-                      merge_stream, read_trace, respects_clock, run_node, when_stream)
+from .streams import (ABSENT, base_of, const_stream, eval_clock, eval_expr, fby_lustre,
+                      fby_nlustre, ite_stream, lift_binop, lift_unop, merge_stream,
+                      read_trace, respects_clock, run_node, when_stream)
 from .harness import (NIConfig, check_equational_soundness, check_non_interference,
                       check_semantics_preservation, check_simple_security,
                       check_type_preservation, gen_inputs, gen_lattice, gen_program,

@@ -9,11 +9,11 @@ signatures is checked by re-inferring them on its output (see
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import islice
 
-from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockOn, Const, Def, Equation, Expr,
-                   Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
+from .lang import (ARITH_OPS, BASE_CLOCK, Binop, Call, Clock, ClockOn, Const, Def, Equation,
+                   Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
                    VarDecl, When, derived, elaborate)
 
 
@@ -72,9 +72,14 @@ def _norm_list(ctx: _Ctx, exprs, ambient: Clock) -> list[_Slot]:
     return out
 
 
-def _norm(ctx: _Ctx, e: Expr, ambient: Clock) -> list[_Slot]:
+def _norm(ctx: _Ctx, e: Expr, ambient: Clock,
+          name: Callable[[Ty, Clock], str] | None = None) -> list[_Slot]:
     """Rewrite e to simple expressions (one per component stream), emitting
-    fresh equations for delays, calls and nested control expressions."""
+    equations for delays, calls and control expressions. `name(ty, clock)`
+    gives the target of each equation emitted for e itself: a fresh local by
+    default, the source equation's own target at its top (`_norm_equation`).
+    Nested expressions always get fresh locals."""
+    name = name or ctx.fresh_local
     match e:
         case Const():
             return [_Slot(e, e.ty)]
@@ -86,8 +91,7 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock) -> list[_Slot]:
         case Binop(op, a, b):
             [l] = _norm(ctx, a, ambient)
             [r] = _norm(ctx, b, ambient)
-            ty = Ty.BOOL if (op in ("and", "or", "=", "<>", "<", "<=", ">", ">=")) else Ty.INT
-            return [_Slot(Binop(op, l.expr, r.expr), ty)]
+            return [_Slot(Binop(op, l.expr, r.expr), Ty.INT if op in ARITH_OPS else Ty.BOOL)]
         case When(args, x, k):
             inner = _norm_list(ctx, args, ctx.decls[x].clock)
             return [_Slot(When((s.expr,), x, k), s.ty) for s in inner]
@@ -97,9 +101,9 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock) -> list[_Slot]:
             fslots = _norm_list(ctx, fs, ClockOn(ck, x, False))
             out = []
             for a, b in zip(tslots, fslots):
-                name = ctx.fresh_local(a.ty, ck)
-                ctx.equations.append(NDef(name, ck, Merge(x, (a.expr,), (b.expr,))))
-                out.append(_Slot(Var(name), a.ty))
+                target = name(a.ty, ck)
+                ctx.equations.append(NDef(target, ck, Merge(x, (a.expr,), (b.expr,))))
+                out.append(_Slot(Var(target), a.ty))
             return out
         case Ite(c, ts, fs):
             [cond] = _norm(ctx, c, ambient)
@@ -107,23 +111,22 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock) -> list[_Slot]:
             fslots = _norm_list(ctx, fs, ambient)
             out = []
             for a, b in zip(tslots, fslots):
-                name = ctx.fresh_local(a.ty, ambient)
-                ctx.equations.append(NDef(name, ambient, Ite(cond.expr, (a.expr,), (b.expr,))))
-                out.append(_Slot(Var(name), a.ty))
+                target = name(a.ty, ambient)
+                ctx.equations.append(NDef(target, ambient, Ite(cond.expr, (a.expr,), (b.expr,))))
+                out.append(_Slot(Var(target), a.ty))
             return out
         case Fby(e0s, es):
             heads = _norm_list(ctx, e0s, ambient)
             bodies = _norm_list(ctx, es, ambient)
             out = []
             for h, b in zip(heads, bodies):
-                name = ctx.fresh_local(h.ty, ambient)
-                ctx.equations.append(_FbyEq(name, ambient, h, b))
-                out.append(_Slot(Var(name), h.ty))
+                target = name(h.ty, ambient)
+                ctx.equations.append(_FbyEq(target, ambient, h, b))
+                out.append(_Slot(Var(target), h.ty))
             return out
         case Call(f, args):
             arg_slots = _norm_list(ctx, args, ambient)
-            out = [_Slot(Var(ctx.fresh_local(d.ty, ambient)), d.ty)
-                   for d in ctx.prog.node(f).outputs]
+            out = [_Slot(Var(name(d.ty, ambient)), d.ty) for d in ctx.prog.node(f).outputs]
             ctx.equations.append(NCall(tuple(s.expr.name for s in out), ambient, f,
                                        tuple(s.expr for s in arg_slots)))
             return out
@@ -169,40 +172,18 @@ def _finish_fby(ctx: _Ctx) -> list[Equation]:
 
 
 def _norm_equation(ctx: _Ctx, eq: Def):
-    """Distribute a source equation into core equations, keeping delays,
-    calls and one control layer at the top of their defining equation."""
+    """Distribute a source equation into core equations. A delay, call,
+    merge or conditional at the top defines the equation's own targets
+    (a merge on x on x's clock, which elaboration has unified with the
+    equation's); any other top is one simple expression per target."""
     ck = eq.clock if eq.clock is not None else BASE_CLOCK
     targets = iter(eq.targets)
-
-    def take(n: int) -> tuple[str, ...]:
-        return tuple(islice(targets, n))
-
     for top in eq.exprs:
-        match top:
-            case Fby(e0s, es):
-                heads = _norm_list(ctx, e0s, ck)
-                bodies = _norm_list(ctx, es, ck)
-                for x, h, b in zip(take(len(heads)), heads, bodies):
-                    ctx.equations.append(_FbyEq(x, ck, h, b))
-            case Call(f, args):
-                arg_slots = _norm_list(ctx, args, ck)
-                ctx.equations.append(NCall(take(len(ctx.prog.node(f).outputs)), ck, f,
-                                           tuple(s.expr for s in arg_slots)))
-            case Merge(x, ts, fs):
-                tslots = _norm_list(ctx, ts, ClockOn(ck, x, True))
-                fslots = _norm_list(ctx, fs, ClockOn(ck, x, False))
-                for t, a, b in zip(take(len(tslots)), tslots, fslots):
-                    ctx.equations.append(NDef(t, ck, Merge(x, (a.expr,), (b.expr,))))
-            case Ite(c, ts, fs):
-                [cond] = _norm(ctx, c, ck)
-                tslots = _norm_list(ctx, ts, ck)
-                fslots = _norm_list(ctx, fs, ck)
-                for t, a, b in zip(take(len(tslots)), tslots, fslots):
-                    ctx.equations.append(NDef(t, ck, Ite(cond.expr, (a.expr,), (b.expr,))))
-            case _:
-                slots = _norm(ctx, top, ck)
-                for x, s in zip(take(len(slots)), slots):
-                    ctx.equations.append(NDef(x, ck, s.expr))
+        if isinstance(top, (Fby, Call, Merge, Ite)):
+            _norm(ctx, top, ck, lambda ty, clock: next(targets))
+        else:
+            for s in _norm(ctx, top, ck):
+                ctx.equations.append(NDef(next(targets), ck, s.expr))
 
 
 def normalize_program(prog: Program) -> tuple[Program, dict[str, tuple[VarDecl, ...]]]:

@@ -804,17 +804,6 @@ def interpret_node(prog: Program, node: Node, inputs: History, n_ticks: int,
     return NodeInstance(prog, node).run(inputs, n_ticks, bs)
 
 
-def eval_node(prog: Program, name: str, inputs: list[VStream], n_ticks: int) -> list[VStream]:
-    """Output streams of a node applied to positional input streams."""
-    node = prog.node(name)
-    if len(inputs) != len(node.inputs):
-        raise EvalError("arity-mismatch",
-                        f"{name} expects {len(node.inputs)} input(s), got {len(inputs)}")
-    named = {d.name: vs for d, vs in zip(node.inputs, inputs)}
-    history, _ = run_node(prog, name, named, n_ticks)
-    return [history[d.name] for d in node.outputs]
-
-
 # ---------------------------------------------------------------------------
 # CSV traces
 # ---------------------------------------------------------------------------

@@ -115,11 +115,11 @@ def test_semantics_preservation_cnt_dn():
 
 def test_semantics_preservation_ctr_table_inputs(ctr_prog):
     from luset.normalize import normalize_program
-    from luset.streams import eval_node
+    from luset.streams import run_node
     nprog, _ = normalize_program(ctr_prog)
-    ins = [CTR_TABLE["init"], CTR_TABLE["incr"], CTR_TABLE["rst"]]
-    assert eval_node(ctr_prog, "Ctr", ins, 7) == eval_node(nprog, "Ctr", ins, 7)
-    assert eval_node(nprog, "Ctr", ins, 7) == [CTR_TABLE["n"]]
+    ins = {k: CTR_TABLE[k] for k in ("init", "incr", "rst")}
+    assert run_node(ctr_prog, "Ctr", ins, 7)[0]["n"] == run_node(nprog, "Ctr", ins, 7)[0]["n"]
+    assert run_node(nprog, "Ctr", ins, 7)[0]["n"] == CTR_TABLE["n"]
 
 
 def test_semantics_preservation_already_normal(ctr_prog):

@@ -1,12 +1,29 @@
+import hashlib
 import random
+from pathlib import Path
 
+import pytest
+
+from luset.cli import main
 from luset.harness import gen_program
 from luset.infer import infer_program
 from luset.lang import (BASE_CLOCK, Binop, ClockOn, Const, Ite, NCall,
                         NDef, NFby, Var, When, elaborate, nlustre_violations,
                         well_formed)
 from luset.normalize import normalize_program
-from luset.parser import parse_program
+from luset.parser import parse_program, pretty_print
+
+
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
+# gen_program emits no tuple-valued top of an equation; this program has one
+# of each kind, on the base clock and on a sub-clock
+TUPLE_TOPS = DATA / "tuple_tops.lus"
+NORMALIZED = sorted((ROOT / "samples").glob("*.lus")) + [TUPLE_TOPS]
+
+# recorded with the top of each source equation de-nested by its own copy of
+# the nested cases
+NORMAL_FORM_DIGEST = "b14722e72cc4673c69ffe9604519232d62483b4bf1462b37a01dcb47ed88a602"
 
 
 def sig_tuple(res):
@@ -162,3 +179,32 @@ def test_signature_preserved_on_goldens(cnt_dn_prog, re_trig_prog, ctr_spdmtr_pr
         after = infer_program(nprog)
         for name in before:
             assert sig_tuple(before[name]) == sig_tuple(after[name])
+
+
+def _normal_form_programs():
+    yield parse_program(TUPLE_TOPS.read_text())
+    rng = random.Random(5)
+    for _ in range(500):
+        yield gen_program(rng, max_nodes=4)
+
+
+def test_normal_forms_are_pinned():
+    """The text of each normal form and the locals it introduces, over
+    generated programs and tuple-valued tops, are the pinned ones."""
+    h = hashlib.sha256()
+    programs = fresh = 0
+    for prog in _normal_form_programs():
+        nprog, info = normalize_program(prog)
+        h.update(pretty_print(nprog).encode())
+        h.update(repr(sorted(info.items())).encode())
+        programs += 1
+        fresh += sum(map(len, info.values()))
+    assert programs == 501 and fresh > 3000
+    assert h.hexdigest() == NORMAL_FORM_DIGEST
+
+
+@pytest.mark.parametrize("program", NORMALIZED, ids=lambda p: p.stem)
+def test_normalize_output_golden(program, capsys):
+    """`luset normalize <program>`, byte for byte."""
+    assert main(["normalize", str(program)]) == 0
+    assert capsys.readouterr().out == (DATA / f"normalize_{program.stem}.lus").read_text()

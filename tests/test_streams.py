@@ -10,10 +10,9 @@ from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby,
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
-                           const_stream, eval_clock, eval_expr, eval_node, fby_lustre,
-                           fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
-                           merge_stream, read_trace, respects_clock, run_node, show_value,
-                           when_stream)
+                           const_stream, eval_clock, eval_expr, fby_lustre, fby_nlustre,
+                           interpret_node, ite_stream, lift_binop, lift_unop, merge_stream,
+                           read_trace, respects_clock, run_node, show_value, when_stream)
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
 
@@ -274,18 +273,18 @@ def test_ctr_example_run(ctr_prog):
 
 def test_echo_node():
     prog = elaborate(parse_program("node id(x: int) returns (y: int); let y = x; tel"))
-    assert eval_node(prog, "id", [[4, A, 6]], 3) == [[4, A, 6]]
+    assert run_node(prog, "id", {"x": [4, A, 6]}, 3)[0]["y"] == [4, A, 6]
 
 
 def test_eval_node_deterministic(ctr_prog):
-    ins = [CTR_TABLE["init"], CTR_TABLE["incr"], CTR_TABLE["rst"]]
-    assert eval_node(ctr_prog, "Ctr", ins, 7) == eval_node(ctr_prog, "Ctr", ins, 7)
+    ins = {k: CTR_TABLE[k] for k in ("init", "incr", "rst")}
+    assert run_node(ctr_prog, "Ctr", ins, 7)[0]["n"] == run_node(ctr_prog, "Ctr", ins, 7)[0]["n"]
 
 
 def test_causality_cycle_raises():
     prog = parse_program("node f(x: int) returns (y: int); let y = y + 1; tel")
     with pytest.raises(CausalityError):
-        eval_node(prog, "f", [[1, 2]], 2)
+        run_node(prog, "f", {"x": [1, 2]}, 2)
 
 
 def test_ncall_clock_consistency_checked():
@@ -421,9 +420,14 @@ def test_equation_targets_checked_against_their_clock(src, ins, msg):
 # traces
 # ---------------------------------------------------------------------------
 
-def test_interpreter_agrees_with_stream_operators():
+@pytest.mark.parametrize("run", [
+    lambda prog, ins, n: run_node(prog, "ops", ins, n)[0],
+    lambda prog, ins, n: interpret_node(prog, prog.node("ops"), ins, n, [True] * n),
+], ids=["run_node", "interpret_node"])
+def test_interpreter_agrees_with_stream_operators(run):
     # dual route: the tick-major node machine vs direct composition of the
-    # whole-prefix operators, over random streams
+    # whole-prefix operators, over random streams; `run_node` runs the
+    # compiled code of `ops`, `interpret_node` the tree interpreter
     rng = random.Random(23)
     src = """
 node ops(c: bool; a, b: int) returns (s, d, w, m: int; g: bool);
@@ -442,7 +446,7 @@ tel
         c = [rng.random() < 0.5 for _ in range(n)]
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        H, _ = run_node(prog, "ops", {"c": c, "a": a, "b": b}, n)
+        H = run(prog, {"c": c, "a": a, "b": b}, n)
         assert H["s"] == lift_binop("+", a, b)
         assert H["d"] == ite_stream(c, a, b)
         assert H["w"] == merge_stream(c, when_stream(True, c, a),
