@@ -29,7 +29,6 @@ interpreter against them.
 from __future__ import annotations
 
 import csv
-from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .diagnostics import EvalError
@@ -748,7 +747,7 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     for x, vs in inputs.items():
         if len(vs) < n_ticks:
             raise EvalError("arity-mismatch", f"input {x} is shorter than {n_ticks} ticks")
-    ins = [list(inputs[x][:n_ticks]) for x in declared]
+    ins = [inputs[x][:n_ticks] for x in declared]  # a copy: the compiled loop owns it
     if bs is None:
         bs = default_base_clock(ins, n_ticks)
     elif len(bs) < n_ticks:
@@ -789,9 +788,12 @@ def run_compiled(prog: Program, name: str, ins: list[VStream],
 
 
 def default_base_clock(inputs: list[VStream], n_ticks: int) -> BStream:
-    """The pointwise presence of the inputs over the first `n_ticks` ticks;
-    a node without inputs runs at every tick."""
-    bs = [not inputs] * n_ticks
+    """The pointwise presence of the inputs, each at least `n_ticks` long,
+    over the first `n_ticks` ticks; a node without inputs, or with an input
+    present throughout, runs at every tick."""
+    if not inputs or any(ABSENT not in vs for vs in inputs):
+        return [True] * n_ticks
+    bs = [False] * n_ticks
     for vs in inputs:
         bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
     return bs
@@ -873,13 +875,17 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
     """The values of one column of cells, or None when a cell is unreadable
     or out of range. Equal to `_parse_cell` per cell: `int` accepts only
     whitespace that `str.strip` removes, and fails on the rest, which leaves
-    those cells to the slower tries."""
+    those cells to the slower tries; unpadded words go before padded ones."""
     try:
         vs = list(map(int, col))
     except ValueError:
         pass
     else:
         return vs if not vs or (min(vs) >= -(1 << 63) and max(vs) < 1 << 63) else None
+    try:
+        return list(map(_WORDS.__getitem__, col))
+    except KeyError:
+        pass
     try:
         return [_WORDS[c.strip()] for c in col]
     except KeyError:
@@ -890,29 +896,49 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
         return None
 
 
+def _plain_columns(path) -> tuple[list[str], list[list[str]]] | None:
+    """The stripped header of a plain trace and the cells of each column below
+    it, split by `str` methods; None when the file is not plain: not UTF-8,
+    holding a `"`, CR or NUL (which `csv` reads its own way), with an empty or
+    repeated header, a cell over `csv.field_size_limit()` or a ragged row."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if text.endswith("\n"):
+        text = text[:-1]  # it ends the last row
+    if '"' in text or "\r" in text or "\0" in text or not text or text[0] == "\n":
+        return None
+    rows, long_cells = text.count("\n"), len(text) > csv.field_size_limit()
+    text = text.replace("\n", ",\n,")  # a "\n" cell between rows
+    cells = text.split(",")
+    del text
+    n = cells.index("\n") if rows else len(cells)
+    header = [h.strip() for h in cells[:n]]
+    if len(cells) != n + rows * (n + 1) or cells[n::n + 1].count("\n") != rows \
+            or len(set(header)) < n \
+            or long_cells and max(map(len, cells)) > csv.field_size_limit():
+        return None
+    return header, [cells[j::n + 1] for j in range(n + 1, 2 * n + 1)]
+
+
 def read_trace(path) -> tuple[History, BStream | None]:
     """Read a UTF-8 CSV trace: a header of variable names (plus an optional
     `base` column) and one row per tick; `_` marks absence. Cells are
     stripped and blank rows skipped.
 
-    Columns are decoded whole. The rows of a file with any irregularity go
-    to `_trace_by_rows`, which raises its diagnostic."""
-    rows = _csv_rows(path)
-    if not rows:
-        return {}, None
-    header = [h.strip() for h in rows[0]]
-    body = [row for row in rows[1:] if "".join(row).strip()]
-    del rows
-    if len(set(header)) < len(header) or set(map(len, body)) - {len(header)}:
-        return _trace_by_rows([header, *body])
-    # one exact-size list per column; zip(*body) would hold an iterator per row
-    cols = [list(map(itemgetter(j), body)) for j in range(len(header))]
-    del body  # the columns share the cell strings; release the row lists
+    A plain file (`_plain_columns`) is decoded a column at a time. Any other
+    file, and one with a column `_decode_column` refuses or a `base` column
+    not all true/false, goes to the reference `_trace_by_rows`."""
+    plain = _plain_columns(path)
+    if plain is None:
+        return _trace_by_rows(_csv_rows(path))
+    header, cols = plain
     streams: History = {}
-    for name, col in zip(header, cols):
-        vs = _decode_column(col)
+    for name in header:
+        vs = _decode_column(cols.pop(0))  # each column's cells go once decoded
         if vs is None or name == BASE and not all(isinstance(v, bool) for v in vs):
-            return _trace_by_rows([header, *zip(*cols)])
+            return _trace_by_rows(_csv_rows(path))
         streams[name] = vs
     return streams, streams.pop(BASE, None)
-

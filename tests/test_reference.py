@@ -221,6 +221,32 @@ def test_preserve_report_of_sample_golden(sample, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+# (node, sample, trace) of each `luset run` golden
+RUNS = [("Ctr", "ctr", "samples/ctr_table.csv"),
+        ("SpdMtr", "ctr", "tests/data/spdmtr_base.csv"),
+        ("re_trig", "retrig", "tests/data/retrig_crlf.csv")]
+
+
+@pytest.mark.parametrize("form", ["txt", "json"])
+@pytest.mark.parametrize("node, sample, trace", RUNS, ids=[node for node, _, _ in RUNS])
+def test_run_report_of_sample_golden(node, sample, trace, form, capsys):
+    """`luset run <sample> --node <node> --inputs <trace> --locals`, as text
+    and with `--json`, byte for byte."""
+    argv = ["run", str(ROOT / "samples" / f"{sample}.lus"), "--node", node,
+            "--inputs", str(ROOT / trace), "--locals"]
+    assert main(argv + ["--json"] * (form == "json")) == 0
+    assert capsys.readouterr().out == (ROOT / "tests" / "data" / f"run_{node}.{form}").read_text()
+
+
+def test_run_golden_traces_keep_their_form():
+    """SpdMtr's trace has a `base` column and absent cells; re_trig's has
+    CRLF line ends only."""
+    spdmtr = (ROOT / "tests" / "data" / "spdmtr_base.csv").read_text()
+    assert spdmtr.startswith("base,") and ",_\n" in spdmtr
+    retrig = (ROOT / "tests" / "data" / "retrig_crlf.csv").read_bytes()
+    assert retrig.count(b"\r\n") == retrig.count(b"\n") > 1
+
+
 # parsed but not elaborated, so that inference itself meets the fault
 INFER_ERROR_SRCS = [
     "node f(x: int) returns (a, b: int); let (a, b) = x; tel",

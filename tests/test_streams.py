@@ -1,18 +1,21 @@
+import csv
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from luset import streams
 from luset.diagnostics import CausalityError, EvalError
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby, NCall, Unop,
                         Var, clock_vars, elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
-                           const_stream, eval_clock, eval_expr, fby_lustre, fby_nlustre,
-                           interpret_node, ite_stream, lift_binop, lift_unop, merge_stream,
-                           read_trace, respects_clock, run_node, show_value, when_stream)
+                           const_stream, default_base_clock, eval_clock, eval_expr, fby_lustre,
+                           fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
+                           merge_stream, read_trace, respects_clock, run_node, show_value,
+                           when_stream)
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
 
@@ -276,6 +279,48 @@ def test_echo_node():
     assert run_node(prog, "id", {"x": [4, A, 6]}, 3)[0]["y"] == [4, A, 6]
 
 
+def test_run_node_copies_its_inputs(ctr_prog):
+    """`run_node` leaves its `inputs` argument as it was, and the input
+    streams of the history it returns are its own lists."""
+    ins = {k: list(CTR_TABLE[k]) for k in ("init", "incr", "rst")}
+    before = {x: list(vs) for x, vs in ins.items()}
+    for n in (7, 4):
+        H, _ = run_node(ctr_prog, "Ctr", ins, n)
+        assert ins == before
+        assert all(H[x] is not ins[x] and H[x] == before[x][:n] for x in ins)
+        H["init"][0] = 99
+        assert ins == before
+
+
+def _zip_fold_base_clock(inputs, n_ticks):
+    bs = [not inputs] * n_ticks
+    for vs in inputs:
+        bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
+    return bs
+
+
+def test_default_base_clock_matches_the_zip_fold():
+    """The early `[True] * n_ticks` of an input present throughout gives
+    the clock the presence fold gives, on inputs at least `n_ticks` long."""
+    rng = random.Random(3)
+    seen = {"no inputs": 0, "no ticks": 0, "all absent somewhere": 0, "mixed": 0}
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        ins = []
+        for _ in range(rng.randint(0, 4)):
+            p_absent = rng.choice([0.0, 0.3, 0.9, 1.0])
+            ins.append([A if rng.random() < p_absent else rng.choice([0, 5, True, False])
+                        for _ in range(n + rng.randint(0, 2))])
+        got = default_base_clock(ins, n)
+        assert got == _zip_fold_base_clock(ins, n) and all(type(b) is bool for b in got), ins
+        present = [A not in vs for vs in ins]
+        seen["no inputs"] += not ins
+        seen["no ticks"] += n == 0
+        seen["all absent somewhere"] += bool(ins) and not any(present)
+        seen["mixed"] += any(present) and not all(present)
+    assert min(seen.values()) > 100, seen
+
+
 def test_eval_node_deterministic(ctr_prog):
     ins = {k: CTR_TABLE[k] for k in ("init", "incr", "rst")}
     assert run_node(ctr_prog, "Ctr", ins, 7)[0]["n"] == run_node(ctr_prog, "Ctr", ins, 7)[0]["n"]
@@ -520,3 +565,83 @@ def test_read_trace_matches_row_major_reader(tmp_path):
         assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(path))), lines
         seen[got[0]] += 1
     assert min(seen.values()) > 500, seen
+
+
+def _irregular_trace(rng):
+    """Text of a random trace with one irregularity, and whether it must
+    leave the plain path: one that `csv` reads its own way or that is not
+    plain, or an edge of the plain form (no final newline, blank rows at
+    the end, no rows)."""
+    header = [rng.choice(TRACE_NAMES) for _ in range(rng.randint(1, 3))]
+    kinds = [rng.choice(list(COLUMN_KINDS)) for _ in header]
+    rows = [header] + [[rng.choice(COLUMN_KINDS[k]) for k in kinds]
+                       for _ in range(rng.randint(0, 5))]
+    kind = rng.choice(["crlf", "cr", "quoted", "nul", "ragged", "no-final-newline",
+                       "blank-tail", "header-only", "newline-only", "empty", "oversize"])
+    if kind == "quoted":
+        row = rng.choice(rows)
+        j = rng.randrange(len(row))
+        inner = rng.choice([row[j], row[j], "1,2", "tr\nue", "4\n", ",", '""'])
+        row[j] = f'"{inner}"'
+    if kind == "nul":
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] += "\0"
+    if kind == "ragged":
+        wide = rng.choice(rows) + [rng.choice(["1", "_", ""])]
+        for row in [wide, wide[:-2]] if len(header) > 1 and rng.random() < 0.5 else [wide]:
+            rows.insert(rng.randint(1, len(rows)), row)  # two rows can keep the cell count
+    if kind == "oversize":
+        rows[-1][rng.randrange(len(header))] = " " * (csv.field_size_limit() + 1) + "1"
+    text = "".join(",".join(row) + "\n" for row in rows)
+    if kind in ("crlf", "cr"):
+        lines = text.split("\n")
+        text = "".join(line + (rng.choice(["\r\n", "\n"]) if kind == "crlf" else
+                               rng.choice(["\r", "\n", "\n"])) for line in lines[:-1])
+        if "\r" not in text:
+            text = text[:-1] + "\r\n"
+    elif kind == "no-final-newline":
+        text = text[:-1]
+    elif kind == "blank-tail":
+        text += rng.choice(["\n", "\n\n", " \n", ",\n", "\n \n"])
+    elif kind == "header-only":
+        text = ",".join(header) + rng.choice(["", "\n"])
+    elif kind in ("newline-only", "empty"):
+        text = "\n" if kind == "newline-only" else ""
+    must_leave = kind in ("crlf", "cr", "quoted", "nul", "ragged", "newline-only", "empty",
+                          "oversize")
+    return text, must_leave
+
+
+def test_read_trace_matches_row_major_reader_off_the_plain_path(tmp_path):
+    """Files with CR or CRLF line ends, quoted cells, NUL, a ragged row, an
+    oversize cell, no final newline, blank rows at the end, no rows or no
+    text: the same values and value types as the row-major reference, or
+    its diagnostic. Those that are not plain never take the plain path."""
+    rng = random.Random(9)
+    path = tmp_path / "t.csv"
+    seen = {"ok": 0, "error": 0}
+    for _ in range(2000):
+        text, must_leave = _irregular_trace(rng)
+        path.write_bytes(text.encode("utf-8"))
+        if must_leave:
+            assert streams._plain_columns(path) is None, repr(text[:200])
+        got = _trace_outcome(lambda: read_trace(path))
+        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(path))), repr(text[:200])
+        seen[got[0]] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_plain_trace_never_reaches_csv(tmp_path, monkeypatch):
+    """A plain multi-column trace is read without `csv`."""
+    def refuse(path):
+        raise AssertionError("the plain trace went to the row-major reader")
+
+    monkeypatch.setattr(streams, "_csv_rows", refuse)
+    path = tmp_path / "t.csv"
+    path.write_text("base, x ,b,y\ntrue,1,true,_\nfalse,_,_,_\ntrue, -2 ,false, 7\n")
+    got = _trace_outcome(lambda: read_trace(path))
+    assert got == ("ok", ["x", "b", "y"],
+                   {"x": [(int, 1), (type(A), A), (int, -2)],
+                    "b": [(bool, True), (type(A), A), (bool, False)],
+                    "y": [(type(A), A), (type(A), A), (int, 7)]},
+                   [(bool, True), (bool, False), (bool, True)])
