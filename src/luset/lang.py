@@ -10,6 +10,7 @@ instantaneous-dependency (causality) check.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Union
 
@@ -328,17 +329,18 @@ def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
 
     deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
     for node in prog.nodes:
-        declared = node.var_names
         decl_names = [d.name for d in node.declarations]
-        for name in decl_names:
-            if decl_names.count(name) > 1:
-                diags.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice", node=node.name))
-                break
+        declared = set(decl_names)
+        if len(declared) < len(decl_names):
+            counts = Counter(decl_names)
+            name = next(x for x in decl_names if counts[x] > 1)
+            diags.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice", node=node.name))
         must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
         input_names = {d.name for d in node.inputs}
         defined: dict[str, int] = {}
         for i, eq in enumerate(node.equations):
-            for x in eq_targets(eq):
+            targets = eq_targets(eq)
+            for x in targets:
                 if x in defined:
                     diags.append(Diagnostic("duplicate-definition", f"{x} defined more than once",
                                             node=node.name, eq_index=i))
@@ -349,11 +351,12 @@ def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
                 elif x not in must_define:
                     diags.append(Diagnostic("undeclared-definition", f"{x} is not an output or local",
                                             node=node.name, eq_index=i))
-            stray = free_vars(eq) - declared - {BASE}
+            reads, calls = _reads_and_calls(eq)
+            stray = reads.difference(declared, targets, (BASE,))
             if stray:
                 diags.append(Diagnostic("free-variable", f"undeclared variable(s) {', '.join(sorted(stray))}",
                                         node=node.name, eq_index=i))
-            for f in _called_nodes(eq):
+            for f in calls:
                 if f in deps:
                     deps[node.name].add(f)
                 else:
@@ -370,21 +373,35 @@ def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
     return diags, deps
 
 
-def _called_nodes(item) -> set[str]:
-    match item:
+def _reads_and_calls(eq: Equation) -> tuple[set[str], dict[str, None]]:
+    """The variables an equation reads, its clock's included, and the nodes
+    it calls in the order they are met, from one walk. Less the equation's
+    targets and `base`, the reads are `free_vars(eq)` less `base`."""
+    reads: set[str] = set()
+    calls: dict[str, None] = {}
+    match eq:
         case Def(_, _, exprs):
-            return _union(_called_nodes, exprs)
-        case NDef(_, _, e) | NFby(_, _, _, e):
-            return _called_nodes(e)
-        case NCall(_, _, f, args):
-            return {f} | _union(_called_nodes, args)
-        case Call(f, _):
-            out = {f}
-        case _:
-            out = set()
-    for sub in _subexprs(item):
-        out |= _called_nodes(sub)
-    return out
+            todo = list(exprs)
+        case NDef(_, ck, e) | NFby(_, ck, _, e):
+            todo = [e]
+            reads = clock_vars(ck)
+        case NCall(_, ck, f, args):
+            todo = list(args)
+            reads = clock_vars(ck)
+            calls[f] = None
+    todo.reverse()
+    while todo:
+        e = todo.pop()
+        cls = type(e)
+        if cls is Var:
+            reads.add(e.name)
+            continue
+        if cls is Call:
+            calls[e.node] = None
+        elif cls is When or cls is Merge:
+            reads.add(e.var)
+        todo.extend(reversed(_subexprs(e)))
+    return reads, calls
 
 
 def _schedule(deps: dict) -> list:
@@ -455,11 +472,19 @@ def node_order(prog: Program) -> list[str]:
 # Elaboration: data types, clocks, stream widths
 # ---------------------------------------------------------------------------
 
+_POLY = None  # clock of a constant-only subtree: adapts to its context
+
+
 class _NodeEnv:
-    def __init__(self, prog: Program, node: Node):
+    """What elaborating one node's expressions needs: its declarations, the
+    diagnostics found so far, and the index `i` of the equation at hand."""
+
+    def __init__(self, prog: Program, node: Node, diags: list[Diagnostic]):
         self.prog = prog
         self.node = node
         self.decls = {d.name: d for d in node.declarations}
+        self.diags = diags
+        self.i: int | None = None
 
     def clock_of(self, name: str) -> Clock:
         return self.decls[name].clock
@@ -467,153 +492,145 @@ class _NodeEnv:
     def ty_of(self, name: str) -> Ty:
         return self.decls[name].ty
 
+    def bad(self, kind: str, msg: str):
+        self.diags.append(Diagnostic(kind, msg, node=self.node.name, eq_index=self.i))
 
-_POLY = None  # clock of a constant-only subtree: adapts to its context
-
-
-def _unify_clocks(a, b, diags, node, i):
-    if a is _POLY:
-        return b
-    if b is _POLY:
+    def unify(self, a, b):
+        if a is _POLY:
+            return b
+        if b is _POLY:
+            return a
+        if a != b:
+            self.bad("clock-mismatch", f"expected clock '{a}', found '{b}'")
         return a
-    if a != b:
-        diags.append(Diagnostic("clock-mismatch", f"expected clock '{a}', found '{b}'",
-                                node=node, eq_index=i))
-    return a
 
-
-def _expr_slots(env: _NodeEnv, e: Expr, diags, i) -> list[tuple[Ty, Clock | None]]:
-    """Per-component (type, clock) of an expression; clock None when polymorphic."""
-    name = env.node.name
-
-    def bad(kind, msg):
-        diags.append(Diagnostic(kind, msg, node=name, eq_index=i))
-
-    def all_slots(es):
+    def all_slots(self, es) -> list[tuple[Ty, Clock | None]]:
         out = []
         for sub in es:
-            out.extend(_expr_slots(env, sub, diags, i))
+            out.extend(self.slots(sub))
         return out
 
-    def one(slots) -> tuple[Ty, Clock | None]:
+    def one(self, slots) -> tuple[Ty, Clock | None]:
         if len(slots) != 1:
-            bad("arity-mismatch", "tuple used where a single stream is required")
+            self.bad("arity-mismatch", "tuple used where a single stream is required")
             return slots[0] if slots else (Ty.INT, _POLY)
         return slots[0]
 
-    match e:
-        case Const():
-            return [(e.ty, _POLY)]
-        case Var(x):
-            if x not in env.decls:
-                bad("free-variable", f"undeclared variable {x}")
-                return [(Ty.INT, _POLY)]
-            return [(env.ty_of(x), env.clock_of(x))]
-        case Unop(op, a):
-            ty, ck = one(_expr_slots(env, a, diags, i))
-            want = Ty.BOOL if op == "not" else Ty.INT
-            if ty is not want:
-                bad("type-mismatch", f"operator {op} applied to {ty}")
-            return [(want, ck)]
-        case Binop(op, a, b):
-            lt, lc = one(_expr_slots(env, a, diags, i))
-            rt, rc = one(_expr_slots(env, b, diags, i))
-            ck = _unify_clocks(lc, rc, diags, name, i)
-            if op in ARITH_OPS:
-                if lt is not Ty.INT or rt is not Ty.INT:
-                    bad("type-mismatch", f"operator {op} needs int operands")
+    def slots(self, e: Expr) -> list[tuple[Ty, Clock | None]]:
+        """Per-component (type, clock) of an expression; clock None when polymorphic."""
+        bad, unify = self.bad, self.unify
+        match e:
+            case Const():
+                return [(e.ty, _POLY)]
+            case Var(x):
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return [(Ty.INT, _POLY)]
+                return [(self.ty_of(x), self.clock_of(x))]
+            case Unop(op, a):
+                ty, ck = self.one(self.slots(a))
+                want = Ty.BOOL if op == "not" else Ty.INT
+                if ty is not want:
+                    bad("type-mismatch", f"operator {op} applied to {ty}")
+                return [(want, ck)]
+            case Binop(op, a, b):
+                lt, lc = self.one(self.slots(a))
+                rt, rc = self.one(self.slots(b))
+                ck = unify(lc, rc)
+                if op in ARITH_OPS:
+                    if lt is not Ty.INT or rt is not Ty.INT:
+                        bad("type-mismatch", f"operator {op} needs int operands")
+                    return [(Ty.INT, ck)]
+                if op in CMP_OPS:
+                    if lt is not Ty.INT or rt is not Ty.INT:
+                        bad("type-mismatch", f"operator {op} needs int operands")
+                    return [(Ty.BOOL, ck)]
+                if op in EQ_OPS:
+                    if lt is not rt:
+                        bad("type-mismatch", f"operator {op} compares unlike types")
+                    return [(Ty.BOOL, ck)]
+                if op in BOOL_OPS:
+                    if lt is not Ty.BOOL or rt is not Ty.BOOL:
+                        bad("type-mismatch", f"operator {op} needs bool operands")
+                    return [(Ty.BOOL, ck)]
+                bad("type-mismatch", f"unknown operator {op}")
                 return [(Ty.INT, ck)]
-            if op in CMP_OPS:
-                if lt is not Ty.INT or rt is not Ty.INT:
-                    bad("type-mismatch", f"operator {op} needs int operands")
-                return [(Ty.BOOL, ck)]
-            if op in EQ_OPS:
-                if lt is not rt:
-                    bad("type-mismatch", f"operator {op} compares unlike types")
-                return [(Ty.BOOL, ck)]
-            if op in BOOL_OPS:
-                if lt is not Ty.BOOL or rt is not Ty.BOOL:
-                    bad("type-mismatch", f"operator {op} needs bool operands")
-                return [(Ty.BOOL, ck)]
-            bad("type-mismatch", f"unknown operator {op}")
-            return [(Ty.INT, ck)]
-        case When(args, x, k):
-            slots = all_slots(args)
-            if x not in env.decls:
-                bad("free-variable", f"undeclared variable {x}")
-                return slots
-            if env.ty_of(x) is not Ty.BOOL:
-                bad("type-mismatch", f"sampling variable {x} must be bool")
-            ck_x = env.clock_of(x)
-            out = []
-            for ty, ck in slots:
-                _unify_clocks(ck, ck_x, diags, name, i)
-                out.append((ty, ClockOn(ck_x, x, k)))
-            return out
-        case Merge(x, ts, fs):
-            if x not in env.decls:
-                bad("free-variable", f"undeclared variable {x}")
-                return all_slots(ts)
-            if env.ty_of(x) is not Ty.BOOL:
-                bad("type-mismatch", f"merge variable {x} must be bool")
-            ck_x = env.clock_of(x)
-            tslots = all_slots(ts)
-            fslots = all_slots(fs)
-            if len(tslots) != len(fslots):
-                bad("arity-mismatch", "merge branches have different widths")
-            out = []
-            for (tt, tc), (ft, fc) in zip(tslots, fslots):
-                if tt is not ft:
-                    bad("type-mismatch", "merge branches have unlike types")
-                _unify_clocks(tc, ClockOn(ck_x, x, True), diags, name, i)
-                _unify_clocks(fc, ClockOn(ck_x, x, False), diags, name, i)
-                out.append((tt, ck_x))
-            return out
-        case Ite(c, ts, fs):
-            ct, cc = one(_expr_slots(env, c, diags, i))
-            if ct is not Ty.BOOL:
-                bad("type-mismatch", "if condition must be bool")
-            tslots = all_slots(ts)
-            fslots = all_slots(fs)
-            if len(tslots) != len(fslots):
-                bad("arity-mismatch", "if branches have different widths")
-            out = []
-            for (tt, tc), (ft, fc) in zip(tslots, fslots):
-                if tt is not ft:
-                    bad("type-mismatch", "if branches have unlike types")
-                ck = _unify_clocks(_unify_clocks(tc, fc, diags, name, i), cc, diags, name, i)
-                out.append((tt, ck))
-            return out
-        case Fby(e0s, es):
-            islots = all_slots(e0s)
-            rslots = all_slots(es)
-            if len(islots) != len(rslots):
-                bad("arity-mismatch", "fby arguments have different widths")
-            out = []
-            for (it, ic), (rt, rc) in zip(islots, rslots):
-                if it is not rt:
-                    bad("type-mismatch", "fby arguments have unlike types")
-                out.append((it, _unify_clocks(ic, rc, diags, name, i)))
-            return out
-        case Call(f, args):
-            if not env.prog.has_node(f):
-                bad("unknown-node", f"call to undefined node {f}")
-                return [(Ty.INT, _POLY)]
-            callee = env.prog.node(f)
-            if any(not isinstance(d.clock, ClockBase) for d in callee.inputs + callee.outputs):
-                bad("clock-mismatch", f"node {f} has a clocked interface and cannot be called")
-            slots = all_slots(args)
-            if len(slots) != len(callee.inputs):
-                bad("arity-mismatch",
-                    f"{f} expects {len(callee.inputs)} argument stream(s), got {len(slots)}")
-                return [(d.ty, _POLY) for d in callee.outputs]
-            ck: Clock | None = _POLY
-            for (ty, c), decl in zip(slots, callee.inputs):
-                if ty is not decl.ty:
-                    bad("type-mismatch", f"argument {decl.name} of {f} expects {decl.ty}")
-                ck = _unify_clocks(ck, c, diags, name, i)
-            return [(d.ty, ck) for d in callee.outputs]
-    raise TypeError(f"_expr_slots: unsupported {e!r}")
+            case When(args, x, k):
+                slots = self.all_slots(args)
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return slots
+                if self.ty_of(x) is not Ty.BOOL:
+                    bad("type-mismatch", f"sampling variable {x} must be bool")
+                ck_x = self.clock_of(x)
+                out = []
+                for ty, ck in slots:
+                    unify(ck, ck_x)
+                    out.append((ty, ClockOn(ck_x, x, k)))
+                return out
+            case Merge(x, ts, fs):
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return self.all_slots(ts)
+                if self.ty_of(x) is not Ty.BOOL:
+                    bad("type-mismatch", f"merge variable {x} must be bool")
+                ck_x = self.clock_of(x)
+                tslots = self.all_slots(ts)
+                fslots = self.all_slots(fs)
+                if len(tslots) != len(fslots):
+                    bad("arity-mismatch", "merge branches have different widths")
+                out = []
+                for (tt, tc), (ft, fc) in zip(tslots, fslots):
+                    if tt is not ft:
+                        bad("type-mismatch", "merge branches have unlike types")
+                    unify(tc, ClockOn(ck_x, x, True))
+                    unify(fc, ClockOn(ck_x, x, False))
+                    out.append((tt, ck_x))
+                return out
+            case Ite(c, ts, fs):
+                ct, cc = self.one(self.slots(c))
+                if ct is not Ty.BOOL:
+                    bad("type-mismatch", "if condition must be bool")
+                tslots = self.all_slots(ts)
+                fslots = self.all_slots(fs)
+                if len(tslots) != len(fslots):
+                    bad("arity-mismatch", "if branches have different widths")
+                out = []
+                for (tt, tc), (ft, fc) in zip(tslots, fslots):
+                    if tt is not ft:
+                        bad("type-mismatch", "if branches have unlike types")
+                    out.append((tt, unify(unify(tc, fc), cc)))
+                return out
+            case Fby(e0s, es):
+                islots = self.all_slots(e0s)
+                rslots = self.all_slots(es)
+                if len(islots) != len(rslots):
+                    bad("arity-mismatch", "fby arguments have different widths")
+                out = []
+                for (it, ic), (rt, rc) in zip(islots, rslots):
+                    if it is not rt:
+                        bad("type-mismatch", "fby arguments have unlike types")
+                    out.append((it, unify(ic, rc)))
+                return out
+            case Call(f, args):
+                if not self.prog.has_node(f):
+                    bad("unknown-node", f"call to undefined node {f}")
+                    return [(Ty.INT, _POLY)]
+                callee = self.prog.node(f)
+                if any(not isinstance(d.clock, ClockBase) for d in callee.inputs + callee.outputs):
+                    bad("clock-mismatch", f"node {f} has a clocked interface and cannot be called")
+                slots = self.all_slots(args)
+                if len(slots) != len(callee.inputs):
+                    bad("arity-mismatch",
+                        f"{f} expects {len(callee.inputs)} argument stream(s), got {len(slots)}")
+                    return [(d.ty, _POLY) for d in callee.outputs]
+                ck: Clock | None = _POLY
+                for (ty, c), decl in zip(slots, callee.inputs):
+                    if ty is not decl.ty:
+                        bad("type-mismatch", f"argument {decl.name} of {f} expects {decl.ty}")
+                    ck = unify(ck, c)
+                return [(d.ty, ck) for d in callee.outputs]
+        raise TypeError(f"_NodeEnv.slots: unsupported {e!r}")
 
 
 def derived(prog: Program, fn, *args):
@@ -649,11 +666,12 @@ def _elaborate(prog: Program) -> Program:
     diags: list[Diagnostic] = []
     new_nodes = []
     for node in prog.nodes:
-        env = _NodeEnv(prog, node)
+        env = _NodeEnv(prog, node, diags)
         for d in node.declarations:
             _check_decl_clock(env, d, diags)
         new_eqs = []
         for i, eq in enumerate(node.equations):
+            env.i = i
             targets = eq_targets(eq)
             match eq:
                 case Def(_, _, exprs):
@@ -664,27 +682,21 @@ def _elaborate(prog: Program) -> Program:
                     exprs, what = (Fby((c,), (e,)),), None
                 case NCall(_, ck, f, args):
                     exprs, what = (Call(f, args),), "output(s)"
-            slots = []
-            for ex in exprs:
-                slots.extend(_expr_slots(env, ex, diags, i))
+            slots = env.all_slots(exprs)
             if len(slots) != len(targets):
-                diags.append(Diagnostic(
-                    "arity-mismatch",
-                    f"{len(targets)} target(s) but {len(slots)} {what}" if what
-                    else "tuple in a singleton equation",
-                    node=node.name, eq_index=i))
+                env.bad("arity-mismatch",
+                        f"{len(targets)} target(s) but {len(slots)} {what}" if what
+                        else "tuple in a singleton equation")
                 new_eqs.append(eq)
                 continue
             for t in targets:
-                ck = _unify_clocks(ck, env.clock_of(t), diags, node.name, i)
+                ck = env.unify(ck, env.clock_of(t))
             for t, (ty, c) in zip(targets, slots):
                 if ty is not env.ty_of(t):
-                    diags.append(Diagnostic("type-mismatch",
-                                            f"{t} is {env.ty_of(t)} but defined as {ty}",
-                                            node=node.name, eq_index=i))
-                _unify_clocks(ck, c, diags, node.name, i)
+                    env.bad("type-mismatch", f"{t} is {env.ty_of(t)} but defined as {ty}")
+                env.unify(ck, c)
             if isinstance(eq, Def):
-                eq = replace(eq, clock=ck if ck is not _POLY else BASE_CLOCK)
+                eq = Def(eq.targets, ck if ck is not _POLY else BASE_CLOCK, eq.exprs)
             new_eqs.append(eq)
         new_nodes.append(replace(node, equations=tuple(new_eqs)))
     if diags:

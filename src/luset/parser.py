@@ -1,4 +1,4 @@
-"""Concrete syntax: a regex tokenizer, recursive-descent parser and pretty-printer.
+"""Concrete syntax: a one-regex lexer, recursive-descent parser and pretty-printer.
 
 Grammar sketch (see README for the operator precedence table):
 
@@ -15,6 +15,9 @@ Lexical rules: an identifier starts with a letter or `_` and goes on with
 letters, digits and `_`; an integer literal is a run of decimal digits;
 space, tab, CR and LF are the only blanks, and `--` starts a comment running
 to the end of the line. Any other character is `unexpected character`.
+The lexer is a single `findall` that yields the token strings; the parser
+reads those strings directly, and a token's line and column are worked out
+from its index only when a diagnostic needs them (`_positions`).
 Binary operators are parsed by precedence climbing over `_BINARY`, the table
 the printer reads too, so printed programs re-parse to themselves.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
@@ -34,17 +38,18 @@ KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else",
             "merge", "when", "fby", "not", "and", "or", "div", "mod",
             "true", "false", "int", "bool", BASE}
 
-# Unnamed alternatives (blanks, comments) are skipped. `\d` is a Unicode
-# decimal digit, as `int` reads it; `\w+` is checked for a letter or `_` first.
-_LEXEME = re.compile(r"""
-    (?P<newline>\n)
-  | [ \t\r]+
-  | --[^\n]*
-  | (?P<int>\d+)
-  | (?P<word>\w+)
-  | (?P<sym><>|<=|>=|[():;,=<>+*-])
-  | (?P<bad>.)
+# One match per token: the blanks and comments before it, skipped, then the
+# token, or else the character found where a token should start ("" at the
+# end of the text). `\d` is a Unicode decimal digit, as `int` reads it; a
+# `\w+` word may still start with a numeric character such as `²`, which
+# `_lex` refuses.
+_LEX = re.compile(r"""
+    [ \t\r\n]* (?:--[^\n]*[ \t\r\n]*)*
+    (\d+|\w+|<>|<=|>=|[():;,=<>+*-]|.?)
 """, re.VERBOSE | re.DOTALL)
+_SYMBOLS = frozenset(("<>", "<=", ">=", "(", ")", ":", ";", ",", "=", "<", ">", "+", "*", "-"))
+# a character no token is made of
+_NOT_IN_TOKEN = re.compile(r"[^\w<>=():;,+*-]")
 
 # Binary operator -> (level, chains). Loosest first; comparisons do not chain.
 # `fby` (level 1) and `when` (level 2) bind looser, prefix `not` and `-`
@@ -63,59 +68,99 @@ class Token(NamedTuple):
     col: int
 
 
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        lexeme = m.group()
-        col = m.start() - line_start + 1
-        if kind == "word":
-            if lexeme[0].isalpha() or lexeme[0] == "_":
-                kind = "kw" if lexeme in KEYWORDS else "ident"
-            else:
-                kind = "bad"
-        if kind == "bad":
-            raise ParseError([Diagnostic("syntax-error", f"unexpected character {lexeme[0]!r}",
-                                         span=SourceSpan(filename, line, col, line, col + 1))])
-        toks.append(Token(kind, lexeme, line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1))
+def _starts_token(tok: str) -> bool:
+    """Whether `_LEX` matched a token, not a character that starts none:
+    the end, a symbol, or a word starting with a letter, `_` or a digit."""
+    return not tok or tok in _SYMBOLS or tok[0].isalpha() or tok[0] == "_" or tok[0].isdecimal()
+
+
+def _lex(text: str, filename: str) -> list[str]:
+    """The token strings of `text`, then "" for the end of input. Raises
+    ParseError at the first character that no token starts with."""
+    toks = _LEX.findall(text)
+    # in ASCII text every `\w+` word starts with a letter, `_` or a digit
+    if _NOT_IN_TOKEN.search("".join(toks)) or not (text.isascii() or all(map(_starts_token, toks))):
+        i = next(i for i, tok in enumerate(toks) if not _starts_token(tok))
+        line, col = _position(text, i)
+        raise ParseError([Diagnostic("syntax-error", f"unexpected character {toks[i][0]!r}",
+                                     span=SourceSpan(filename, line, col, line, col + 1))])
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()  # text ending in a blank or comment: matched once after it, once empty
     return toks
+
+
+def _positions(text: str):
+    """(line, col) of each token `_lex` returns for `text`, in one pass."""
+    line, line_start, prev = 1, 0, 0
+    for m in _LEX.finditer(text):
+        start = m.start(1)
+        newlines = text.count("\n", prev, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", prev, start) + 1
+        prev = start
+        yield line, start - line_start + 1
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """(line, col) of the token at `index` in `_lex(text)`."""
+    return next(islice(_positions(text), index, None))
+
+
+def _kind(tok: str) -> str:
+    if not tok:
+        return "eof"
+    if tok in KEYWORDS:
+        return "kw"
+    if tok[0].isdecimal():
+        return "int"
+    if tok[0].isalpha() or tok[0] == "_":
+        return "ident"
+    return "sym"
+
+
+def _is_ident(tok: str) -> bool:
+    return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
+
+
+def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """The tokens of `text` with their kinds and positions, ending in an
+    "eof" token. The parser itself reads `_lex`'s strings."""
+    return [Token(_kind(tok), tok, line, col)
+            for tok, (line, col) in zip(_lex(text, filename), _positions(text))]
 
 
 @dataclass(frozen=True)
 class _Tuple:
-    """Parser-internal parenthesised expression list; flattened on use."""
+    """Parser-internal parenthesised expression list, its items already flat;
+    flattened on use."""
     items: tuple[Expr, ...]
 
 
 def _flatten(items) -> tuple[Expr, ...]:
     out: list[Expr] = []
     for it in items:
-        if isinstance(it, _Tuple):
-            out.extend(_flatten(it.items))
+        if type(it) is _Tuple:
+            out.extend(it.items)
         else:
             out.append(it)
     return tuple(out)
 
 
+def _items(e) -> tuple[Expr, ...]:
+    """The expressions `e` stands for: a tuple's items, or `e` alone."""
+    return e.items if type(e) is _Tuple else (e,)
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
+        self.toks = _lex(text, filename)
+        self.pos = 0
 
     # -- token helpers ------------------------------------------------------
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
@@ -123,45 +168,43 @@ class _Parser:
     def at(self, text: str) -> bool:
         # only keyword and symbol texts are asked for, and no identifier or
         # literal is spelt like one
-        return self.toks[self.pos].text == text
+        return self.toks[self.pos] == text
 
     def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.toks[self.pos] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
+    def expect(self, text: str) -> str:
+        if self.toks[self.pos] != text:
             self.fail(f"expected '{text}'")
         return self.next()
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
+    def expect_ident(self) -> str:
+        if not _is_ident(self.toks[self.pos]):
             self.fail("expected an identifier")
         return self.next()
 
     def error(self, kind: str, message: str) -> ParseError:
-        tok = self.peek()
-        span = SourceSpan(self.filename, tok.line, tok.col, tok.line, tok.col + len(tok.text))
+        line, col = _position(self.text, self.pos)
+        span = SourceSpan(self.filename, line, col, line, col + len(self.toks[self.pos]))
         return ParseError([Diagnostic(kind, message, span=span)])
 
     def fail(self, message: str):
-        tok = self.peek()
-        got = tok.text if tok.kind != "eof" else "end of input"
+        got = self.toks[self.pos] or "end of input"
         raise self.error("syntax-error", f"{message}, found {got!r}")
 
     # -- program structure --------------------------------------------------
     def program(self) -> Program:
         nodes = []
-        while not self.peek().kind == "eof":
+        while self.toks[self.pos]:
             nodes.append(self.node())
         return Program(tuple(nodes))
 
     def node(self) -> Node:
         self.expect("node")
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect("(")
         inputs = self.decls(stop=")")
         self.expect(")")
@@ -182,9 +225,9 @@ class _Parser:
         return Node(name, inputs, outputs, locals_, tuple(eqs))
 
     def decl_group(self) -> list[VarDecl]:
-        names = [self.expect_ident().text]
+        names = [self.expect_ident()]
         while self.eat(","):
-            names.append(self.expect_ident().text)
+            names.append(self.expect_ident())
         self.expect(":")
         if self.eat("int"):
             ty = Ty.INT
@@ -220,15 +263,15 @@ class _Parser:
             if self.eat(","):
                 continue
             self.expect(";")
-            if self.peek().kind != "ident":
+            if not _is_ident(self.toks[self.pos]):
                 return tuple(out)
 
     def when_suffix(self) -> tuple[str, bool]:
         """`when [not] x [= true|false]`, on a declaration or an expression."""
         self.expect("when")
         if self.eat("not"):
-            return self.expect_ident().text, False
-        name = self.expect_ident().text
+            return self.expect_ident(), False
+        name = self.expect_ident()
         return name, self.bool_literal() if self.eat("=") else True
 
     def bool_literal(self) -> bool:
@@ -242,12 +285,12 @@ class _Parser:
     def equation(self) -> Def:
         targets: list[str]
         if self.eat("("):
-            targets = [self.expect_ident().text]
+            targets = [self.expect_ident()]
             while self.eat(","):
-                targets.append(self.expect_ident().text)
+                targets.append(self.expect_ident())
             self.expect(")")
         else:
-            targets = [self.expect_ident().text]
+            targets = [self.expect_ident()]
         self.expect("=")
         exprs = [self.expr()]
         while self.eat(","):
@@ -256,12 +299,18 @@ class _Parser:
         return Def(tuple(targets), None, _flatten(exprs))
 
     # -- expressions, loosest binding first ---------------------------------
+    # The hot path: these read `self.toks` directly instead of through the
+    # token helpers. Each nesting level still costs one frame of `expr`,
+    # `binary`, `unary` and `primary`, which fixes the depth at which
+    # `nesting-too-deep` is reported.
     def expr(self):
         e = self.binary(_WHEN + 1)
-        while self.at("when"):
-            e = When(_flatten([e]), *self.when_suffix())
-        if self.eat("fby"):  # right associative
-            return Fby(_flatten([e]), _flatten([self.expr()]))
+        toks = self.toks
+        while toks[self.pos] == "when":
+            e = When(_items(e), *self.when_suffix())
+        if toks[self.pos] == "fby":  # right associative
+            self.pos += 1
+            return Fby(_items(e), _items(self.expr()))
         return e
 
     def binary(self, min_level: int):
@@ -269,18 +318,24 @@ class _Parser:
         of at least `min_level`; after a non-chaining one, only looser ones."""
         e = self.unary()
         max_level = _UNARY
+        toks = self.toks
         while True:
-            op = self.peek().text
+            op = toks[self.pos]
             level, chains = _BINARY.get(op, (0, True))
             if not min_level <= level <= max_level:
                 return e
-            self.next()
-            e = Binop(op, self.single(e), self.single(self.binary(level + 1)))
+            self.pos += 1
+            if type(e) is _Tuple:
+                e = self.single(e)
+            right = self.binary(level + 1)
+            e = Binop(op, e, self.single(right) if type(right) is _Tuple else right)
             max_level = level if chains else level - 1
 
     def unary(self):
-        if self.at("not") or self.at("-"):
-            return Unop(self.next().text, self.single(self.unary()))
+        op = self.toks[self.pos]
+        if op == "not" or op == "-":
+            self.pos += 1
+            return Unop(op, self.single(self.unary()))
         return self.primary()
 
     def single(self, e) -> Expr:
@@ -291,56 +346,61 @@ class _Parser:
         return e
 
     def primary(self, no_call: bool = False):
-        tok = self.peek()
-        if tok.kind == "int":
+        toks = self.toks
+        tok = toks[self.pos]
+        first = tok[:1]
+        if (first.isalpha() or first == "_") and tok not in KEYWORDS:
+            self.pos += 1
+            if no_call or toks[self.pos] != "(":
+                return Var(tok)
+            self.pos += 1
+            args: list = []
+            if toks[self.pos] != ")":
+                args.append(self.expr())
+                while self.eat(","):
+                    args.append(self.expr())
+            self.expect(")")
+            return Call(tok, _flatten(args))
+        if first.isdecimal():
             # length first: int() refuses very long digit strings
-            if len(tok.text.lstrip("0")) > 19 or int(tok.text) >= 1 << 63:
+            if len(tok.lstrip("0")) > 19 or int(tok) >= 1 << 63:
                 raise self.error("int-out-of-range", "integer literal exceeds 2^63-1")
-            self.next()
-            return Const(int(tok.text))
-        if self.eat("true"):
-            return Const(True)
-        if self.eat("false"):
-            return Const(False)
-        if self.eat("("):
+            self.pos += 1
+            return Const(int(tok))
+        if tok == "(":
+            self.pos += 1
             items = [self.expr()]
             while self.eat(","):
                 items.append(self.expr())
             self.expect(")")
             flat = _flatten(items)
             return flat[0] if len(flat) == 1 else _Tuple(flat)
-        if self.eat("if"):
+        if tok == "true" or tok == "false":
+            self.pos += 1
+            return Const(tok == "true")
+        if tok == "if":
+            self.pos += 1
             cond = self.single(self.expr())
             self.expect("then")
             ts = self.expr()
             self.expect("else")
             fs = self.expr()
-            return Ite(cond, _flatten([ts]), _flatten([fs]))
-        if self.eat("merge"):
+            return Ite(cond, _items(ts), _items(fs))
+        if tok == "merge":
+            self.pos += 1
             # branch position: a bare identifier is never a call head, so
             # `merge c s (e)` reads as two branches (calls need parentheses)
-            name = self.expect_ident().text
+            name = self.expect_ident()
             ts = self.primary(no_call=True)
             fs = self.primary(no_call=True)
-            return Merge(name, _flatten([ts]), _flatten([fs]))
-        if tok.kind == "ident":
-            self.next()
-            if not no_call and self.eat("("):
-                args: list = []
-                if not self.at(")"):
-                    args.append(self.expr())
-                    while self.eat(","):
-                        args.append(self.expr())
-                self.expect(")")
-                return Call(tok.text, _flatten(args))
-            return Var(tok.text)
+            return Merge(name, _items(ts), _items(fs))
         self.fail("expected an expression")
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse source text into a program. Raises ParseError with located
     diagnostics on malformed input."""
-    parser = _Parser(tokenize(text, filename), filename)
+    parser = _Parser(text, filename)
     try:
         return parser.program()
     except RecursionError:

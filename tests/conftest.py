@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from luset.lang import elaborate
@@ -98,6 +100,29 @@ def tree_src(depth: int) -> str:
                 f"  u = N{i - 1}(x);", f"  w = N{i - 1}(1 fby (x + u));",
                 "  y = if u > w then u - 2 else w + 3;", "tel"]
     return "\n".join(out) + "\n"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Characters spliced into the mutation corpus: one no token starts with, three
+# word characters that start no word (`²`, `½`) or are no blank (NBSP), a
+# form feed, and CR, which is a blank.
+_SPLICES = {"at": "@", "sup2": "\u00b2", "half": "\u00bd", "nbsp": "\u00a0",
+            "ff": "\f", "cr": "\r"}
+
+
+def mutation_corpus(step: int):
+    """(label, text) for each source under `samples/` and `tests/data/` cut
+    at every `step`-th character offset, and with each `_SPLICES` character
+    inserted there. The label `<stem>-<offset>-<cut|splice>.lus` serves as
+    the file name of the parse diagnostics."""
+    paths = sorted((ROOT / "samples").glob("*.lus")) + sorted((ROOT / "tests" / "data").glob("*.lus"))
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for k in range(0, len(text) + 1, step):
+            yield f"{path.stem}-{k}-cut.lus", text[:k]
+            for tag, ch in _SPLICES.items():
+                yield f"{path.stem}-{k}-{tag}.lus", text[:k] + ch + text[k:]
 
 
 @pytest.fixture

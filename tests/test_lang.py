@@ -136,6 +136,26 @@ def test_unknown_node_reported():
     assert "unknown-node" in {d.kind for d in well_formed(prog)}
 
 
+def test_unknown_nodes_reported_in_reading_order():
+    prog = parse_program("node f(x: int) returns (y: int); let y = zap(x) + nope(zap(x), x); tel")
+    assert [str(d) for d in well_formed(prog)] == [
+        "f#eq0: unknown-node: call to undefined node zap",
+        "f#eq0: unknown-node: call to undefined node nope"]
+
+
+def test_duplicate_declaration_names_the_first_declared_of_the_repeated():
+    # b is the first name met again, but a, repeated too, is declared first
+    prog = parse_program("""
+node f(a, b: int) returns (y: int);
+var b, a: int;
+let
+  y = a;
+tel
+""")
+    assert [str(d) for d in well_formed(prog) if d.kind == "duplicate-declaration"] == [
+        "f: duplicate-declaration: variable a declared twice"]
+
+
 # ---------------------------------------------------------------------------
 # clock elaboration
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,9 @@ from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, Ite, Merge
 from luset.parser import parse_program, pretty_print, tokenize
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_SRC, LEAK_ITE_SRC,
-                      LEAK_MERGE_SRC, RE_TRIG_SRC)
+                      LEAK_MERGE_SRC, RE_TRIG_SRC, ROOT, mutation_corpus)
+from luset.diagnostics import Diagnostic, SourceSpan
+from luset.parser import KEYWORDS
 
 
 def test_ctr_listing_shape():
@@ -175,6 +178,24 @@ def test_lexer_diagnostic_positions(text, diagnostic):
     assert str(err.value) == diagnostic
 
 
+@pytest.mark.parametrize("rhs, diagnostic", [
+    ("(x, x) + x", "1:51: syntax-error: tuple used where a single expression is required, found 'x'"),
+    ("(x, x) < x", "1:51: syntax-error: tuple used where a single expression is required, found 'x'"),
+    ("x + (x, x)", "1:52: syntax-error: tuple used where a single expression is required, found ';'"),
+    ("x * (x, x) - x",
+     "1:53: syntax-error: tuple used where a single expression is required, found '-'"),
+    ("-(x, x)", "1:49: syntax-error: tuple used where a single expression is required, found ';'"),
+    ("if (x, x) then x else x",
+     "1:52: syntax-error: tuple used where a single expression is required, found 'then'"),
+])
+def test_tuple_operand_diagnostic_positions(rhs, diagnostic):
+    """A tuple left of an operator is refused once the operator is read,
+    before its right operand is parsed."""
+    with pytest.raises(ParseError) as err:
+        parse_program(f"{_HEADER} let y = {rhs}; tel", filename="f.lus")
+    assert str(err.value) == "f.lus:" + diagnostic
+
+
 @pytest.mark.parametrize("text, tokens", [
     ("12abc", [("int", "12"), ("ident", "abc")]),
     ("<>=", [("sym", "<>"), ("sym", "=")]),
@@ -189,3 +210,77 @@ def test_unicode_identifier_and_decimal_digit():
     (eq,) = parse_program("node f(α1: int) returns (y: int); let y = α1 + ٣; tel"
                           ).node("f").equations
     assert eq.exprs == (Binop("+", Var("α1"), Const(3)),)
+
+
+# The reference lexer: one Python step per regex match, each token built with
+# its position as it is met. Unnamed alternatives (blanks, comments) are
+# skipped; a `\w+` word that starts with neither a letter nor `_` is refused.
+_ORACLE_LEXEME = re.compile(r"""
+    (?P<newline>\n)
+  | [ \t\r]+
+  | --[^\n]*
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<sym><>|<=|>=|[():;,=<>+*-])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def _tokenize_oracle(text: str, filename: str) -> list[tuple[str, str, int, int]]:
+    toks = []
+    line, line_start = 1, 0
+    for m in _ORACLE_LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+            continue
+        lexeme = m.group()
+        col = m.start() - line_start + 1
+        if kind == "word":
+            if lexeme[0].isalpha() or lexeme[0] == "_":
+                kind = "kw" if lexeme in KEYWORDS else "ident"
+            else:
+                kind = "bad"
+        if kind == "bad":
+            raise ParseError([Diagnostic("syntax-error", f"unexpected character {lexeme[0]!r}",
+                                         span=SourceSpan(filename, line, col, line, col + 1))])
+        toks.append((kind, lexeme, line, col))
+    toks.append(("eof", "", line, len(text) - line_start + 1))
+    return toks
+
+
+def _lexed(lex, text: str, filename: str):
+    try:
+        return [tuple(tok) for tok in lex(text, filename)]
+    except ParseError as err:
+        return str(err)
+
+
+def test_tokenize_matches_the_reference_lexer():
+    """Kind, text, line and column of every token, or the exact diagnostic,
+    over the samples cut and spliced at every 11th offset, printed generated
+    programs, and short strings of characters the lexer tells apart."""
+    rng = random.Random(19)
+    generated = ((f"gen{i}.lus", pretty_print(gen_program(rng))) for i in range(300))
+    chars = "ab_1\u0663\u00b2\u00bd\u3007\u4e00\u0301 \t\r\n\f\xa0@-<>=():;,+*"
+    scraps = ((f"scrap{i}.lus", "".join(rng.choices(chars, k=rng.randint(0, 12))))
+              for i in range(3000))
+    for corpus in (mutation_corpus(11), generated, scraps):
+        for label, text in corpus:
+            assert _lexed(tokenize, text, label) == _lexed(_tokenize_oracle, text, label), label
+
+
+def test_parse_diagnostics_golden():
+    """The diagnostic of every malformed input among the samples cut and
+    spliced at every 23rd offset, in corpus order; the others parse."""
+    got = []
+    for label, text in mutation_corpus(23):
+        try:
+            parse_program(text, filename=label)
+        except ParseError as err:
+            got.append(str(err))
+    want = (ROOT / "tests" / "data" / "parse_errors.txt").read_text(encoding="utf-8").splitlines()
+    assert got == want
