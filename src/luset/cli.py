@@ -2,8 +2,8 @@
 
 Subcommands: check | signature | normalize | run | ni | preserve | suite.
 Exit code 0 means success / secure / pass, 1 means insecure / fail, and 2 is
-reserved for usage, parse and file errors. `--json` switches the report to a
-machine-readable form on stdout.
+reserved for usage, parse and file errors and for an inconclusive check.
+`--json` switches the report to a machine-readable form on stdout.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from .diagnostics import LusetError, ParseError
-from .harness import (NIConfig, check_equational_soundness, check_non_interference,
-                      check_semantics_preservation, check_simple_security,
-                      check_type_preservation, generator_postcondition)
+from .harness import (FAIL, INCONCLUSIVE, PASS, NIConfig, check_equational_soundness,
+                      check_non_interference, check_semantics_preservation,
+                      check_simple_security, check_type_preservation, generator_postcondition)
 from .infer import check_program, display_constraint, flatten_assignment, infer_program
 from .lang import elaborate
 from .normalize import normalize_program
@@ -56,6 +56,12 @@ def _fail_usage(message: str) -> int:
 def _print_diags(diags) -> None:
     for d in diags:
         print(str(d), file=sys.stderr)
+
+
+def _checks_exit_code(reports) -> int:
+    """1 if any check failed; else 2 if any is inconclusive; else 0."""
+    verdicts = {r.verdict for r in reports}
+    return 1 if FAIL in verdicts else 2 if INCONCLUSIVE in verdicts else 0
 
 
 def cmd_check(args) -> int:
@@ -162,7 +168,7 @@ def cmd_ni(args) -> int:
                 print(f"  run2: {' '.join(c['run2'])}")
             if r.reason:
                 print(f"  reason: {r.reason}")
-    return 0 if all(r.passed or r.verdict == "vacuously-skipped" for r in reports) else 1
+    return _checks_exit_code(reports)
 
 
 def cmd_preserve(args) -> int:
@@ -183,7 +189,7 @@ def cmd_preserve(args) -> int:
             print(f"{r.check}{who}: {r.verdict} ({r.trials} trials, seed {r.seed})")
             if r.reason:
                 print(f"  reason: {r.reason}")
-    return 0 if all(r.passed for r in reports) else 1
+    return _checks_exit_code(reports)
 
 
 def cmd_suite(args) -> int:
@@ -213,15 +219,15 @@ def cmd_suite(args) -> int:
             cfg = NIConfig(node.name, lat, assignment, level, trials=args.trials,
                            ticks=args.ticks, seed=args.seed + i)
             reports.append(check_non_interference(eprog, cfg))
-    ok = all(r.verdict in ("pass", "vacuously-skipped") for r in reports)
+    code = _checks_exit_code(reports)
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
         for r in reports:
             who = f" {r.node}" if r.node else ""
             print(f"{r.check}{who}: {r.verdict} ({r.trials} trials)")
-        print(f"suite: {'pass' if ok else 'fail'} ({len(reports)} checks)")
-    return 0 if ok else 1
+        print(f"suite: {(PASS, FAIL, INCONCLUSIVE)[code]} ({len(reports)} checks)")
+    return code
 
 
 def _positive_int(text: str) -> int:

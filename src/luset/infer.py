@@ -480,6 +480,9 @@ def flatten_assignment(entry) -> tuple[str | None, dict[str, str]]:
         if not isinstance(labels, dict):
             raise InferError("bad-assignment", f"assignment {sect} must be an object")
         flat.update(labels)
+    for x, label in flat.items():
+        if not isinstance(label, str):
+            raise InferError("bad-assignment", f"security class of {x} is not a string")
     return entry.get("node"), flat
 
 

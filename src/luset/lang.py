@@ -231,9 +231,12 @@ class Program:
 def _subexprs(e: Expr) -> tuple[Expr, ...]:
     """Immediate sub-expressions of an expression, left to right.
 
-    The one place that knows the shape of every expression form; the
-    structural walks below recurse through it with a plain loop, so each
-    nesting level costs them a single stack frame.
+    The one place that knows the shape of every expression form. The
+    structural questions asked of an expression (what it reads, what it
+    calls, what it reads at the current tick, whether it has the core
+    shape) are answered by walks that keep their pending sub-expressions
+    on a list, `_walk` and `_shape_errors`, so no nesting depth exhausts
+    the stack.
     """
     match e:
         case Const() | Var():
@@ -253,11 +256,30 @@ def _subexprs(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"_subexprs: unsupported {e!r}")
 
 
-def _union(fn, items: Iterable) -> set[str]:
-    out: set[str] = set()
-    for it in items:
-        out |= fn(it)
-    return out
+def _walk(exprs: Iterable[Expr], instantaneous: bool = False) -> tuple[set[str], dict[str, None]]:
+    """The variables some expressions read and the nodes they call, in the
+    order a left-to-right walk meets them. With `instantaneous`, only what
+    is read at the current tick: a fby delays its second argument, but its
+    first is consumed every tick."""
+    reads: set[str] = set()
+    calls: dict[str, None] = {}
+    todo = list(exprs)
+    todo.reverse()
+    while todo:
+        e = todo.pop()
+        cls = type(e)
+        if cls is Var:
+            reads.add(e.name)
+            continue
+        if cls is Call:
+            calls[e.node] = None
+        elif cls is When or cls is Merge:
+            reads.add(e.var)
+        elif cls is Fby and instantaneous:
+            todo.extend(reversed(e.init))
+            continue
+        todo.extend(reversed(_subexprs(e)))
+    return reads, calls
 
 
 def free_vars(item) -> set[str]:
@@ -268,25 +290,13 @@ def free_vars(item) -> set[str]:
     plain equations do not.
     """
     match item:
-        case Var(name):
-            return {name}
-        case When(_, x, _) | Merge(x, _, _):
-            out = {x}
-        case ClockBase():
-            return {BASE}
-        case ClockOn(ck, x, _):
-            return free_vars(ck) | {x}
+        case ClockBase() | ClockOn():
+            return clock_vars(item) | {BASE}
         case Def(targets, _, exprs):
-            return _union(free_vars, exprs) - set(targets)
-        case NDef(x, ck, e) | NFby(x, ck, _, e):
-            return (free_vars(ck) | free_vars(e)) - {x}
-        case NCall(xs, ck, _, args):
-            return (free_vars(ck) | _union(free_vars, args)) - set(xs)
-        case _:
-            out = set()
-    for sub in _subexprs(item):
-        out |= free_vars(sub)
-    return out
+            return _walk(exprs)[0] - set(targets)
+        case NDef() | NFby() | NCall():
+            return (_reads_and_calls(item)[0] | {BASE}) - set(eq_targets(item))
+    return _walk((item,))[0]
 
 
 def defined_vars(eq: Equation) -> set[str]:
@@ -374,34 +384,19 @@ def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
 
 
 def _reads_and_calls(eq: Equation) -> tuple[set[str], dict[str, None]]:
-    """The variables an equation reads, its clock's included, and the nodes
-    it calls in the order they are met, from one walk. Less the equation's
-    targets and `base`, the reads are `free_vars(eq)` less `base`."""
-    reads: set[str] = set()
-    calls: dict[str, None] = {}
+    """The variables an equation reads, a normalised equation's clock
+    included, and the nodes it calls in the order they are met, an NCall's
+    callee first. Less the equation's targets and `base`, the reads are
+    `free_vars(eq)` less `base`."""
     match eq:
         case Def(_, _, exprs):
-            todo = list(exprs)
+            return _walk(exprs)
         case NDef(_, ck, e) | NFby(_, ck, _, e):
-            todo = [e]
-            reads = clock_vars(ck)
+            reads, calls = _walk((e,))
         case NCall(_, ck, f, args):
-            todo = list(args)
-            reads = clock_vars(ck)
-            calls[f] = None
-    todo.reverse()
-    while todo:
-        e = todo.pop()
-        cls = type(e)
-        if cls is Var:
-            reads.add(e.name)
-            continue
-        if cls is Call:
-            calls[e.node] = None
-        elif cls is When or cls is Merge:
-            reads.add(e.var)
-        todo.extend(reversed(_subexprs(e)))
-    return reads, calls
+            reads, calls = _walk(args)
+            calls = {f: None, **calls}
+    return reads | clock_vars(ck), calls
 
 
 def _schedule(deps: dict) -> list:
@@ -668,7 +663,7 @@ def _elaborate(prog: Program) -> Program:
     for node in prog.nodes:
         env = _NodeEnv(prog, node, diags)
         for d in node.declarations:
-            _check_decl_clock(env, d, diags)
+            _check_decl_clock(env, d)
         new_eqs = []
         for i, eq in enumerate(node.equations):
             env.i = i
@@ -707,49 +702,28 @@ def _elaborate(prog: Program) -> Program:
     return out
 
 
-def _check_decl_clock(env: _NodeEnv, decl: VarDecl, diags: list[Diagnostic]):
+def _check_decl_clock(env: _NodeEnv, decl: VarDecl):
+    """Diagnostics of one declared clock; `env.i` is still None, so they name no equation."""
     ck = decl.clock
     input_names = {d.name for d in env.node.inputs}
     is_input = decl.name in input_names
     while isinstance(ck, ClockOn):
         if ck.var not in env.decls:
-            diags.append(Diagnostic("free-variable",
-                                    f"clock variable {ck.var} of {decl.name} is not declared",
-                                    node=env.node.name))
+            env.bad("free-variable", f"clock variable {ck.var} of {decl.name} is not declared")
             return
         if is_input and ck.var not in input_names:
-            diags.append(Diagnostic("clock-mismatch",
-                                    f"input {decl.name} is clocked on non-input {ck.var}",
-                                    node=env.node.name))
+            env.bad("clock-mismatch", f"input {decl.name} is clocked on non-input {ck.var}")
         d = env.decls[ck.var]
         if d.ty is not Ty.BOOL:
-            diags.append(Diagnostic("type-mismatch",
-                                    f"clock variable {ck.var} must be bool", node=env.node.name))
+            env.bad("type-mismatch", f"clock variable {ck.var} must be bool")
         if d.clock != ck.base:
-            diags.append(Diagnostic("clock-mismatch",
-                                    f"clock of {decl.name} samples {ck.var} off its own clock",
-                                    node=env.node.name))
+            env.bad("clock-mismatch", f"clock of {decl.name} samples {ck.var} off its own clock")
         ck = ck.base
 
 
 # ---------------------------------------------------------------------------
 # Instantaneous dependencies and causality
 # ---------------------------------------------------------------------------
-
-def instantaneous_deps(expr: Expr) -> set[str]:
-    """Variables read at the current tick. A fby delays its second argument
-    but its first argument is consumed every tick."""
-    match expr:
-        case Var(x):
-            return {x}
-        case When(_, x, _) | Merge(x, _, _):
-            out = {x}
-        case _:
-            out = set()
-    for sub in expr.init if isinstance(expr, Fby) else _subexprs(expr):
-        out |= instantaneous_deps(sub)
-    return out
-
 
 def clock_vars(ck: Clock | None) -> set[str]:
     """Variables sampled anywhere on a clock's chain (none for the base clock)."""
@@ -761,14 +735,17 @@ def clock_vars(ck: Clock | None) -> set[str]:
 
 
 def eq_instantaneous_deps(eq: Equation) -> set[str]:
+    """Variables an equation reads at the current tick, its clock's included."""
     match eq:
         case Def(_, ck, exprs) | NCall(_, ck, _, exprs):
-            return _union(instantaneous_deps, exprs) | clock_vars(ck)
+            pass
         case NDef(_, ck, e):
-            return instantaneous_deps(e) | clock_vars(ck)
+            exprs = (e,)
         case NFby(_, ck, _, _):
-            return clock_vars(ck)  # the head is a constant, the body is delayed
-    raise TypeError(f"eq_instantaneous_deps: unsupported {eq!r}")
+            exprs = ()  # the head is a constant, the body is delayed
+        case _:
+            raise TypeError(f"eq_instantaneous_deps: unsupported {eq!r}")
+    return _walk(exprs, instantaneous=True)[0] | clock_vars(ck)
 
 
 @dataclass(frozen=True)
@@ -814,6 +791,29 @@ def check_causality(node: Node) -> tuple[int, ...]:
 # Normalised-form validation
 # ---------------------------------------------------------------------------
 
+_NOT_SIMPLE = {Merge: "nested control expression", Ite: "nested control expression",
+               Fby: "fby inside an expression", Call: "node call inside an expression"}
+
+
+def _shape_errors(exprs: Iterable[Expr]) -> list[str]:
+    """Why some expressions are not simple expressions of the core form, in
+    the order a left-to-right walk meets the faults. A control expression,
+    fby or call is one fault, and the walk does not enter it."""
+    out: list[str] = []
+    todo = list(exprs)
+    todo.reverse()
+    while todo:
+        e = todo.pop()
+        cls = type(e)
+        if cls in _NOT_SIMPLE:
+            out.append(_NOT_SIMPLE[cls])
+            continue
+        if cls is When and len(e.args) != 1:
+            out.append("when over a tuple")
+        todo.extend(reversed(_subexprs(e)))
+    return out
+
+
 def nlustre_violations(prog: Program) -> list[Diagnostic]:
     """Check the restrictions of the normalised core form.
 
@@ -822,54 +822,18 @@ def nlustre_violations(prog: Program) -> list[Diagnostic]:
     (merge/if) appear only at the top of an NDef with simple branches.
     """
     diags: list[Diagnostic] = []
-
-    def simple(e: Expr, node: str, i: int):
-        match e:
-            case Const() | Var():
-                return
-            case Unop(_, a):
-                simple(a, node, i)
-            case Binop(_, a, b):
-                simple(a, node, i)
-                simple(b, node, i)
-            case When(args, _, _):
-                if len(args) != 1:
-                    diags.append(Diagnostic("nlustre-shape", "when over a tuple", node=node, eq_index=i))
-                for a in args:
-                    simple(a, node, i)
-            case Merge() | Ite():
-                diags.append(Diagnostic("nlustre-shape", "nested control expression", node=node, eq_index=i))
-            case Fby():
-                diags.append(Diagnostic("nlustre-shape", "fby inside an expression", node=node, eq_index=i))
-            case Call():
-                diags.append(Diagnostic("nlustre-shape", "node call inside an expression", node=node, eq_index=i))
-
-    def control(e: Expr, node: str, i: int):
-        match e:
-            case Merge(_, ts, fs):
-                for b in ts + fs:
-                    simple(b, node, i)
-                if len(ts) != 1 or len(fs) != 1:
-                    diags.append(Diagnostic("nlustre-shape", "merge over a tuple", node=node, eq_index=i))
-            case Ite(c, ts, fs):
-                simple(c, node, i)
-                for b in ts + fs:
-                    simple(b, node, i)
-                if len(ts) != 1 or len(fs) != 1:
-                    diags.append(Diagnostic("nlustre-shape", "if over a tuple", node=node, eq_index=i))
-            case _:
-                simple(e, node, i)
-
     for node in prog.nodes:
         for i, eq in enumerate(node.equations):
             match eq:
-                case NDef(_, _, e):
-                    control(e, node.name, i)
-                case NFby(_, _, _, e):
-                    simple(e, node.name, i)
+                case NDef(_, _, Merge(_, ts, fs) | Ite(_, ts, fs) as e):
+                    msgs = _shape_errors(_subexprs(e))
+                    if len(ts) != 1 or len(fs) != 1:
+                        msgs.append(f"{'merge' if type(e) is Merge else 'if'} over a tuple")
+                case NDef(_, _, e) | NFby(_, _, _, e):
+                    msgs = _shape_errors((e,))
                 case NCall(_, _, _, args):
-                    for a in args:
-                        simple(a, node.name, i)
-                case Def():
-                    diags.append(Diagnostic("nlustre-shape", "unnormalised equation", node=node.name, eq_index=i))
+                    msgs = _shape_errors(args)
+                case _:
+                    msgs = ["unnormalised equation"]
+            diags += [Diagnostic("nlustre-shape", m, node=node.name, eq_index=i) for m in msgs]
     return diags

@@ -326,13 +326,22 @@ class Lattice:
 
     @staticmethod
     def from_json(data: dict, name: str = "custom") -> "Lattice":
-        try:
-            elements = data["elements"]
-            bottom = data["bottom"]
-            covers = [tuple(p) for p in data["covers"]]
-        except (KeyError, TypeError) as exc:
-            raise LatticeError(f"malformed lattice description: {exc}") from exc
-        return Lattice(elements, bottom, covers, name=name)
+        """The lattice of {"elements": [e, ...], "bottom": e, "covers": [[lo, hi], ...]},
+        every element a string."""
+        def strings(xs) -> bool:
+            return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
+
+        if not isinstance(data, dict):
+            raise LatticeError("malformed lattice description: not an object")
+        elements, bottom, covers = data.get("elements"), data.get("bottom"), data.get("covers")
+        if not strings(elements):
+            raise LatticeError("malformed lattice description: elements must be a list of strings")
+        if not isinstance(bottom, str):
+            raise LatticeError("malformed lattice description: bottom must be a string")
+        if not (isinstance(covers, list) and all(strings(p) and len(p) == 2 for p in covers)):
+            raise LatticeError("malformed lattice description: "
+                               "covers must be a list of two-string lists")
+        return Lattice(elements, bottom, [tuple(p) for p in covers], name=name)
 
     @staticmethod
     def load(spec: str) -> "Lattice":

@@ -20,10 +20,11 @@ against, the evaluator of the source side of the harness's
 semantics-preservation check and of the generator's post-condition, and the
 fallback that runs a program which does not compile or whose compiled run
 fails, so every result and diagnostic is the interpreter's. The
-whole-prefix stream operators (`lift_unop` … `respects_clock`) and the
-whole-prefix entry point `eval_expr` are in turn the reference for the tree
-interpreter: nothing in the package calls them, and the tests check the
-interpreter against them.
+whole-prefix stream operators (`lift_unop` … `respects_clock`) are in turn
+the reference for the tree interpreter: nothing in the package calls them,
+and the tests check the interpreter against them. `eval_expr` is no such
+reference: it runs an expression over a whole prefix through the
+interpreter's own compiled closures (`NodeInstance._compile`).
 """
 
 from __future__ import annotations

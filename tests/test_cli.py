@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from luset.cli import main
+from luset.cli import _checks_exit_code, main
+from luset.harness import CheckReport
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
 
@@ -169,6 +170,16 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
      "--level", "Z"],
     ["signature", "sup.lus"],
     ["signature", "sup_after_digit.lus"],
+    ["check", "leak.lus", "--lattice", "cover_not_pair.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "element_not_string.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "cover_member_not_string.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "elements_int.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "elements_str.json", "--assign", "leak.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "class_list.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "class_list.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "input_class_list.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign",
+     "input_class_list.json"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
@@ -178,7 +189,10 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
         "trace-cell-out-of-range", "trace-cell-too-long", "program-not-utf8",
         "trace-not-utf8", "lattice-not-utf8", "assignment-not-utf8", "trace-is-a-directory",
         "trace-field-over-csv-limit", "ni-unknown-level", "non-decimal-digit",
-        "non-decimal-digit-after-digit"])
+        "non-decimal-digit-after-digit", "lattice-cover-not-a-pair",
+        "lattice-element-not-a-string", "lattice-cover-member-not-a-string",
+        "lattice-elements-not-a-list", "lattice-elements-a-string", "check-base-class-a-list",
+        "ni-base-class-a-list", "check-input-class-a-list", "ni-input-class-a-list"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -200,6 +214,16 @@ def test_malformed_input_exit_two(files, capsys, argv):
     (files / "wide.csv").write_text("x\n" + "9" * 140_000 + "\n")
     (files / "sup.lus").write_text("node f(x: int) returns (y: int); let y = ²; tel")
     (files / "sup_after_digit.lus").write_text("node f(x: int) returns (y: int); let y = 1²; tel")
+    lattices = {"cover_not_pair": {"covers": [["L"]]},
+                "element_not_string": {"elements": ["L", ["H"]], "covers": []},
+                "cover_member_not_string": {"covers": [["L", ["H"]]]},
+                "elements_int": {"elements": 3},
+                "elements_str": {"elements": "LH"}}
+    for stem, fields in lattices.items():
+        (files / f"{stem}.json").write_text(json.dumps(
+            {"elements": ["L", "H"], "bottom": "L", "covers": [["L", "H"]], **fields}))
+    (files / "class_list.json").write_text(json.dumps({"node": "Leak", "base": ["L"]}))
+    (files / "input_class_list.json").write_text(json.dumps({"node": "Leak", "inputs": {"b": ["H"]}}))
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -385,6 +409,23 @@ def test_preserve_command(files, capsys):
     checks = {d["check"] for d in data}
     assert checks == {"semantics-preservation", "type-preservation"}
     assert all(d["verdict"] == "pass" for d in data)
+
+
+def test_inconclusive_preserve_exits_two_with_its_report(tmp_path, capsys):
+    (tmp_path / "d.lus").write_text("node D(x: int) returns (y: int); let y = 10 div x; tel")
+    assert main(["preserve", str(tmp_path / "d.lus")]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("semantics-preservation D: inconclusive (1 trials, seed 0)\n"
+                          "  reason: div-by-zero at tick 7")
+    assert "type-preservation: pass" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("verdicts, code", [
+    ([], 0), (["pass", "vacuously-skipped"], 0), (["pass", "inconclusive"], 2),
+    (["inconclusive", "fail", "pass"], 1), (["vacuously-skipped", "fail"], 1)])
+def test_checks_exit_code_ranks_fail_over_inconclusive(verdicts, code):
+    assert _checks_exit_code([CheckReport("c", v) for v in verdicts]) == code
 
 
 def test_suite_command(capsys):

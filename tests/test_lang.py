@@ -1,12 +1,18 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from luset.cli import main
-from luset.diagnostics import ElaborationError
+from luset.diagnostics import Diagnostic, ElaborationError
+from luset.harness import gen_program
 from luset.infer import infer_program
-from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Def, Fby, Ite,
-                        Merge, NCall, NDef, NFby, Ty, Unop, Var, VarDecl, When,
-                        causality, defined_vars, elaborate,
-                        free_vars, node_order, well_formed)
+from luset.lang import (BASE, BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def, Fby,
+                        Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var, VarDecl,
+                        When, _reads_and_calls, _subexprs, causality, clock_vars, defined_vars,
+                        elaborate, eq_instantaneous_deps, free_vars, nlustre_violations,
+                        node_order, well_formed)
+from luset.normalize import normalize_program
 from luset.parser import parse_program
 
 from conftest import CTR_SPDMTR_SRC
@@ -362,3 +368,221 @@ def test_long_flat_sum_within_recursion_budget(tmp_path, capsys, command, terms)
     assert main([command, str(src)] + run) == 0
     if command == "run":
         assert capsys.readouterr().out == f"y,{terms},{2 * terms}\n"
+
+
+# ---------------------------------------------------------------------------
+# the structural walks, against the recursive definitions they replaced
+# ---------------------------------------------------------------------------
+
+# The recursive walks `free_vars`, `instantaneous_deps` and
+# `nlustre_violations` were written as, one call per sub-expression.
+
+def _free_vars_oracle(item) -> set[str]:
+    match item:
+        case Var(name):
+            return {name}
+        case When(_, x, _) | Merge(x, _, _):
+            out = {x}
+        case ClockBase():
+            return {BASE}
+        case ClockOn(ck, x, _):
+            return _free_vars_oracle(ck) | {x}
+        case Def(targets, _, exprs):
+            return set().union(*map(_free_vars_oracle, exprs)) - set(targets)
+        case NDef(x, ck, e) | NFby(x, ck, _, e):
+            return (_free_vars_oracle(ck) | _free_vars_oracle(e)) - {x}
+        case NCall(xs, ck, _, args):
+            return (_free_vars_oracle(ck) | set().union(*map(_free_vars_oracle, args))) - set(xs)
+        case _:
+            out = set()
+    for sub in _subexprs(item):
+        out |= _free_vars_oracle(sub)
+    return out
+
+
+def _instantaneous_deps_oracle(expr) -> set[str]:
+    match expr:
+        case Var(x):
+            return {x}
+        case When(_, x, _) | Merge(x, _, _):
+            out = {x}
+        case _:
+            out = set()
+    for sub in expr.init if isinstance(expr, Fby) else _subexprs(expr):
+        out |= _instantaneous_deps_oracle(sub)
+    return out
+
+
+def _eq_instantaneous_deps_oracle(eq) -> set[str]:
+    match eq:
+        case Def(_, ck, exprs) | NCall(_, ck, _, exprs):
+            return set().union(*map(_instantaneous_deps_oracle, exprs)) | clock_vars(ck)
+        case NDef(_, ck, e):
+            return _instantaneous_deps_oracle(e) | clock_vars(ck)
+        case NFby(_, ck, _, _):
+            return clock_vars(ck)
+
+
+def _nlustre_violations_oracle(prog) -> list[str]:
+    diags = []
+
+    def bad(msg, node, i):
+        diags.append(str(Diagnostic("nlustre-shape", msg, node=node, eq_index=i)))
+
+    def simple(e, node, i):
+        match e:
+            case Unop(_, a):
+                simple(a, node, i)
+            case Binop(_, a, b):
+                simple(a, node, i)
+                simple(b, node, i)
+            case When(args, _, _):
+                if len(args) != 1:
+                    bad("when over a tuple", node, i)
+                for a in args:
+                    simple(a, node, i)
+            case Merge() | Ite():
+                bad("nested control expression", node, i)
+            case Fby():
+                bad("fby inside an expression", node, i)
+            case Call():
+                bad("node call inside an expression", node, i)
+
+    def control(e, node, i):
+        match e:
+            case Merge(_, ts, fs):
+                for b in ts + fs:
+                    simple(b, node, i)
+                if len(ts) != 1 or len(fs) != 1:
+                    bad("merge over a tuple", node, i)
+            case Ite(c, ts, fs):
+                simple(c, node, i)
+                for b in ts + fs:
+                    simple(b, node, i)
+                if len(ts) != 1 or len(fs) != 1:
+                    bad("if over a tuple", node, i)
+            case _:
+                simple(e, node, i)
+
+    for node in prog.nodes:
+        for i, eq in enumerate(node.equations):
+            match eq:
+                case NDef(_, _, e):
+                    control(e, node.name, i)
+                case NFby(_, _, _, e):
+                    simple(e, node.name, i)
+                case NCall(_, _, _, args):
+                    for a in args:
+                        simple(a, node.name, i)
+                case Def():
+                    bad("unnormalised equation", node.name, i)
+    return diags
+
+
+def _reads_and_calls_oracle(eq) -> tuple[set[str], list[str]]:
+    """Variables read, the clock's included, and the nodes called in the
+    order a left-to-right walk meets them, the callee of an NCall first."""
+    match eq:
+        case Def(_, _, exprs):
+            reads, calls = set(), []
+        case NDef(_, ck, e) | NFby(_, ck, _, e):
+            exprs, reads, calls = (e,), clock_vars(ck), []
+        case NCall(_, ck, f, exprs):
+            reads, calls = clock_vars(ck), [f]
+
+    def walk(e):
+        if isinstance(e, Call):
+            calls.append(e.node)
+        for sub in _subexprs(e):
+            walk(sub)
+
+    for e in exprs:
+        reads |= _free_vars_oracle(e)
+        walk(e)
+    return reads, list(dict.fromkeys(calls))
+
+
+def _recast(eq: Def, ck, sampler: str, callee: str) -> list:
+    """A single-target equation in six shapes of or near the core form:
+    its expression as an NDef, an NFby body, both arguments of a call, a
+    merge, an `if` and a `when`, each of the last three over a pair."""
+    (x,), (e,) = eq.targets, eq.exprs
+    return [NDef(x, ck, e), NFby(x, ck, Const(0), e), NCall((x,), ck, callee, (e, e)),
+            NDef(x, ck, Merge(sampler, (e, e), (e,))), NDef(x, ck, Ite(e, (e,), (e, e))),
+            NDef(x, ck, When((e, e), sampler, False))]
+
+
+def _eq_exprs(eq):
+    match eq:
+        case Def(_, _, exprs) | NCall(_, _, _, exprs):
+            return exprs
+        case NDef(_, _, e) | NFby(_, _, _, e):
+            return (e,)
+
+
+def test_structural_walks_match_the_recursive_definitions():
+    """Diagnostics in order, free variables, instantaneous dependencies,
+    reads and call order of the source, elaborated and normalised
+    equations of generated programs, each single-target equation also
+    recast into the core shapes and out of them."""
+    rng = random.Random(20)
+    for _ in range(300):
+        prog = gen_program(rng)
+        eprog = elaborate(prog)
+        nprog, _ = normalize_program(eprog)
+        nodes = []
+        for src, elab, norm in zip(prog.nodes, eprog.nodes, nprog.nodes):
+            sampler = next((d.name for d in src.declarations if d.ty is Ty.BOOL), "c")
+            recast = [r for eq in elab.equations if len(eq.targets) == 1 == len(eq.exprs)
+                      for r in _recast(eq, ClockOn(eq.clock, sampler, True), sampler, src.name)]
+            eqs = src.equations + elab.equations + norm.equations + tuple(recast)
+            nodes.append(replace(src, equations=eqs))
+        mixed = Program(tuple(nodes))
+        assert [str(d) for d in nlustre_violations(mixed)] == _nlustre_violations_oracle(mixed)
+        assert nlustre_violations(nprog) == []
+        for node in mixed.nodes:
+            for eq in node.equations:
+                assert free_vars(eq) == _free_vars_oracle(eq), eq
+                assert free_vars(eq.clock or BASE_CLOCK) == _free_vars_oracle(eq.clock or BASE_CLOCK)
+                assert eq_instantaneous_deps(eq) == _eq_instantaneous_deps_oracle(eq), eq
+                reads, calls = _reads_and_calls(eq)
+                assert (reads, list(calls)) == _reads_and_calls_oracle(eq), eq
+                for e in _eq_exprs(eq):
+                    assert free_vars(e) == _free_vars_oracle(e), e
+
+
+@pytest.mark.parametrize("eq, msgs", [
+    (Def(("y",), None, (Var("x"),)), ["unnormalised equation"]),
+    (NDef("y", BASE_CLOCK, Binop("+", Var("x"), Ite(Var("b"), (Var("x"),), (Const(0),)))),
+     ["nested control expression"]),
+    (NDef("y", BASE_CLOCK, Merge("b", (Merge("b", (Var("x"),), (Var("x"),)),), (Var("x"),))),
+     ["nested control expression"]),
+    (NFby("y", BASE_CLOCK, Const(0), Unop("-", Fby((Const(0),), (Var("x"),)))),
+     ["fby inside an expression"]),
+    (NCall(("y",), BASE_CLOCK, "g", (Binop("*", Call("g", (Var("x"),)), Var("x")),)),
+     ["node call inside an expression"]),
+    (NDef("y", BASE_CLOCK, When((Var("x"), Var("x")), "b", True)), ["when over a tuple"]),
+    (NDef("y", BASE_CLOCK, Merge("b", (Var("x"), Var("x")), (Var("x"),))), ["merge over a tuple"]),
+    (NDef("y", BASE_CLOCK, Ite(Var("b"), (Var("x"),), (Var("x"), Var("x")))), ["if over a tuple"]),
+    # branch faults come in reading order, before the width of the control expression
+    (NDef("y", BASE_CLOCK, Ite(Call("g", ()), (When((Var("x"), Fby((), ())), "b", False),),
+                               (Var("x"), Merge("b", (), ())))),
+     ["node call inside an expression", "when over a tuple", "fby inside an expression",
+      "nested control expression", "if over a tuple"]),
+], ids=["unnormalised", "nested-if", "nested-merge", "fby-inside", "call-inside",
+        "when-over-tuple", "merge-over-tuple", "if-over-tuple", "reading-order"])
+def test_nlustre_shape_messages(eq, msgs):
+    ok = NDef("z", BASE_CLOCK, Ite(Var("b"), (Var("x"),), (Const(1),)))
+    prog = Program((Node("f", (), (), (), (ok, eq, ok)),))
+    assert [str(d) for d in nlustre_violations(prog)] == [f"f#eq1: nlustre-shape: {m}" for m in msgs]
+
+
+def test_structural_walks_do_not_recurse():
+    deep = Var("x")
+    for _ in range(10_000):
+        deep = Unop("not", deep)
+    node = Node("f", (decl("x", Ty.BOOL),), (decl("y", Ty.BOOL),), (),
+                (Def(("y",), None, (deep,)),))
+    assert free_vars(deep) == {"x"}
+    assert causality(node).order == (0,)
+    assert well_formed(Program((node,))) == []
