@@ -17,7 +17,8 @@ from .diagnostics import LusetError, ParseError
 from .harness import (FAIL, INCONCLUSIVE, PASS, NIConfig, check_equational_soundness,
                       check_non_interference, check_semantics_preservation,
                       check_simple_security, check_type_preservation, generator_postcondition)
-from .infer import check_program, display_constraint, flatten_assignment, infer_program
+from .infer import (check_assignment_sections, check_program, display_constraint,
+                    flatten_assignment, infer_program)
 from .lang import elaborate
 from .normalize import normalize_program
 from .parser import parse_program, pretty_print
@@ -143,10 +144,13 @@ def cmd_ni(args) -> int:
     if not prog.has_node(args.node):
         return _fail_usage(f"no node named {args.node}")
     lat = Lattice.load(args.lattice)
-    entries = [flatten_assignment(e) for e in _load_assignments(args.assign)]
+    raw = _load_assignments(args.assign)
+    entries = [flatten_assignment(e) for e in raw]
     if not entries:
         return _fail_usage(f"{args.assign}: no assignment entries")
-    assignment = next((flat for name, flat in entries if name == args.node), entries[0][1])
+    i = next((i for i, (name, _) in enumerate(entries) if name == args.node), 0)
+    check_assignment_sections(raw[i], prog.node(args.node))
+    assignment = entries[i][1]
     if args.level:
         lat.leq(args.level, args.level)  # an unknown level is a LatticeError: exit 2
     levels = [args.level] if args.level else list(lat.elements)
@@ -180,13 +184,14 @@ def cmd_preserve(args) -> int:
     for name in names:
         reports.append(check_semantics_preservation(prog, name, trials=args.trials,
                                                     ticks=args.ticks, seed=args.seed))
-    reports.append(check_type_preservation(prog, args.node, seed=args.seed))
+    reports.append(check_type_preservation(prog, args.node))
     if args.json:
         print(json.dumps([r.to_json() for r in reports], indent=2))
     else:
         for r in reports:
             who = f" {r.node}" if r.node else ""
-            print(f"{r.check}{who}: {r.verdict} ({r.trials} trials, seed {r.seed})")
+            seed = "" if r.seed is None else f", seed {r.seed}"
+            print(f"{r.check}{who}: {r.verdict} ({r.trials} trials{seed})")
             if r.reason:
                 print(f"  reason: {r.reason}")
     return _checks_exit_code(reports)
@@ -211,8 +216,7 @@ def cmd_suite(args) -> int:
         for node in eprog.nodes:
             reports.append(check_semantics_preservation(prog, node.name, trials=5,
                                                         ticks=args.ticks, seed=args.seed + i))
-        reports.append(check_type_preservation(prog, seed=args.seed + i,
-                                               lattice_samples=2, instantiation_samples=5))
+        reports.append(check_type_preservation(prog))
         node = eprog.nodes[-1]
         assignment = sample_satisfying_assignment(rng, results[node.name], lat)
         for level in lat.elements:

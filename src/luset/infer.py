@@ -469,7 +469,9 @@ class Report:
 
 def flatten_assignment(entry) -> tuple[str | None, dict[str, str]]:
     """Node name and flat program-variable map (with `base`) of one
-    assignment entry {"node": ..., "base": ..., "inputs": {...}, "outputs": {...}}."""
+    assignment entry {"node": ..., "base": ..., "inputs": {...}, "outputs": {...}}.
+    Merging loses no label: a name in both sections, or `base` inside one,
+    is refused."""
     if not isinstance(entry, dict):
         raise InferError("bad-assignment", f"assignment entry {entry!r} is not an object")
     flat: dict[str, str] = {}
@@ -479,11 +481,26 @@ def flatten_assignment(entry) -> tuple[str | None, dict[str, str]]:
         labels = entry.get(sect, {})
         if not isinstance(labels, dict):
             raise InferError("bad-assignment", f"assignment {sect} must be an object")
+        if BASE in labels:
+            raise InferError("bad-assignment", f"{BASE} belongs beside {sect}, not inside it")
+        for x in labels:
+            if x in flat:
+                raise InferError("bad-assignment", f"{x} is listed under inputs and outputs")
         flat.update(labels)
     for x, label in flat.items():
         if not isinstance(label, str):
             raise InferError("bad-assignment", f"security class of {x} is not a string")
     return entry.get("node"), flat
+
+
+def check_assignment_sections(entry: dict, node: Node) -> None:
+    """Reject a name under `inputs` (`outputs`) of an assignment entry that
+    is not an input (output) of `node`."""
+    for sect, decls in (("inputs", node.inputs), ("outputs", node.outputs)):
+        declared = {d.name for d in decls}
+        for x in entry.get(sect, {}):
+            if x not in declared:
+                raise InferError("bad-assignment", f"{x} is not an {sect[:-1]} of {node.name}")
 
 
 def solve_interface(res: InferenceResult, assignment: Mapping[str, str],
@@ -577,5 +594,6 @@ def check_program(prog: Program, lat: Lattice,
             raise InferError("bad-assignment", "assignment entry lacks a node name")
         if not prog.has_node(name):
             raise InferError("unknown-node", f"assignment names unknown node {name}")
+        check_assignment_sections(entry, prog.node(name))
         reports.append(check_node(results, name, flat, lat))
     return Report(lat.name, reports)

@@ -3,7 +3,7 @@ over stream tuples, followed by explicit constant initialisation of delays.
 
 The pass is purely syntactic: it rewrites equations and declares the fresh
 locals it introduces, and tracks no security types. That it preserves
-signatures is checked by re-inferring them on its output (see
+signatures is decided by re-inferring them on its output (see
 `harness.check_type_preservation`).
 """
 

@@ -25,7 +25,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from types import SimpleNamespace
+from typing import Iterable, Iterator, Mapping, Union
 
 from .diagnostics import InferError, LatticeError
 
@@ -431,3 +432,26 @@ def least_solution(rho: ConstraintSet, fixed: Mapping[str, str], lat: Lattice) -
     if violations(rho, s, lat):
         return None
     return s
+
+
+def not_entailed(rho: ConstraintSet,
+                 other: ConstraintSet) -> Iterator[tuple[Constraint, dict[str, str]]]:
+    """Each constraint of `other` that `rho` does not entail over every
+    lattice, with a two-point instantiation that satisfies `rho` and
+    violates it.
+
+    Precondition: every right-hand side is one variable, as inference makes
+    them. The least fixpoint of `rho` over sets of names, each variable v
+    started at {v} by a fixed seed variable, then maps b to the variables
+    `rho` forces below b, and rho ⊨ lhs ⊑ b iff all of lhs is in b's set.
+    For an x that is not, v ↦ H iff x is in v's set is the countermodel.
+    """
+    assert all(len(c.rhs.vars) == 1 for c in itertools.chain(rho, other))
+    names = sorted(rho.variables | other.variables)
+    seeds = [Constraint(ct("\0" + v), ct(v)) for v in names]  # NUL: in no variable's name
+    sets = SimpleNamespace(bottom=frozenset(), join=frozenset.union)
+    below = least_fixpoint(rho | seeds, {"\0" + v: frozenset([v]) for v in names}, sets)
+    for c in other:
+        missing = [x for x in c.lhs.vars if x not in below[c.rhs.vars[0]]]
+        if missing:
+            yield c, {v: "H" if missing[0] in below[v] else "L" for v in names}

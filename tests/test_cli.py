@@ -180,6 +180,14 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["check", "leak.lus", "--lattice", "two-point", "--assign", "input_class_list.json"],
     ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign",
      "input_class_list.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "twice.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "twice.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "base_in_section.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign",
+     "base_in_section.json"],
+    ["check", "leak.lus", "--lattice", "two-point", "--assign", "wrong_section.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign",
+     "wrong_section.json"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
@@ -192,7 +200,9 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
         "non-decimal-digit-after-digit", "lattice-cover-not-a-pair",
         "lattice-element-not-a-string", "lattice-cover-member-not-a-string",
         "lattice-elements-not-a-list", "lattice-elements-a-string", "check-base-class-a-list",
-        "ni-base-class-a-list", "check-input-class-a-list", "ni-input-class-a-list"])
+        "ni-base-class-a-list", "check-input-class-a-list", "ni-input-class-a-list",
+        "check-name-in-two-sections", "ni-name-in-two-sections", "check-base-in-a-section",
+        "ni-base-in-a-section", "check-name-in-wrong-section", "ni-name-in-wrong-section"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -224,6 +234,12 @@ def test_malformed_input_exit_two(files, capsys, argv):
             {"elements": ["L", "H"], "bottom": "L", "covers": [["L", "H"]], **fields}))
     (files / "class_list.json").write_text(json.dumps({"node": "Leak", "base": ["L"]}))
     (files / "input_class_list.json").write_text(json.dumps({"node": "Leak", "inputs": {"b": ["H"]}}))
+    (files / "twice.json").write_text(json.dumps(
+        {"node": "Leak", "inputs": {"b": "L"}, "outputs": {"b": "H", "c": "L"}}))
+    (files / "base_in_section.json").write_text(json.dumps(
+        {"node": "Leak", "inputs": {"b": "L"}, "outputs": {"c": "L", "base": "H"}}))
+    (files / "wrong_section.json").write_text(json.dumps(
+        {"node": "Leak", "inputs": {"c": "L"}, "outputs": {"b": "L"}}))
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -174,6 +174,51 @@ def test_type_preservation_random_programs():
         assert report.verdict == "pass", report.counterexample
 
 
+def test_type_preservation_catches_a_dropped_condition(monkeypatch):
+    """A normaliser that replaces every `if` condition by `true` keeps the
+    semantics check out of the picture: the type check alone fails, and
+    each countermodel satisfies the side it names and violates the
+    constraint it names."""
+    from dataclasses import replace
+    from luset import harness
+    from luset.lang import Const, Ite, Merge, NDef
+    from luset.normalize import normalize_program
+    from luset.sectypes import ConstraintSet, satisfies
+
+    def drop(e):
+        if isinstance(e, (Ite, Merge)):
+            e = replace(e, on_true=tuple(map(drop, e.on_true)),
+                        on_false=tuple(map(drop, e.on_false)))
+        return replace(e, cond=Const(True)) if isinstance(e, Ite) else e
+
+    def bad_normalize(prog):
+        nprog, introduced = normalize_program(prog)
+        nodes = tuple(replace(n, equations=tuple(
+            replace(eq, expr=drop(eq.expr)) if isinstance(eq, NDef) else eq
+            for eq in n.equations)) for n in nprog.nodes)
+        return replace(nprog, nodes=nodes), introduced
+
+    monkeypatch.setattr(harness, "normalize_program", bad_normalize)
+    rng = random.Random(5)
+    failed = 0
+    for _ in range(100):
+        prog = elaborate(gen_program(rng))
+        report = check_type_preservation(prog)
+        if report.verdict == "pass":
+            continue
+        assert report.verdict == "fail", report.to_json()
+        failed += 1
+        c = report.counterexample
+        sigs = {"source": infer_program(prog)[c["node"]].signature.constraints,
+                "normalised": infer_program(bad_normalize(prog)[0])[c["node"]].signature.constraints}
+        rho = sigs[c["not_entailed_by"]]
+        other = sigs["normalised" if c["not_entailed_by"] == "source" else "source"]
+        constraint = next(k for k in other if str(k) == c["constraint"])
+        assert satisfies(rho, c["instantiation"], TWO)
+        assert not satisfies(ConstraintSet([constraint]), c["instantiation"], TWO)
+    assert failed > 0
+
+
 # ---------------------------------------------------------------------------
 # equational theory and simple security
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ def test_leak_secure_when_output_secret():
     assert report.secure
 
 
+@pytest.mark.parametrize("entry, why", [
+    ({"inputs": {"b": "L"}, "outputs": {"b": "H", "c": "L"}}, "b is listed under inputs and"),
+    ({"inputs": {"b": "L"}, "outputs": {"c": "L", "base": "H"}}, "base belongs beside outputs"),
+    ({"inputs": {"c": "L"}, "outputs": {"b": "L"}}, "c is not an input of Leak"),
+], ids=["name-in-two-sections", "base-in-a-section", "name-in-wrong-section"])
+def test_misfiled_assignment_is_refused(entry, why):
+    prog = elaborate(parse_program(LEAK_ITE_SRC))
+    with pytest.raises(InferError, match=f"bad-assignment: {why}"):
+        check_program(prog, TWO, [{"node": "Leak", **entry}])
+
+
 def test_merge_leak_insecure():
     prog = elaborate(parse_program(LEAK_MERGE_SRC))
     report = check_program(prog, TWO, [{"node": "Leak2", "base": "L",

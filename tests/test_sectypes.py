@@ -11,7 +11,7 @@ from luset.infer import infer_program
 from luset.lang import elaborate
 from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, ConstraintSet,
                             Lattice, Lub, Refine, TVar, canon, cs, ct, eval_ground,
-                            least_fixpoint, least_solution, lub, satisfies,
+                            least_fixpoint, least_solution, lub, not_entailed, satisfies,
                             substitute_constraints, substitute_type, violations)
 
 
@@ -325,3 +325,35 @@ def test_least_fixpoint_matches_oracle_on_program_constraints():
             rho = res.full_constraints
             got = least_fixpoint(rho, fixed, lat)
             assert list(got.items()) == list(_least_fixpoint_oracle(rho, fixed, lat).items())
+
+
+def _random_system(rng, pool, size):
+    return ConstraintSet(
+        Constraint.make(ct(*rng.sample(pool, rng.randint(1, min(3, len(pool))))),
+                        ct(rng.choice(pool)))
+        for _ in range(rng.randint(0, size)))
+
+
+def test_not_entailed_matches_two_point_brute_force():
+    """With one-variable right-hand sides, entailment over every lattice is
+    decided exactly: a constraint is reported iff some two-point assignment
+    satisfies rho and violates it, and the reported instantiation does."""
+    rng = random.Random(21)
+    lat = Lattice.two_point()
+    for _ in range(1200):
+        pool = [f"v{i}" for i in range(rng.randint(1, 7))]
+        rho, other = _random_system(rng, pool, 10), _random_system(rng, pool, 6)
+        names = sorted(rho.variables | other.variables)
+        models = [s for s in (dict(zip(names, bits))
+                              for bits in itertools.product("LH", repeat=len(names)))
+                  if satisfies(rho, s, lat)]
+        want = [c for c in other if not all(satisfies(ConstraintSet([c]), s, lat) for s in models)]
+        got = list(not_entailed(rho, other))
+        assert [c for c, _ in got] == want
+        for c, inst in got:
+            assert satisfies(rho, inst, lat) and not satisfies(ConstraintSet([c]), inst, lat)
+
+
+def test_not_entailed_needs_one_variable_right_hand_sides():
+    with pytest.raises(AssertionError):
+        list(not_entailed(EMPTY, cs((ct("a"), ct("b", "c")))))
