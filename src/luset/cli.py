@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .diagnostics import LusetError, ParseError
+from .diagnostics import InferError, LusetError, ParseError
 from .harness import (FAIL, INCONCLUSIVE, PASS, NIConfig, check_equational_soundness,
                       check_non_interference, check_semantics_preservation,
                       check_simple_security, check_type_preservation, generator_postcondition)
@@ -148,7 +148,9 @@ def cmd_ni(args) -> int:
     entries = [flatten_assignment(e) for e in raw]
     if not entries:
         return _fail_usage(f"{args.assign}: no assignment entries")
-    i = next((i for i, (name, _) in enumerate(entries) if name == args.node), 0)
+    i = next((i for i, (name, _) in enumerate(entries) if name == args.node), None)
+    if i is None:
+        raise InferError("unknown-node", f"assignment has no entry for node {args.node}")
     check_assignment_sections(raw[i], prog.node(args.node))
     assignment = entries[i][1]
     if args.level:

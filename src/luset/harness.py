@@ -694,29 +694,6 @@ def check_equational_soundness(samples: int = 1000, instantiations: int = 10,
     return CheckReport("equational-soundness", PASS, trials=samples, seed=seed)
 
 
-def check_canonical_order_independence(samples: int = 100, seed: int = 0) -> CheckReport:
-    """Canonicalisation does not depend on the shape of the join tree."""
-    rng = random.Random(seed)
-    pool = [f"δ{i}" for i in range(1, 7)]
-    for trial in range(samples):
-        leaves = [TVar(rng.choice(pool)) for _ in range(rng.randint(2, 8))]
-        reference = None
-        for _ in range(4):
-            shuffled = list(leaves)
-            rng.shuffle(shuffled)
-            tree: SecType = shuffled[0]
-            for leaf in shuffled[1:]:
-                tree = Lub(tree, leaf) if rng.random() < 0.5 else Lub(leaf, tree)
-            got = canon(tree)
-            if reference is None:
-                reference = got
-            elif got != reference:
-                return CheckReport("canonical-order-independence", FAIL,
-                                   trials=trial + 1, seed=seed,
-                                   counterexample={"leaves": [l.name for l in leaves]})
-    return CheckReport("canonical-order-independence", PASS, trials=samples, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Simple security
 # ---------------------------------------------------------------------------

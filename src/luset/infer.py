@@ -1,6 +1,8 @@
 """Security type inference: constraint generation for clocks, expressions
 and equations, node signatures via local-variable elimination, and
-whole-program checking against a lattice.
+whole-program checking against a lattice. A node is typed on int masks, one
+bit per type variable, from its first join to the end of elimination; masks
+become canonical types only in its signature, constraints and call sites.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from .diagnostics import InferError
 from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
                    When, derived, node_order)
-from .sectypes import (TBOT, CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
-                       least_fixpoint, least_solution, substitute_constraints, violations)
+from .sectypes import (CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
+                       least_fixpoint, least_solution, violations)
 
 GREEK = {"alpha": "α", "beta": "β", "gamma": "γ", "delta": "δ"}
 _ASCII = {"α": "a", "β": "b", "γ": "g", "δ": "d"}
@@ -124,94 +126,131 @@ class InferenceResult:
 TypeEnv = dict[str, CanonType]
 
 
+class _CallCtx:
+    """Everything typing one node body reads and generates: one int bit per
+    type variable, the type environment as masks, callee signatures and
+    fresh supply, and the node's constraints as absorbed, non-trivial
+    (lhs, rhs) mask pairs, call sites and call-result variables in order."""
+
+    def __init__(self, sigs: Mapping[str, NodeSignature], fresh: FreshVars, env: TypeEnv = {}):
+        self.sigs = sigs
+        self.fresh = fresh
+        self.bits: dict[str, int] = {}
+        self.names: list[str] = []
+        self.env = {x: self.mask(t) for x, t in env.items()}
+        self.pairs: dict[tuple[int, int], None] = {}  # in order of first generation
+        self.extra_vars: list[str] = []
+        self.calls: list[CallSite] = []
+        self.eq_index = 0
+        self._canon: dict[int, CanonType] = {}
+
+    def bit(self, v: str) -> int:
+        b = self.bits.get(v)
+        if b is None:
+            b = self.bits[v] = 1 << len(self.names)
+            self.names.append(v)
+        return b
+
+    def mask(self, t: CanonType, sub: Mapping[str, int] = {}) -> int:
+        m = 0
+        for v in t.vars:
+            m |= sub[v] if v in sub else self.bit(v)
+        return m
+
+    def canon(self, m: int) -> CanonType:
+        t = self._canon.get(m)
+        if t is None:
+            out, rest = [], m
+            while rest:
+                b = rest & -rest
+                out.append(self.names[b.bit_length() - 1])
+                rest ^= b
+            t = self._canon[m] = CanonType.of_sorted(tuple(sorted(out)))
+        return t
+
+    def constraints(self, pairs) -> ConstraintSet:
+        """The constraint set of distinct, absorbed, non-trivial pairs."""
+        return ConstraintSet.of_canonical(Constraint(self.canon(l), self.canon(r)) for l, r in pairs)
+
+
 def type_clock(env: TypeEnv, ck: Clock) -> CanonType:
     """Security type of a clock: the base entry joined with every sampled
     variable on the chain."""
+    ctx = _CallCtx({}, FreshVars(), env)
+    return ctx.canon(_clock(ctx.env, ck))
+
+
+def _clock(env: dict[str, int], ck: Clock) -> int:
     match ck:
         case ClockBase():
             return _lookup(env, BASE)
         case ClockOn(base, x, _):
-            return _lookup(env, x).join(type_clock(env, base))
+            return _lookup(env, x) | _clock(env, base)
     raise TypeError(f"type_clock: unsupported {ck!r}")
 
 
-def _lookup(env: TypeEnv, name: str) -> CanonType:
+def _lookup(env: Mapping, name: str):
     if name not in env:
         raise InferError("unbound-var", f"no security type for {name}")
     return env[name]
-
-
-class _CallCtx:
-    """Everything typing one node body reads and generates: the type
-    environment, callee signatures and fresh supply, and the node's
-    constraints, call sites and call-result variables in order."""
-
-    def __init__(self, env: TypeEnv, sigs: Mapping[str, NodeSignature], fresh: FreshVars):
-        self.env = env
-        self.sigs = sigs
-        self.fresh = fresh
-        self.constraints: list[Constraint] = []
-        self.extra_vars: list[str] = []
-        self.calls: list[CallSite] = []
-        self.eq_index = 0
 
 
 def type_expr(env: TypeEnv, e: Expr,
               sigs: Mapping[str, NodeSignature]) -> tuple[list[CanonType], ConstraintSet]:
     """One type per component stream of e, and the constraints its node
     calls generate."""
-    ctx = _CallCtx(env, sigs, FreshVars())
-    types = _expr(ctx, e)
-    return types, ConstraintSet(ctx.constraints)
+    ctx = _CallCtx(sigs, FreshVars(), env)
+    slots = _expr(ctx, e)
+    return [ctx.canon(m) for m in slots], ctx.constraints(ctx.pairs)
 
 
-def _expr(ctx: _CallCtx, e: Expr) -> list[CanonType]:
-    """One type per component stream of e.
+def _expr(ctx: _CallCtx, e: Expr) -> list[int]:
+    """One type mask per component stream of e; a join is `|`.
 
-    Node calls instantiate the callee signature into ctx.constraints: the
-    clock variable maps to the caller's base entry, inputs to argument
-    types, and outputs to fresh variables that stand for the results at
-    this call site.
+    Node calls instantiate the callee signature into ctx.pairs: the clock
+    variable maps to the caller's base entry, inputs to argument types,
+    and outputs to fresh variables that stand for the results at this call
+    site.
     """
     match e:
         case Const():
-            return [TBOT]
+            return [0]
         case Var(x):
             return [_lookup(ctx.env, x)]
         case Unop(_, a):
             return [_one(_expr(ctx, a))]
         case Binop(_, a, b):
-            return [_one(_expr(ctx, a)).join(_one(_expr(ctx, b)))]
+            return [_one(_expr(ctx, a)) | _one(_expr(ctx, b))]
         case When(args, x, _):
             gx = _lookup(ctx.env, x)
-            return [t.join(gx) for t in _exprs(ctx, args)]
+            return [t | gx for t in _exprs(ctx, args)]
         case Merge(x, ts, fs):
             gx = _lookup(ctx.env, x)
             tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
             _same_width(tslots, fslots, "merge")
-            return [gx.join(a).join(b) for a, b in zip(tslots, fslots)]
+            return [gx | a | b for a, b in zip(tslots, fslots)]
         case Ite(c, ts, fs):
             theta = _one(_expr(ctx, c))
             tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
             _same_width(tslots, fslots, "if")
-            return [theta.join(a).join(b) for a, b in zip(tslots, fslots)]
+            return [theta | a | b for a, b in zip(tslots, fslots)]
         case Fby(e0s, es):
             islots, rslots = _exprs(ctx, e0s), _exprs(ctx, es)
             _same_width(islots, rslots, "fby")
-            return [a.join(b) for a, b in zip(islots, rslots)]
+            return [a | b for a, b in zip(islots, rslots)]
         case Call(f, args):
             return _type_call(ctx, f, args, _lookup(ctx.env, BASE))
     raise TypeError(f"type_expr: unsupported {e!r}")
 
 
-def _exprs(ctx: _CallCtx, items) -> list[CanonType]:
-    out: list[CanonType] = []
+def _exprs(ctx: _CallCtx, items) -> list[int]:
+    out: list[int] = []
     for it in items:
         out.extend(_expr(ctx, it))
     return out
 
 
-def _one(slots: list[CanonType]) -> CanonType:
+def _one(slots: list[int]) -> int:
     if len(slots) != 1:
         raise InferError("arity-mismatch", "tuple used as a single stream")
     return slots[0]
@@ -222,21 +261,26 @@ def _same_width(a: list, b: list, what: str):
         raise InferError("arity-mismatch", f"{what} branches have widths {len(a)} and {len(b)}")
 
 
-def _type_call(ctx: _CallCtx, f: str, args, clock_type: CanonType) -> list[CanonType]:
+def _type_call(ctx: _CallCtx, f: str, args, clock: int) -> list[int]:
+    """Instantiate f's signature, each of its variables mapped to a mask."""
     if f not in ctx.sigs:
         raise InferError("unknown-node", f"no signature for node {f}")
     sig = ctx.sigs[f]
-    arg_types = _exprs(ctx, args)
-    if len(arg_types) != len(sig.inputs):
+    arg_masks = _exprs(ctx, args)
+    if len(arg_masks) != len(sig.inputs):
         raise InferError("arity-mismatch",
-                         f"{f} expects {len(sig.inputs)} argument stream(s), got {len(arg_types)}")
+                         f"{f} expects {len(sig.inputs)} argument stream(s), got {len(arg_masks)}")
     result_vars = [ctx.fresh.one("delta") for _ in sig.outputs]
     ctx.extra_vars.extend(result_vars)
-    results = [CanonType((r,)) for r in result_vars]
-    sub = dict(zip((sig.clock,) + sig.inputs + sig.outputs, [clock_type] + arg_types + results))
-    ctx.constraints.extend(substitute_constraints(sig.constraints, sub))
-    ctx.calls.append(CallSite(f, ctx.eq_index, tuple(arg_types), clock_type,
-                              tuple(result_vars)))
+    results = [ctx.bit(r) for r in result_vars]
+    sub = dict(zip((sig.clock,) + sig.inputs + sig.outputs, [clock] + arg_masks + results))
+    for c in sig.constraints:
+        rhs = ctx.mask(c.rhs, sub)
+        lhs = ctx.mask(c.lhs, sub) & ~rhs
+        if lhs:
+            ctx.pairs[lhs, rhs] = None
+    ctx.calls.append(CallSite(f, ctx.eq_index, tuple(map(ctx.canon, arg_masks)),
+                              ctx.canon(clock), tuple(result_vars)))
     return results
 
 
@@ -244,26 +288,26 @@ def type_equation(env: TypeEnv, eq: Equation,
                   sigs: Mapping[str, NodeSignature]) -> ConstraintSet:
     """Constraints of one equation: γ ⊔ αi ⊑ βi per defined variable, plus
     the instantiated constraints of every node it calls."""
-    ctx = _CallCtx(env, sigs, FreshVars())
+    ctx = _CallCtx(sigs, FreshVars(), env)
     _equation(ctx, eq)
-    return ConstraintSet(ctx.constraints)
+    return ctx.constraints(ctx.pairs)
 
 
 def _equation(ctx: _CallCtx, eq: Equation):
     match eq:
         case Def(targets, ck, exprs):
-            gamma = type_clock(ctx.env, ck if ck is not None else ClockBase())
+            gamma = _clock(ctx.env, ck if ck is not None else ClockBase())
             slots = _exprs(ctx, exprs)
         case NDef(x, ck, e):
-            gamma = type_clock(ctx.env, ck)
+            gamma = _clock(ctx.env, ck)
             targets = (x,)
             slots = _expr(ctx, e)
         case NFby(x, ck, _, e):
-            gamma = type_clock(ctx.env, ck)
+            gamma = _clock(ctx.env, ck)
             targets = (x,)
             slots = _expr(ctx, e)  # the constant head adds ⊥
         case NCall(xs, ck, f, args):
-            gamma = type_clock(ctx.env, ck)
+            gamma = _clock(ctx.env, ck)
             targets = xs
             slots = _type_call(ctx, f, args, gamma)
         case _:
@@ -272,60 +316,58 @@ def _equation(ctx: _CallCtx, eq: Equation):
         raise InferError("arity-mismatch",
                          f"{len(targets)} target(s) but {len(slots)} stream(s)")
     for x, alpha in zip(targets, slots):
-        ctx.constraints.append(Constraint.make(gamma.join(alpha), _lookup(ctx.env, x)))
+        rhs = _lookup(ctx.env, x)
+        lhs = (gamma | alpha) & ~rhs
+        if lhs:
+            ctx.pairs[lhs, rhs] = None
 
 
 def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
-    """Eliminate the given type variables from rho by substituting each
-    variable's unique defining constraint.
+    """Eliminate the given type variables from rho (see `_eliminate`)."""
+    ctx = _CallCtx({}, FreshVars())
+    pairs = [(ctx.mask(c.lhs), ctx.mask(c.rhs)) for c in rho]
+    return ctx.constraints(_eliminate(pairs, order, ctx.bits))
+
+
+def _eliminate(pairs, order: list[str], bits: Mapping[str, int]) -> set[tuple[int, int]]:
+    """Eliminate the variables of `order`, in order, from distinct mask pairs.
 
     For δ with a defining constraint ν ⊑ δ (or ν ⊔ δ ⊑ δ), substitute ν
     (with δ removed) for δ everywhere and drop the constraint; a variable
     with no defining constraint is skipped. More than one defining
     constraint violates the precondition.
 
-    The elimination runs on bitsets: each variable gets one bit when first
-    seen, and a constraint is a pair of masks (lhs, rhs), absorbed as
-    lhs & ~rhs and trivial when that is 0. It keeps a live set of pairs and
-    an index from each bit to the live pairs that mention it. Eliminating δ
-    reads its defining pairs (rhs == δ) from the index, since an earlier
-    substitution may have made one, and rewrites only the pairs that
-    mention δ, substituting ν for δ as (m & ~δ) | ν; rewritten pairs that
-    turn trivial or repeat a live one are dropped. Masks turn back into
-    constraints once, at the end.
+    A pair is absorbed as lhs & ~rhs and trivial when that is 0. The loop
+    keeps a live set of pairs and, for each bit of a variable of `order`, a
+    list of the pairs that mentioned it when they went live; a pair that
+    has left the live set since is skipped. Eliminating δ reads its
+    defining pairs (rhs == δ) from that list, since an earlier substitution
+    may have made one, and rewrites only the pairs that mention δ,
+    substituting ν for δ as (m & ~δ) | ν; rewritten pairs that turn trivial
+    or repeat a live one are dropped.
     """
-    bits: dict[str, int] = {}
-    names: list[str] = []
-
-    def mask(t: CanonType) -> int:
-        m = 0
-        for v in t.vars:
-            b = bits.get(v)
-            if b is None:
-                b = bits[v] = 1 << len(names)
-                names.append(v)
-            m |= b
-        return m
-
+    pending = 0
+    for v in order:
+        pending |= bits.get(v, 0)
     live: set[tuple[int, int]] = set()
-    mentions: dict[int, set[tuple[int, int]]] = {}
+    mentions: dict[int, list[tuple[int, int]]] = {}
 
     def add(lhs: int, rhs: int):
         lhs &= ~rhs
         c = (lhs, rhs)
         if lhs and c not in live:
             live.add(c)
-            m = lhs | rhs
+            m = (lhs | rhs) & pending
             while m:
                 b = m & -m
-                mentions.setdefault(b, set()).add(c)
+                mentions.setdefault(b, []).append(c)
                 m ^= b
 
-    for c in rho:
-        add(mask(c.lhs), mask(c.rhs))
+    for lhs, rhs in pairs:
+        add(lhs, rhs)
     for delta in order:
-        d = bits.get(delta)
-        touched = list(mentions.get(d, ()))
+        d = bits.get(delta, 0)
+        touched = [c for c in dict.fromkeys(mentions.get(d, ())) if c in live]
         defining = [c for c in touched if c[1] == d]
         if len(defining) > 1:
             raise InferError("multiple-defining-constraints",
@@ -334,26 +376,11 @@ def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
             continue
         chosen = defining[0]
         sub = chosen[0]
-        for c in touched:
-            live.remove(c)
-            m = c[0] | c[1]
-            while m:
-                b = m & -m
-                mentions[b].discard(c)
-                m ^= b
+        live.difference_update(touched)
         for lhs, rhs in touched:
             if (lhs, rhs) != chosen:
                 add((lhs & ~d) | sub if lhs & d else lhs, (rhs & ~d) | sub if rhs & d else rhs)
-
-    def canon_type(m: int) -> CanonType:
-        out = []
-        while m:
-            b = m & -m
-            out.append(names[b.bit_length() - 1])
-            m ^= b
-        return CanonType(tuple(out))
-
-    return ConstraintSet(Constraint(canon_type(lhs), canon_type(rhs)) for lhs, rhs in live)
+    return live
 
 
 def infer_node_signature(node: Node, sigs: Mapping[str, NodeSignature],
@@ -363,7 +390,8 @@ def infer_node_signature(node: Node, sigs: Mapping[str, NodeSignature],
     Fresh variables are drawn input-first (α), then outputs (β), base clock
     (γ) and locals (δ); call-site result variables extend the δ supply.
     Locals are eliminated in declaration order, then call results in
-    creation order.
+    creation order. The node is typed on masks throughout; they turn into
+    canonical types only in the result.
     """
     if fresh is None:
         fresh = FreshVars()
@@ -375,22 +403,19 @@ def infer_node_signature(node: Node, sigs: Mapping[str, NodeSignature],
     gamma_map: dict[str, str] = {BASE: gamma}
     for decls, vs in ((node.inputs, alphas), (node.outputs, betas), (node.locals, deltas)):
         gamma_map.update((decl.name, v) for decl, v in zip(decls, vs))
-    env: TypeEnv = {name: CanonType((v,)) for name, v in gamma_map.items()}
-
-    ctx = _CallCtx(env, sigs, fresh)
+    ctx = _CallCtx(sigs, fresh)
+    ctx.env = {name: ctx.bit(v) for name, v in gamma_map.items()}
     for i, eq in enumerate(node.equations):
         ctx.eq_index = i
         _equation(ctx, eq)
-    rho = ConstraintSet(ctx.constraints)
-
-    simplified = simplify(rho, list(deltas) + ctx.extra_vars)
+    simplified = ctx.constraints(_eliminate(ctx.pairs, deltas + ctx.extra_vars, ctx.bits))
     interface = set(alphas) | set(betas) | {gamma}
     leftover = simplified.variables - interface
     if leftover:
         raise InferError("incomplete-elimination",
                          f"signature of {node.name} still mentions {sorted(leftover)}")
     sig = NodeSignature(node.name, tuple(alphas), tuple(betas), gamma, simplified)
-    return InferenceResult(sig, gamma_map, rho, tuple(ctx.calls))
+    return InferenceResult(sig, gamma_map, ctx.constraints(ctx.pairs), tuple(ctx.calls))
 
 
 def infer_program(prog: Program) -> dict[str, InferenceResult]:

@@ -11,8 +11,8 @@ Note that flattening an ordering between refined types into a plain
 ordering plus the union of both refinement sets makes the refinements
 unconditional: a refinement carried by either side must hold outright,
 not merely when the ordering is consulted. Inference never builds refined
-types: it types expressions to plain canonical types and collects every
-constraint of a node in one set. Refinements arise only when raw types
+types: it types expressions to variable sets (as bitmasks) and collects
+every constraint of a node in one set. Refinements arise only when raw types
 are canonicalised (`canon`, `canon_constraints`, and the equational
 soundness check), so hand-built types should be written with this reading
 in mind.
@@ -86,6 +86,13 @@ class CanonType:
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(sorted(set(self.vars))))
 
+    @classmethod
+    def of_sorted(cls, names: tuple[str, ...]) -> "CanonType":
+        """The type of names that are already sorted and distinct."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "vars", names)
+        return t
+
     @property
     def is_bot(self) -> bool:
         return not self.vars
@@ -139,6 +146,14 @@ class ConstraintSet:
     def __init__(self, items: Iterable[Constraint] = ()):
         canon = {Constraint.make(c.lhs, c.rhs) for c in items}
         self._items: tuple[Constraint, ...] = tuple(sorted(c for c in canon if not c.trivial))
+
+    @classmethod
+    def of_canonical(cls, items: Iterable[Constraint]) -> "ConstraintSet":
+        """The set of constraints that are already absorbed, distinct and
+        non-trivial: they are only sorted."""
+        out = cls.__new__(cls)
+        out._items = tuple(sorted(items, key=lambda c: (c.lhs.vars, c.rhs.vars)))
+        return out
 
     def __iter__(self):
         return iter(self._items)

@@ -7,8 +7,7 @@ import json
 import random
 import time
 
-from luset.harness import (NIConfig, check_canonical_order_independence,
-                           check_equational_soundness, check_non_interference,
+from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, gen_lattice, gen_program,
                            sample_satisfying_assignment)
 from luset.infer import check_program, infer_program, simplify
@@ -20,7 +19,8 @@ from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, cs, c
 from luset.streams import run_node
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_TABLE, LEAK_ITE_SRC,
-                      LEAK_MERGE_SRC, RE_TRIG_SRC, chain_src, tree_src)
+                      LEAK_MERGE_SRC, RE_TRIG_SRC, chain_src,
+                      check_canonical_order_independence, tree_src)
 
 TWO = Lattice.two_point()
 

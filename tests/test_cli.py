@@ -188,6 +188,7 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
     ["check", "leak.lus", "--lattice", "two-point", "--assign", "wrong_section.json"],
     ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign",
      "wrong_section.json"],
+    ["ni", "leak.lus", "--node", "Leak", "--lattice", "two-point", "--assign", "other_node.json"],
 ], ids=["ni-unknown-node", "preserve-unknown-node", "bad-lattice-size",
         "check-entry-not-object", "ni-entry-not-object", "check-inputs-not-object",
         "ni-empty-assignment", "ni-negative-trials", "preserve-negative-counts",
@@ -202,7 +203,8 @@ FLAT_SUM_SRC = "node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 
         "lattice-elements-not-a-list", "lattice-elements-a-string", "check-base-class-a-list",
         "ni-base-class-a-list", "check-input-class-a-list", "ni-input-class-a-list",
         "check-name-in-two-sections", "ni-name-in-two-sections", "check-base-in-a-section",
-        "ni-base-in-a-section", "check-name-in-wrong-section", "ni-name-in-wrong-section"])
+        "ni-base-in-a-section", "check-name-in-wrong-section", "ni-name-in-wrong-section",
+        "ni-no-entry-for-node"])
 def test_malformed_input_exit_two(files, capsys, argv):
     (files / "entry.json").write_text("[1]")
     (files / "inputs.json").write_text(json.dumps({"node": "Leak", "inputs": ["b"]}))
@@ -240,6 +242,7 @@ def test_malformed_input_exit_two(files, capsys, argv):
         {"node": "Leak", "inputs": {"b": "L"}, "outputs": {"c": "L", "base": "H"}}))
     (files / "wrong_section.json").write_text(json.dumps(
         {"node": "Leak", "inputs": {"c": "L"}, "outputs": {"b": "L"}}))
+    (files / "other_node.json").write_text(json.dumps({"node": "Other", "base": "H"}))
     argv = [str(files / a) if a.endswith((".lus", ".json", ".csv")) else a for a in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

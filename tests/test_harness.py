@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from luset.harness import (NIConfig, check_canonical_order_independence,
-                           check_equational_soundness, check_non_interference,
+from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, check_simple_security,
                            check_type_preservation, gen_inputs, gen_lattice,
                            gen_program, generator_postcondition, project_history,
@@ -14,7 +13,8 @@ from luset.parser import parse_program
 from luset.sectypes import Lattice
 from luset.streams import present
 
-from conftest import CTR_SRC, CNT_DN_SRC, CTR_TABLE, LEAK_ITE_SRC, LEAK_MERGE_SRC
+from conftest import (CTR_SRC, CNT_DN_SRC, CTR_TABLE, LEAK_ITE_SRC, LEAK_MERGE_SRC,
+                      check_canonical_order_independence)
 
 TWO = Lattice.two_point()
 

@@ -4,20 +4,23 @@ from pathlib import Path
 import pytest
 
 from luset.diagnostics import InferError
-from luset.infer import (FreshVars, NodeSignature, check_program, display_constraints,
-                         infer_program, signatures, simplify, type_clock,
-                         type_equation, type_expr)
-from luset.lang import (BASE, BASE_CLOCK, Call, ClockOn, Const, Def, Merge, Var, When,
-                        elaborate)
+from luset.infer import (CallSite, FreshVars, NodeSignature, check_program,
+                         display_constraints, infer_node_signature, infer_program,
+                         signatures, simplify, type_clock, type_equation, type_expr)
+from luset.lang import (BASE, BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def,
+                        Fby, Ite, Merge, NCall, NDef, NFby, Unop, Var, When, elaborate,
+                        node_order)
+from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.harness import gen_program
-from luset.sectypes import (EMPTY, Constraint, ConstraintSet, Lattice, cs, ct,
-                            substitute_constraints)
+from luset.sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet, Lattice,
+                            cs, ct, substitute_constraints)
 
 from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src
 
 TWO = Lattice.two_point()
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+TUPLE_TOPS = Path(__file__).resolve().parent / "data" / "tuple_tops.lus"
 
 
 def env_of(**kw):
@@ -247,6 +250,258 @@ def test_simplify_matches_oracle_on_systems_wider_than_a_word():
         assert _outcome(simplify, rho, order) == expected, (rho, order)
         errors += isinstance(expected, tuple)
     assert 0 < errors < 12
+
+
+# ---------------------------------------------------------------------------
+# reference constraint generation on canonical types
+# ---------------------------------------------------------------------------
+# Inference types each node on int masks, one bit per type variable. This is
+# the generator it replaced: it types to `CanonType`, collects `Constraint`
+# objects, instantiates signatures with `substitute_constraints`, and
+# eliminates with `_simplify_oracle`.
+
+class _RefCtx:
+    def __init__(self, env, sigs, fresh):
+        self.env, self.sigs, self.fresh = env, sigs, fresh
+        self.constraints = []
+        self.extra_vars = []
+        self.calls = []
+        self.eq_index = 0
+
+
+def _ref_lookup(env, name):
+    if name not in env:
+        raise InferError("unbound-var", f"no security type for {name}")
+    return env[name]
+
+
+def _ref_clock(env, ck):
+    match ck:
+        case ClockBase():
+            return _ref_lookup(env, BASE)
+        case ClockOn(base, x, _):
+            return _ref_lookup(env, x).join(_ref_clock(env, base))
+    raise TypeError(ck)
+
+
+def _ref_one(slots):
+    if len(slots) != 1:
+        raise InferError("arity-mismatch", "tuple used as a single stream")
+    return slots[0]
+
+
+def _ref_same_width(a, b, what):
+    if len(a) != len(b):
+        raise InferError("arity-mismatch", f"{what} branches have widths {len(a)} and {len(b)}")
+
+
+def _ref_exprs(ctx, items):
+    return [t for it in items for t in _ref_expr(ctx, it)]
+
+
+def _ref_expr(ctx, e):
+    match e:
+        case Const():
+            return [TBOT]
+        case Var(x):
+            return [_ref_lookup(ctx.env, x)]
+        case Unop(_, a):
+            return [_ref_one(_ref_expr(ctx, a))]
+        case Binop(_, a, b):
+            return [_ref_one(_ref_expr(ctx, a)).join(_ref_one(_ref_expr(ctx, b)))]
+        case When(args, x, _):
+            gx = _ref_lookup(ctx.env, x)
+            return [t.join(gx) for t in _ref_exprs(ctx, args)]
+        case Merge(x, ts, fs):
+            gx = _ref_lookup(ctx.env, x)
+            tslots, fslots = _ref_exprs(ctx, ts), _ref_exprs(ctx, fs)
+            _ref_same_width(tslots, fslots, "merge")
+            return [gx.join(a).join(b) for a, b in zip(tslots, fslots)]
+        case Ite(c, ts, fs):
+            theta = _ref_one(_ref_expr(ctx, c))
+            tslots, fslots = _ref_exprs(ctx, ts), _ref_exprs(ctx, fs)
+            _ref_same_width(tslots, fslots, "if")
+            return [theta.join(a).join(b) for a, b in zip(tslots, fslots)]
+        case Fby(e0s, es):
+            islots, rslots = _ref_exprs(ctx, e0s), _ref_exprs(ctx, es)
+            _ref_same_width(islots, rslots, "fby")
+            return [a.join(b) for a, b in zip(islots, rslots)]
+        case Call(f, args):
+            return _ref_type_call(ctx, f, args, _ref_lookup(ctx.env, BASE))
+    raise TypeError(e)
+
+
+def _ref_type_call(ctx, f, args, clock_type):
+    if f not in ctx.sigs:
+        raise InferError("unknown-node", f"no signature for node {f}")
+    sig = ctx.sigs[f]
+    arg_types = _ref_exprs(ctx, args)
+    if len(arg_types) != len(sig.inputs):
+        raise InferError("arity-mismatch",
+                         f"{f} expects {len(sig.inputs)} argument stream(s), got {len(arg_types)}")
+    result_vars = [ctx.fresh.one("delta") for _ in sig.outputs]
+    ctx.extra_vars.extend(result_vars)
+    results = [CanonType((r,)) for r in result_vars]
+    sub = dict(zip((sig.clock,) + sig.inputs + sig.outputs, [clock_type] + arg_types + results))
+    ctx.constraints.extend(substitute_constraints(sig.constraints, sub))
+    ctx.calls.append(CallSite(f, ctx.eq_index, tuple(arg_types), clock_type, tuple(result_vars)))
+    return results
+
+
+def _ref_equation(ctx, eq):
+    match eq:
+        case Def(targets, ck, exprs):
+            gamma = _ref_clock(ctx.env, ck if ck is not None else ClockBase())
+            slots = _ref_exprs(ctx, exprs)
+        case NDef(x, ck, e) | NFby(x, ck, _, e):
+            gamma = _ref_clock(ctx.env, ck)
+            targets = (x,)
+            slots = _ref_expr(ctx, e)
+        case NCall(xs, ck, f, args):
+            gamma = _ref_clock(ctx.env, ck)
+            targets = xs
+            slots = _ref_type_call(ctx, f, args, gamma)
+    if len(slots) != len(targets):
+        raise InferError("arity-mismatch",
+                         f"{len(targets)} target(s) but {len(slots)} stream(s)")
+    for x, alpha in zip(targets, slots):
+        ctx.constraints.append(Constraint.make(gamma.join(alpha), _ref_lookup(ctx.env, x)))
+
+
+def _ref_infer_node(node, sigs, fresh):
+    """(signature, full constraints, call sites) of one node."""
+    alphas = fresh.take("alpha", len(node.inputs)) if node.inputs else []
+    betas = fresh.take("beta", len(node.outputs)) if node.outputs else []
+    gamma = fresh.one("gamma")
+    deltas = fresh.take("delta", len(node.locals)) if node.locals else []
+    gamma_map = {BASE: gamma}
+    for decls, vs in ((node.inputs, alphas), (node.outputs, betas), (node.locals, deltas)):
+        gamma_map.update((decl.name, v) for decl, v in zip(decls, vs))
+    ctx = _RefCtx({name: CanonType((v,)) for name, v in gamma_map.items()}, sigs, fresh)
+    for i, eq in enumerate(node.equations):
+        ctx.eq_index = i
+        _ref_equation(ctx, eq)
+    rho = ConstraintSet(ctx.constraints)
+    simplified = _simplify_oracle(rho, list(deltas) + ctx.extra_vars)
+    leftover = simplified.variables - (set(alphas) | set(betas) | {gamma})
+    if leftover:
+        raise InferError("incomplete-elimination",
+                         f"signature of {node.name} still mentions {sorted(leftover)}")
+    sig = NodeSignature(node.name, tuple(alphas), tuple(betas), gamma, simplified)
+    return sig, rho, ctx.calls
+
+
+def _shown(sig, rho, calls):
+    return (sig.display(), str(rho),
+            [(c.callee, c.eq_index, tuple(map(str, c.arg_types)), str(c.clock_type),
+              c.result_vars) for c in calls])
+
+
+def _ref_infer_program(prog):
+    fresh, sigs, out = FreshVars(), {}, {}
+    for name in node_order(prog):
+        sig, rho, calls = _ref_infer_node(prog.node(name), sigs, fresh)
+        sigs[name] = sig
+        out[name] = _shown(sig, rho, calls)
+    return {name: out[name] for name in prog.node_names}
+
+
+def _outcome_of(fn):
+    try:
+        return fn()
+    except InferError as exc:
+        return ("error", exc.kind, str(exc))
+
+
+def test_mask_inference_matches_reference_on_programs():
+    """Signatures, full constraints and call sites of the samples, the
+    tuple-valued tops and 300 generated programs, on the source and on the
+    normal form."""
+    rng = random.Random(22)
+    sources = [f.read_text() for f in sorted(SAMPLES.glob("*.lus"))] + [TUPLE_TOPS.read_text()]
+    progs = [parse_program(src) for src in sources]
+    progs += [gen_program(rng, max_nodes=4) for _ in range(300)]
+    programs = calls = 0
+    for eprog in map(elaborate, progs):
+        for prog in (eprog, normalize_program(eprog)[0]):
+            got = {name: _shown(res.signature, res.full_constraints, res.calls)
+                   for name, res in infer_program(prog).items()}
+            assert got == _ref_infer_program(prog)
+            programs += 1
+            calls += sum(len(shown[2]) for shown in got.values())
+    assert programs == 608 and calls > 100
+
+
+def _ref_type_expr(env, e, sigs):
+    ctx = _RefCtx(env, sigs, FreshVars())
+    return _ref_expr(ctx, e), ConstraintSet(ctx.constraints)
+
+
+def _ref_type_equation(env, eq, sigs):
+    ctx = _RefCtx(env, sigs, FreshVars())
+    _ref_equation(ctx, eq)
+    return ConstraintSet(ctx.constraints)
+
+
+F_SIG = NodeSignature("f", ("α",), ("β",), "γ", cs((ct("γ", "α"), ct("β"))))
+# an output flowing back into an input: instantiated at b, whose type holds
+# the caller's base clock, the left side sheds that clock
+H_SIG = NodeSignature("h", ("α",), ("β",), "γ", cs((ct("γ", "β"), ct("α"))))
+PAIR = When((Var("a"), Var("b")), "x", True)
+
+
+@pytest.mark.parametrize("item, kind", [
+    (Binop("+", PAIR, Var("a")), "arity-mismatch"),
+    (Merge("x", (Var("a"),), (Var("a"), Var("b"))), "arity-mismatch"),
+    (Ite(PAIR, (Var("a"),), (Var("b"),)), "arity-mismatch"),
+    (Fby((Const(0),), (Var("a"), Var("b"))), "arity-mismatch"),
+    (Call("f", (Var("a"), Var("b"))), "arity-mismatch"),
+    (Def(("a", "b"), BASE_CLOCK, (Var("x"),)), "arity-mismatch"),
+    (NCall(("a", "b"), BASE_CLOCK, "f", (Var("x"),)), "arity-mismatch"),
+    (Call("g", (Var("a"),)), "unknown-node"),
+    (Var("z"), "unbound-var"),
+    (Unop("-", When((Var("a"),), "z", True)), "unbound-var"),
+    (Def(("z",), BASE_CLOCK, (Var("a"),)), "unbound-var"),
+    (NDef("a", ClockOn(BASE_CLOCK, "z", True), Var("b")), "unbound-var"),
+    (Binop("+", Call("f", (Var("x"),)), Merge("x", (Var("a"),), (Var("b"),))), None),
+    (NFby("a", ClockOn(BASE_CLOCK, "x", False), 0, Call("f", (Var("b"),))), None),
+    (Call("h", (Var("b"),)), None),
+])
+def test_mask_typing_matches_reference_on_hand_built_items(item, kind):
+    env = env_of(a="α1", b=("α2", "γ"), x="θ")
+    sigs = {"f": F_SIG, "h": H_SIG}
+    if isinstance(item, (Def, NDef, NFby, NCall)):
+        got = _outcome_of(lambda: type_equation(env, item, sigs))
+        want = _outcome_of(lambda: _ref_type_equation(env, item, sigs))
+    else:
+        got = _outcome_of(lambda: type_expr(env, item, sigs))
+        want = _outcome_of(lambda: _ref_type_expr(env, item, sigs))
+    assert got == want
+    assert (got[1] if isinstance(got, tuple) and got[0] == "error" else None) == kind
+
+
+@pytest.mark.parametrize("src, kind", [
+    ("node g(a: int) returns (b: int); let b = a; tel "
+     "node f(x: int) returns (y: int); let y = g(x, x); tel", "arity-mismatch"),
+    ("node f(x: int) returns (y: int); let y = g(x); tel", "unknown-node"),
+    ("node f(x: int) returns (y: int); let y = x + z; tel", "unbound-var"),
+    ("node f(x, z: int) returns (y: int); var d: int; let d = x; d = z; y = d; tel",
+     "multiple-defining-constraints"),
+], ids=["arity-mismatch", "unknown-node", "unbound-var", "multiple-defining-constraints"])
+def test_mask_inference_matches_reference_on_faulty_nodes(src, kind):
+    """Nodes inferred one by one, unchecked, so that inference meets the fault."""
+    prog = parse_program(src)
+    sigs, ref_sigs = {}, {}
+    fresh, ref_fresh = FreshVars(), FreshVars()
+    for node in prog.nodes:
+        got = _outcome_of(lambda: infer_node_signature(node, sigs, fresh))
+        want = _outcome_of(lambda: _ref_infer_node(node, ref_sigs, ref_fresh))
+        if isinstance(want, tuple) and want[0] == "error":
+            assert got == want and want[1] == kind
+            return
+        sigs[node.name], ref_sigs[node.name] = got.signature, want[0]
+        assert _shown(got.signature, got.full_constraints, got.calls) == _shown(*want)
+    raise AssertionError("no fault met")
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,8 @@ def test_inference_results_are_pinned():
     assert h.hexdigest() == INFERENCE_DIGEST
 
 
-@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("sample", SAMPLES + [ROOT / "tests" / "data" / "tuple_tops.lus"],
+                         ids=lambda p: p.stem)
 def test_signature_report_of_sample_golden(sample, capsys):
     """`luset signature <sample> --json`, byte for byte."""
     assert main(["signature", str(sample), "--json"]) == 0
