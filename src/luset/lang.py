@@ -3,8 +3,11 @@
 All values are immutable after construction and safe to share; a `Program`
 also carries a memo of results derived from it, which is not part of its
 value. The module also provides the classic front-end analyses: free/defined
-variables, structural well-formedness, clock/data-type elaboration and the
-instantaneous-dependency (causality) check.
+variables, elaboration and the instantaneous-dependency (causality) check.
+Elaboration is one pass over each equation: typing and clocking it also
+records what it reads and calls, and the structural well-formedness
+diagnostics and the call graph are built from those records, so
+`well_formed` and `node_order` read what elaboration found.
 """
 
 from __future__ import annotations
@@ -313,7 +316,7 @@ def eq_targets(eq: Equation) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Structural well-formedness
+# Structural well-formedness and the call graph
 # ---------------------------------------------------------------------------
 
 def well_formed(prog: Program) -> list[Diagnostic]:
@@ -322,65 +325,29 @@ def well_formed(prog: Program) -> list[Diagnostic]:
     Returns an empty list iff: node names are unique, every output/local has
     exactly one defining equation, equations only define outputs/locals,
     equations have no free variables outside the interface, all called nodes
-    exist and the call graph is a DAG.
+    exist and the call graph is a DAG. Read off the elaboration pass, which
+    raises these diagnostics alone when there are any.
     """
-    return _well_formed(prog)[0]
+    return _structure(prog)[0]
 
 
-def _well_formed(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
-    """`well_formed`'s diagnostics, and the call graph its walk builds: each
-    node's name mapped to the program nodes it calls."""
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for node in prog.nodes:
-        if node.name in seen:
-            diags.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
-        seen.add(node.name)
+def node_order(prog: Program) -> list[str]:
+    """Topological order of the call graph, callees first. The graph is the
+    one the elaboration pass builds, kept on an elaborated program."""
+    order = _schedule(_structure(prog)[1])
+    if len(order) < len(prog.nodes):
+        raise ElaborationError([Diagnostic("recursive-call", "node call cycle")])
+    return order
 
-    deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
-    for node in prog.nodes:
-        decl_names = [d.name for d in node.declarations]
-        declared = set(decl_names)
-        if len(declared) < len(decl_names):
-            counts = Counter(decl_names)
-            name = next(x for x in decl_names if counts[x] > 1)
-            diags.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice", node=node.name))
-        must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
-        input_names = {d.name for d in node.inputs}
-        defined: dict[str, int] = {}
-        for i, eq in enumerate(node.equations):
-            targets = eq_targets(eq)
-            for x in targets:
-                if x in defined:
-                    diags.append(Diagnostic("duplicate-definition", f"{x} defined more than once",
-                                            node=node.name, eq_index=i))
-                defined[x] = i
-                if x in input_names:
-                    diags.append(Diagnostic("input-defined", f"input {x} must not be defined",
-                                            node=node.name, eq_index=i))
-                elif x not in must_define:
-                    diags.append(Diagnostic("undeclared-definition", f"{x} is not an output or local",
-                                            node=node.name, eq_index=i))
-            reads, calls = _reads_and_calls(eq)
-            stray = reads.difference(declared, targets, (BASE,))
-            if stray:
-                diags.append(Diagnostic("free-variable", f"undeclared variable(s) {', '.join(sorted(stray))}",
-                                        node=node.name, eq_index=i))
-            for f in calls:
-                if f in deps:
-                    deps[node.name].add(f)
-                else:
-                    diags.append(Diagnostic("unknown-node", f"call to undefined node {f}",
-                                            node=node.name, eq_index=i))
-        missing = must_define - set(defined)
-        if missing:
-            diags.append(Diagnostic("missing-definition",
-                                    f"no equation defines {', '.join(sorted(missing))}", node=node.name))
 
-    cycle = _find_cycle(deps, deps)
-    if cycle:
-        diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
-    return diags, deps
+def _structure(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
+    """`well_formed`'s diagnostics, and the call graph: each node's name
+    mapped to the program nodes it calls. The elaboration pass finds both,
+    and keeps the graph on its output or on the error it raises."""
+    try:
+        return [], elaborate(prog).memo[_CALL_GRAPH]
+    except (_Refused, _TooDeep) as err:
+        return err.structural, err.calls
 
 
 def _reads_and_calls(eq: Equation) -> tuple[set[str], dict[str, None]]:
@@ -454,41 +421,37 @@ def _find_cycle(graph: dict[str, set[str]], roots: Iterable[str]) -> list[str] |
     return None
 
 
-def node_order(prog: Program) -> list[str]:
-    """Topological order of the call graph, callees first. The graph is the
-    one `well_formed` walks, kept on an elaborated program by `elaborate`."""
-    order = _schedule(derived(prog, _well_formed)[1])
-    if len(order) < len(prog.nodes):
-        raise ElaborationError([Diagnostic("recursive-call", "node call cycle")])
-    return order
-
-
 # ---------------------------------------------------------------------------
-# Elaboration: data types, clocks, stream widths
+# Elaboration: well-formedness, data types, clocks, stream widths
 # ---------------------------------------------------------------------------
 
 _POLY = None  # clock of a constant-only subtree: adapts to its context
 
 
 class _NodeEnv:
-    """What elaborating one node's expressions needs: its declarations, the
-    diagnostics found so far, and the index `i` of the equation at hand."""
+    """What elaborating one node's equations needs: the program's nodes by
+    name (the first of a name), the node's declarations, the typing
+    diagnostics found so far, and of the equation at hand its index `i`, the
+    undeclared variables it reads (`stray`) and the nodes it calls in the
+    order they are met (`calls`)."""
 
-    def __init__(self, prog: Program, node: Node, diags: list[Diagnostic]):
-        self.prog = prog
+    def __init__(self, callees: dict[str, Node], node: Node, diags: list[Diagnostic]):
+        self.callees = callees
         self.node = node
         self.decls = {d.name: d for d in node.declarations}
         self.diags = diags
         self.i: int | None = None
-
-    def clock_of(self, name: str) -> Clock:
-        return self.decls[name].clock
-
-    def ty_of(self, name: str) -> Ty:
-        return self.decls[name].ty
+        self.stray: set[str] = set()
+        self.calls: dict[str, None] = {}
 
     def bad(self, kind: str, msg: str):
         self.diags.append(Diagnostic(kind, msg, node=self.node.name, eq_index=self.i))
+
+    def skip(self, es):
+        """Record what some expressions read and call without typing them."""
+        reads, calls = _walk(es)
+        self.stray |= reads.difference(self.decls)
+        self.calls.update(calls)
 
     def unify(self, a, b):
         if a is _POLY:
@@ -500,9 +463,10 @@ class _NodeEnv:
         return a
 
     def all_slots(self, es) -> list[tuple[Ty, Clock | None]]:
+        """The slots of some expressions, one after another (see `_SLOTS`)."""
         out = []
         for sub in es:
-            out.extend(self.slots(sub))
+            out.extend(_SLOTS[type(sub)](self, sub))
         return out
 
     def one(self, slots) -> tuple[Ty, Clock | None]:
@@ -511,121 +475,171 @@ class _NodeEnv:
             return slots[0] if slots else (Ty.INT, _POLY)
         return slots[0]
 
-    def slots(self, e: Expr) -> list[tuple[Ty, Clock | None]]:
-        """Per-component (type, clock) of an expression; clock None when polymorphic."""
-        bad, unify = self.bad, self.unify
-        match e:
-            case Const():
-                return [(e.ty, _POLY)]
-            case Var(x):
-                if x not in self.decls:
-                    bad("free-variable", f"undeclared variable {x}")
-                    return [(Ty.INT, _POLY)]
-                return [(self.ty_of(x), self.clock_of(x))]
-            case Unop(op, a):
-                ty, ck = self.one(self.slots(a))
-                want = Ty.BOOL if op == "not" else Ty.INT
-                if ty is not want:
-                    bad("type-mismatch", f"operator {op} applied to {ty}")
-                return [(want, ck)]
-            case Binop(op, a, b):
-                lt, lc = self.one(self.slots(a))
-                rt, rc = self.one(self.slots(b))
-                ck = unify(lc, rc)
-                if op in ARITH_OPS:
-                    if lt is not Ty.INT or rt is not Ty.INT:
-                        bad("type-mismatch", f"operator {op} needs int operands")
-                    return [(Ty.INT, ck)]
-                if op in CMP_OPS:
-                    if lt is not Ty.INT or rt is not Ty.INT:
-                        bad("type-mismatch", f"operator {op} needs int operands")
-                    return [(Ty.BOOL, ck)]
-                if op in EQ_OPS:
-                    if lt is not rt:
-                        bad("type-mismatch", f"operator {op} compares unlike types")
-                    return [(Ty.BOOL, ck)]
-                if op in BOOL_OPS:
-                    if lt is not Ty.BOOL or rt is not Ty.BOOL:
-                        bad("type-mismatch", f"operator {op} needs bool operands")
-                    return [(Ty.BOOL, ck)]
-                bad("type-mismatch", f"unknown operator {op}")
-                return [(Ty.INT, ck)]
-            case When(args, x, k):
-                slots = self.all_slots(args)
-                if x not in self.decls:
-                    bad("free-variable", f"undeclared variable {x}")
-                    return slots
-                if self.ty_of(x) is not Ty.BOOL:
-                    bad("type-mismatch", f"sampling variable {x} must be bool")
-                ck_x = self.clock_of(x)
-                out = []
-                for ty, ck in slots:
-                    unify(ck, ck_x)
-                    out.append((ty, ClockOn(ck_x, x, k)))
-                return out
-            case Merge(x, ts, fs):
-                if x not in self.decls:
-                    bad("free-variable", f"undeclared variable {x}")
-                    return self.all_slots(ts)
-                if self.ty_of(x) is not Ty.BOOL:
-                    bad("type-mismatch", f"merge variable {x} must be bool")
-                ck_x = self.clock_of(x)
-                tslots = self.all_slots(ts)
-                fslots = self.all_slots(fs)
-                if len(tslots) != len(fslots):
-                    bad("arity-mismatch", "merge branches have different widths")
-                out = []
-                for (tt, tc), (ft, fc) in zip(tslots, fslots):
-                    if tt is not ft:
-                        bad("type-mismatch", "merge branches have unlike types")
-                    unify(tc, ClockOn(ck_x, x, True))
-                    unify(fc, ClockOn(ck_x, x, False))
-                    out.append((tt, ck_x))
-                return out
-            case Ite(c, ts, fs):
-                ct, cc = self.one(self.slots(c))
-                if ct is not Ty.BOOL:
-                    bad("type-mismatch", "if condition must be bool")
-                tslots = self.all_slots(ts)
-                fslots = self.all_slots(fs)
-                if len(tslots) != len(fslots):
-                    bad("arity-mismatch", "if branches have different widths")
-                out = []
-                for (tt, tc), (ft, fc) in zip(tslots, fslots):
-                    if tt is not ft:
-                        bad("type-mismatch", "if branches have unlike types")
-                    out.append((tt, unify(unify(tc, fc), cc)))
-                return out
-            case Fby(e0s, es):
-                islots = self.all_slots(e0s)
-                rslots = self.all_slots(es)
-                if len(islots) != len(rslots):
-                    bad("arity-mismatch", "fby arguments have different widths")
-                out = []
-                for (it, ic), (rt, rc) in zip(islots, rslots):
-                    if it is not rt:
-                        bad("type-mismatch", "fby arguments have unlike types")
-                    out.append((it, unify(ic, rc)))
-                return out
-            case Call(f, args):
-                if not self.prog.has_node(f):
-                    bad("unknown-node", f"call to undefined node {f}")
-                    return [(Ty.INT, _POLY)]
-                callee = self.prog.node(f)
-                if any(not isinstance(d.clock, ClockBase) for d in callee.inputs + callee.outputs):
-                    bad("clock-mismatch", f"node {f} has a clocked interface and cannot be called")
-                slots = self.all_slots(args)
-                if len(slots) != len(callee.inputs):
-                    bad("arity-mismatch",
-                        f"{f} expects {len(callee.inputs)} argument stream(s), got {len(slots)}")
-                    return [(d.ty, _POLY) for d in callee.outputs]
-                ck: Clock | None = _POLY
-                for (ty, c), decl in zip(slots, callee.inputs):
-                    if ty is not decl.ty:
-                        bad("type-mismatch", f"argument {decl.name} of {f} expects {decl.ty}")
-                    ck = unify(ck, c)
-                return [(d.ty, ck) for d in callee.outputs]
-        raise TypeError(f"_NodeEnv.slots: unsupported {e!r}")
+    def _const(self, e: Const):
+        return [(e.ty, _POLY)]
+
+    def _var(self, e: Var):
+        d = self.decls.get(e.name)
+        if d is None:
+            self.stray.add(e.name)
+            self.bad("free-variable", f"undeclared variable {e.name}")
+            return [(Ty.INT, _POLY)]
+        return [(d.ty, d.clock)]
+
+    def _unop(self, e: Unop):
+        a = e.arg
+        ty, ck = self.one(_SLOTS[type(a)](self, a))
+        want = Ty.BOOL if e.op == "not" else Ty.INT
+        if ty is not want:
+            self.bad("type-mismatch", f"operator {e.op} applied to {ty}")
+        return [(want, ck)]
+
+    def _binop(self, e: Binop):
+        op, a, b = e.op, e.left, e.right
+        lt, lc = self.one(_SLOTS[type(a)](self, a))
+        rt, rc = self.one(_SLOTS[type(b)](self, b))
+        ck = self.unify(lc, rc)
+        if op in ARITH_OPS:
+            if lt is not Ty.INT or rt is not Ty.INT:
+                self.bad("type-mismatch", f"operator {op} needs int operands")
+            return [(Ty.INT, ck)]
+        if op in CMP_OPS:
+            if lt is not Ty.INT or rt is not Ty.INT:
+                self.bad("type-mismatch", f"operator {op} needs int operands")
+            return [(Ty.BOOL, ck)]
+        if op in EQ_OPS:
+            if lt is not rt:
+                self.bad("type-mismatch", f"operator {op} compares unlike types")
+            return [(Ty.BOOL, ck)]
+        if op in BOOL_OPS:
+            if lt is not Ty.BOOL or rt is not Ty.BOOL:
+                self.bad("type-mismatch", f"operator {op} needs bool operands")
+            return [(Ty.BOOL, ck)]
+        self.bad("type-mismatch", f"unknown operator {op}")
+        return [(Ty.INT, ck)]
+
+    def _when(self, e: When):
+        slots = self.all_slots(e.args)
+        x = e.var
+        d = self.decls.get(x)
+        if d is None:
+            self.stray.add(x)
+            self.bad("free-variable", f"undeclared variable {x}")
+            return slots
+        if d.ty is not Ty.BOOL:
+            self.bad("type-mismatch", f"sampling variable {x} must be bool")
+        ck_x = d.clock
+        on = ClockOn(ck_x, x, e.value)
+        out = []
+        for ty, ck in slots:
+            self.unify(ck, ck_x)
+            out.append((ty, on))
+        return out
+
+    def _merge(self, e: Merge):
+        x = e.var
+        d = self.decls.get(x)
+        if d is None:
+            self.stray.add(x)
+            self.bad("free-variable", f"undeclared variable {x}")
+            slots = self.all_slots(e.on_true)
+            self.skip(e.on_false)
+            return slots
+        if d.ty is not Ty.BOOL:
+            self.bad("type-mismatch", f"merge variable {x} must be bool")
+        ck_x = d.clock
+        tslots = self.all_slots(e.on_true)
+        fslots = self.all_slots(e.on_false)
+        if len(tslots) != len(fslots):
+            self.bad("arity-mismatch", "merge branches have different widths")
+        on_true, on_false = ClockOn(ck_x, x, True), ClockOn(ck_x, x, False)
+        out = []
+        for (tt, tc), (ft, fc) in zip(tslots, fslots):
+            if tt is not ft:
+                self.bad("type-mismatch", "merge branches have unlike types")
+            self.unify(tc, on_true)
+            self.unify(fc, on_false)
+            out.append((tt, ck_x))
+        return out
+
+    def _ite(self, e: Ite):
+        c = e.cond
+        ct, cc = self.one(_SLOTS[type(c)](self, c))
+        if ct is not Ty.BOOL:
+            self.bad("type-mismatch", "if condition must be bool")
+        tslots = self.all_slots(e.on_true)
+        fslots = self.all_slots(e.on_false)
+        if len(tslots) != len(fslots):
+            self.bad("arity-mismatch", "if branches have different widths")
+        unify = self.unify
+        out = []
+        for (tt, tc), (ft, fc) in zip(tslots, fslots):
+            if tt is not ft:
+                self.bad("type-mismatch", "if branches have unlike types")
+            out.append((tt, unify(unify(tc, fc), cc)))
+        return out
+
+    def _fby(self, e: Fby):
+        islots = self.all_slots(e.init)
+        rslots = self.all_slots(e.rest)
+        if len(islots) != len(rslots):
+            self.bad("arity-mismatch", "fby arguments have different widths")
+        out = []
+        for (it, ic), (rt, rc) in zip(islots, rslots):
+            if it is not rt:
+                self.bad("type-mismatch", "fby arguments have unlike types")
+            out.append((it, self.unify(ic, rc)))
+        return out
+
+    def _call(self, e: Call):
+        f = e.node
+        self.calls[f] = None
+        callee = self.callees.get(f)
+        if callee is None:
+            self.bad("unknown-node", f"call to undefined node {f}")
+            self.skip(e.args)
+            return [(Ty.INT, _POLY)]
+        if any(not isinstance(d.clock, ClockBase) for d in callee.inputs + callee.outputs):
+            self.bad("clock-mismatch", f"node {f} has a clocked interface and cannot be called")
+        slots = self.all_slots(e.args)
+        if len(slots) != len(callee.inputs):
+            self.bad("arity-mismatch",
+                     f"{f} expects {len(callee.inputs)} argument stream(s), got {len(slots)}")
+            return [(d.ty, _POLY) for d in callee.outputs]
+        ck: Clock | None = _POLY
+        for (ty, c), decl in zip(slots, callee.inputs):
+            if ty is not decl.ty:
+                self.bad("type-mismatch", f"argument {decl.name} of {f} expects {decl.ty}")
+            ck = self.unify(ck, c)
+        return [(d.ty, ck) for d in callee.outputs]
+
+
+# Per-component (type, clock) of an expression, clock None when polymorphic:
+# `_SLOTS[type(e)](env, e)`. Each method passes a sub-expression to its own
+# entry directly, so one level of nesting costs one stack frame.
+_SLOTS = {Const: _NodeEnv._const, Var: _NodeEnv._var, Unop: _NodeEnv._unop,
+          Binop: _NodeEnv._binop, When: _NodeEnv._when, Merge: _NodeEnv._merge,
+          Ite: _NodeEnv._ite, Fby: _NodeEnv._fby, Call: _NodeEnv._call}
+
+
+class _Refused(ElaborationError):
+    """An elaboration error, with what the pass found of the program's
+    structure: `well_formed`'s diagnostics and the call graph."""
+
+    def __init__(self, diagnostics: list[Diagnostic], structural: list[Diagnostic], calls: dict):
+        super().__init__(diagnostics)
+        self.structural = structural
+        self.calls = calls
+
+
+class _TooDeep(RecursionError):
+    """An expression nested past the stack in a structurally sound program,
+    with the program's call graph."""
+
+    def __init__(self, calls: dict):
+        super().__init__("expression nested too deeply")
+        self.structural: list[Diagnostic] = []
+        self.calls = calls
 
 
 def derived(prog: Program, fn, *args):
@@ -638,7 +652,7 @@ def derived(prog: Program, fn, *args):
     return prog.memo[key]
 
 
-_ELABORATED = "elaborated"  # memo flag: this program is an output of elaborate
+_CALL_GRAPH = "call graph"  # memo key set on an output of elaborate only: its call graph
 
 
 def elaborate(prog: Program) -> Program:
@@ -646,66 +660,140 @@ def elaborate(prog: Program) -> Program:
 
     Declared clocks are the source of truth; expression clocks are computed
     bottom-up with constants adapting to their context. Raises
-    ElaborationError on any inconsistency. The result is computed once per
+    ElaborationError on any inconsistency, with the structural faults of
+    `well_formed` alone when there are any. The result is computed once per
     program object, and elaborating a result returns it unchanged.
     """
-    if _ELABORATED in prog.memo:
+    if _CALL_GRAPH in prog.memo:
         return prog
     return derived(prog, _elaborate)
 
 
 def _elaborate(prog: Program) -> Program:
-    wf, calls = _well_formed(prog)
-    if wf:
-        raise ElaborationError(wf)
+    """One pass over the program. Typing each equation also records what it
+    reads and calls, and the structural diagnostics are built from those.
+    An equation nested too deeply for the typing is walked without it."""
+    structural: list[Diagnostic] = []
+    callees: dict[str, Node] = {}
+    for node in prog.nodes:
+        if node.name in callees:
+            structural.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
+        else:
+            callees[node.name] = node
+    deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
     diags: list[Diagnostic] = []
+    too_deep = False
     new_nodes = []
     for node in prog.nodes:
-        env = _NodeEnv(prog, node, diags)
+        env = _NodeEnv(callees, node, diags)
+        decls = env.decls
+        if len(decls) < len(node.declarations):
+            counts = Counter(d.name for d in node.declarations)
+            name = next(d.name for d in node.declarations if counts[d.name] > 1)
+            structural.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice",
+                                         node=node.name))
+        must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
+        input_names = {d.name for d in node.inputs}
         for d in node.declarations:
-            _check_decl_clock(env, d)
+            _check_decl_clock(env, d, input_names)
+        calls = deps[node.name]
+        defined: dict[str, int] = {}
         new_eqs = []
         for i, eq in enumerate(node.equations):
             env.i = i
             targets = eq_targets(eq)
-            match eq:
-                case Def(_, _, exprs):
-                    ck, what = _POLY, "stream(s)"  # a Def's clock is its targets'
-                case NDef(_, ck, e):
-                    exprs, what = (e,), None
-                case NFby(_, ck, c, e):
-                    exprs, what = (Fby((c,), (e,)),), None
-                case NCall(_, ck, f, args):
-                    exprs, what = (Call(f, args),), "output(s)"
-            slots = env.all_slots(exprs)
-            if len(slots) != len(targets):
-                env.bad("arity-mismatch",
-                        f"{len(targets)} target(s) but {len(slots)} {what}" if what
-                        else "tuple in a singleton equation")
-                new_eqs.append(eq)
-                continue
-            for t in targets:
-                ck = env.unify(ck, env.clock_of(t))
-            for t, (ty, c) in zip(targets, slots):
-                if ty is not env.ty_of(t):
-                    env.bad("type-mismatch", f"{t} is {env.ty_of(t)} but defined as {ty}")
-                env.unify(ck, c)
-            if isinstance(eq, Def):
-                eq = Def(eq.targets, ck if ck is not _POLY else BASE_CLOCK, eq.exprs)
-            new_eqs.append(eq)
-        new_nodes.append(replace(node, equations=tuple(new_eqs)))
+            known = True
+            for x in targets:
+                if x in defined:
+                    structural.append(Diagnostic("duplicate-definition", f"{x} defined more than once",
+                                                 node=node.name, eq_index=i))
+                defined[x] = i
+                if x in input_names:
+                    structural.append(Diagnostic("input-defined", f"input {x} must not be defined",
+                                                 node=node.name, eq_index=i))
+                elif x not in must_define:
+                    structural.append(Diagnostic("undeclared-definition", f"{x} is not an output or local",
+                                                 node=node.name, eq_index=i))
+                    known = False
+            env.stray, env.calls = set(), {}
+            try:
+                new_eqs.append(_elaborate_equation(env, eq, targets, known))
+            except RecursionError:
+                too_deep = True
+                reads, env.calls = _reads_and_calls(eq)
+                env.stray = reads.difference(decls)
+            if env.stray:
+                stray = env.stray.difference(targets, (BASE,))
+                if stray:
+                    structural.append(Diagnostic("free-variable",
+                                                 f"undeclared variable(s) {', '.join(sorted(stray))}",
+                                                 node=node.name, eq_index=i))
+            for f in env.calls:
+                if f in callees:
+                    calls.add(f)
+                else:
+                    structural.append(Diagnostic("unknown-node", f"call to undefined node {f}",
+                                                 node=node.name, eq_index=i))
+        missing = must_define.difference(defined)
+        if missing:
+            structural.append(Diagnostic("missing-definition",
+                                         f"no equation defines {', '.join(sorted(missing))}", node=node.name))
+        if any(type(eq) is Def for eq in node.equations):
+            node = replace(node, equations=tuple(new_eqs))
+        new_nodes.append(node)
+
+    cycle = _find_cycle(deps, deps)
+    if cycle:
+        structural.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
+    if structural:
+        raise _Refused(structural, structural, deps)
+    if too_deep:
+        raise _TooDeep(deps)
     if diags:
-        raise ElaborationError(diags)
+        raise _Refused(diags, [], deps)
     out = Program(tuple(new_nodes))
-    out.memo[_ELABORATED] = True
-    out.memo[(_well_formed,)] = wf, calls  # elaboration keeps the nodes and their calls
+    out.memo[_CALL_GRAPH] = deps  # elaboration keeps the nodes and their calls
     return out
 
 
-def _check_decl_clock(env: _NodeEnv, decl: VarDecl):
+def _elaborate_equation(env: _NodeEnv, eq: Equation, targets: tuple[str, ...], known: bool) -> Equation:
+    """Type and clock one equation, a Def getting its clock. With `known`
+    false, some target is undeclared, and only the right-hand side is typed."""
+    match eq:
+        case Def(_, _, exprs):
+            ck, what = _POLY, "stream(s)"  # a Def's clock is its targets'
+        case NDef(_, ck, e):
+            exprs, what = (e,), None
+        case NFby(_, ck, c, e):
+            exprs, what = (Fby((c,), (e,)),), None
+        case NCall(_, ck, f, args):
+            exprs, what = (Call(f, args),), "output(s)"
+    if type(eq) is not Def:
+        env.stray |= clock_vars(ck).difference(env.decls)
+    slots = env.all_slots(exprs)
+    if len(slots) != len(targets):
+        env.bad("arity-mismatch",
+                f"{len(targets)} target(s) but {len(slots)} {what}" if what
+                else "tuple in a singleton equation")
+        return eq
+    if not known:
+        return eq
+    decls = env.decls
+    for t in targets:
+        ck = env.unify(ck, decls[t].clock)
+    for t, (ty, c) in zip(targets, slots):
+        want = decls[t].ty
+        if ty is not want:
+            env.bad("type-mismatch", f"{t} is {want} but defined as {ty}")
+        env.unify(ck, c)
+    if type(eq) is Def:
+        return Def(eq.targets, ck if ck is not _POLY else BASE_CLOCK, eq.exprs)
+    return eq
+
+
+def _check_decl_clock(env: _NodeEnv, decl: VarDecl, input_names: set[str]):
     """Diagnostics of one declared clock; `env.i` is still None, so they name no equation."""
     ck = decl.clock
-    input_names = {d.name for d in env.node.inputs}
     is_input = decl.name in input_names
     while isinstance(ck, ClockOn):
         if ck.var not in env.decls:

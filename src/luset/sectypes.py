@@ -228,23 +228,6 @@ def canon_constraints(pairs: Iterable[tuple[SecType, SecType]]) -> ConstraintSet
 
 
 # ---------------------------------------------------------------------------
-# Substitution
-# ---------------------------------------------------------------------------
-
-def substitute_type(t: CanonType, sub: Mapping[str, CanonType]) -> CanonType:
-    """Simultaneous substitution into a canonical type."""
-    out: list[str] = []
-    for v in t.vars:
-        out.extend(sub[v].vars if v in sub else (v,))
-    return CanonType(tuple(out))
-
-
-def substitute_constraints(rho: Iterable[Constraint], sub: Mapping[str, CanonType]) -> ConstraintSet:
-    return ConstraintSet(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub))
-                         for c in rho)
-
-
-# ---------------------------------------------------------------------------
 # Lattices
 # ---------------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from luset.harness import FAIL, PASS, CheckReport
 from luset.lang import elaborate
 from luset.parser import parse_program
-from luset.sectypes import Lub, SecType, TVar, canon
+from luset.sectypes import CanonType, Constraint, ConstraintSet, Lub, SecType, TVar, canon
 
 CTR_SRC = """
 -- a simple counter node with a reset
@@ -169,3 +169,16 @@ def check_canonical_order_independence(samples: int = 100, seed: int = 0) -> Che
                                    trials=trial + 1, seed=seed,
                                    counterexample={"leaves": [l.name for l in leaves]})
     return CheckReport("canonical-order-independence", PASS, trials=samples, seed=seed)
+
+
+def substitute_type(t: CanonType, sub: dict[str, CanonType]) -> CanonType:
+    """Simultaneous substitution into a canonical type."""
+    out: list[str] = []
+    for v in t.vars:
+        out.extend(sub[v].vars if v in sub else (v,))
+    return CanonType(tuple(out))
+
+
+def substitute_constraints(rho, sub: dict[str, CanonType]) -> ConstraintSet:
+    return ConstraintSet(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub))
+                         for c in rho)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -7,6 +8,8 @@ from luset.cli import _checks_exit_code, main
 from luset.harness import CheckReport
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
+
+DATA = Path(__file__).resolve().parent / "data"
 
 CTR_CSV = """init,incr,rst
 1,1,false
@@ -282,6 +285,52 @@ def test_nested_merge_clock_error_reported_once(files, capsys):
     assert main(["signature", str(deep)]) == 2
     assert capsys.readouterr().err == \
         "f#eq0: clock-mismatch: expected clock 'base', found 'base on c'\n"
+
+
+def test_elaboration_diagnostics_golden(tmp_path, capsys):
+    """`luset signature` on each one-line program of `elab_programs.txt`
+    (label, tab, source) exits 2 with one stderr line, pinned with its label
+    in `elab_errors.txt`: every kind of diagnostic found after parsing, and
+    structural faults printed alone when typing faults come with them."""
+    got = []
+    for row in (DATA / "elab_programs.txt").read_text().splitlines():
+        label, src = row.split("\t")
+        path = tmp_path / f"{label}.lus"
+        path.write_text(src + "\n")
+        assert main(["signature", str(path)]) == 2, label
+        got.append(f"{label}: {capsys.readouterr().err}")
+    assert "".join(got) == (DATA / "elab_errors.txt").read_text()
+
+
+def _nested_program(form: str, depth: int) -> str:
+    """A node whose one equation nests `form` `depth` times."""
+    interface, level, leaf = {
+        "fby": ("x: int) returns (y: int", "0 fby {}", "x"),
+        "if": ("b: bool; x: int) returns (y: int", "if b then x else {}", "x"),
+        "not": ("b: bool) returns (y: bool", "not {}", "b"),
+        "sum": ("x: int) returns (y: int", "({} + x)", "x")}[form]
+    rhs = leaf
+    for _ in range(depth):
+        rhs = level.format(rhs)
+    return f"node f({interface}); let y = {rhs}; tel\n"
+
+
+@pytest.mark.parametrize("command", ["signature", "normalize"])
+@pytest.mark.parametrize("form, depth", [("fby", 400), ("if", 200), ("not", 800), ("sum", 200)])
+def test_nesting_within_the_recursion_budget(tmp_path, capsys, command, form, depth):
+    src = tmp_path / "nested.lus"
+    src.write_text(_nested_program(form, depth))
+    assert main([command, str(src)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["signature", "normalize"])
+def test_nesting_past_the_recursion_budget(tmp_path, capsys, command):
+    """600 nested `fby` parse, and the passes after parsing run out of stack."""
+    src = tmp_path / "nested.lus"
+    src.write_text(_nested_program("fby", 600))
+    assert main([command, str(src)]) == 2
+    assert capsys.readouterr().err == f"{src}: nesting-too-deep: expression nested too deeply\n"
 
 
 def test_check_json_schema(files, capsys):

@@ -14,9 +14,9 @@ from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.harness import gen_program
 from luset.sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet, Lattice,
-                            cs, ct, substitute_constraints)
+                            cs, ct)
 
-from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src
+from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src, substitute_constraints
 
 TWO = Lattice.two_point()
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

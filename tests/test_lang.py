@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -7,15 +9,19 @@ from luset.cli import main
 from luset.diagnostics import Diagnostic, ElaborationError
 from luset.harness import gen_program
 from luset.infer import infer_program
-from luset.lang import (BASE, BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def, Fby,
-                        Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var, VarDecl,
-                        When, _reads_and_calls, _subexprs, causality, clock_vars, defined_vars,
-                        elaborate, eq_instantaneous_deps, free_vars, nlustre_violations,
+from luset.lang import (ARITH_OPS, BASE, BASE_CLOCK, BOOL_OPS, CMP_OPS, EQ_OPS, Binop, Call,
+                        ClockBase, ClockOn, Const, Def, Fby, Ite, Merge, NCall, NDef, NFby, Node,
+                        Program, Ty, Unop, Var, VarDecl, When, _find_cycle, _reads_and_calls,
+                        _schedule, _subexprs, causality, clock_vars, defined_vars, elaborate,
+                        eq_instantaneous_deps, eq_targets, free_vars, nlustre_violations,
                         node_order, well_formed)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 
 from conftest import CTR_SPDMTR_SRC
+
+DATA = Path(__file__).resolve().parent / "data"
+SAMPLES = DATA.parent.parent / "samples"
 
 
 def decl(name, ty=Ty.INT, ck=BASE_CLOCK):
@@ -586,3 +592,446 @@ def test_structural_walks_do_not_recurse():
     assert free_vars(deep) == {"x"}
     assert causality(node).order == (0,)
     assert well_formed(Program((node,))) == []
+
+
+# ---------------------------------------------------------------------------
+# the one elaboration pass, against the two walks it replaced
+# ---------------------------------------------------------------------------
+
+# Elaboration was written as a structural walk of every equation (`_well_formed`,
+# which `well_formed` returned and `node_order` scheduled) followed, when it found
+# nothing, by a typing walk that matched each expression on its class.
+
+def _well_formed_oracle(prog):
+    diags = []
+    seen = set()
+    for node in prog.nodes:
+        if node.name in seen:
+            diags.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
+        seen.add(node.name)
+
+    deps = {n.name: set() for n in prog.nodes}
+    for node in prog.nodes:
+        decl_names = [d.name for d in node.declarations]
+        declared = set(decl_names)
+        if len(declared) < len(decl_names):
+            counts = Counter(decl_names)
+            name = next(x for x in decl_names if counts[x] > 1)
+            diags.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice", node=node.name))
+        must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
+        input_names = {d.name for d in node.inputs}
+        defined = {}
+        for i, eq in enumerate(node.equations):
+            targets = eq_targets(eq)
+            for x in targets:
+                if x in defined:
+                    diags.append(Diagnostic("duplicate-definition", f"{x} defined more than once",
+                                            node=node.name, eq_index=i))
+                defined[x] = i
+                if x in input_names:
+                    diags.append(Diagnostic("input-defined", f"input {x} must not be defined",
+                                            node=node.name, eq_index=i))
+                elif x not in must_define:
+                    diags.append(Diagnostic("undeclared-definition", f"{x} is not an output or local",
+                                            node=node.name, eq_index=i))
+            reads, calls = _reads_and_calls(eq)
+            stray = reads.difference(declared, targets, (BASE,))
+            if stray:
+                diags.append(Diagnostic("free-variable", f"undeclared variable(s) {', '.join(sorted(stray))}",
+                                        node=node.name, eq_index=i))
+            for f in calls:
+                if f in deps:
+                    deps[node.name].add(f)
+                else:
+                    diags.append(Diagnostic("unknown-node", f"call to undefined node {f}",
+                                            node=node.name, eq_index=i))
+        missing = must_define - set(defined)
+        if missing:
+            diags.append(Diagnostic("missing-definition",
+                                    f"no equation defines {', '.join(sorted(missing))}", node=node.name))
+
+    cycle = _find_cycle(deps, deps)
+    if cycle:
+        diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
+    return diags, deps
+
+
+class _NodeEnvOracle:
+    def __init__(self, prog, node, diags):
+        self.prog = prog
+        self.node = node
+        self.decls = {d.name: d for d in node.declarations}
+        self.diags = diags
+        self.i = None
+
+    def clock_of(self, name):
+        return self.decls[name].clock
+
+    def ty_of(self, name):
+        return self.decls[name].ty
+
+    def bad(self, kind, msg):
+        self.diags.append(Diagnostic(kind, msg, node=self.node.name, eq_index=self.i))
+
+    def unify(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        if a != b:
+            self.bad("clock-mismatch", f"expected clock '{a}', found '{b}'")
+        return a
+
+    def all_slots(self, es):
+        out = []
+        for sub in es:
+            out.extend(self.slots(sub))
+        return out
+
+    def one(self, slots):
+        if len(slots) != 1:
+            self.bad("arity-mismatch", "tuple used where a single stream is required")
+            return slots[0] if slots else (Ty.INT, None)
+        return slots[0]
+
+    def slots(self, e):
+        bad, unify = self.bad, self.unify
+        match e:
+            case Const():
+                return [(e.ty, None)]
+            case Var(x):
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return [(Ty.INT, None)]
+                return [(self.ty_of(x), self.clock_of(x))]
+            case Unop(op, a):
+                ty, ck = self.one(self.slots(a))
+                want = Ty.BOOL if op == "not" else Ty.INT
+                if ty is not want:
+                    bad("type-mismatch", f"operator {op} applied to {ty}")
+                return [(want, ck)]
+            case Binop(op, a, b):
+                lt, lc = self.one(self.slots(a))
+                rt, rc = self.one(self.slots(b))
+                ck = unify(lc, rc)
+                if op in ARITH_OPS:
+                    if lt is not Ty.INT or rt is not Ty.INT:
+                        bad("type-mismatch", f"operator {op} needs int operands")
+                    return [(Ty.INT, ck)]
+                if op in CMP_OPS:
+                    if lt is not Ty.INT or rt is not Ty.INT:
+                        bad("type-mismatch", f"operator {op} needs int operands")
+                    return [(Ty.BOOL, ck)]
+                if op in EQ_OPS:
+                    if lt is not rt:
+                        bad("type-mismatch", f"operator {op} compares unlike types")
+                    return [(Ty.BOOL, ck)]
+                if op in BOOL_OPS:
+                    if lt is not Ty.BOOL or rt is not Ty.BOOL:
+                        bad("type-mismatch", f"operator {op} needs bool operands")
+                    return [(Ty.BOOL, ck)]
+                bad("type-mismatch", f"unknown operator {op}")
+                return [(Ty.INT, ck)]
+            case When(args, x, k):
+                slots = self.all_slots(args)
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return slots
+                if self.ty_of(x) is not Ty.BOOL:
+                    bad("type-mismatch", f"sampling variable {x} must be bool")
+                ck_x = self.clock_of(x)
+                out = []
+                for ty, ck in slots:
+                    unify(ck, ck_x)
+                    out.append((ty, ClockOn(ck_x, x, k)))
+                return out
+            case Merge(x, ts, fs):
+                if x not in self.decls:
+                    bad("free-variable", f"undeclared variable {x}")
+                    return self.all_slots(ts)
+                if self.ty_of(x) is not Ty.BOOL:
+                    bad("type-mismatch", f"merge variable {x} must be bool")
+                ck_x = self.clock_of(x)
+                tslots = self.all_slots(ts)
+                fslots = self.all_slots(fs)
+                if len(tslots) != len(fslots):
+                    bad("arity-mismatch", "merge branches have different widths")
+                out = []
+                for (tt, tc), (ft, fc) in zip(tslots, fslots):
+                    if tt is not ft:
+                        bad("type-mismatch", "merge branches have unlike types")
+                    unify(tc, ClockOn(ck_x, x, True))
+                    unify(fc, ClockOn(ck_x, x, False))
+                    out.append((tt, ck_x))
+                return out
+            case Ite(c, ts, fs):
+                ct, cc = self.one(self.slots(c))
+                if ct is not Ty.BOOL:
+                    bad("type-mismatch", "if condition must be bool")
+                tslots = self.all_slots(ts)
+                fslots = self.all_slots(fs)
+                if len(tslots) != len(fslots):
+                    bad("arity-mismatch", "if branches have different widths")
+                out = []
+                for (tt, tc), (ft, fc) in zip(tslots, fslots):
+                    if tt is not ft:
+                        bad("type-mismatch", "if branches have unlike types")
+                    out.append((tt, unify(unify(tc, fc), cc)))
+                return out
+            case Fby(e0s, es):
+                islots = self.all_slots(e0s)
+                rslots = self.all_slots(es)
+                if len(islots) != len(rslots):
+                    bad("arity-mismatch", "fby arguments have different widths")
+                out = []
+                for (it, ic), (rt, rc) in zip(islots, rslots):
+                    if it is not rt:
+                        bad("type-mismatch", "fby arguments have unlike types")
+                    out.append((it, unify(ic, rc)))
+                return out
+            case Call(f, args):
+                if not self.prog.has_node(f):
+                    bad("unknown-node", f"call to undefined node {f}")
+                    return [(Ty.INT, None)]
+                callee = self.prog.node(f)
+                if any(not isinstance(d.clock, ClockBase) for d in callee.inputs + callee.outputs):
+                    bad("clock-mismatch", f"node {f} has a clocked interface and cannot be called")
+                slots = self.all_slots(args)
+                if len(slots) != len(callee.inputs):
+                    bad("arity-mismatch",
+                        f"{f} expects {len(callee.inputs)} argument stream(s), got {len(slots)}")
+                    return [(d.ty, None) for d in callee.outputs]
+                ck = None
+                for (ty, c), decl in zip(slots, callee.inputs):
+                    if ty is not decl.ty:
+                        bad("type-mismatch", f"argument {decl.name} of {f} expects {decl.ty}")
+                    ck = unify(ck, c)
+                return [(d.ty, ck) for d in callee.outputs]
+        raise TypeError(f"_NodeEnvOracle.slots: unsupported {e!r}")
+
+
+def _check_decl_clock_oracle(env, decl):
+    ck = decl.clock
+    input_names = {d.name for d in env.node.inputs}
+    is_input = decl.name in input_names
+    while isinstance(ck, ClockOn):
+        if ck.var not in env.decls:
+            env.bad("free-variable", f"clock variable {ck.var} of {decl.name} is not declared")
+            return
+        if is_input and ck.var not in input_names:
+            env.bad("clock-mismatch", f"input {decl.name} is clocked on non-input {ck.var}")
+        d = env.decls[ck.var]
+        if d.ty is not Ty.BOOL:
+            env.bad("type-mismatch", f"clock variable {ck.var} must be bool")
+        if d.clock != ck.base:
+            env.bad("clock-mismatch", f"clock of {decl.name} samples {ck.var} off its own clock")
+        ck = ck.base
+
+
+def _elaborate_oracle(prog):
+    wf, _ = _well_formed_oracle(prog)
+    if wf:
+        raise ElaborationError(wf)
+    diags = []
+    new_nodes = []
+    for node in prog.nodes:
+        env = _NodeEnvOracle(prog, node, diags)
+        for d in node.declarations:
+            _check_decl_clock_oracle(env, d)
+        new_eqs = []
+        for i, eq in enumerate(node.equations):
+            env.i = i
+            targets = eq_targets(eq)
+            match eq:
+                case Def(_, _, exprs):
+                    ck, what = None, "stream(s)"
+                case NDef(_, ck, e):
+                    exprs, what = (e,), None
+                case NFby(_, ck, c, e):
+                    exprs, what = (Fby((c,), (e,)),), None
+                case NCall(_, ck, f, args):
+                    exprs, what = (Call(f, args),), "output(s)"
+            slots = env.all_slots(exprs)
+            if len(slots) != len(targets):
+                env.bad("arity-mismatch",
+                        f"{len(targets)} target(s) but {len(slots)} {what}" if what
+                        else "tuple in a singleton equation")
+                new_eqs.append(eq)
+                continue
+            for t in targets:
+                ck = env.unify(ck, env.clock_of(t))
+            for t, (ty, c) in zip(targets, slots):
+                if ty is not env.ty_of(t):
+                    env.bad("type-mismatch", f"{t} is {env.ty_of(t)} but defined as {ty}")
+                env.unify(ck, c)
+            if isinstance(eq, Def):
+                eq = Def(eq.targets, ck if ck is not None else BASE_CLOCK, eq.exprs)
+            new_eqs.append(eq)
+        new_nodes.append(replace(node, equations=tuple(new_eqs)))
+    if diags:
+        raise ElaborationError(diags)
+    return Program(tuple(new_nodes))
+
+
+def _outcome(fn, prog):
+    """What `fn(prog)` returns, or the text of the `ElaborationError` it raises."""
+    try:
+        return fn(prog)
+    except ElaborationError as err:
+        return str(err)
+
+
+def _rename_calls(e, old: str, new: str):
+    """`e` with every call to `old` made a call to `new`."""
+    def ren(es):
+        return tuple(_rename_calls(a, old, new) for a in es)
+
+    match e:
+        case Const() | Var():
+            return e
+        case Unop(op, a):
+            return Unop(op, _rename_calls(a, old, new))
+        case Binop(op, a, b):
+            return Binop(op, _rename_calls(a, old, new), _rename_calls(b, old, new))
+        case When(args, x, k):
+            return When(ren(args), x, k)
+        case Merge(x, ts, fs):
+            return Merge(x, ren(ts), ren(fs))
+        case Ite(c, ts, fs):
+            return Ite(_rename_calls(c, old, new), ren(ts), ren(fs))
+        case Fby(e0s, es):
+            return Fby(ren(e0s), ren(es))
+        case Call(f, args):
+            return Call(new if f == old else f, ren(args))
+
+
+def _rename_calls_in(eq, old: str, new: str):
+    match eq:
+        case Def(targets, ck, exprs):
+            return Def(targets, ck, tuple(_rename_calls(e, old, new) for e in exprs))
+        case NDef(x, ck, e):
+            return NDef(x, ck, _rename_calls(e, old, new))
+        case NFby(x, ck, c, e):
+            return NFby(x, ck, c, _rename_calls(e, old, new))
+        case NCall(targets, ck, f, args):
+            return NCall(targets, ck, new if f == old else f,
+                         tuple(_rename_calls(a, old, new) for a in args))
+
+
+def _called(eq) -> list[str]:
+    return list(_reads_and_calls(eq)[1])
+
+
+def _mutant(rng: random.Random, prog: Program) -> Program:
+    """`prog` with one seeded fault or change in one node: a declaration
+    dropped or retyped, an equation duplicated or dropped, a callee renamed
+    or made the caller itself, or a local re-clocked."""
+    kind = rng.choice(["drop-decl", "dup-eq", "rename-callee", "retype-decl", "drop-eq",
+                       "recursive-call", "reclock-local"])
+    callers = [k for k, n in enumerate(prog.nodes) if any(map(_called, n.equations))]
+    if kind in ("rename-callee", "recursive-call") and not callers:
+        kind = "dup-eq"
+    k = rng.choice(callers) if kind in ("rename-callee", "recursive-call") else rng.randrange(len(prog.nodes))
+    node = prog.nodes[k]
+    eqs = list(node.equations)
+    sections = {"inputs": list(node.inputs), "outputs": list(node.outputs), "locals": list(node.locals)}
+    calling = [i for i, eq in enumerate(eqs) if _called(eq)]
+    if kind == "reclock-local" and not node.locals:
+        kind = "retype-decl"
+    if kind in ("drop-decl", "retype-decl"):
+        sect = rng.choice([s for s, ds in sections.items() if ds] or ["inputs"])
+        if sections[sect]:
+            j = rng.randrange(len(sections[sect]))
+            d = sections[sect].pop(j)
+            if kind == "retype-decl":
+                sections[sect].insert(j, replace(d, ty=Ty.BOOL if d.ty is Ty.INT else Ty.INT))
+    elif kind in ("dup-eq", "drop-eq") and eqs:
+        j = rng.randrange(len(eqs))
+        if kind == "dup-eq":
+            eqs.insert(rng.randrange(len(eqs) + 1), eqs[j])
+        else:
+            del eqs[j]
+    elif kind in ("rename-callee", "recursive-call"):
+        j = rng.choice(calling)
+        old = rng.choice(_called(eqs[j]))
+        eqs[j] = _rename_calls_in(eqs[j], old, node.name if kind == "recursive-call" else old + "_")
+    elif kind == "reclock-local":
+        j = rng.randrange(len(sections["locals"]))
+        d = sections["locals"][j]
+        samplers = [x.name for x in node.declarations if x.ty is Ty.BOOL] + ["nowhere"]
+        ck = (ClockOn(d.clock, rng.choice(samplers), rng.random() < 0.5)
+              if rng.random() < 0.7 or isinstance(d.clock, ClockBase) else d.clock.base)
+        sections["locals"][j] = replace(d, clock=ck)
+    mutated = Node(node.name, tuple(sections["inputs"]), tuple(sections["outputs"]),
+                   tuple(sections["locals"]), tuple(eqs))
+    return Program(prog.nodes[:k] + (mutated,) + prog.nodes[k + 1:])
+
+
+def _assert_one_pass_matches_oracle(prog: Program, label):
+    fresh = Program(prog.nodes)  # nothing memoised, not marked as elaborated
+    want_wf, want_deps = _well_formed_oracle(fresh)
+    assert [str(d) for d in well_formed(fresh)] == [str(d) for d in want_wf], label
+    assert _outcome(elaborate, Program(prog.nodes)) == _outcome(_elaborate_oracle, fresh), label
+    order = _schedule(want_deps)
+    if len(order) == len(prog.nodes):
+        assert node_order(Program(prog.nodes)) == order, label
+    else:
+        with pytest.raises(ElaborationError):
+            node_order(Program(prog.nodes))
+
+
+def _table_programs():
+    for row in (DATA / "elab_programs.txt").read_text().splitlines():
+        label, src = row.split("\t")
+        yield label, parse_program(src, filename=label)
+    for path in sorted(SAMPLES.glob("*.lus")) + sorted(DATA.glob("*.lus")):
+        yield path.name, parse_program(path.read_text(), filename=str(path))
+
+
+def test_one_pass_matches_the_two_walks_on_files():
+    """The table of `elab_programs.txt`, the samples and the test programs,
+    their normal forms, and a seeded mutant of each."""
+    rng = random.Random(23)
+    for label, prog in _table_programs():
+        progs = [prog]
+        try:
+            progs.append(normalize_program(prog)[0])
+        except ElaborationError:
+            pass
+        for p in progs:
+            _assert_one_pass_matches_oracle(p, label)
+            _assert_one_pass_matches_oracle(_mutant(rng, p), label)
+
+
+def test_one_pass_matches_the_two_walks_on_generated_programs():
+    """300 generated programs and their normal forms, and a seeded mutant of
+    each: the diagnostics of `well_formed` in order, the elaborated program
+    or the text of the `ElaborationError`, and the node order."""
+    rng = random.Random(23)
+    mutants = random.Random(230)
+    for n in range(300):
+        prog = gen_program(rng)
+        for p in (prog, normalize_program(prog)[0]):
+            _assert_one_pass_matches_oracle(p, n)
+            _assert_one_pass_matches_oracle(_mutant(mutants, p), n)
+
+
+def test_one_pass_matches_the_two_walks_on_hand_built_faults():
+    """Faults the parser cannot produce: a read of `base`, an undeclared
+    target or clock variable of a core-form equation, a tuple in a
+    singleton equation and an unknown operator."""
+    x, y, b = decl("x"), decl("y"), decl("b", Ty.BOOL)
+    on_b = ClockOn(BASE_CLOCK, "b", True)
+    bodies = [
+        (Def(("y",), None, (Binop("+", Var("x"), Var(BASE)),)),),
+        (Def(("y",), None, (Var("x"),)), NDef("z", BASE_CLOCK, Var("x"))),
+        (NDef("y", ClockOn(BASE_CLOCK, "c", True), Var("x")),),
+        (NFby("y", on_b, Const(0), When((Var("x"),), "b", True)),),
+        (NDef("y", BASE_CLOCK, Merge("b", (Var("x"),), (Var("x"),))),),
+        (NDef("y", BASE_CLOCK, Binop("^", Var("x"), Var("x"))),),
+        (NCall(("y",), BASE_CLOCK, "g", (Var("x"), Call("h", (Var("w"),)))),),
+        (NCall(("y",), BASE_CLOCK, "f", (Var("x"),)),),
+    ]
+    for i, eqs in enumerate(bodies):
+        prog = Program((Node("f", (x, b), (y,), (), eqs),))
+        _assert_one_pass_matches_oracle(prog, i)

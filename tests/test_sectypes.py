@@ -12,7 +12,9 @@ from luset.lang import elaborate
 from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, ConstraintSet,
                             Lattice, Lub, Refine, TVar, canon, cs, ct, eval_ground,
                             least_fixpoint, least_solution, lub, not_entailed, satisfies,
-                            substitute_constraints, substitute_type, violations)
+                            violations)
+
+from conftest import substitute_constraints, substitute_type
 
 
 # ---------------------------------------------------------------------------
