@@ -26,7 +26,9 @@ What the core form takes for granted of the top node's inputs is checked at
 every tick: each input is present exactly when its declared clock is live
 and holds a value of its declared type, and the base clock holds booleans.
 A failed check raises `EvalError`; `run_node` then re-runs the tree
-interpreter, which reports the reference diagnostic.
+interpreter, which reports the reference diagnostic. Past those checks the
+code raises only where it calls `binop` or `unop` (`div`, `mod` and unknown
+operators), and `may_raise` tells whether a build does.
 
 The code is flat, one temporary per operator, so that neither `compile`
 nor the generator recurses more than once per level of expression nesting.
@@ -69,10 +71,20 @@ def runner(prog: Program, name: str) -> Callable | None:
     output and local of the node, in declaration order, which it fills with
     one value per tick.
     """
-    return derived(prog, _build, name)
+    build = derived(prog, _build, name)
+    return None if build is None else build[0]
 
 
-def _build(prog: Program, name: str) -> Callable | None:
+def may_raise(prog: Program, name: str) -> bool:
+    """Whether a run of `runner(prog, name)` on inputs that pass its input
+    checks may raise `EvalError`: the code of node `name` or of a callee
+    calls `binop` or `unop`, or the program does not compile. Read off the
+    same build as `runner`."""
+    build = derived(prog, _build, name)
+    return build is None or build[1]
+
+
+def _build(prog: Program, name: str) -> tuple[Callable, bool] | None:
     node = prog.node(name)
     try:
         if elaborate(prog) != prog:
@@ -84,24 +96,29 @@ def _build(prog: Program, name: str) -> Callable | None:
             for eq in nprog.node(f).equations:
                 if isinstance(eq, NCall) and eq.node not in reach:
                     reach.append(eq.node)
-        source = _module(nprog, reach, [d.name for d in node.outputs + node.locals])
+        source, partial = _module(nprog, reach, [d.name for d in node.outputs + node.locals])
     except (LusetError, RecursionError, _Unsupported):
         return None
     namespace = {"ABSENT": ABSENT, "Absent": type(ABSENT), "wrap64": _wrap64,
                  "unop": _apply_unop, "binop": _apply_binop, "off_clock": _off_clock}
     exec(compile(source, f"<step code of {name}>", "exec"), namespace)
-    return namespace["run"]
+    return namespace["run"], partial
 
 
-def _module(nprog: Program, reach: list[str], recorded: list[str]) -> str:
+def _module(nprog: Program, reach: list[str], recorded: list[str]) -> tuple[str, bool]:
     """Source of `run` for the top node reach[0], and of one class for each
-    callee in the rest of `reach`."""
+    callee in the rest of `reach`; and whether any of them calls `binop` or
+    `unop`."""
     class_of = {f: f"N{i}" for i, f in enumerate(reach)}
     lines: list[str] = []
+    partial = False
     for f in reach[1:]:
-        lines += _NodeCode(nprog.node(f), class_of, "self.").class_lines(class_of[f])
-    lines += _NodeCode(nprog.node(reach[0]), class_of, "").run_lines(recorded)
-    return "\n".join(lines) + "\n"
+        code = _NodeCode(nprog.node(f), class_of, "self.")
+        lines += code.class_lines(class_of[f])
+        partial |= code.partial
+    code = _NodeCode(nprog.node(reach[0]), class_of, "")
+    lines += code.run_lines(recorded)
+    return "\n".join(lines) + "\n", partial or code.partial
 
 
 def _indent(lines: list[str], depth: int = 1) -> list[str]:
@@ -116,6 +133,8 @@ class _NodeCode:
     the base clock) and, for an equation, the statement that makes its
     targets absent when that clock is idle. `ref` prefixes registers and
     sub-instances: "self." in a class, "" in the inlined tick loop.
+    `partial` tells whether a statement calls `binop` or `unop`, the only
+    operators that may raise.
     """
 
     def __init__(self, node: Node, class_of: dict[str, str], ref: str):
@@ -127,6 +146,7 @@ class _NodeCode:
         self.instances: list[str] = []  # class of each sub-instance
         self.items: list[tuple[str | None, str, str | None]] = []
         self.temps = 0
+        self.partial = False
         delays = []
         for i in check_causality(node):
             eq = node.equations[i]
@@ -200,12 +220,14 @@ class _NodeCode:
                     return self._temp(ck, f"not {arg}")
                 if op == "-":
                     return self._temp(ck, f"-{arg}", wrap=True)
+                self.partial = True
                 return self._temp(ck, f"unop({op!r}, {arg}, None)")
             case Binop(op, a, b):
                 left = self._expr(a, ck)
                 right = self._expr(b, ck)
                 if op in _INLINE:
                     return self._temp(ck, f"{left} {_INLINE[op]} {right}", wrap=op in _WRAPPED)
+                self.partial = True
                 return self._temp(ck, f"binop({op!r}, {left}, {right}, None)")
             case When((a,), x, _):
                 return self._expr(a, self.clock[x])

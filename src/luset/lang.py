@@ -675,11 +675,14 @@ def _elaborate(prog: Program) -> Program:
     An equation nested too deeply for the typing is walked without it."""
     structural: list[Diagnostic] = []
     callees: dict[str, Node] = {}
+    definitions = Counter(node.name for node in prog.nodes)
     for node in prog.nodes:
-        if node.name in callees:
-            structural.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
-        else:
+        if node.name not in callees:
             callees[node.name] = node
+        elif n := definitions.pop(node.name, 0):  # one diagnostic a name, at its second definition
+            times = "twice" if n == 2 else f"{n} times"
+            structural.append(Diagnostic("duplicate-node", f"node {node.name} defined {times}",
+                                         node=node.name))
     deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
     diags: list[Diagnostic] = []
     too_deep = False
@@ -692,8 +695,9 @@ def _elaborate(prog: Program) -> Program:
             name = next(d.name for d in node.declarations if counts[d.name] > 1)
             structural.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice",
                                          node=node.name))
-        must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
         input_names = {d.name for d in node.inputs}
+        # an input declared again may not be defined at all: input-defined says so
+        must_define = {d.name for d in node.outputs + node.locals}.difference(input_names)
         for d in node.declarations:
             _check_decl_clock(env, d, input_names)
         calls = deps[node.name]

@@ -27,14 +27,17 @@ SAMPLES = ROOT / "samples"
 TWO = Lattice.two_point()
 
 # (golden, arguments of `luset ni`, exit code): a failing forced check whose
-# witness is found at trial 1, and a passing one whose every input is public,
-# so that each trial runs the node once
+# witness is found at trial 1, a passing one whose every input is public, so
+# that each trial runs the node once, and that one at its top level alone,
+# decided without a run
 NI_RUNS = [
     ("ni_Leak.json", ["samples/leak.lus", "--node", "Leak", "--assign", "samples/leak_assign.json",
                       "--level", "L", "--force"], 1),
     ("ni_Leak2.json", ["samples/leak.lus", "--node", "Leak2", "--assign",
                        "samples/leak_assign.json", "--level", "L", "--force"], 1),
     ("ni_Ctr.json", ["samples/ctr.lus", "--node", "Ctr", "--assign", "samples/ctr_assign.json"], 0),
+    ("ni_Ctr_H.json", ["samples/ctr.lus", "--node", "Ctr", "--assign", "samples/ctr_assign.json",
+                       "--level", "H"], 0),
 ]
 
 
@@ -131,12 +134,23 @@ def test_drawn_inputs_run_on_an_always_live_base_clock():
     assert sub_clocked > 50
 
 
-@pytest.mark.parametrize("level, runs_per_trial", [("H", 1), ("L", 2)])
-def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, level,
+CTR_SECRET = {"base": "L", "init": "H", "incr": "H", "rst": "H", "n": "H"}
+DIV_SRC = "node D(x, z: int) returns (y: int); let y = 10 div (x + z + 18); tel"
+
+
+@pytest.mark.parametrize("src, node, assignment, level, seed, verdict, trials, runs_per_trial", [
+    (CTR_SRC, "Ctr", CTR_SECRET, "H", 3, "pass", 37, 0),
+    (DIV_SRC, "D", {"base": "L", "x": "L", "z": "L", "y": "L"}, "H", 5, "inconclusive", 23, 1),
+    (CTR_SRC, "Ctr", CTR_SECRET, "L", 3, "pass", 37, 2),
+], ids=["H-0", "H-1", "L-2"])
+def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, src, node, assignment,
+                                                          level, seed, verdict, trials,
                                                           runs_per_trial):
     """At the top every input is observed, so both runs would share every
-    input and the node runs once per trial; below it, with secret inputs,
-    twice."""
+    input and the node would run once per trial. Only a raise could change
+    the report then, so code that cannot raise runs no trial at all, and a
+    node that divides runs once per trial until it raises. Below the top,
+    with secret inputs, the node runs twice per trial."""
     calls = []
 
     def counting(prog, name, ins, bs):
@@ -145,11 +159,24 @@ def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, level,
 
     run_compiled = harness.run_compiled
     monkeypatch.setattr(harness, "run_compiled", counting)
-    cfg = NIConfig("Ctr", TWO, {"base": "L", "init": "H", "incr": "H", "rst": "H", "n": "H"},
-                   level=level, trials=37, ticks=16, seed=3)
+    cfg = NIConfig(node, TWO, assignment, level=level, trials=37, ticks=16, seed=seed)
+    report = check_non_interference(parse_program(src), cfg)
+    assert report.verdict == verdict and report.trials == trials
+    assert len(calls) == trials * runs_per_trial
+
+
+def test_ni_runs_a_forced_violated_assignment_at_the_top(monkeypatch):
+    """A forced check of an assignment its node violates keeps its trial
+    loop at the top too: the node runs once per trial."""
+    calls = []
+    run_compiled = harness.run_compiled
+    monkeypatch.setattr(harness, "run_compiled",
+                        lambda *args: calls.append(args[1]) or run_compiled(*args))
+    leaky = {"base": "L", "init": "H", "incr": "H", "rst": "H", "n": "L"}
+    cfg = NIConfig("Ctr", TWO, leaky, level="H", trials=11, ticks=16, seed=3, force=True)
     report = check_non_interference(parse_program(CTR_SRC), cfg)
-    assert report.verdict == "pass" and report.trials == 37
-    assert len(calls) == 37 * runs_per_trial
+    assert report.verdict == "pass" and report.details["satisfied"] is False
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("golden, args, code", NI_RUNS, ids=[g for g, _, _ in NI_RUNS])

@@ -489,6 +489,20 @@ def test_inconclusive_preserve_exits_two_with_its_report(tmp_path, capsys):
     assert err == ""
 
 
+def test_inconclusive_ni_exits_two_with_its_report(tmp_path, capsys):
+    """Every input is public, so the top level would run the node once per
+    trial; its division keeps the trials, and the first raise ends them."""
+    (tmp_path / "d.lus").write_text("node D(x: int) returns (y: int); let y = 10 div x; tel")
+    (tmp_path / "d.json").write_text('{"node": "D", "base": "L", "inputs": {"x": "L"}, '
+                                     '"outputs": {"y": "L"}}')
+    assert main(["ni", str(tmp_path / "d.lus"), "--node", "D", "--lattice", "two-point",
+                 "--assign", str(tmp_path / "d.json"), "--level", "H"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ("non-interference D at level H: inconclusive (1 trials, seed 0)\n"
+                   "  reason: div-by-zero at tick 7: division by zero\n")
+    assert err == ""
+
+
 @pytest.mark.parametrize("verdicts, code", [
     ([], 0), (["pass", "vacuously-skipped"], 0), (["pass", "inconclusive"], 2),
     (["inconclusive", "fail", "pass"], 1), (["vacuously-skipped", "fail"], 1)])

@@ -1,6 +1,11 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 
 import pytest
+
+from luset import harness, sectypes
 
 from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, check_simple_security,
@@ -8,7 +13,8 @@ from luset.harness import (NIConfig, check_equational_soundness, check_non_inter
                            gen_program, generator_postcondition, project_history,
                            sample_satisfying_assignment)
 from luset.infer import infer_program
-from luset.lang import ClockOn, elaborate
+from luset.lang import ClockOn, Const, Ite, Merge, NDef, elaborate
+from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import Lattice
 from luset.streams import present
@@ -174,30 +180,30 @@ def test_type_preservation_random_programs():
         assert report.verdict == "pass", report.counterexample
 
 
+def _drop_conditions(e):
+    if isinstance(e, (Ite, Merge)):
+        e = replace(e, on_true=tuple(map(_drop_conditions, e.on_true)),
+                    on_false=tuple(map(_drop_conditions, e.on_false)))
+    return replace(e, cond=Const(True)) if isinstance(e, Ite) else e
+
+
+def _condition_dropping_normalize(prog):
+    """A normaliser that replaces every `if` condition by `true`."""
+    nprog, introduced = normalize_program(prog)
+    nodes = tuple(replace(n, equations=tuple(
+        replace(eq, expr=_drop_conditions(eq.expr)) if isinstance(eq, NDef) else eq
+        for eq in n.equations)) for n in nprog.nodes)
+    return replace(nprog, nodes=nodes), introduced
+
+
 def test_type_preservation_catches_a_dropped_condition(monkeypatch):
     """A normaliser that replaces every `if` condition by `true` keeps the
     semantics check out of the picture: the type check alone fails, and
     each countermodel satisfies the side it names and violates the
     constraint it names."""
-    from dataclasses import replace
-    from luset import harness
-    from luset.lang import Const, Ite, Merge, NDef
-    from luset.normalize import normalize_program
     from luset.sectypes import ConstraintSet, satisfies
 
-    def drop(e):
-        if isinstance(e, (Ite, Merge)):
-            e = replace(e, on_true=tuple(map(drop, e.on_true)),
-                        on_false=tuple(map(drop, e.on_false)))
-        return replace(e, cond=Const(True)) if isinstance(e, Ite) else e
-
-    def bad_normalize(prog):
-        nprog, introduced = normalize_program(prog)
-        nodes = tuple(replace(n, equations=tuple(
-            replace(eq, expr=drop(eq.expr)) if isinstance(eq, NDef) else eq
-            for eq in n.equations)) for n in nprog.nodes)
-        return replace(nprog, nodes=nodes), introduced
-
+    bad_normalize = _condition_dropping_normalize
     monkeypatch.setattr(harness, "normalize_program", bad_normalize)
     rng = random.Random(5)
     failed = 0
@@ -217,6 +223,51 @@ def test_type_preservation_catches_a_dropped_condition(monkeypatch):
         assert satisfies(rho, c["instantiation"], TWO)
         assert not satisfies(ConstraintSet([constraint]), c["instantiation"], TWO)
     assert failed > 0
+
+
+# sha256 of `json.dumps(reports, sort_keys=True)`, where `reports` are the
+# `to_json()` of `check_type_preservation` on 300 elaborated
+# `gen_program(random.Random(5))` draws, and the number of fails among them;
+# recorded before equal signatures skipped the entailment decision
+TYPE_PRESERVATION_PINS = {
+    "sound": ("9b143ef4ffa3049d6582f23fb3174e8a0e9e21437f6c1ee45a5481c649c80c25", 0),
+    "condition-dropped": ("36e0b21c1d6db6cd4955d8df3043f338f4e404fd4f105e528520c232fd48dd42", 39),
+}
+
+
+@pytest.mark.parametrize("normaliser", list(TYPE_PRESERVATION_PINS))
+def test_type_preservation_reports_pinned(monkeypatch, normaliser):
+    if normaliser == "condition-dropped":
+        monkeypatch.setattr(harness, "normalize_program", _condition_dropping_normalize)
+    rng = random.Random(5)
+    reports = [check_type_preservation(elaborate(gen_program(rng))).to_json()
+               for _ in range(300)]
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert (digest, sum(r["verdict"] == "fail" for r in reports)) == \
+        TYPE_PRESERVATION_PINS[normaliser]
+
+
+@pytest.mark.parametrize("normaliser", list(TYPE_PRESERVATION_PINS))
+def test_equal_signatures_skip_the_entailment_fixpoint(monkeypatch, normaliser):
+    """Equal constraint sets entail each other, so `not_entailed` runs its
+    fixpoint for a program exactly when one of its nodes has two unequal
+    signatures."""
+    calls = []
+    fixpoint = sectypes.least_fixpoint
+    monkeypatch.setattr(sectypes, "least_fixpoint",
+                        lambda *args: calls.append(args) or fixpoint(*args))
+    if normaliser == "condition-dropped":
+        monkeypatch.setattr(harness, "normalize_program", _condition_dropping_normalize)
+    rng = random.Random(5)
+    unequal_programs = 0
+    for _ in range(100):
+        calls.clear()
+        report = check_type_preservation(elaborate(gen_program(rng)))
+        unequal = (report.verdict == "fail"
+                   or not all(report.details["canonically_equal"].values()))
+        assert bool(calls) == unequal
+        unequal_programs += unequal
+    assert (unequal_programs > 0) == (normaliser == "condition-dropped")
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,20 @@ tel
         "f: duplicate-declaration: variable a declared twice"]
 
 
+def test_node_defined_three_times_says_so_once():
+    prog = parse_program("node f(x: int) returns (y: int); let y = x; tel\n" * 3 +
+                         "node g(x: int) returns (y: int); let y = x; tel\n" * 2)
+    assert [str(d) for d in well_formed(prog)] == ["f: duplicate-node: node f defined 3 times",
+                                                   "g: duplicate-node: node g defined twice"]
+
+
+def test_input_declared_again_as_a_local_needs_no_definition():
+    # defining x would be input-defined, so leaving it undefined is no fault
+    prog = parse_program("node f(x: int) returns (y: int); var x: int; let y = x; tel")
+    assert [str(d) for d in well_formed(prog)] == [
+        "f: duplicate-declaration: variable x declared twice"]
+
+
 # ---------------------------------------------------------------------------
 # clock elaboration
 # ---------------------------------------------------------------------------
@@ -604,10 +618,13 @@ def test_structural_walks_do_not_recurse():
 
 def _well_formed_oracle(prog):
     diags = []
+    counts = Counter(node.name for node in prog.nodes)
     seen = set()
     for node in prog.nodes:
-        if node.name in seen:
-            diags.append(Diagnostic("duplicate-node", f"node {node.name} defined twice", node=node.name))
+        if node.name in seen and node.name in counts:
+            n = counts.pop(node.name)
+            times = "twice" if n == 2 else f"{n} times"
+            diags.append(Diagnostic("duplicate-node", f"node {node.name} defined {times}", node=node.name))
         seen.add(node.name)
 
     deps = {n.name: set() for n in prog.nodes}
@@ -618,8 +635,8 @@ def _well_formed_oracle(prog):
             counts = Counter(decl_names)
             name = next(x for x in decl_names if counts[x] > 1)
             diags.append(Diagnostic("duplicate-declaration", f"variable {name} declared twice", node=node.name))
-        must_define = {d.name for d in node.outputs} | {d.name for d in node.locals}
         input_names = {d.name for d in node.inputs}
+        must_define = ({d.name for d in node.outputs} | {d.name for d in node.locals}) - input_names
         defined = {}
         for i, eq in enumerate(node.equations):
             targets = eq_targets(eq)
