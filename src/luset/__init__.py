@@ -13,12 +13,19 @@ from .infer import (FreshVars, NodeSignature, check_program, infer_node_signatur
                     infer_program, signatures, simplify, type_clock, type_equation,
                     type_expr)
 from .normalize import init_fby, normalize_program
-from .streams import (ABSENT, base_of, const_stream, eval_clock, eval_expr, fby_lustre,
-                      fby_nlustre, ite_stream, lift_binop, lift_unop, merge_stream,
-                      read_trace, respects_clock, run_node, when_stream)
+from .streams import ABSENT, eval_clock, read_trace, run_node
 from .harness import (NIConfig, check_equational_soundness, check_non_interference,
                       check_semantics_preservation, check_simple_security,
                       check_type_preservation, gen_inputs, gen_lattice, gen_program,
                       project_history)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`sem_node`, the stream semantics as a predicate over whole histories,
+    from `luset.semantics`, which is imported on first use."""
+    if name == "sem_node":
+        from .semantics import sem_node
+        return sem_node
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

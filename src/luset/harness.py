@@ -21,8 +21,8 @@ from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Con
 from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar,
                        canon, eval_ground, least_fixpoint, not_entailed, satisfies)
-from .streams import (ABSENT, History, NodeInstance, default_base_clock, eval_clock,
-                      interpret_node, run_compiled, show_value)
+from .streams import (ABSENT, History, NodeInstance, _streams_equal, default_base_clock,
+                      eval_clock, interpret_node, run_compiled, show_value)
 
 PASS = "pass"
 FAIL = "fail"
@@ -513,13 +513,6 @@ def _values_equal(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _streams_equal(xs, ys) -> bool:
-    """Same length and `_values_equal` at every tick, a whole list at a
-    time: `==` alone takes `True` for `1` and `False` for `0`, so the types
-    are compared too, and `ABSENT` is a singleton equal only to itself."""
-    return xs == ys and list(map(type, xs)) == list(map(type, ys))
-
-
 # ---------------------------------------------------------------------------
 # Preservation checks
 # ---------------------------------------------------------------------------
@@ -529,15 +522,20 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     """Outputs of a node agree, value for value, before and after
     normalisation, over random clock-honouring input prefixes.
 
-    The source runs on the tree interpreter: one `streams.NodeInstance` per
-    call, built in the first trial and reset before each later one, which
-    runs as a fresh instance would (`interpret_node`). The normal form runs
-    as the compiled code of `codegen.runner(prog, node)`, which is generated
-    from this very normal form and is the build that non-interference trials
-    of the node reuse. When that code is refused or its run raises, the
-    normal form runs on the tree interpreter (`interpret_node`), and never
-    the source, so the two sides never share an evaluator. The input order
-    of the draws and the base clock, always-live for every draw (see
+    Each trial runs the normal form as the compiled code of
+    `codegen.runner(prog, node)`, which is generated from this very normal
+    form and is the build that non-interference trials of the node reuse.
+    That run records every output and local of the source node, and the
+    check asks whether this history satisfies the source node's equations
+    as whole streams (`semantics.sem_node`, compiled once per call). A causal
+    node's equations have one solution, so a history that satisfies them
+    holds the outputs the tree interpreter computes from the source, and
+    when every trial's does, the report is the pass of `_trial_loop`.
+
+    When the build is refused, a run raises, or the predicate rejects or
+    raises on a trial, `_trial_loop` decides the check from trial 1 with
+    the same seed, and builds every fail and inconclusive report. The input
+    order of the draws and the base clock, always-live for every draw (see
     `gen_inputs`), are worked out once per call."""
     prog = elaborate(prog)
     try:
@@ -548,6 +546,43 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     node = prog.node(node_name)
     order = _input_order(node)
     bs = [True] * ticks
+    if _normal_runs_satisfy_source(prog, node, order, trials, ticks, seed, bs):
+        return CheckReport("semantics-preservation", PASS, node=node_name,
+                           trials=trials, seed=seed)
+    return _trial_loop(prog, nprog, node, order, trials, ticks, seed, bs)
+
+
+def _normal_runs_satisfy_source(prog: Program, node: Node, order: list[VarDecl], trials: int,
+                                ticks: int, seed: int, bs: list) -> bool:
+    """Whether, on each trial's draw, the compiled normal form runs and its
+    history satisfies the source node's equations."""
+    from .semantics import sem_node  # imported on first use, as `codegen` is by NI
+    declared = [d.name for d in node.inputs]
+    names = declared + [d.name for d in node.outputs + node.locals]
+    rng = random.Random(seed)
+    try:
+        holds = sem_node(prog, node.name)
+        for _ in range(trials):
+            ins = _draw_inputs(rng, order, ticks)
+            positional = [ins[x] for x in declared]
+            hist = run_compiled(prog, node.name, positional, bs)
+            if hist is None or not holds(dict(zip(names, positional + hist)), bs):
+                return False
+    except (LusetError, RecursionError):  # the trial loop decides the check instead
+        return False
+    return True
+
+
+def _trial_loop(prog: Program, nprog: Program, node: Node, order: list[VarDecl], trials: int,
+                ticks: int, seed: int, bs: list) -> CheckReport:
+    """`check_semantics_preservation` by running both sides. The source runs
+    on the tree interpreter: one `streams.NodeInstance` per call, built in
+    the first trial and reset before each later one, which runs as a fresh
+    instance would (`interpret_node`). The normal form runs as compiled
+    code; when that code is refused or its run raises, the normal form runs
+    on the tree interpreter (`interpret_node`), and never the source, so
+    the two sides never share an evaluator."""
+    node_name = node.name
     inst = None
     rng = random.Random(seed)
     for trial in range(trials):

@@ -16,20 +16,22 @@ the equation's clock and stores it in the tick's values; each clock becomes
 one closure `live(t, vals, bs_t)` (`_clock`), which every clock test of the
 interpreter and `eval_clock` go through. `step` and `run` share one tick
 body. The interpreter is the reference the compiled code is tested
-against, the evaluator of the source side of the harness's
-semantics-preservation check and of the generator's post-condition, and the
-fallback that runs a program which does not compile or whose compiled run
-fails, so every result and diagnostic is the interpreter's. The
-whole-prefix stream operators (`lift_unop` … `respects_clock`) are in turn
-the reference for the tree interpreter: nothing in the package calls them,
-and the tests check the interpreter against them. `eval_expr` is no such
-reference: it runs an expression over a whole prefix through the
-interpreter's own compiled closures (`NodeInstance._compile`).
+against, the evaluator of the generator's post-condition and of the source
+side of the harness's semantics-preservation trial loop, and the fallback
+that runs a program which does not compile or whose compiled run fails, so
+every result and diagnostic is the interpreter's.
+
+The whole-prefix stream operators (`const_stream` … `base_of`) compute a
+stream over a whole prefix at once, and raise the interpreter's
+`EvalError` where its closures would. `semantics` builds the paper's
+relational semantics from them, as a predicate over whole histories, and
+`eval_expr` is its `sem_exp`.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from typing import Callable, Sequence, Union
 
 from .diagnostics import EvalError
@@ -74,18 +76,31 @@ def show_value(v: Value) -> str:
 # Pointwise stream operations
 # ---------------------------------------------------------------------------
 
+def _present(vs: VStream) -> BStream:
+    return [v is not ABSENT for v in vs]
+
+
+def _streams_equal(xs: VStream, ys: VStream) -> bool:
+    """Same length and the same value and type at every tick, a whole list
+    at a time: `==` alone takes `True` for `1` and `False` for `0`, so the
+    types are compared too, and `ABSENT` is a singleton equal only to
+    itself."""
+    return xs == ys and list(map(type, xs)) == list(map(type, ys))
+
+
 def const_stream(c: Union[int, bool], bs: BStream) -> VStream:
     """The constant pulsed on the given clock."""
     return [c if b else ABSENT for b in bs]
 
 
 _I64 = 1 << 64
+_HALF = 1 << 63
 
 
 def _wrap64(v: int) -> int:
     """Two's-complement wrap to a machine 64-bit signed integer."""
     v &= _I64 - 1
-    return v - _I64 if v >= (1 << 63) else v
+    return v - _I64 if v >= _HALF else v
 
 
 def _apply_unop(op: str, v, tick: int):
@@ -132,11 +147,34 @@ def _apply_binop(op: str, a, b, tick: int):
     raise EvalError("bad-operator", f"unknown operator {op}", tick)
 
 
+# The operators below compare the presence of their operands first and
+# compute the result in one comprehension. A partial operator, and operands
+# that disagree on presence, take the tick-by-tick loop, which raises the
+# `EvalError` of the first tick at fault.
+
+# The binary operators that cannot raise, as functions of two present
+# values; `_WRAPPING` ones wrap their result to 64 bits.
+_TOTAL = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
+          "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "and": lambda a, b: a and b, "or": lambda a, b: a or b}
+_WRAPPING = {"+", "-", "*"}
+
+
 def lift_unop(op: str, es: VStream) -> VStream:
+    if op == "not":
+        return [v if v is ABSENT else not v for v in es]
+    if op == "-":
+        return [v if v is ABSENT else -v if -_HALF < v < _HALF else _wrap64(-v) for v in es]
     return [ABSENT if v is ABSENT else _apply_unop(op, v, t) for t, v in enumerate(es)]
 
 
 def lift_binop(op: str, xs: VStream, ys: VStream) -> VStream:
+    fn = _TOTAL.get(op)
+    if fn is not None and _present(xs) == _present(ys):
+        if op in _WRAPPING:
+            return [a if a is ABSENT else v if -_HALF <= (v := fn(a, b)) < _HALF else _wrap64(v)
+                    for a, b in zip(xs, ys)]
+        return [a if a is ABSENT else fn(a, b) for a, b in zip(xs, ys)]
     out = []
     for t, (a, b) in enumerate(zip(xs, ys)):
         if present(a) != present(b):
@@ -148,20 +186,19 @@ def lift_binop(op: str, xs: VStream, ys: VStream) -> VStream:
 
 def when_stream(k: bool, xs: VStream, es: VStream) -> VStream:
     """Sample es where xs carries the value k; both absent passes through."""
-    out = []
-    for t, (x, e) in enumerate(zip(xs, es)):
-        if present(x) != present(e):
-            raise EvalError("clocked-value-mismatch",
-                            "when operands disagree on presence", t)
-        if x is ABSENT:
-            out.append(ABSENT)
-        else:
-            out.append(e if x == k else ABSENT)
-    return out
+    if _present(xs) != _present(es):
+        for t, (x, e) in enumerate(zip(xs, es)):
+            if present(x) != present(e):
+                raise EvalError("clocked-value-mismatch",
+                                "when operands disagree on presence", t)
+    return [e if x == k else ABSENT for x, e in zip(xs, es)]
 
 
 def merge_stream(xs: VStream, ts: VStream, fs: VStream) -> VStream:
     """Interpolate complementary streams steered by xs."""
+    if _present(ts) == [x is True for x in xs] and \
+            _present(fs) == [x is not ABSENT and x is not True for x in xs]:
+        return [a if x is True else b for x, a, b in zip(xs, ts, fs)]
     out = []
     for t, (x, a, b) in enumerate(zip(xs, ts, fs)):
         if x is ABSENT:
@@ -184,55 +221,45 @@ def merge_stream(xs: VStream, ts: VStream, fs: VStream) -> VStream:
 
 def ite_stream(es: VStream, ts: VStream, fs: VStream) -> VStream:
     """Pointwise conditional; all three streams pulse together."""
-    out = []
-    for t, (c, a, b) in enumerate(zip(es, ts, fs)):
-        if present(c) != present(a) or present(c) != present(b):
-            raise EvalError("clocked-value-mismatch",
-                            "if operands disagree on presence", t)
-        if c is ABSENT:
-            out.append(ABSENT)
-        else:
-            out.append(a if c else b)
-    return out
+    if not _present(es) == _present(ts) == _present(fs):
+        for t, (c, a, b) in enumerate(zip(es, ts, fs)):
+            if present(c) != present(a) or present(c) != present(b):
+                raise EvalError("clocked-value-mismatch",
+                                "if operands disagree on presence", t)
+    return [c if c is ABSENT else a if c else b for c, a, b in zip(es, ts, fs)]
 
 
 def fby_lustre(xs: VStream, ys: VStream) -> VStream:
     """Full-language delay: the first present value comes from xs, every
     later present value is the previous present value of ys."""
-    out = []
-    started = False
-    saved = None
-    for t, (x, y) in enumerate(zip(xs, ys)):
-        if present(x) != present(y):
-            raise EvalError("clocked-value-mismatch",
-                            "fby operands disagree on presence", t)
-        if x is ABSENT:
-            out.append(ABSENT)
-            continue
-        out.append(saved if started else x)
-        saved = y
-        started = True
-    return out
+    live = _present(xs)
+    if live != _present(ys):
+        for t, (x, y) in enumerate(zip(xs, ys)):
+            if present(x) != present(y):
+                raise EvalError("clocked-value-mismatch",
+                                "fby operands disagree on presence", t)
+        n = min(len(xs), len(ys))  # a shorter operand cuts the output
+        xs, ys, live = xs[:n], ys[:n], live[:n]
+    if True not in live:
+        return list(xs)
+    delayed = iter([xs[live.index(True)]] + [y for y in ys if y is not ABSENT])
+    return [ABSENT if x is ABSENT else next(delayed) for x in xs]
 
 
 def fby_nlustre(c: Union[int, bool], vs: VStream) -> VStream:
     """Constant-initialised delay: emit the saved value, then store the
     current input; absences keep the state."""
-    out = []
-    saved = c
-    for v in vs:
-        if v is ABSENT:
-            out.append(ABSENT)
-        else:
-            out.append(saved)
-            saved = v
-    return out
+    delayed = iter([c] + [v for v in vs if v is not ABSENT])
+    return [ABSENT if v is ABSENT else next(delayed) for v in vs]
 
 
 def base_of(streams: Sequence[VStream]) -> BStream:
     """Clock on which a tuple of aligned streams pulses."""
     if not streams:
         raise EvalError("arity-mismatch", "base clock of an empty stream tuple")
+    live = _present(streams[0])
+    if all(_present(s) == live for s in streams[1:]):
+        return live
     out = []
     n = len(streams[0])
     for t in range(n):
@@ -699,27 +726,11 @@ class NodeInstance:
 # ---------------------------------------------------------------------------
 
 def eval_expr(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStream]:
-    """Streams denoted by an expression under a given history and clock.
-
-    Constants pulse on the ambient clock (the base clock here); variables
-    carry their own presence from the history.
-    """
-    node = Node("<expr>", (), (), (), ())
-    inst = NodeInstance(prog, node)
-    fn, width = inst._compile(e, BASE_CLOCK, {})
-    n = len(bs)
-    for vs in history.values():
-        if len(vs) != n:
-            raise EvalError("arity-mismatch", "history streams must share the prefix length")
-    outs: list[VStream] = [[] for _ in range(width)]
-    for t in range(n):
-        vals = {x: vs[t] for x, vs in history.items()}
-        row = fn(t, vals, bs[t])
-        for upd in inst.updaters:
-            upd.update(t, vals, bs[t])
-        for i, v in enumerate(row):
-            outs[i].append(v)
-    return outs
+    """`semantics.sem_exp`: the streams denoted by an expression under a
+    history and a base clock. Constants pulse on the ambient clock (the base
+    clock here); variables carry their own presence from the history."""
+    from .semantics import sem_exp  # bound on first use: semantics builds on this module
+    return sem_exp(prog, history, bs, e)
 
 
 def run_node(prog: Program, name: str, inputs: History, n_ticks: int,

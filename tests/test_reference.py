@@ -213,9 +213,11 @@ def test_long_flat_sum_preserves(tmp_path, capsys):
     assert '"verdict": "pass"' in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("sample", SAMPLES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("sample", SAMPLES + [ROOT / "tests" / "data" / "tuple_tops.lus"],
+                         ids=lambda p: p.stem)
 def test_preserve_report_of_sample_golden(sample, capsys):
-    """`luset preserve <sample> --json`, byte for byte."""
+    """`luset preserve <sample> --json`, byte for byte; `tuple_tops.lus` adds
+    tuple delays, merges and sub-clocked calls."""
     assert main(["preserve", str(sample), "--json"]) == 0
     golden = ROOT / "tests" / "data" / f"preserve_{sample.stem}.json"
     assert capsys.readouterr().out == golden.read_text()
