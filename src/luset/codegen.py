@@ -22,13 +22,13 @@ core form guarantees:
   is idle and its registers keep their values, so skipping the step is
   exact.
 
-What the core form takes for granted of the top node's inputs is checked at
-every tick: each input is present exactly when its declared clock is live
-and holds a value of its declared type, and the base clock holds booleans.
-A failed check raises `EvalError`; `run_node` then re-runs the tree
-interpreter, which reports the reference diagnostic. Past those checks the
-code raises only where it calls `binop` or `unop` (`div`, `mod` and unknown
-operators), and `may_raise` tells whether a build does.
+What the core form takes for granted of the top node's inputs,
+`streams.check_inputs` checks once, before the first tick: each input is
+present exactly when its declared clock is live and holds a value of its
+declared type, and the base clock holds booleans. The code checks none of
+it again. It raises only where it calls `binop` (`div` and `mod`), and
+`may_raise` tells whether a build does; `streams.run_compiled` gives the
+error the tick it was raised at.
 
 The code is flat, one temporary per operator, so that neither `compile`
 nor the generator recurses more than once per level of expression nesting.
@@ -39,12 +39,11 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Callable
 
-from .diagnostics import EvalError, LusetError
+from .diagnostics import LusetError
 from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
-                   Node, Program, Ty, Unop, Var, When, check_causality, derived,
-                   elaborate)
+                   Node, Program, Unop, Var, When, check_causality, derived, elaborate)
 from .normalize import normalize_program
-from .streams import ABSENT, _apply_binop, _apply_unop, _wrap64
+from .streams import ABSENT, _apply_binop, _wrap64
 
 _MIN, _MAX = -(1 << 63), (1 << 63) - 1
 _INLINE = {"+": "+", "-": "-", "*": "*", "=": "==", "<>": "!=", "<": "<", "<=": "<=",
@@ -52,63 +51,53 @@ _INLINE = {"+": "+", "-": "-", "*": "*", "=": "==", "<>": "!=", "<": "<", "<=": 
 _WRAPPED = {"+", "-", "*"}
 
 
-class _Unsupported(Exception):
-    """A construct outside the core form, or a constant that is neither int
-    nor bool: the generator does not compile it and the interpreter runs it."""
+def runner(prog: Program, name: str) -> Callable:
+    """The compiled tick loop of node `name`, generated from the normal form
+    of the elaborated program. A program that does not elaborate, normalise
+    or schedule raises the error that refused it.
 
-
-def _off_clock():
-    raise EvalError("clocked-value-mismatch", "input off its declared clock or type")
-
-
-def runner(prog: Program, name: str) -> Callable | None:
-    """The compiled tick loop of node `name`, or None if its program does not
-    compile: it fails to elaborate, normalise or schedule, or it is not
-    elaborated already (the interpreter runs equation clocks as given).
-
-    Built once per program object. `run(ins, bs, hist)` takes the input
-    streams in declaration order, the base clock, and one empty list per
-    output and local of the node, in declaration order, which it fills with
-    one value per tick.
+    Built once per program object, refusal included. `run(ins, bs, hist)`
+    takes the input streams in declaration order, the base clock, and one
+    empty list per output and local of the node, in declaration order,
+    which it fills with one value per tick.
     """
     build = derived(prog, _build, name)
-    return None if build is None else build[0]
+    if isinstance(build, BaseException):
+        raise build
+    return build[0]
 
 
 def may_raise(prog: Program, name: str) -> bool:
-    """Whether a run of `runner(prog, name)` on inputs that pass its input
-    checks may raise `EvalError`: the code of node `name` or of a callee
-    calls `binop` or `unop`, or the program does not compile. Read off the
-    same build as `runner`."""
+    """Whether a run of `runner(prog, name)` on inputs that pass
+    `streams.check_inputs` may raise: the code of node `name` or of a callee
+    calls `binop`, or the program does not compile. Read off the same build
+    as `runner`."""
     build = derived(prog, _build, name)
-    return build is None or build[1]
+    return isinstance(build, BaseException) or build[1]
 
 
-def _build(prog: Program, name: str) -> tuple[Callable, bool] | None:
+def _build(prog: Program, name: str) -> tuple[Callable, bool] | BaseException:
     node = prog.node(name)
     try:
-        if elaborate(prog) != prog:
-            return None  # the interpreter reads the clocks as given, not as elaborated
-        nprog, _ = normalize_program(prog)
+        eprog = elaborate(prog)
+        nprog, _ = normalize_program(eprog)
         reach = [name]
         for f in reach:
-            check_causality(prog.node(f))  # a tuple equation may hide a cycle normalisation splits
+            check_causality(eprog.node(f))  # a tuple equation may hide a cycle normalisation splits
             for eq in nprog.node(f).equations:
                 if isinstance(eq, NCall) and eq.node not in reach:
                     reach.append(eq.node)
         source, partial = _module(nprog, reach, [d.name for d in node.outputs + node.locals])
-    except (LusetError, RecursionError, _Unsupported):
-        return None
-    namespace = {"ABSENT": ABSENT, "Absent": type(ABSENT), "wrap64": _wrap64,
-                 "unop": _apply_unop, "binop": _apply_binop, "off_clock": _off_clock}
+    except (LusetError, RecursionError) as exc:
+        return exc
+    namespace = {"ABSENT": ABSENT, "wrap64": _wrap64, "binop": _apply_binop}
     exec(compile(source, f"<step code of {name}>", "exec"), namespace)
     return namespace["run"], partial
 
 
 def _module(nprog: Program, reach: list[str], recorded: list[str]) -> tuple[str, bool]:
     """Source of `run` for the top node reach[0], and of one class for each
-    callee in the rest of `reach`; and whether any of them calls `binop` or
-    `unop`."""
+    callee in the rest of `reach`; and whether any of them calls `binop`."""
     class_of = {f: f"N{i}" for i, f in enumerate(reach)}
     lines: list[str] = []
     partial = False
@@ -133,8 +122,8 @@ class _NodeCode:
     the base clock) and, for an equation, the statement that makes its
     targets absent when that clock is idle. `ref` prefixes registers and
     sub-instances: "self." in a class, "" in the inlined tick loop.
-    `partial` tells whether a statement calls `binop` or `unop`, the only
-    operators that may raise.
+    `partial` tells whether a statement calls `binop`, the only operator
+    that may raise.
     """
 
     def __init__(self, node: Node, class_of: dict[str, str], ref: str):
@@ -171,7 +160,7 @@ class _NodeCode:
                     self.instances.append(class_of[f])
                     self._assign(ck, xs, f"{inst}({argv})")
                 case _:
-                    raise _Unsupported(f"equation {eq!r}")
+                    raise LusetError(f"cannot compile equation {eq!r}")
         for reg, ck, e in delays:
             value = self._expr(e, ck)
             self.items.append((self._flag(ck), f"{reg} = {value}", None))
@@ -204,7 +193,7 @@ class _NodeCode:
             return repr(v)
         if type(v) is int:
             return repr(v) if v >= 0 else f"({v})"
-        raise _Unsupported(f"constant {v!r}")
+        raise LusetError(f"cannot compile constant {v!r}")
 
     def _expr(self, e: Expr, ck: Clock) -> str:
         """Emit the operators of a simple expression on clock ck; return the
@@ -218,10 +207,7 @@ class _NodeCode:
                 arg = self._expr(a, ck)
                 if op == "not":
                     return self._temp(ck, f"not {arg}")
-                if op == "-":
-                    return self._temp(ck, f"-{arg}", wrap=True)
-                self.partial = True
-                return self._temp(ck, f"unop({op!r}, {arg}, None)")
+                return self._temp(ck, f"-{arg}", wrap=True)  # elaboration refuses other operators
             case Binop(op, a, b):
                 left = self._expr(a, ck)
                 right = self._expr(b, ck)
@@ -231,7 +217,7 @@ class _NodeCode:
                 return self._temp(ck, f"binop({op!r}, {left}, {right}, None)")
             case When((a,), x, _):
                 return self._expr(a, self.clock[x])
-        raise _Unsupported(f"expression {e!r}")
+        raise LusetError(f"cannot compile expression {e!r}")
 
     def _body(self) -> list[str]:
         lines: list[str] = []
@@ -266,22 +252,10 @@ class _NodeCode:
     def run_lines(self, recorded: list[str]) -> list[str]:
         ins = [self.var[d.name] for d in self.node.inputs]
         outs = [self.var[x] for x in recorded]
-        checks = []
-        for d in self.node.inputs:
-            ty = "bool" if d.ty is Ty.BOOL else "int"
-            if isinstance(d.clock, ClockBase):
-                checks.append(f"if type({self.var[d.name]}) is not {ty}: off_clock()")
-            else:
-                checks.append(f"if type({self.var[d.name]}) is not "
-                              f"({ty} if {self._flag(d.clock)} else Absent): off_clock()")
-        idle = ["if b is not False: off_clock()"]
-        idle += [f"if {x} is not ABSENT: off_clock()" for x in ins]
-        if outs:
-            idle.append(" = ".join(outs + ["ABSENT"]))
+        idle = " = ".join(outs + ["ABSENT"]) if outs else "pass"
         loop = (f"for b, {', '.join(ins)} in zip(bs, *ins):" if ins else "for b in bs:")
         return (["def run(ins, bs, hist):"] +
                 _indent([f"h{j} = hist[{j}].append" for j in range(len(outs))] +
                          self._setup() + [loop]) +
-                _indent(["if b is True:"] + _indent(checks + self._body()) +
-                        ["else:"] + _indent(idle) +
+                _indent(["if b:"] + _indent(self._body() or ["pass"]) + ["else:", f"    {idle}"] +
                         [f"h{j}({x})" for j, x in enumerate(outs)], 2))

@@ -73,6 +73,7 @@ class EvalError(LusetError):
 
     def __init__(self, kind: str, message: str, tick: int | None = None, var: str | None = None):
         self.kind = kind
+        self.message = message
         self.tick = tick
         self.var = var
         where = "" if tick is None else f" at tick {tick}"

@@ -393,16 +393,15 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     What stays the same between trials is worked out once per call: the
     input order of the draws, the names of the history and the observed
     ones, and the base clock, always-live for every draw (see `gen_inputs`).
-    The node runs as compiled code (`streams.run_compiled`), or on the tree
-    interpreter when that code is refused or its run raises, as `run_node`
-    would. When every input must agree, the two histories are copies of one
-    draw and the node runs once: the semantics is deterministic, so the
-    second run could only repeat the first. A trial can then change the
-    report only by raising. So when the assignment is satisfied and the
-    compiled code of the node cannot raise on the drawn inputs
-    (`codegen.may_raise`), nothing is drawn or run: the report is the pass
-    that the trial loop would give, and its `trials` counts trials decided,
-    not runs made.
+    The node runs as compiled code (`streams.run_compiled`) on inputs drawn
+    on their clocks, as `run_node` would accept them. When every input must
+    agree, the two histories are copies of one draw and the node runs once:
+    the semantics is deterministic, so the second run could only repeat the
+    first. A trial can then change the report only by raising. So when the
+    assignment is satisfied and the compiled code of the node cannot raise
+    on the drawn inputs (`codegen.may_raise`), nothing is drawn or run: the
+    report is the pass that the trial loop would give, and its `trials`
+    counts trials decided, not runs made.
     """
     from . import codegen  # imported on first use, as `streams.run_compiled` does
 
@@ -423,8 +422,7 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     order = _input_order(node)
     declared = [d.name for d in node.inputs]
     one_run = equal_inputs >= set(declared)
-    if (one_run and not violated and codegen.runner(prog, cfg.node) is not None
-            and not codegen.may_raise(prog, cfg.node)):
+    if one_run and not violated and not codegen.may_raise(prog, cfg.node):
         return CheckReport("non-interference", PASS, node=cfg.node, trials=cfg.trials,
                            seed=cfg.seed, details=details)
     observed = _observed(levels, cfg.level, lat)
@@ -434,10 +432,7 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
 
     def run(ins: History) -> History:
         positional = [ins[x] for x in declared]
-        hist = run_compiled(prog, cfg.node, positional, bs)
-        if hist is None:
-            return interpret_node(prog, node, ins, cfg.ticks, bs)
-        return dict(zip(names, positional + hist))
+        return dict(zip(names, positional + run_compiled(prog, cfg.node, positional, bs)))
 
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
@@ -539,7 +534,7 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     `gen_inputs`), are worked out once per call."""
     prog = elaborate(prog)
     try:
-        nprog, _ = normalize_program(prog)
+        normalize_program(prog)
     except LusetError as exc:
         return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                            seed=seed, reason=str(exc))
@@ -549,7 +544,7 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     if _normal_runs_satisfy_source(prog, node, order, trials, ticks, seed, bs):
         return CheckReport("semantics-preservation", PASS, node=node_name,
                            trials=trials, seed=seed)
-    return _trial_loop(prog, nprog, node, order, trials, ticks, seed, bs)
+    return _trial_loop(prog, node, order, trials, ticks, seed, bs)
 
 
 def _normal_runs_satisfy_source(prog: Program, node: Node, order: list[VarDecl], trials: int,
@@ -566,22 +561,21 @@ def _normal_runs_satisfy_source(prog: Program, node: Node, order: list[VarDecl],
             ins = _draw_inputs(rng, order, ticks)
             positional = [ins[x] for x in declared]
             hist = run_compiled(prog, node.name, positional, bs)
-            if hist is None or not holds(dict(zip(names, positional + hist)), bs):
+            if not holds(dict(zip(names, positional + hist)), bs):
                 return False
     except (LusetError, RecursionError):  # the trial loop decides the check instead
         return False
     return True
 
 
-def _trial_loop(prog: Program, nprog: Program, node: Node, order: list[VarDecl], trials: int,
-                ticks: int, seed: int, bs: list) -> CheckReport:
+def _trial_loop(prog: Program, node: Node, order: list[VarDecl], trials: int, ticks: int,
+                seed: int, bs: list) -> CheckReport:
     """`check_semantics_preservation` by running both sides. The source runs
     on the tree interpreter: one `streams.NodeInstance` per call, built in
     the first trial and reset before each later one, which runs as a fresh
     instance would (`interpret_node`). The normal form runs as compiled
-    code; when that code is refused or its run raises, the normal form runs
-    on the tree interpreter (`interpret_node`), and never the source, so
-    the two sides never share an evaluator."""
+    code (`streams.run_compiled`), so the two sides never share an
+    evaluator."""
     node_name = node.name
     inst = None
     rng = random.Random(seed)
@@ -596,9 +590,6 @@ def _trial_loop(prog: Program, nprog: Program, node: Node, order: list[VarDecl],
             ref = inst.run(ins, ticks, bs)
             out1 = [ref[d.name] for d in node.outputs]
             out2 = run_compiled(prog, node_name, positional, bs)
-            if out2 is None:
-                normal = interpret_node(nprog, nprog.node(node_name), ins, ticks, bs)
-                out2 = [normal[d.name] for d in node.outputs]
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                                trials=trial + 1, seed=seed, reason=str(exc))

@@ -490,7 +490,9 @@ class _NodeEnv:
         a = e.arg
         ty, ck = self.one(_SLOTS[type(a)](self, a))
         want = Ty.BOOL if e.op == "not" else Ty.INT
-        if ty is not want:
+        if e.op not in ("-", "not"):
+            self.bad("type-mismatch", f"unknown operator {e.op}")
+        elif ty is not want:
             self.bad("type-mismatch", f"operator {e.op} applied to {ty}")
         return [(want, ck)]
 

@@ -22,9 +22,9 @@ from .diagnostics import EvalError
 from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var, When,
                    eq_targets)
-from .streams import (ABSENT, BStream, History, VStream, _present, _streams_equal, base_of,
-                      const_stream, fby_lustre, fby_nlustre, ite_stream, lift_binop, lift_unop,
-                      merge_stream, run_node, when_stream)
+from .streams import (BStream, History, VStream, _present, _streams_equal, base_of,
+                      const_stream, eval_clock, fby_lustre, fby_nlustre, ite_stream, lift_binop,
+                      lift_unop, merge_stream, run_node, when_stream)
 
 # An expression compiled to a closure `col(H, bs)`: its streams over the
 # whole prefix, one per component, under the history H and the base clock
@@ -39,24 +39,24 @@ class _Rejected(EvalError):
         super().__init__("bad-witness", f"the run of {node} does not satisfy its equations")
 
 
-def _clock_col(ck: Clock) -> Callable[[History, BStream], BStream]:
-    """The whole-prefix closure of a clock. Like `streams._clock`, it raises
-    where a clock variable is present off the clock it is sampled on."""
+def _live(ck: Clock) -> Callable[[History, BStream], BStream]:
+    """The closure of a clock's column, `streams.eval_clock`, over a prefix
+    as long as the base clock: a clock variable of another length raises
+    `arity-mismatch`, naming the outermost one."""
     if isinstance(ck, ClockBase):
         return lambda H, bs: bs
-    outer, x, k = _clock_col(ck.base), ck.var, ck.value
+    names, level = [], ck
+    while isinstance(level, ClockOn):
+        names.insert(0, level.var)
+        level = level.base
 
     def live(H, bs):
-        b = outer(H, bs)
-        xs = H[x]
-        if _present(xs) != b:
-            for t, (v, b_t) in enumerate(zip(xs, b)):
-                if (v is ABSENT) == b_t:
-                    state = "absent while its clock is live" if b_t else \
-                        "present while its clock is idle"
-                    raise EvalError("clocked-value-mismatch", f"clock variable {x} {state}", t, x)
-            raise EvalError("arity-mismatch", f"clock variable {x} and its clock differ in length")
-        return [v == k for v in xs]
+        b = eval_clock(H, bs, ck)
+        for x in names:
+            if len(H[x]) != len(bs):
+                raise EvalError("arity-mismatch", f"clock variable {x} and its clock differ "
+                                "in length")
+        return b
     return live
 
 
@@ -97,10 +97,10 @@ class _Semantics:
     - `node` is `sem_node`: every declared variable is present exactly on
       its declared clock, and every equation holds.
 
-    A call's witness is the callee run (`run_node`: compiled, else
-    interpreted) on its arguments, on the base clock of their presence, or
-    on the activation clock for a call without arguments. The witness must
-    satisfy the callee's own equations, else the call raises `_Rejected`.
+    A call's witness is the callee run by `run_node` on its arguments, on
+    the base clock of their presence, or on the activation clock for a call
+    without arguments. The witness must satisfy the callee's own equations,
+    else the call raises `_Rejected`.
     Every operator raises the `EvalError` of the interpreter's closure, so a
     history the predicate accepts is one the interpreter computes without a
     fault. Each node is compiled once per instance, callees first."""
@@ -118,7 +118,7 @@ class _Semantics:
     def _node(self, node: Node) -> Callable[[History, BStream], bool]:
         clocks = {d.name: d.clock for d in node.declarations}
         names = set(clocks)
-        declared = [(x, _clock_col(ck)) for x, ck in clocks.items()]
+        declared = [(x, _live(ck)) for x, ck in clocks.items()]
         equations = [self._equation(eq, clocks) for eq in node.equations]
 
         def holds(H, bs):
@@ -153,7 +153,7 @@ class _Semantics:
         targets = eq_targets(eq)
         # where the equation's clock is the targets' declared one, `_node` checks it
         live = None if eq.clock is None or all(clocks.get(x) == eq.clock for x in targets) \
-            else _clock_col(eq.clock)
+            else _live(eq.clock)
 
         def holds(H, bs):
             outs = col(H, bs)
@@ -170,7 +170,7 @@ class _Semantics:
             case Const(v):
                 if isinstance(ambient, ClockBase):
                     return (lambda H, bs: [const_stream(v, bs)]), 1
-                live = _clock_col(ambient)
+                live = _live(ambient)
                 return (lambda H, bs: [const_stream(v, live(H, bs))]), 1
             case Var(x):
                 return (lambda H, bs: [H[x]]), 1
@@ -224,7 +224,7 @@ class _Semantics:
         if width != len(inputs):
             raise EvalError("arity-mismatch", f"{f} expects {len(inputs)} input(s)")
         outputs = [d.name for d in callee.outputs]
-        activation = _clock_col(ck)
+        activation = _live(ck)
         prog = self.prog
 
         def call(H, bs):

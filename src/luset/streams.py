@@ -5,27 +5,28 @@ value is present and the ABSENT sentinel where it is not. Nodes execute
 tick-major: each tick, equations run in causal order, and delay state is
 updated once all of the tick's values are known.
 
-`run_node` runs nodes as compiled core-form code (see `codegen`) through
-`run_compiled`. The tree interpreter below ("Compiled tick-wise evaluation":
-`NodeInstance`, reached through `interpret_node`) compiles each expression
-of a node once into a Python closure `fn(t, vals, bs_t)` that returns the
-expression's values at one tick (Feeley & Lapalme, "Using closures for code
-generation", 1987), with delay and call state in two small classes. Each
-equation becomes one closure that evaluates it, checks each target against
-the equation's clock and stores it in the tick's values; each clock becomes
-one closure `live(t, vals, bs_t)` (`_clock`), which every clock test of the
-interpreter and `eval_clock` go through. `step` and `run` share one tick
-body. The interpreter is the reference the compiled code is tested
-against, the evaluator of the generator's post-condition and of the source
-side of the harness's semantics-preservation trial loop, and the fallback
-that runs a program which does not compile or whose compiled run fails, so
-every result and diagnostic is the interpreter's.
+`run_node` checks a run's inputs at the node's interface (`check_inputs`)
+before the first tick, and runs the node as compiled core-form code (see
+`codegen`) through `run_compiled`. The tree interpreter below ("Compiled
+tick-wise evaluation": `NodeInstance`, reached through `interpret_node`)
+compiles each expression of a node once into a Python closure
+`fn(t, vals, bs_t)` that returns the expression's values at one tick
+(Feeley & Lapalme, "Using closures for code generation", 1987), with delay
+and call state in two small classes. Each equation becomes one closure that
+evaluates it, checks each target against the equation's clock and stores
+it in the tick's values; each clock becomes one closure `live(t, vals,
+bs_t)` (`_clock`). `step` and `run` share one tick body, and `run` checks
+its inputs as `run_node` does. The interpreter is the reference the
+compiled code is tested against, and the evaluator of the generator's
+post-condition and of the source side of the harness's
+semantics-preservation trial loop.
 
 The whole-prefix stream operators (`const_stream` … `base_of`) compute a
 stream over a whole prefix at once, and raise the interpreter's
-`EvalError` where its closures would. `semantics` builds the paper's
-relational semantics from them, as a predicate over whole histories, and
-`eval_expr` is its `sem_exp`.
+`EvalError` where its closures would; `eval_clock` is the one whole-prefix
+clock evaluator. `semantics` builds the paper's relational semantics from
+them, as a predicate over whole histories, and `eval_expr` is its
+`sem_exp`.
 """
 
 from __future__ import annotations
@@ -271,27 +272,69 @@ def base_of(streams: Sequence[VStream]) -> BStream:
     return out
 
 
-def respects_clock(history: History, bs: BStream) -> bool:
-    """No stream carries a value at a tick where the clock is false.
-
-    (The stronger both-direction reading would reject sub-clocked locals;
-    only this direction is enforced.)"""
-    for vs in history.values():
-        for t, v in enumerate(vs):
-            if t < len(bs) and present(v) and not bs[t]:
-                return False
-    return True
-
-
 def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
-    """Boolean stream denoted by a clock expression under a history."""
+    """Boolean stream denoted by a clock expression under a history, over the
+    ticks where the base clock and every clock variable have a value, one
+    whole column per level, the outermost first. A clock variable off the
+    clock it is sampled on raises `clocked-value-mismatch` at the earliest
+    such tick, naming the outer variable where several are off at once."""
     names = clock_vars(ck)
     for x in names:
         if x not in history:
             raise EvalError("unbound-var", f"clock variable {x} has no stream")
     n = min([len(bs)] + [len(history[x]) for x in names])
-    live = _clock(ck)
-    return [live(t, {x: history[x][t] for x in names}, bs[t]) for t in range(n)]
+    levels = []
+    while isinstance(ck, ClockOn):
+        levels.insert(0, ck)
+        ck = ck.base
+    live, fault = bs[:n], None
+    for level in levels:
+        x, xs = level.var, history[level.var][:n]
+        end = n if fault is None else fault.tick  # an outer fault wins at its tick
+        t = end if _present(xs) == live else \
+            next((t for t in range(end) if (xs[t] is not ABSENT) != bool(live[t])), end)
+        if t < end:
+            state = "absent while its clock is live" if live[t] else "present while its clock is idle"
+            fault = EvalError("clocked-value-mismatch", f"clock variable {x} {state}", t, x)
+        live = [v == level.value for v in xs]  # where the outer clock is idle, v is ABSENT
+    if fault is not None:
+        raise fault
+    return live
+
+
+def check_inputs(node: Node, ins: list[VStream], bs: BStream) -> None:
+    """Refuse, before the first tick, a run whose inputs (`ins`, in
+    declaration order, each as long as `bs`) lie outside the node's
+    interface: a cell of `bs` that is not a bool, or an input absent where
+    its declared clock (`eval_clock`) is live, present where it is idle, or
+    of another type than declared (`type(v) is int`: a bool is no int). The
+    earliest faulty tick raises, at one tick the base clock first, then the
+    inputs in declaration order; an input on a sub-clock is judged only
+    before the first fault of its clock's variables. The README gives the
+    lines."""
+    stop = len(bs) if list(map(type, bs)) == [bool] * len(bs) else \
+        next(t for t, b in enumerate(bs) if type(b) is not bool)
+    faults = [] if stop == len(bs) else [(stop, -1, EvalError(
+        "type-mismatch", f"the base clock holds {show_value(bs[stop])}, not a bool", stop, BASE))]
+    history = {d.name: vs for d, vs in zip(node.inputs, ins)}
+    first: dict[str, int] = {}  # each judged input's first faulty tick, else where judging ended
+    # a clock variable of an input has fewer clock variables than the input: it is judged first
+    for i, d in sorted(enumerate(node.inputs), key=lambda pair: len(clock_vars(pair[1].clock))):
+        end = min([stop] + [first.get(v, stop) for v in clock_vars(d.clock)])
+        live, col = eval_clock(history, bs[:end], d.clock), history[d.name][:end]
+        ty = type(d.ty.default)  # int or bool
+        want = [ty] * end if live.count(True) == end else [ty if b else _Absent for b in live]
+        t = first[d.name] = end if list(map(type, col)) == want else \
+            next((t for t, (v, w) in enumerate(zip(col, want)) if type(v) is not w), end)
+        if t < end and (col[t] is ABSENT) == live[t]:
+            where = "its clock" if isinstance(d.clock, ClockOn) else "the base clock"
+            faults.append((t, i, EvalError("clocked-value-mismatch", f"input {d.name} off {where}",
+                                           t, d.name)))
+        elif t < end:
+            faults.append((t, i, EvalError("type-mismatch", f"input {d.name} is declared {d.ty} "
+                                           f"but holds {show_value(col[t])}", t, d.name)))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +734,11 @@ class NodeInstance:
             call.reset()
 
     def run(self, inputs: History, n_ticks: int, bs: BStream) -> History:
-        """`interpret_node` on this instance, from its current state: the
-        tick body of `step` over the first `n_ticks` ticks, then a check of
-        each input against its declared clock."""
-        node = self.node
+        """`interpret_node` on this instance, from its current state: a check
+        of the inputs against the node's interface (`check_inputs`), then the
+        tick body of `step` over the first `n_ticks` ticks."""
         declared = self.inputs
+        check_inputs(self.node, [inputs[x][:n_ticks] for x in declared], bs[:n_ticks])
         advance = self._advance
         ticks = []
         for i in range(n_ticks):
@@ -705,19 +748,8 @@ class NodeInstance:
             advance(self.t, vals, bs_t)
             ticks.append(vals)
         history: History = {x: list(inputs[x][:n_ticks]) for x in declared}
-        for d in node.outputs + node.locals:
+        for d in self.node.outputs + self.node.locals:
             history[d.name] = [vals[d.name] for vals in ticks]
-        for d in node.inputs:
-            if isinstance(d.clock, ClockOn):
-                live, where = eval_clock(history, bs, d.clock), "its clock"
-            else:
-                live, where = bs[:n_ticks], "the base clock"
-            col = history[d.name]
-            if [v is not ABSENT for v in col] != live:  # scan only to name the tick
-                for t, v, b in zip(range(n_ticks), col, live):
-                    if (v is not ABSENT) != b:
-                        raise EvalError("clocked-value-mismatch",
-                                        f"input {d.name} off {where}", t, d.name)
         return history
 
 
@@ -742,10 +774,9 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     declared on sub-clocks count where present); a node without inputs runs
     on an always-live clock.
 
-    The node runs as compiled core-form code (`codegen`). When its program
-    does not compile, or the compiled run raises `EvalError`, the tree
-    interpreter runs it instead, so results and diagnostics are the
-    interpreter's.
+    The node runs as the compiled code of its elaborated program
+    (`run_compiled`) once `check_inputs` has accepted the inputs. A program
+    that does not compile raises the error that refused it, before that.
     """
     node = prog.node(name)
     n_ticks = max(n_ticks, 0)  # a negative prefix is empty
@@ -766,36 +797,31 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
         raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
     else:
         bs = bs[:n_ticks]
+    _runner(prog, name)  # a refused build raises here, before the inputs are checked
+    check_inputs(node, ins, bs)
     hist = run_compiled(prog, name, ins, bs)
-    if hist is not None:
-        rest = [d.name for d in node.outputs + node.locals]
-        return dict(zip(declared + rest, ins + hist)), bs
-    return interpret_node(prog, node, inputs, n_ticks, bs), bs
+    rest = [d.name for d in node.outputs + node.locals]
+    return dict(zip(declared + rest, ins + hist)), bs
 
 
-_codegen = None  # the `codegen` module, once `run_compiled` has run
+def _runner(prog: Program, name: str) -> Callable:
+    from . import codegen  # imported on first use: codegen builds on this module
+    return codegen.runner(prog, name)
 
 
-def run_compiled(prog: Program, name: str, ins: list[VStream],
-                 bs: BStream) -> list[VStream] | None:
+def run_compiled(prog: Program, name: str, ins: list[VStream], bs: BStream) -> list[VStream]:
     """The streams of the outputs and locals of node `name`, in declaration
-    order, from its compiled code (`codegen.runner`) run on the input
-    streams `ins` (in declaration order, as long as `bs`) and the base clock
-    `bs`; None when the program does not compile or the run raises
-    `EvalError`, for the caller to run the tree interpreter instead."""
-    global _codegen
-    if _codegen is None:
-        from . import codegen  # bound on first use: codegen builds on this module
-        _codegen = codegen
-    run = _codegen.runner(prog, name)
-    if run is None:
-        return None
+    order, from its compiled code (`codegen.runner`) run on the input streams
+    `ins` (in declaration order, as long as `bs`, as `check_inputs` accepts
+    them) and the base clock `bs`. An `EvalError` of the run gets its tick:
+    the length the history lists had reached."""
+    run = _runner(prog, name)
     node = prog.node(name)
     hist = [[] for _ in range(len(node.outputs) + len(node.locals))]
     try:
         run(ins, bs, hist)
-    except EvalError:
-        return None  # the interpreter re-runs and reports the reference diagnostic
+    except EvalError as exc:
+        raise EvalError(exc.kind, exc.message, len(hist[0]) if hist else None, exc.var) from None
     return hist
 
 

@@ -128,6 +128,20 @@ def mutation_corpus(step: int):
                 yield f"{path.stem}-{k}-{tag}.lus", text[:k] + ch + text[k:]
 
 
+def interpreted_normal_form(prog, name, ins, bs):
+    """`streams.run_compiled` of node `name` with its normal form run on the
+    tree interpreter instead: the streams of the source node's outputs and
+    locals, in declaration order. The normal form is `harness`'s, so a test
+    that replaces `harness.normalize_program` runs its replacement."""
+    from luset import harness
+    from luset.streams import interpret_node
+    nprog, _ = harness.normalize_program(prog)
+    node = nprog.node(name)
+    history = interpret_node(nprog, node, dict(zip([d.name for d in node.inputs], ins)),
+                             len(bs), bs)
+    return [history[d.name] for d in prog.node(name).outputs + prog.node(name).locals]
+
+
 @pytest.fixture
 def ctr_prog():
     return elaborate(parse_program(CTR_SRC))

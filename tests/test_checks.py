@@ -2,7 +2,7 @@
 runs are deterministic, drawn inputs run on an always-live base clock, and
 non-interference runs the node once per trial when both runs must share
 every input. Also pins the `luset ni --json` reports of the samples, on the
-compiled code and on the tree interpreter."""
+compiled code and with the normal form on the tree interpreter."""
 
 import json
 import random
@@ -20,7 +20,7 @@ from luset.parser import parse_program
 from luset.sectypes import Lattice
 from luset.streams import ABSENT, NodeInstance, default_base_clock, interpret_node, run_node
 
-from conftest import CTR_SRC
+from conftest import CTR_SRC, interpreted_normal_form
 
 ROOT = Path(__file__).parent.parent
 SAMPLES = ROOT / "samples"
@@ -92,8 +92,8 @@ def _stepped(inst, ins, n, bs):
 def test_step_and_run_share_one_tick_body():
     """Stepping a fresh instance tick by tick gives `run`'s history, or the
     error of the same tick. A third of the draws has one value put off its
-    clock, which raises during a tick or, after the last tick, in `run`'s
-    check of the inputs, which stepping does not make."""
+    clock, which `run`'s check of the inputs refuses before the first tick;
+    stepping makes no such check, and runs cleanly up to that tick."""
     rng = random.Random(13)
     runs = tick_errors = input_errors = 0
     for _ in range(300):
@@ -101,20 +101,22 @@ def test_step_and_run_share_one_tick_body():
         for node in prog.nodes:
             n = rng.randint(1, 24)
             ins, bs = gen_inputs(rng, node, n), [True] * n
+            off = None
             if ins and rng.random() < 0.3:
-                x, t = rng.choice(sorted(ins)), rng.randrange(n)
+                off = x, t = rng.choice(sorted(ins)), rng.randrange(n)
                 ins[x][t] = 1 if ins[x][t] is ABSENT else ABSENT
             try:
                 ran = _typed(NodeInstance(prog, node).run(ins, n, bs))
             except EvalError as exc:
                 ran = (exc.kind, exc.tick, exc.var, str(exc))
             stepped = _stepped(NodeInstance(prog, node), ins, n, bs)
-            if isinstance(stepped, dict) and isinstance(ran, tuple):
-                assert f"input {ran[2]} off " in ran[3]
-                input_errors += 1
-            else:
+            if off is None:
                 assert stepped == ran
-                tick_errors += isinstance(ran, tuple)
+            else:
+                assert ran[:3] == ("clocked-value-mismatch", t, x) and f"input {x} off " in ran[3]
+                assert isinstance(stepped, dict) or stepped[1] >= t
+                input_errors += 1
+                tick_errors += isinstance(stepped, tuple)
             runs += 1
     assert runs > 500 and tick_errors > 20 and input_errors > 20
 
@@ -192,8 +194,8 @@ def test_ni_report_of_sample_golden(golden, args, code, monkeypatch, capsys):
     ("Ctr", "ctr", "L", False), ("Ctr", "ctr", "H", False)])
 def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node, sample,
                                                                level, force):
-    """A program whose code the compiler refuses gives the very report of
-    its compiled runs."""
+    """With the normal form run on the tree interpreter instead of its
+    compiled code, a check gives the very report of its compiled runs."""
     prog = parse_program((SAMPLES / f"{sample}.lus").read_text())
     entries = json.loads((SAMPLES / f"{sample}_assign.json").read_text())
     assignment = next(flat for name, flat in map(flatten_assignment, entries
@@ -202,7 +204,7 @@ def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node
     cfg = NIConfig(node, TWO, assignment, level, trials=30, ticks=24, seed=5, force=force)
     assert codegen.runner(elaborate(prog), node) is not None
     compiled = check_non_interference(prog, cfg).to_json()
-    monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
+    monkeypatch.setattr(harness, "run_compiled", interpreted_normal_form)
     assert check_non_interference(prog, cfg).to_json() == compiled
     assert compiled["verdict"] == ("fail" if force else "pass")
 
@@ -214,9 +216,9 @@ def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node
 ], ids=["preserve-ctr", "preserve-leak", "preserve-retrig", "suite-0", "suite-1"])
 def test_semantics_check_falls_back_to_the_interpreter_with_the_same_report(
         monkeypatch, capsys, argv, golden):
-    """With no compiled code, the semantics check interprets the normal form
-    and every report is the one the compiled runs give."""
+    """With the normal form run on the tree interpreter instead of its
+    compiled code, every report is the one the compiled runs give."""
     monkeypatch.chdir(ROOT)
-    monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
+    monkeypatch.setattr(harness, "run_compiled", interpreted_normal_form)
     assert main(argv) == 0
     assert capsys.readouterr().out == (ROOT / "tests" / "data" / golden).read_text()

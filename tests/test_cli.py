@@ -302,6 +302,29 @@ def test_elaboration_diagnostics_golden(tmp_path, capsys):
     assert "".join(got) == (DATA / "elab_errors.txt").read_text()
 
 
+def test_faulty_traces_give_the_pinned_lines(tmp_path, capsys):
+    """`luset run` on each faulty trace of `run_faults/traces.txt` (label,
+    program, node, and the CSV rows joined by `;`) exits 2 with one stderr
+    line and no output, pinned with its label in `run_faults/errors.txt`:
+    inputs absent and present off their clocks, on the base clock and on
+    sub-clocks; a bool in an int column and an int in a bool one; a clock
+    variable at fault, alone and with an input clocked on it at the same
+    tick, declared before it or after; and an input fault at a later tick
+    than a division by zero, which the check before the first tick finds
+    first."""
+    root = DATA.parent.parent
+    got = []
+    for row in (DATA / "run_faults" / "traces.txt").read_text().splitlines():
+        label, program, node, rows = row.split("\t")
+        trace = tmp_path / f"{label}.csv"
+        trace.write_text(rows.replace(";", "\n") + "\n")
+        code = main(["run", str(root / program), "--node", node, "--inputs", str(trace)])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (2, "", 1), label
+        got.append(f"{label}: {err}")
+    assert "".join(got) == (DATA / "run_faults" / "errors.txt").read_text()
+
+
 def _nested_program(form: str, depth: int) -> str:
     """A node whose one equation nests `form` `depth` times."""
     interface, level, leaf = {

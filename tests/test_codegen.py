@@ -3,22 +3,24 @@ interpreter (`NodeInstance`, through `streams.interpret_node`).
 
 Every case requires `run_node` to return the interpreter's history (every
 declared variable, value and type) and base clock, or to raise the
-interpreter's `EvalError` (kind, tick and message). The compiled loop is
-also run on its own: it must never succeed where the interpreter fails,
-and on well-clocked inputs it must run and agree without falling back.
+interpreter's error (kind, tick and message). The compiled loop is also run
+on its own, on the inputs `check_inputs` accepts: it must never succeed
+where the interpreter fails, and on well-clocked inputs it must run and
+agree.
 """
 
 import random
+import re
 
 import pytest
 
 from luset import codegen
-from luset.diagnostics import EvalError, LusetError
+from luset.diagnostics import CausalityError, ElaborationError, EvalError, LusetError
 from luset.harness import gen_inputs, gen_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import ABSENT, interpret_node, run_node
+from luset.streams import ABSENT, check_inputs, interpret_node, run_node
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC
 
@@ -47,20 +49,29 @@ def _default_bs(node, inputs, n):
 
 def check_run(prog, name, inputs, n, bs=None, well_clocked=True):
     """Compare run_node and the compiled loop with the interpreter on one
-    run; return whether the compiled loop completed it."""
+    run; return whether the compiled loop completed it. The loop runs only
+    inputs that `check_inputs` accepts; where it refuses them, the
+    interpreter raises its error."""
     node = prog.node(name)
     ref_bs = _default_bs(node, inputs, n) if bs is None else list(bs[:n])
     want = _outcome(lambda: (interpret_node(prog, node, inputs, n, ref_bs), ref_bs))
     got = _outcome(lambda: run_node(prog, name, inputs, n, bs))
     assert got == want
 
-    run = codegen.runner(prog, name)
-    if run is None:
+    try:
+        run = codegen.runner(prog, name)
+    except LusetError:
         assert not well_clocked, f"{name} did not compile"
         return False
     declared = [d.name for d in node.inputs]
     rest = [d.name for d in node.outputs + node.locals]
     ins = [list(inputs[x][:n]) for x in declared]
+    try:
+        check_inputs(node, ins, ref_bs)
+    except EvalError as exc:
+        assert not well_clocked, "the interface check refused a good run"
+        assert want == ("error", EvalError, exc.kind, exc.tick, str(exc))
+        return False
     hist = [[] for _ in rest]
     try:
         run(ins, ref_bs, hist)
@@ -280,13 +291,34 @@ def test_inputs_off_their_clocks_agree(inputs, bs):
      False),
 ])
 def test_programs_the_compiler_refuses_fall_back(src, elaborated):
+    """`run_node` runs the elaborated program, so a program the compiler
+    refuses raises the error that refused the build: for a causality cycle,
+    the interpreter's. A program that is not elaborated yet runs as its
+    elaboration does, or raises the elaboration's error."""
     prog = parse_program(src)
     if elaborated:
         prog = elaborate(prog)
-    assert codegen.runner(prog, "f") is None
     ins = {x: vs for x, vs in (("c", [True, False, True]), ("x", [1, 2, 3]))
            if x in [d.name for d in prog.node("f").inputs]}
-    check_run(prog, "f", ins, 3, well_clocked=False)
+    if elaborated:
+        with pytest.raises(CausalityError) as err:
+            codegen.runner(prog, "f")
+        assert codegen.may_raise(prog, "f")
+        check_run(prog, "f", ins, 3, well_clocked=False)
+        with pytest.raises(CausalityError, match=re.escape(str(err.value))):
+            run_node(prog, "f", ins, 3)
+        return
+    try:
+        eprog = elaborate(prog)
+    except ElaborationError as exc:
+        for refused in (lambda: codegen.runner(prog, "f"), lambda: run_node(prog, "f", ins, 3)):
+            with pytest.raises(ElaborationError, match=re.escape(str(exc))):
+                refused()
+        return
+    assert eprog != prog
+    assert _outcome(lambda: run_node(prog, "f", ins, 3)) == \
+        _outcome(lambda: (interpret_node(eprog, eprog.node("f"), ins, 3, [True] * 3), [True] * 3))
+    assert check_run(eprog, "f", ins, 3)
 
 
 def test_runner_kept_per_program_object():

@@ -20,7 +20,7 @@ from luset.sectypes import Lattice
 from luset.streams import present
 
 from conftest import (CTR_SRC, CNT_DN_SRC, CTR_TABLE, LEAK_ITE_SRC, LEAK_MERGE_SRC,
-                      check_canonical_order_independence)
+                      check_canonical_order_independence, interpreted_normal_form)
 
 TWO = Lattice.two_point()
 
@@ -140,9 +140,10 @@ def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_
                                                             runner_refuses):
     """The source side runs on the tree interpreter, not on the normal form,
     so a wrong normal form fails the check even though every compiled run
-    goes through the same (wrong) normalisation. When the compiler refuses
-    every program, the normal side falls back to interpreting the normal
-    form, never the source, and the check still fails."""
+    goes through the same (wrong) normalisation. With the normal side run
+    on the tree interpreter (`runner-refuses`, as it ran when the compiler
+    refused a program), it interprets the normal form, never the source, and
+    the check still fails."""
     from dataclasses import replace
     from luset import codegen, harness
     from luset.lang import Const, NFby
@@ -159,7 +160,7 @@ def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_
     monkeypatch.setattr(harness, "normalize_program", bad_normalize)
     monkeypatch.setattr(codegen, "normalize_program", bad_normalize)
     if runner_refuses:
-        monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
+        monkeypatch.setattr(harness, "run_compiled", interpreted_normal_form)
     report = check_semantics_preservation(cnt_dn_prog, "cnt_dn", trials=20, ticks=32, seed=4)
     assert report.verdict == "fail", report.to_json()
 

@@ -16,12 +16,11 @@ from luset.harness import (FAIL, INCONCLUSIVE, PASS, SKIPPED, CheckReport, NICon
                            _observed, _variable_levels, check_non_interference, gen_program,
                            sample_satisfying_assignment)
 from luset.infer import infer_program, solve_interface
-from luset.lang import (BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Unop, Var, VarDecl,
-                        elaborate)
+from luset.lang import BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Var, VarDecl, elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import Lattice
-from luset.streams import interpret_node, run_compiled, show_value
+from luset.streams import run_compiled, show_value
 
 from conftest import CTR_SRC
 
@@ -54,10 +53,7 @@ def trial_loop_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
 
     def run(ins):
         positional = [ins[x] for x in declared]
-        hist = run_compiled(prog, cfg.node, positional, bs)
-        if hist is None:
-            return interpret_node(prog, node, ins, cfg.ticks, bs)
-        return dict(zip(names, positional + hist))
+        return dict(zip(names, positional + run_compiled(prog, cfg.node, positional, bs)))
 
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
@@ -171,15 +167,13 @@ def test_ni_reports_match_the_trial_loop_on_generated_programs():
 
 
 def _node(op: str) -> Program:
-    """A top node with a partial or, built by hand as the parser cannot
-    write one, an unknown operator on its one input."""
+    """A top node with a partial operator on its one input."""
     x, y = VarDecl("x", Ty.INT, BASE_CLOCK), VarDecl("y", Ty.INT, BASE_CLOCK)
-    expr = (Unop(op, Var("x")) if op == "abs"
-            else Binop(op, Const(10), Binop("+", Var("x"), Const(9))))
+    expr = Binop(op, Const(10), Binop("+", Var("x"), Const(9)))
     return Program((Node("P", (x,), (y,), (), (Def(("y",), None, (expr,)),)),))
 
 
-@pytest.mark.parametrize("op, trials", [("div", 3), ("mod", 3), ("abs", 1)])
+@pytest.mark.parametrize("op, trials", [("div", 3), ("mod", 3)])
 @pytest.mark.parametrize("secret, level", [("L", "H"), ("H", "L")], ids=["shared", "secret"])
 def test_partial_operators_keep_the_trial_loop(op, trials, secret, level):
     """A run that raises ends the check inconclusive at the trial the loop
@@ -218,5 +212,10 @@ def test_total_code_is_decided_and_a_refused_build_is_not(monkeypatch):
                    trials=40, ticks=16, seed=9)
     want = trial_loop_non_interference(prog, cfg).to_json()
     assert check_non_interference(prog, cfg).to_json() == want
-    monkeypatch.setattr(codegen, "runner", lambda prog, name: None)
-    assert check_non_interference(prog, cfg).to_json() == want
+    refused = parse_program(CTR_SRC)  # a new program object, whose build is not kept yet
+    monkeypatch.setattr(codegen, "_build", lambda prog, name: EvalError("refused", "no code"))
+    assert codegen.may_raise(elaborate(refused), "Ctr")
+    report = check_non_interference(refused, cfg).to_json()
+    assert report == trial_loop_non_interference(refused, cfg).to_json()
+    assert (report["verdict"], report["trials"], report["reason"]) == \
+        (INCONCLUSIVE, 1, "refused: no code")

@@ -20,7 +20,7 @@ from luset import codegen, streams
 from luset.diagnostics import EvalError
 from luset.harness import (PASS, _input_order, _normal_runs_satisfy_source, _trial_loop,
                            check_semantics_preservation, gen_inputs, gen_program)
-from luset.lang import (BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Unop, Var, VarDecl,
+from luset.lang import (BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Var, VarDecl,
                         elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
@@ -66,8 +66,6 @@ def _population(seed: int):
 def _compiled(prog, node, ins, bs):
     positional = [ins[d.name] for d in node.inputs]
     hist = run_compiled(prog, node.name, positional, bs)
-    if hist is None:
-        return None
     names = [d.name for d in node.inputs + node.outputs + node.locals]
     return dict(zip(names, positional + hist))
 
@@ -153,17 +151,74 @@ def test_an_accepted_check_is_a_pass_of_the_trial_loop(monkeypatch, mutant):
     accepted = Counter()
     for i in range(DRAWS):
         prog = elaborate(gen_program(rng))
-        nprog, _ = normalize_program(prog)
         for node in prog.nodes:
             order, bs = _input_order(node), [True] * TICKS
             ok = _normal_runs_satisfy_source(prog, node, order, 5, TICKS, i, bs)
-            loop = _trial_loop(prog, nprog, node, order, 5, TICKS, i, bs)
+            loop = _trial_loop(prog, node, order, 5, TICKS, i, bs)
             assert not ok or loop.verdict == PASS
             report = check_semantics_preservation(prog, node.name, trials=5, ticks=TICKS, seed=i)
             assert report.to_json() == loop.to_json()
             accepted[ok, loop.verdict] += 1
     assert accepted[True, PASS] > 400, accepted
     assert (accepted[False, "fail"] > 20) == mutant, accepted
+
+
+LENGTHS_SRC = """
+node f(c: bool; x: int when c) returns (y: int);
+let y = merge c x (0 when not c); tel
+node late(x: int when c; c: bool) returns (y: int);
+let y = merge c x (0 when not c); tel
+node g(c: bool; d: bool when c; x: int when c when d) returns (y: int);
+var s: int when c;
+let s = merge d x (0 when not d); y = merge c s (0 when not c); tel
+node h(x: int when c when d; d: bool when c; c: bool) returns (y: int);
+var s: int when c;
+let s = merge d x (0 when not d); y = merge c s (0 when not c); tel
+"""
+_F = {"c": [True, False, True], "x": [1, A, 3], "y": [1, 0, 3]}
+_G = {"c": [True, True, False], "d": [True, False, A], "x": [1, A, A], "y": [1, 0, 0],
+      "s": [1, 0, A]}
+_CUT = "arity-mismatch: clock variable {} and its clock differ in length"
+
+# recorded when each clock of the predicate was its own closure over whole
+# columns: a variable is checked against its clock's column in declaration
+# order, so one declared before its clock variable meets a clock variable of
+# another length first
+UNEQUAL_LENGTHS = [
+    ("f", _F, 3, True),
+    ("f", {**_F, "c": [True, False]}, 3, False),
+    ("f", {**_F, "x": [1, A]}, 3, False),
+    ("f", _F, 2, False),
+    ("f", _F, 4, False),
+    ("late", _F, 3, True),
+    ("late", {**_F, "c": [True, False]}, 3, _CUT.format("c")),
+    ("late", {**_F, "c": [True, False, True, True]}, 3, _CUT.format("c")),
+    ("late", {**_F, "c": [True, A]}, 3,
+     "clocked-value-mismatch at tick 1 (c): clock variable c absent while its clock is live"),
+    ("late", _F, 2, _CUT.format("c")),
+    ("g", _G, 3, True),
+    ("g", {**_G, "d": [True, False]}, 3, False),
+    ("g", {**_G, "x": [1, A]}, 3, False),
+    ("g", {**_G, "c": [True, True]}, 3, False),
+    ("h", _G, 3, True),
+    ("h", {**_G, "d": [True, False]}, 3, _CUT.format("d")),
+    ("h", {**_G, "c": [True, True]}, 3, _CUT.format("c")),
+    ("h", _G, 2, _CUT.format("c")),
+    ("h", {**_G, "d": [A, False, A]}, 3,
+     "clocked-value-mismatch at tick 0 (d): clock variable d absent while its clock is live"),
+]
+
+
+@pytest.mark.parametrize("name, history, ticks, want", UNEQUAL_LENGTHS)
+def test_the_predicate_on_streams_of_unequal_length(name, history, ticks, want):
+    """`sem_node` over a history whose streams and base clock differ in
+    length: it accepts, rejects, or raises the pinned error."""
+    holds = sem_node(elaborate(parse_program(LENGTHS_SRC)), name)
+    try:
+        got = holds(history, [True] * ticks)
+    except EvalError as exc:
+        got = str(exc)
+    assert got == want
 
 
 # sha256 of `json.dumps(reports, sort_keys=True)`, where `reports` are the
@@ -195,17 +250,14 @@ def test_semantics_preservation_reports_pinned(monkeypatch, mutant):
 
 
 def _partial_node(op: str) -> Program:
-    """A top node with a partial or, built by hand as the parser cannot
-    write one, an unknown operator on its one input."""
+    """A top node with a partial operator on its one input."""
     x, y = VarDecl("x", Ty.INT, BASE_CLOCK), VarDecl("y", Ty.INT, BASE_CLOCK)
-    expr = (Unop(op, Var("x")) if op == "abs"
-            else Binop(op, Const(10), Binop("+", Var("x"), Const(9))))
+    expr = Binop(op, Const(10), Binop("+", Var("x"), Const(9)))
     return Program((Node("P", (x,), (y,), (), (Def(("y",), None, (expr,)),)),))
 
 
 # recorded when the check ran the source on the tree interpreter in every trial
 PARTIAL_REPORTS = {
-    "abs": (1, "bad-operator at tick 0: unknown unary operator abs"),
     "div": (3, "div-by-zero at tick 4: division by zero"),
     "mod": (3, "div-by-zero at tick 4: modulo by zero"),
 }

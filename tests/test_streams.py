@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luset import streams
-from luset.diagnostics import CausalityError, EvalError
+from luset.diagnostics import CausalityError, ElaborationError, EvalError
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby, NCall, Unop,
                         Var, clock_vars, elaborate)
 from luset.normalize import normalize_program
@@ -14,7 +14,7 @@ from luset.parser import parse_program
 from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
                            const_stream, default_base_clock, eval_clock, eval_expr, fby_lustre,
                            fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
-                           merge_stream, read_trace, respects_clock, run_node, show_value,
+                           merge_stream, read_trace, run_node, show_value,
                            when_stream)
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
@@ -104,14 +104,6 @@ def test_base_of():
         base_of([[1, A], [A, A]])
     with pytest.raises(EvalError):
         base_of([])
-
-
-def test_respects_clock():
-    assert respects_clock({"x": [1, A], "y": [2, A]}, [True, False])
-    assert not respects_clock({"x": [A, 1]}, [True, False])
-    assert respects_clock({}, [True, False])
-    # weaker direction only: absence on a live tick is tolerated
-    assert respects_clock({"x": [A, A]}, [True, True])
 
 
 def test_eval_clock():
@@ -352,9 +344,13 @@ tel
     bad_node = node.__class__(node.name, node.inputs, node.outputs, node.locals,
                               tuple(bad_eq if eq is seq else eq for eq in node.equations))
     bad_prog = prog.__class__((prog.node("g"), bad_node))
+    ins = {"c": [True, False], "x": [1, 2]}
     with pytest.raises(EvalError) as err:
-        run_node(bad_prog, "f", {"c": [True, False], "x": [1, 2]}, 2)
+        interpret_node(bad_prog, bad_node, ins, 2, [True, True])
     assert err.value.kind == "clocked-value-mismatch"
+    # run_node runs the elaborated program, and elaboration refuses this one
+    with pytest.raises(ElaborationError, match="clock-mismatch"):
+        run_node(bad_prog, "f", ins, 2)
 
 
 def test_subclocked_input_validated():
@@ -402,6 +398,13 @@ def test_base_clock_length_checked(ctr_prog):
     assert bs == [True] * 3 and H["n"] == CTR_TABLE["n"][:3]
 
 
+def _stepped(inst, ins, n):
+    """`n` ticks of `inst.step` on the base clock: unlike `run`, it checks no
+    input, so an input off its clock reaches the checks inside the tick."""
+    for t in range(n):
+        inst.step([ins[x][t] for x in inst.inputs], True)
+
+
 def test_delay_operand_off_clock_diagnostics():
     """Both delay forms run through one class; an equation-level delay of
     the normal form names its target, a source `fby` does not."""
@@ -412,7 +415,7 @@ def test_delay_operand_off_clock_diagnostics():
     for p, msg, var in ((prog, "fby operands disagree on presence", None),
                         (nprog, "delayed operand of y off its clock", "y")):
         with pytest.raises(EvalError) as err:
-            interpret_node(p, p.node("f"), ins, 3, [True] * 3)
+            _stepped(NodeInstance(p, p.node("f")), ins, 3)
         assert (err.value.kind, err.value.tick, err.value.var) == \
             ("clocked-value-mismatch", 1, var)
         assert msg in str(err.value)
@@ -437,7 +440,7 @@ def test_delay_diagnostics_of_both_widths(src, elaborated, ins, width, diagnosti
     inst = NodeInstance(prog, prog.node("f"))
     assert [d.width for d in inst.updaters] == [width]
     with pytest.raises(EvalError) as err:
-        inst.run(ins, 3, [True] * 3)
+        _stepped(inst, ins, 3)
     kind, tick, var, msg = diagnostic
     assert (err.value.kind, err.value.tick, err.value.var) == (kind, tick, var)
     assert str(err.value).endswith(msg)
@@ -453,10 +456,10 @@ def test_delay_diagnostics_of_both_widths(src, elaborated, ins, width, diagnosti
 ], ids=["base-clock", "sub-clock", "tuple"])
 def test_equation_targets_checked_against_their_clock(src, ins, msg):
     """Each form of equation closure checks its targets against the
-    equation's clock during the tick, before the inputs are checked."""
+    equation's clock during the tick."""
     prog = elaborate(parse_program(src))
     with pytest.raises(EvalError) as err:
-        interpret_node(prog, prog.node("f"), ins, 2, [True, True])
+        _stepped(NodeInstance(prog, prog.node("f")), ins, 2)
     assert (err.value.kind, err.value.tick, err.value.var) == ("clocked-value-mismatch", 1, "o")
     assert str(err.value).endswith(msg)
 
