@@ -16,7 +16,7 @@ from .normalize import init_fby, normalize_program
 from .streams import ABSENT, eval_clock, read_trace, run_node
 from .harness import (NIConfig, check_equational_soundness, check_non_interference,
                       check_semantics_preservation, check_simple_security,
-                      check_type_preservation, gen_inputs, gen_lattice, gen_program,
+                      check_type_preservation, gen_inputs, gen_program,
                       project_history)
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ decides with it whether the history of each compiled run of the normal form
 satisfies the source node's equations, and the tests check the histories of
 every evaluator against it.
 
-The module is imported on first use (by `harness`, `streams.eval_expr` and
-`luset.sem_node`): no command needs it before it checks a node.
+The module is imported on first use (by `harness` and `luset.sem_node`): no
+command needs it before it checks a node.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def sem_exp(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStre
     """The paper's `sem_exp`: the streams denoted by an expression under a
     history and a base clock, as `sem_node` computes them. Constants pulse
     on the ambient clock (the base clock here); variables carry their own
-    presence from the history. It is `streams.eval_expr`."""
+    presence from the history."""
     col, _ = _Semantics(prog).exp(e, BASE_CLOCK, {})
     n = len(bs)
     for vs in history.values():

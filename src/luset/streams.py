@@ -25,8 +25,8 @@ The whole-prefix stream operators (`const_stream` … `base_of`) compute a
 stream over a whole prefix at once, and raise the interpreter's
 `EvalError` where its closures would; `eval_clock` is the one whole-prefix
 clock evaluator. `semantics` builds the paper's relational semantics from
-them, as a predicate over whole histories, and `eval_expr` is its
-`sem_exp`.
+them, as a predicate over whole histories (`sem_node`) and as the streams
+of one expression (`sem_exp`).
 """
 
 from __future__ import annotations
@@ -375,8 +375,6 @@ def _clock(ck: Clock) -> Live:
 
 
 def _const(value, ck: Clock) -> Tick:
-    if isinstance(ck, ClockBase):
-        return lambda t, vals, bs_t: [value if bs_t else ABSENT]
     live = _clock(ck)
     return lambda t, vals, bs_t: [value if live(t, vals, bs_t) else ABSENT]
 
@@ -468,7 +466,7 @@ class _Delay:
     of the normal form, whose `target` names its diagnostics. `eval` emits
     during the tick's first evaluation; `update`, in the sweep at the end of
     the tick, reads the delayed operand, which must be present where the
-    output is, that is where the head is. `_Delay1` runs a delay of width 1."""
+    output is, that is where the head is."""
 
     def __init__(self, init: Tick, rest: Tick, width: int, target: str | None = None):
         self.init = init
@@ -495,44 +493,17 @@ class _Delay:
             raise EvalError("arity-mismatch", "fby arguments have different widths", t)
         for i, (v, o) in enumerate(zip(tails, out)):
             if (v is ABSENT) != (o is ABSENT):
-                raise self._off_clock(t)
+                x = self.target
+                raise EvalError("clocked-value-mismatch", "fby operands disagree on presence"
+                                if x is None else f"delayed operand of {x} off its clock", t, x)
             if v is not ABSENT:
                 self.saved[i] = v
                 self.started[i] = True
-
-    def _off_clock(self, t: int) -> EvalError:
-        if self.target is not None:
-            return EvalError("clocked-value-mismatch",
-                             f"delayed operand of {self.target} off its clock", t, self.target)
-        return EvalError("clocked-value-mismatch", "fby operands disagree on presence", t)
 
     def reset(self):
         self.started = [False] * self.width
         self.saved = [None] * self.width
         self._tick = -1
-
-
-class _Delay1(_Delay):
-    """A `_Delay` of width 1, over the same state."""
-
-    def eval(self, t, vals, bs_t):
-        if self._tick != t:
-            h = self.init(t, vals, bs_t)[0]
-            self._out = [h if h is ABSENT or not self.started[0] else self.saved[0]]
-            self._tick = t
-        return self._out
-
-    def update(self, t, vals, bs_t):
-        out = (self._out if self._tick == t else self.eval(t, vals, bs_t))[0]
-        tails = self.rest(t, vals, bs_t)
-        if len(tails) != 1:
-            raise EvalError("arity-mismatch", "fby arguments have different widths", t)
-        v = tails[0]
-        if (v is ABSENT) != (out is ABSENT):
-            raise self._off_clock(t)
-        if v is not ABSENT:
-            self.saved[0] = v
-            self.started[0] = True
 
 
 class _Call:
@@ -570,7 +541,7 @@ def _target_off_clock(x: str, v, live, t: int) -> EvalError:
                      f"while its clock is {'live' if live else 'idle'}", t, x)
 
 
-def _equation(fn: Tick, width: int, targets: tuple[str, ...], ck: Clock | None):
+def _equation(fn: Tick, targets: tuple[str, ...], ck: Clock | None):
     """The closure `eq(t, vals, bs_t)` of an equation: it evaluates `fn`,
     checks each target against the equation's clock `ck` (None for no check)
     and stores it in `vals`."""
@@ -578,34 +549,16 @@ def _equation(fn: Tick, width: int, targets: tuple[str, ...], ck: Clock | None):
         def unchecked(t, vals, bs_t):
             vals.update(zip(targets, fn(t, vals, bs_t)))
         return unchecked
-    if width == len(targets) == 1:
-        [x] = targets
-        if isinstance(ck, ClockBase):
-            def on_base(t, vals, bs_t):
-                v = fn(t, vals, bs_t)[0]
-                if (v is not ABSENT) != bs_t:
-                    raise _target_off_clock(x, v, bs_t, t)
-                vals[x] = v
-            return on_base
-        live = _clock(ck)
-
-        def on_clock(t, vals, bs_t):
-            v = fn(t, vals, bs_t)[0]
-            b = live(t, vals, bs_t)
-            if (v is not ABSENT) != b:
-                raise _target_off_clock(x, v, b, t)
-            vals[x] = v
-        return on_clock
     live = _clock(ck)
 
-    def tuple_eq(t, vals, bs_t):
+    def checked(t, vals, bs_t):
         outs = fn(t, vals, bs_t)
         b = live(t, vals, bs_t)
         for x, v in zip(targets, outs):
             if (v is not ABSENT) != b:
                 raise _target_off_clock(x, v, b, t)
             vals[x] = v
-    return tuple_eq
+    return checked
 
 
 class NodeInstance:
@@ -638,11 +591,11 @@ class NodeInstance:
                     raise EvalError("arity-mismatch",
                                     f"{len(targets)} target(s) but {width} stream(s)")
             case NDef(_, ck, e):
-                fn, width = self._compile(e, ck, clocks)
+                fn, _ = self._compile(e, ck, clocks)
             case NFby(x, ck, c, e):
-                delay = _Delay1(_const(c.value, ck), self._compile(e, ck, clocks)[0], 1, x)
+                delay = _Delay(_const(c.value, ck), self._compile(e, ck, clocks)[0], 1, x)
                 self.updaters.append(delay)
-                fn, width = delay.eval, 1
+                fn = delay.eval
             case NCall(targets, ck, f, args):
                 inst = NodeInstance(self.prog, self.prog.node(f))
                 argv, _ = _many([self._compile(a, ck, clocks) for a in args])
@@ -652,7 +605,7 @@ class NodeInstance:
                                     f"{len(targets)} target(s) but {width} output(s)")
             case _:
                 raise TypeError(f"unsupported equation {eq!r}")
-        return _equation(fn, width, eq_targets(eq), eq.clock)
+        return _equation(fn, eq_targets(eq), eq.clock)
 
     def _compile(self, e: Expr, ambient: Clock, clocks) -> tuple[Tick, int]:
         """The closure of an expression on clock `ambient`, and its width."""
@@ -688,7 +641,7 @@ class NodeInstance:
             case Fby(e0s, es):
                 heads, width = _many([self._compile(a, ambient, clocks) for a in e0s])
                 tails, _ = _many([self._compile(a, ambient, clocks) for a in es])
-                delay = (_Delay1 if width == 1 else _Delay)(heads, tails, width)
+                delay = _Delay(heads, tails, width)
                 self.updaters.append(delay)
                 return delay.eval, width
             case Call(f, args):
@@ -756,14 +709,6 @@ class NodeInstance:
 # ---------------------------------------------------------------------------
 # Whole-prefix entry points
 # ---------------------------------------------------------------------------
-
-def eval_expr(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStream]:
-    """`semantics.sem_exp`: the streams denoted by an expression under a
-    history and a base clock. Constants pulse on the ambient clock (the base
-    clock here); variables carry their own presence from the history."""
-    from .semantics import sem_exp  # bound on first use: semantics builds on this module
-    return sem_exp(prog, history, bs, e)
-
 
 def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
              bs: BStream | None = None) -> tuple[History, BStream]:

@@ -6,7 +6,8 @@ import pytest
 from luset.harness import FAIL, PASS, CheckReport
 from luset.lang import elaborate
 from luset.parser import parse_program
-from luset.sectypes import CanonType, Constraint, ConstraintSet, Lub, SecType, TVar, canon
+from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, Lub, SecType, TVar,
+                            canon)
 
 CTR_SRC = """
 -- a simple counter node with a reset
@@ -196,3 +197,35 @@ def substitute_type(t: CanonType, sub: dict[str, CanonType]) -> CanonType:
 def substitute_constraints(rho, sub: dict[str, CanonType]) -> ConstraintSet:
     return ConstraintSet(Constraint.make(substitute_type(c.lhs, sub), substitute_type(c.rhs, sub))
                          for c in rho)
+
+
+def gen_lattice(rng: random.Random, max_elements: int = 8) -> Lattice:
+    """A random join-semilattice: the OR-closure of a few 4-bit masks."""
+    return _mask_lattice(_draw_masks(rng, max_elements))
+
+
+def _draw_masks(rng: random.Random, max_elements: int = 8) -> frozenset[int]:
+    """The OR-closure of a few random 4-bit masks and 0, redrawn until it
+    has at most `max_elements` masks."""
+    while True:
+        seeds = {rng.randrange(1, 16) for _ in range(rng.randint(1, 3))}
+        masks = {0} | seeds
+        changed = True
+        while changed:
+            changed = False
+            for a in list(masks):
+                for b in list(masks):
+                    if (a | b) not in masks:
+                        masks.add(a | b)
+                        changed = True
+        if len(masks) <= max_elements:
+            return frozenset(masks)
+
+
+def _mask_lattice(masks: frozenset[int]) -> Lattice:
+    """The lattice of a set of masks ordered by inclusion."""
+    names = {m: f"m{m}" for m in sorted(masks)}
+    covers = [(names[a], names[b]) for a in masks for b in masks
+              if a != b and a | b == b]
+    return Lattice(list(names.values()), names[0], covers,
+                   name=f"random{len(masks)}")

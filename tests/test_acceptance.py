@@ -8,7 +8,7 @@ import random
 import time
 
 from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
-                           check_semantics_preservation, gen_lattice, gen_program,
+                           check_semantics_preservation, gen_program,
                            sample_satisfying_assignment)
 from luset.infer import check_program, infer_program, simplify
 from luset.lang import elaborate
@@ -20,7 +20,7 @@ from luset.streams import run_node
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_TABLE, LEAK_ITE_SRC,
                       LEAK_MERGE_SRC, RE_TRIG_SRC, chain_src,
-                      check_canonical_order_independence, tree_src)
+                      check_canonical_order_independence, gen_lattice, tree_src)
 
 TWO = Lattice.two_point()
 
@@ -170,11 +170,12 @@ def test_criterion_5_non_interference():
 
 
 def test_criterion_6_equational_theory():
-    """1000 rewrite-related type pairs canonicalise and evaluate
-    identically (10 instantiations each); canonicalisation is independent
-    of join-tree shape over 100 random permutations."""
+    """1000 rewrite-related type pairs canonicalise identically, to the raw
+    type's meaning in the free join-semilattice, which decides equality in
+    every lattice; canonicalisation is independent of join-tree shape over
+    100 random permutations."""
     with _Budget("criterion-6 equational theory", 10.0):
-        report = check_equational_soundness(samples=1000, instantiations=10, seed=2601)
+        report = check_equational_soundness(samples=1000, seed=2601)
         assert report.verdict == "pass", report.to_json()
         order = check_canonical_order_independence(samples=100, seed=2601)
         assert order.verdict == "pass", order.to_json()

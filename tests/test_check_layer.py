@@ -9,11 +9,13 @@ import random
 from collections import Counter
 from functools import reduce
 
-from luset.harness import (NIConfig, check_non_interference, gen_lattice, gen_program,
+from luset.harness import (NIConfig, check_non_interference, gen_program,
                            sample_satisfying_assignment)
 from luset.infer import check_program, flatten_assignment, infer_program
 from luset.lang import elaborate
 from luset.sectypes import Lattice
+
+from conftest import gen_lattice
 
 # recorded before `solve_interface` returned the violated constraints
 CHECK_LAYER_DIGEST = "0b9d1d0faffc60e1c9d6fa598d6cef10bcd8d2ff4e920ba83aecd47b7c85dd9d"

@@ -9,8 +9,8 @@ from luset import harness, sectypes
 
 from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, check_simple_security,
-                           check_type_preservation, gen_inputs, gen_lattice,
-                           gen_program, generator_postcondition, project_history,
+                           check_type_preservation, gen_inputs, gen_program,
+                           generator_postcondition, project_history,
                            sample_satisfying_assignment)
 from luset.infer import infer_program
 from luset.lang import ClockOn, Const, Ite, Merge, NDef, elaborate
@@ -20,7 +20,8 @@ from luset.sectypes import Lattice
 from luset.streams import present
 
 from conftest import (CTR_SRC, CNT_DN_SRC, CTR_TABLE, LEAK_ITE_SRC, LEAK_MERGE_SRC,
-                      check_canonical_order_independence, interpreted_normal_form)
+                      check_canonical_order_independence, gen_lattice,
+                      interpreted_normal_form)
 
 TWO = Lattice.two_point()
 
@@ -278,6 +279,54 @@ def test_equal_signatures_skip_the_entailment_fixpoint(monkeypatch, normaliser):
 def test_equational_soundness_run():
     report = check_equational_soundness(samples=300, seed=9)
     assert report.verdict == "pass" and report.trials == 300
+
+
+def _mutant_canon(mutant: str):
+    """`sectypes.canon` and `canon_constraints` with one line changed:
+    `join-variable` drops the first variable of a pair's left-hand join,
+    `nested` drops the refinements nested in a pair's sides, and `pair`
+    drops the first pair of each refinement."""
+    def canon(t):
+        match t:
+            case sectypes.Bot():
+                return sectypes.TBOT, sectypes.EMPTY
+            case sectypes.TVar(name):
+                return sectypes.CanonType((name,)), sectypes.EMPTY
+            case sectypes.Lub(a, b):
+                (ca, ra), (cb, rb) = canon(a), canon(b)
+                return ca.join(cb), ra | rb
+            case sectypes.Refine(base, pairs):
+                cb, rb = canon(base)
+                return cb, rb | canon_constraints(pairs)
+
+    def canon_constraints(pairs):
+        out = []
+        for l, r in (pairs[1:] if mutant == "pair" else pairs):
+            (cl, rl), (cr, rr) = canon(l), canon(r)
+            if mutant == "join-variable":
+                cl = sectypes.CanonType(cl.vars[1:])
+            out.append(sectypes.Constraint.make(cl, cr))
+            if mutant != "nested":
+                out += [*rl, *rr]
+        return sectypes.ConstraintSet(out)
+    return canon, canon_constraints
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mutant", ["none", "join-variable", "nested", "pair"])
+def test_equational_soundness_kills_canon_mutants(monkeypatch, mutant, seed):
+    """Every mutant fails and the unmutated copy passes. The first two
+    mutants canonicalise a raw type and its rewrites alike, so only the
+    comparison with the raw type's free-model meaning catches them."""
+    canon, canon_constraints = _mutant_canon(mutant)
+    monkeypatch.setattr(sectypes, "canon", canon)
+    monkeypatch.setattr(sectypes, "canon_constraints", canon_constraints)
+    monkeypatch.setattr(harness, "canon", canon)
+    report = check_equational_soundness(samples=300, seed=seed)
+    assert report.verdict == ("pass" if mutant == "none" else "fail"), report.to_json()
+    if mutant in ("join-variable", "nested"):
+        assert report.counterexample["canon1"] == report.counterexample["canon2"]
+        assert "meaning" in report.counterexample
 
 
 def test_canonical_order_independence_run():

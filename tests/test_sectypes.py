@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luset.diagnostics import InferError, LatticeError
-from luset.harness import gen_lattice, gen_program
+from luset.harness import gen_program
 from luset.infer import infer_program
 from luset.lang import elaborate
 from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, ConstraintSet,
@@ -14,7 +14,7 @@ from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, Constr
                             least_fixpoint, least_solution, lub, not_entailed, satisfies,
                             violations)
 
-from conftest import substitute_constraints, substitute_type
+from conftest import gen_lattice, substitute_constraints, substitute_type
 
 
 # ---------------------------------------------------------------------------

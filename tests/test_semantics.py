@@ -11,8 +11,12 @@ every report is the one that loop gives."""
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -90,13 +94,13 @@ def _swap_le_lt(monkeypatch):
     monkeypatch.setitem(codegen._INLINE, "<", "<=")
 
 
-class _LateDelay1(streams._Delay1):
+class _LateDelay1(streams._Delay):
     """The interpreter mutant: a delay of width 1 emits its operand two
     present ticks late, not one, and its head for the first two."""
 
     def update(self, t, vals, bs_t):
         super().update(t, vals, bs_t)
-        if self._out[0] is not ABSENT:  # the operand was stored at this tick
+        if self.width == 1 and self._out[0] is not ABSENT:  # the operand was stored at this tick
             queue = self.__dict__.setdefault("queue", [])
             queue.append(self.saved[0])
             self.started[0] = len(queue) > 1
@@ -111,7 +115,7 @@ def test_late_delay_mutant_delays_by_two(monkeypatch):
     prog = elaborate(parse_program("node D(x: int) returns (y: int); let y = 0 fby x; tel"))
     ins, bs = {"x": [1, A, 2, 3, 4]}, [True, False, True, True, True]
     assert interpret_node(prog, prog.node("D"), ins, 5, bs)["y"] == [0, A, 1, 2, 3]
-    monkeypatch.setattr(streams, "_Delay1", _LateDelay1)
+    monkeypatch.setattr(streams, "_Delay", _LateDelay1)
     assert interpret_node(prog, prog.node("D"), ins, 5, bs)["y"] == [0, A, 0, 1, 2]
 
 
@@ -124,7 +128,7 @@ def test_the_predicate_rejects_the_wrong_histories_of_a_mutant(monkeypatch, muta
     if mutant == "codegen-le-lt":
         _swap_le_lt(monkeypatch)
     else:
-        monkeypatch.setattr(streams, "_Delay1", _LateDelay1)
+        monkeypatch.setattr(streams, "_Delay", _LateDelay1)
     seen = Counter()
     for prog, node, ins, bs in _population(2):
         interpreted = interpret_node(prog, node, ins, TICKS, bs)
@@ -426,3 +430,22 @@ def test_base_of_matches_its_tick_by_tick_definition():
                 mine = mine[:rng.randint(0, n)] if rng.random() < 0.5 else mine + [True]
             tuple_.append(_stream(rng, mine, [1, 2]))
         assert _outcome(base_of, tuple_) == _outcome(_ref_base_of, tuple_), tuple_
+
+
+# ---------------------------------------------------------------------------
+# the module is imported on first use
+# ---------------------------------------------------------------------------
+
+def test_import_luset_loads_neither_semantics_nor_codegen():
+    """`import luset` in a fresh interpreter leaves `luset.semantics` and
+    `luset.codegen` unloaded: each is imported by the first check that needs
+    it, so a command that needs neither does not pay for their code."""
+    src = str(Path(streams.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import json, sys, luset; print(json.dumps([luset.__file__, "
+            "sorted(m for m in sys.modules if m.startswith('luset.'))]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    path, loaded = json.loads(out)
+    assert Path(path).parent == Path(streams.__file__).parent  # this checkout's luset
+    assert "luset.semantics" not in loaded and "luset.codegen" not in loaded, loaded

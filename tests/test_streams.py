@@ -12,10 +12,11 @@ from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby,
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
-                           const_stream, default_base_clock, eval_clock, eval_expr, fby_lustre,
+                           const_stream, default_base_clock, eval_clock, fby_lustre,
                            fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
                            merge_stream, read_trace, run_node, show_value,
                            when_stream)
+from luset.semantics import sem_exp
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
 
@@ -196,30 +197,30 @@ def test_compiled_clocks_match_the_recursive_evaluator(case):
 # expression evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_expr_var_and_ops():
+def test_sem_exp_var_and_ops():
     prog = parse_program("")
     H = {"x": [1, 2, 3]}
     bs = [True] * 3
-    assert eval_expr(prog, H, bs, Var("x")) == [[1, 2, 3]]
-    assert eval_expr(prog, H, bs, Binop("+", Var("x"), Const(1))) == [[2, 3, 4]]
+    assert sem_exp(prog, H, bs, Var("x")) == [[1, 2, 3]]
+    assert sem_exp(prog, H, bs, Binop("+", Var("x"), Const(1))) == [[2, 3, 4]]
 
 
-def test_eval_expr_tuple_fby_componentwise():
+def test_sem_exp_tuple_fby_componentwise():
     prog = parse_program("")
     H = {"a": [1, 2], "b": [7, 8], "c": [3, 4], "d": [9, 9]}
     bs = [True, True]
     fby = Fby((Var("a"), Var("b")), (Var("c"), Var("d")))
-    out = eval_expr(prog, H, bs, fby)
+    out = sem_exp(prog, H, bs, fby)
     assert out == [fby_lustre(H["a"], H["c"]), fby_lustre(H["b"], H["d"])]
 
 
-def test_eval_expr_node_call():
+def test_sem_exp_node_call():
     # first tick takes the initial value, later ticks accumulate: same rule
     # as the counter's example run (tick 0 emits init itself)
     prog = parse_program(CTR_SRC)
     H = {"acc": [1, 2, 5]}
     bs = [True, True, True]
-    out = eval_expr(prog, H, bs, Call("Ctr", (Const(0), Var("acc"), Const(False))))
+    out = sem_exp(prog, H, bs, Call("Ctr", (Const(0), Var("acc"), Const(False))))
     assert out == [[0, 2, 7]]
 
 
@@ -238,7 +239,7 @@ def _random_int_expr(rng, names, depth):
                        (_random_int_expr(rng, names, depth - 1),))
 
 
-def test_eval_expr_relevant_variables():
+def test_sem_exp_relevant_variables():
     # histories agreeing on fv(e) produce identical results
     from luset.lang import free_vars
     prog = parse_program("")
@@ -250,7 +251,7 @@ def test_eval_expr_relevant_variables():
         H1 = {v: [rng.randint(0, 9) for _ in bs] for v in names}
         H2 = {v: (list(H1[v]) if v in free_vars(e)
                   else [rng.randint(10, 19) for _ in bs]) for v in names}
-        assert eval_expr(prog, H1, bs, e) == eval_expr(prog, H2, bs, e)
+        assert sem_exp(prog, H1, bs, e) == sem_exp(prog, H2, bs, e)
 
 
 # ---------------------------------------------------------------------------
