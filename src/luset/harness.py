@@ -17,7 +17,8 @@ from .diagnostics import EvalError, InferError, LusetError
 from .infer import InferenceResult, infer_program, solve_interface, type_expr
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
                    Equation, Expr, Fby, Ite, Merge, Node, Program, Ty, Unop, Var,
-                   VarDecl, When, causality, clock_vars, elaborate, free_vars, well_formed)
+                   VarDecl, When, causality, clock_vars, elaborate, free_vars, input_dependences,
+                   well_formed)
 from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar, canon,
                        least_fixpoint, not_entailed)
@@ -365,11 +366,17 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     on their clocks, as `run_node` would accept them. When every input must
     agree, the two histories are copies of one draw and the node runs once:
     the semantics is deterministic, so the second run could only repeat the
-    first. A trial can then change the report only by raising. So when the
-    assignment is satisfied and the compiled code of the node cannot raise
-    on the drawn inputs (`codegen.may_raise`), nothing is drawn or run: the
-    report is the pass that the trial loop would give, and its `trials`
-    counts trials decided, not runs made.
+    first. By the same argument, when every watched variable reads only
+    inputs that both runs share (`lang.input_dependences`), the two
+    projections are equal and a trial can change the report only by
+    raising. So when that holds, the assignment is satisfied and the
+    compiled code of the node cannot raise on the drawn inputs
+    (`codegen.may_raise`), nothing is drawn or run: the report is the pass
+    that the trial loop would give, and its `trials` counts trials decided,
+    not runs made. A forced violated assignment, a `div` or `mod` in the
+    code, a refused build, and a watched variable whose equation also reads
+    a secret input (a tuple equation or a call, which the map does not
+    split) keep the trial loop.
     """
     from . import codegen  # imported on first use, as `streams.run_compiled` does
 
@@ -387,15 +394,16 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     levels = _variable_levels(res, solved, lat)
 
     equal_inputs = _equal_closure(node, levels, cfg.level, lat)
-    order = _input_order(node)
     declared = [d.name for d in node.inputs]
-    one_run = equal_inputs >= set(declared)
-    if one_run and not violated and not codegen.may_raise(prog, cfg.node):
+    names = declared + [d.name for d in node.outputs + node.locals]
+    observed = _observed(levels, cfg.level, lat)
+    watched = [x for x in names if x in observed]
+    if (not violated and input_dependences(node, watched) <= equal_inputs
+            and not codegen.may_raise(prog, cfg.node)):
         return CheckReport("non-interference", PASS, node=cfg.node, trials=cfg.trials,
                            seed=cfg.seed, details=details)
-    observed = _observed(levels, cfg.level, lat)
-    names = declared + [d.name for d in node.outputs + node.locals]
-    watched = [x for x in names if x in observed]
+    order = _input_order(node)
+    one_run = equal_inputs >= set(declared)
     bs = [True] * cfg.ticks
 
     def run(ins: History) -> History:
@@ -441,15 +449,21 @@ def _equal_closure(node: Node, levels: Mapping[str, str], level: str,
     """Inputs that must agree between the two runs: everything at or below
     the observation level, closed under clock drivers (so that presence
     patterns of compared streams agree)."""
-    equal = {d.name for d in node.inputs if lat.leq(levels[d.name], level)}
+    return _with_clock_drivers(node, {d.name for d in node.inputs
+                                      if lat.leq(levels[d.name], level)})
+
+
+def _with_clock_drivers(node: Node, names: set[str]) -> set[str]:
+    """names closed under the clock drivers of the inputs among them."""
+    closed = set(names)
     changed = True
     while changed:
         changed = False
         for d in node.inputs:
-            if d.name in equal and not clock_vars(d.clock) <= equal:
-                equal |= clock_vars(d.clock)
+            if d.name in closed and not clock_vars(d.clock) <= closed:
+                closed |= clock_vars(d.clock)
                 changed = True
-    return equal
+    return closed
 
 
 def _first_difference(h1: History, h2: History) -> tuple[str, int] | None:

@@ -366,6 +366,29 @@ def _reads_and_calls(eq: Equation) -> tuple[set[str], dict[str, None]]:
     return reads | clock_vars(ck), calls
 
 
+def input_dependences(node: Node, names: Iterable[str]) -> set[str]:
+    """The inputs of an elaborated node that the named variables can read.
+
+    A variable reads what its declared clock samples, and what its equation
+    reads (`_reads_and_calls`) and samples on its clock, each transitively.
+    Every target of an equation reads all of it, so a call's outputs read
+    all of its arguments. Two runs on inputs that agree on these give the
+    named variables the same streams, since a run is deterministic.
+    """
+    reads = {d.name: clock_vars(d.clock) for d in node.declarations}
+    for eq in node.equations:
+        eq_reads = _reads_and_calls(eq)[0] | clock_vars(eq.clock)
+        for x in eq_targets(eq):
+            reads[x] |= eq_reads
+    seen = set(names)
+    todo = list(seen)
+    while todo:
+        new = reads.get(todo.pop(), set()) - seen
+        seen |= new
+        todo.extend(new)
+    return seen & {d.name for d in node.inputs}
+
+
 def _schedule(deps: dict) -> list:
     """Topological order of a dependency graph, dependencies first.
 

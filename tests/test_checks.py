@@ -26,15 +26,17 @@ ROOT = Path(__file__).parent.parent
 SAMPLES = ROOT / "samples"
 TWO = Lattice.two_point()
 
-# (golden, arguments of `luset ni`, exit code): a failing forced check whose
-# witness is found at trial 1, a passing one whose every input is public, so
-# that each trial runs the node once, and that one at its top level alone,
-# decided without a run
+# (golden, arguments of `luset ni`, exit code): failing forced checks whose
+# witness is found at trial 1, Ctr's through its secret increment, a passing
+# one whose every input is public, so that each trial runs the node once,
+# and that one at its top level alone, decided without a run
 NI_RUNS = [
     ("ni_Leak.json", ["samples/leak.lus", "--node", "Leak", "--assign", "samples/leak_assign.json",
                       "--level", "L", "--force"], 1),
     ("ni_Leak2.json", ["samples/leak.lus", "--node", "Leak2", "--assign",
                        "samples/leak_assign.json", "--level", "L", "--force"], 1),
+    ("ni_Ctr_partial.json", ["samples/ctr.lus", "--node", "Ctr", "--assign",
+                             "tests/data/ctr_partial_assign.json", "--level", "L", "--force"], 1),
     ("ni_Ctr.json", ["samples/ctr.lus", "--node", "Ctr", "--assign", "samples/ctr_assign.json"], 0),
     ("ni_Ctr_H.json", ["samples/ctr.lus", "--node", "Ctr", "--assign", "samples/ctr_assign.json",
                        "--level", "H"], 0),
@@ -138,13 +140,17 @@ def test_drawn_inputs_run_on_an_always_live_base_clock():
 
 CTR_SECRET = {"base": "L", "init": "H", "incr": "H", "rst": "H", "n": "H"}
 DIV_SRC = "node D(x, z: int) returns (y: int); let y = 10 div (x + z + 18); tel"
+# a tuple equation joins the public output y with the secret input s
+TUPLE_SRC = "node T(x, s: int) returns (y, z: int); let (y, z) = (x, s); tel"
+TUPLE_SECRET = {"base": "L", "x": "L", "s": "H", "y": "L", "z": "H"}
 
 
 @pytest.mark.parametrize("src, node, assignment, level, seed, verdict, trials, runs_per_trial", [
     (CTR_SRC, "Ctr", CTR_SECRET, "H", 3, "pass", 37, 0),
     (DIV_SRC, "D", {"base": "L", "x": "L", "z": "L", "y": "L"}, "H", 5, "inconclusive", 23, 1),
-    (CTR_SRC, "Ctr", CTR_SECRET, "L", 3, "pass", 37, 2),
-], ids=["H-0", "H-1", "L-2"])
+    (CTR_SRC, "Ctr", CTR_SECRET, "L", 3, "pass", 37, 0),
+    (TUPLE_SRC, "T", TUPLE_SECRET, "L", 3, "pass", 37, 2),
+], ids=["H-0", "H-1", "L-0", "L-2"])
 def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, src, node, assignment,
                                                           level, seed, verdict, trials,
                                                           runs_per_trial):
@@ -152,7 +158,9 @@ def test_ni_runs_the_node_once_when_every_input_is_shared(monkeypatch, src, node
     input and the node would run once per trial. Only a raise could change
     the report then, so code that cannot raise runs no trial at all, and a
     node that divides runs once per trial until it raises. Below the top,
-    with secret inputs, the node runs twice per trial."""
+    with secret inputs, Ctr's one observed variable `fst` reads no input,
+    so it too runs no trial; the node runs twice per trial only where an
+    observed variable's equation also reads a secret input."""
     calls = []
 
     def counting(prog, name, ins, bs):

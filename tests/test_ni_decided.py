@@ -1,7 +1,11 @@
-"""Non-interference at a level where every input must agree is decided
-without drawing or running anything when the compiled code cannot raise
-(`codegen.may_raise`). The trial loop that drew and ran every trial is kept
-here as the oracle, and every report must be the one it gives."""
+"""Non-interference at a level where every watched variable reads only
+inputs that both runs share (`lang.input_dependences`) is decided without
+drawing or running anything when the assignment is satisfied and the
+compiled code cannot raise (`codegen.may_raise`). The trial loop that drew
+and ran every trial is kept here as the oracle, and every report must be
+the one it gives, also under an inference mutant that hides leaks from the
+signature. The dependence map itself is checked by runs: two draws that
+agree on what a variable reads give it one stream."""
 
 import random
 from collections import Counter
@@ -9,14 +13,15 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from luset import codegen
+from luset import codegen, infer, lang
 from luset.diagnostics import EvalError
 from luset.harness import (FAIL, INCONCLUSIVE, PASS, SKIPPED, CheckReport, NIConfig,
                            _draw_inputs, _equal_closure, _first_difference, _input_order,
-                           _observed, _variable_levels, check_non_interference, gen_program,
-                           sample_satisfying_assignment)
+                           _observed, _variable_levels, _with_clock_drivers,
+                           check_non_interference, gen_program, sample_satisfying_assignment)
 from luset.infer import infer_program, solve_interface
-from luset.lang import BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Var, VarDecl, elaborate
+from luset.lang import (BASE_CLOCK, Binop, Const, Def, Ite, Node, Program, Ty, Var, VarDecl,
+                        elaborate, input_dependences)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import Lattice
@@ -219,3 +224,83 @@ def test_total_code_is_decided_and_a_refused_build_is_not(monkeypatch):
     assert report == trial_loop_non_interference(refused, cfg).to_json()
     assert (report["verdict"], report["trials"], report["reason"]) == \
         (INCONCLUSIVE, 1, "refused: no code")
+
+
+def _no_if_condition(expr):
+    """`infer._expr` with the condition of an `if` dropped from the types
+    of its branches, a mutant that hides implicit flows."""
+    def mutant(ctx, e):
+        if isinstance(e, Ite):
+            tslots, fslots = infer._exprs(ctx, e.on_true), infer._exprs(ctx, e.on_false)
+            return [a | b for a, b in zip(tslots, fslots)]
+        return expr(ctx, e)
+    return mutant
+
+
+def test_ni_reports_match_the_trial_loop_under_an_inference_mutant(monkeypatch):
+    """With the `if` condition dropped from inference, assignments that
+    satisfy the mutant signatures leak, and the trial loop finds some of the
+    leaks: the decided branch gives every report the loop gives, so it
+    hides none of them."""
+    monkeypatch.setattr(infer, "_expr", _no_if_condition(infer._expr))
+    rng = random.Random(8)
+    verdicts = Counter()
+    for label, prog in _population(300):
+        eprog = elaborate(prog)
+        top = eprog.nodes[-1]
+        res = infer_program(eprog)[top.name]
+        for lat in LATTICES:
+            assignment = sample_satisfying_assignment(rng, res, lat)
+            for level in lat.elements:
+                cfg = NIConfig(top.name, lat, assignment, level, trials=6, ticks=12,
+                               seed=sum(verdicts.values()))
+                want = trial_loop_non_interference(prog, cfg).to_json()
+                assert check_non_interference(prog, cfg).to_json() == want, (label, level)
+                verdicts[want["verdict"]] += 1
+    assert sum(verdicts.values()) >= 300 * 2 * 6 and verdicts[FAIL] >= 20, verdicts
+
+
+def _dependence_differences(deps) -> tuple[int, int]:
+    """(comparisons, differing ones) over 300 draws, source and normal form:
+    for each declared variable x of the top node, two runs on draws that
+    agree exactly on `deps(node, x)`, closed under clock drivers, and
+    whether x's streams differ."""
+    programs, rng = random.Random(28), random.Random(29)
+    compared = differing = 0
+    for _ in range(300):
+        prog = elaborate(gen_program(programs))
+        for p in (prog, elaborate(normalize_program(prog)[0])):
+            node = p.nodes[-1]
+            order, declared = _input_order(node), [d.name for d in node.inputs]
+            names = declared + [d.name for d in node.outputs + node.locals]
+            bs = [True] * 12
+            for x in names:
+                agree = _with_clock_drivers(node, deps(node, x))
+                shared = _draw_inputs(rng, order, len(bs))
+                runs = []
+                for _ in range(2):
+                    ins = _draw_inputs(rng, order, len(bs), {y: shared[y] for y in agree})
+                    positional = [ins[y] for y in declared]
+                    runs.append(dict(zip(names, positional + run_compiled(p, node.name,
+                                                                          positional, bs))))
+                compared += 1
+                differing += _first_difference({x: runs[0][x]}, {x: runs[1][x]}) is not None
+    return compared, differing
+
+
+def test_input_dependences_are_sound():
+    """Two runs whose inputs agree on what a variable reads give it the same
+    stream, on every declared variable of 300 generated top nodes."""
+    compared, differing = _dependence_differences(lambda node, x: input_dependences(node, [x]))
+    assert differing == 0 and compared > 3000
+
+
+def test_a_dependence_map_without_clocks_is_caught(monkeypatch):
+    """The soundness test sees a map that forgets what clocks sample."""
+    def without_clocks(node, x):
+        with monkeypatch.context() as m:
+            m.setattr(lang, "clock_vars", lambda ck: set())
+            return input_dependences(node, [x])
+
+    compared, differing = _dependence_differences(without_clocks)
+    assert differing > 20 and compared > 3000
