@@ -10,7 +10,7 @@ core form guarantees:
 
 - a value is present exactly when its clock is live, so values carry no
   presence flag. Each operator runs under an `if` on its own clock, which is
-  where the tree interpreter computes it: a division by zero in the untaken
+  where the stream semantics computes it: a division by zero in the untaken
   branch of an `if`, or under an idle `when`, still raises;
 - a clock `ck on x` (`ck on not x`) is live exactly when x holds true
   (false), because x is absent whenever ck is idle, so each clock test
@@ -41,7 +41,8 @@ from typing import Callable
 
 from .diagnostics import LusetError
 from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
-                   Node, Program, Unop, Var, When, check_causality, derived, elaborate)
+                   Node, Program, Unop, Var, When, causal_order, check_causality, derived,
+                   elaborate)
 from .normalize import normalize_program
 from .streams import ABSENT, _apply_binop, _wrap64
 
@@ -83,7 +84,7 @@ def _build(prog: Program, name: str) -> tuple[Callable, bool] | BaseException:
         nprog, _ = normalize_program(eprog)
         reach = [name]
         for f in reach:
-            check_causality(eprog.node(f))  # a tuple equation may hide a cycle normalisation splits
+            causal_order(eprog, f)  # a tuple equation may hide a cycle normalisation splits
             for eq in nprog.node(f).equations:
                 if isinstance(eq, NCall) and eq.node not in reach:
                     reach.append(eq.node)

@@ -69,7 +69,7 @@ class CausalityError(LusetError):
 
 
 class EvalError(LusetError):
-    """Runtime failure of the stream interpreter (stuck configuration)."""
+    """Runtime failure of a run or of the stream semantics (stuck configuration)."""
 
     def __init__(self, kind: str, message: str, tick: int | None = None, var: str | None = None):
         self.kind = kind

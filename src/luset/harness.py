@@ -17,13 +17,11 @@ from .diagnostics import EvalError, InferError, LusetError
 from .infer import InferenceResult, infer_program, solve_interface, type_expr
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
                    Equation, Expr, Fby, Ite, Merge, Node, Program, Ty, Unop, Var,
-                   VarDecl, When, causality, clock_vars, elaborate, free_vars, input_dependences,
-                   well_formed)
+                   VarDecl, When, clock_vars, elaborate, free_vars, input_dependences, well_formed)
 from .normalize import normalize_program
 from .sectypes import (Bot, CanonType, Lattice, Lub, Refine, SecType, TVar, canon,
                        least_fixpoint, not_entailed)
-from .streams import (ABSENT, History, NodeInstance, _streams_equal, default_base_clock,
-                      eval_clock, interpret_node, run_compiled, show_value)
+from .streams import ABSENT, History, _streams_equal, eval_clock, run_compiled, run_node, show_value
 
 PASS = "pass"
 FAIL = "fail"
@@ -477,17 +475,9 @@ def _first_difference(h1: History, h2: History) -> tuple[str, int] | None:
         if _streams_equal(xs, ys):
             continue
         for t, (a, b) in enumerate(zip(xs, ys)):
-            if not _values_equal(a, b):
+            if type(a) is not type(b) or a != b:  # `ABSENT` is of a type of its own
                 return x, t
     return None
-
-
-def _values_equal(a, b) -> bool:
-    if (a is ABSENT) != (b is ABSENT):
-        return False
-    if a is ABSENT:
-        return True
-    return type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -496,98 +486,54 @@ def _values_equal(a, b) -> bool:
 
 def check_semantics_preservation(prog: Program, node_name: str, trials: int = 100,
                                  ticks: int = 64, seed: int = 0) -> CheckReport:
-    """Outputs of a node agree, value for value, before and after
+    """Every variable of a node has the same streams before and after
     normalisation, over random clock-honouring input prefixes.
 
-    Each trial runs the normal form as the compiled code of
-    `codegen.runner(prog, node)`, which is generated from this very normal
-    form and is the build that non-interference trials of the node reuse.
-    That run records every output and local of the source node, and the
-    check asks whether this history satisfies the source node's equations
-    as whole streams (`semantics.sem_node`, compiled once per call). A causal
-    node's equations have one solution, so a history that satisfies them
-    holds the outputs the tree interpreter computes from the source, and
-    when every trial's does, the report is the pass of `_trial_loop`.
-
-    When the build is refused, a run raises, or the predicate rejects or
-    raises on a trial, `_trial_loop` decides the check from trial 1 with
-    the same seed, and builds every fail and inconclusive report. The input
-    order of the draws and the base clock, always-live for every draw (see
-    `gen_inputs`), are worked out once per call."""
+    Each trial runs the compiled code of the normal form (`codegen.runner`,
+    the build that non-interference trials of the node reuse) and asks for
+    the earliest fault of its history, of every output and local of the
+    source node, against the source node's equations
+    (`semantics.earliest_fault`). A causal node's equations have one
+    solution, so a history without a fault is the source's own. A fault
+    fails the check, with the variable (a call path in a callee), the tick,
+    and the source's and the normal form's streams of it and the inputs,
+    each cut after the tick. A normalisation error or a refused build
+    leaves the check inconclusive before the first trial; a run that
+    raises, or a source stuck where the normal form runs, at its trial."""
+    from . import codegen  # imported on first use, as NI does
+    from .semantics import earliest_fault
     prog = elaborate(prog)
     try:
-        normalize_program(prog)
-    except LusetError as exc:
+        codegen.runner(prog, node_name)
+        fault = earliest_fault(prog, node_name)
+    except (LusetError, RecursionError) as exc:  # a build refused for its depth too
         return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                            seed=seed, reason=str(exc))
     node = prog.node(node_name)
     order = _input_order(node)
-    bs = [True] * ticks
-    if _normal_runs_satisfy_source(prog, node, order, trials, ticks, seed, bs):
-        return CheckReport("semantics-preservation", PASS, node=node_name,
-                           trials=trials, seed=seed)
-    return _trial_loop(prog, node, order, trials, ticks, seed, bs)
-
-
-def _normal_runs_satisfy_source(prog: Program, node: Node, order: list[VarDecl], trials: int,
-                                ticks: int, seed: int, bs: list) -> bool:
-    """Whether, on each trial's draw, the compiled normal form runs and its
-    history satisfies the source node's equations."""
-    from .semantics import sem_node  # imported on first use, as `codegen` is by NI
     declared = [d.name for d in node.inputs]
     names = declared + [d.name for d in node.outputs + node.locals]
-    rng = random.Random(seed)
-    try:
-        holds = sem_node(prog, node.name)
-        for _ in range(trials):
-            ins = _draw_inputs(rng, order, ticks)
-            positional = [ins[x] for x in declared]
-            hist = run_compiled(prog, node.name, positional, bs)
-            if not holds(dict(zip(names, positional + hist)), bs):
-                return False
-    except (LusetError, RecursionError):  # the trial loop decides the check instead
-        return False
-    return True
-
-
-def _trial_loop(prog: Program, node: Node, order: list[VarDecl], trials: int, ticks: int,
-                seed: int, bs: list) -> CheckReport:
-    """`check_semantics_preservation` by running both sides. The source runs
-    on the tree interpreter: one `streams.NodeInstance` per call, built in
-    the first trial and reset before each later one, which runs as a fresh
-    instance would (`interpret_node`). The normal form runs as compiled
-    code (`streams.run_compiled`), so the two sides never share an
-    evaluator."""
-    node_name = node.name
-    inst = None
+    bs = [True] * ticks
     rng = random.Random(seed)
     for trial in range(trials):
         ins = _draw_inputs(rng, order, ticks)
-        positional = [ins[d.name] for d in node.inputs]
+        positional = [ins[x] for x in declared]
         try:
-            if inst is None:
-                inst = NodeInstance(prog, node)  # in the try: a build error is trial 1's
-            else:
-                inst.reset()
-            ref = inst.run(ins, ticks, bs)
-            out1 = [ref[d.name] for d in node.outputs]
-            out2 = run_compiled(prog, node_name, positional, bs)
+            hist = run_compiled(prog, node_name, positional, bs)
+            found = fault(dict(zip(names, positional + hist)), bs)
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                                trials=trial + 1, seed=seed, reason=str(exc))
-        for d, s1, s2 in zip(node.outputs, out1, out2):  # out2 may go on with the locals
-            if not _streams_equal(s1, s2):
-                tick = next(t for t, (a, b) in enumerate(zip(s1, s2))
-                            if not _values_equal(a, b))
-                return CheckReport(
-                    "semantics-preservation", FAIL, node=node_name,
-                    trials=trial + 1, seed=seed,
-                    counterexample={
-                        "variable": d.name, "tick": tick,
-                        "source": [show_value(v) for v in s1],
-                        "normalised": [show_value(v) for v in s2],
-                        "inputs": {x: [show_value(v) for v in vs] for x, vs in ins.items()},
-                    })
+        if found is not None:
+            return CheckReport(
+                "semantics-preservation", FAIL, node=node_name, trials=trial + 1, seed=seed,
+                counterexample={
+                    "variable": found.variable, "tick": found.tick,
+                    "source": [show_value(v) for v in found.source],
+                    "normalised": [show_value(v) for v in found.history],
+                    "inputs": {x: [show_value(v) for v in vs[:found.tick + 1]]
+                               for x, vs in ins.items()},
+                })
     return CheckReport("semantics-preservation", PASS, node=node_name,
                        trials=trials, seed=seed)
 
@@ -794,22 +740,17 @@ def check_simple_security(samples: int = 1000, seed: int = 0) -> CheckReport:
 
 def generator_postcondition(samples: int = 50, seed: int = 0) -> CheckReport:
     """The random program generator only emits well-formed, well-clocked,
-    causal programs that survive inference and a short run of each node on
-    the tree interpreter (the compiled code is checked against it
-    elsewhere, and building it would cost more than the run)."""
+    causal programs that survive inference and a short run of each node
+    (`run_node`, whose build refuses a program that is not causal)."""
     rng = random.Random(seed)
     for trial in range(samples):
         prog = gen_program(rng)
         try:
             assert well_formed(prog) == []
             eprog = elaborate(prog)
-            for node in eprog.nodes:
-                assert causality(node).ok
             infer_program(eprog)
             for node in eprog.nodes:
-                ins = gen_inputs(rng, node, 8)
-                positional = [ins[d.name] for d in node.inputs]
-                interpret_node(eprog, node, ins, 8, default_base_clock(positional, 8))
+                run_node(eprog, node.name, gen_inputs(rng, node, 8), 8)
         except (AssertionError, LusetError) as exc:
             return CheckReport("generator-postcondition", FAIL, trials=trial + 1,
                                seed=seed, reason=str(exc))

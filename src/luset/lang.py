@@ -904,6 +904,15 @@ def check_causality(node: Node) -> tuple[int, ...]:
     return res.order
 
 
+def causal_order(prog: Program, name: str) -> tuple[int, ...]:
+    """`check_causality` of node `name`, once per program object."""
+    return derived(prog, _causal_order, name)
+
+
+def _causal_order(prog: Program, name: str) -> tuple[int, ...]:
+    return check_causality(prog.node(name))
+
+
 # ---------------------------------------------------------------------------
 # Normalised-form validation
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """The paper's relational stream semantics as a predicate over whole
-histories (`PAPER.md`).
+histories (`PAPER.md`), and the earliest place where a history breaks it.
 
-`sem_node(prog, name)` compiles the nodes of a program once into closures
-`col(H, bs)` over whole prefixes, built from the whole-prefix operators of
-`streams`, and returns `holds(history, bs)`: whether a history of every
-declared variable of the node satisfies the node's equations. `sem_exp` is
-the streams of one expression. The harness's semantics-preservation check
-decides with it whether the history of each compiled run of the normal form
-satisfies the source node's equations, and the tests check the histories of
-every evaluator against it.
+`earliest_fault(prog, name)` compiles the nodes of a program once into
+closures `col(H, bs)` over whole prefixes, built from the whole-prefix
+operators of `streams`, each node's equations in causal order
+(`lang.causal_order`). It returns `fault(history, bs)`: None when a
+history of every declared variable of the node satisfies the node's
+equations, else the earliest `Fault`. `sem_node` is "no fault", and
+`sem_exp` is the streams of one expression. The harness's
+semantics-preservation check asks for the fault of the history of each
+compiled run of the normal form against the source node's equations.
 
 The module is imported on first use (by `harness` and `luset.sem_node`): no
 command needs it before it checks a node.
@@ -16,13 +17,13 @@ command needs it before it checks a node.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .diagnostics import EvalError
 from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var, When,
-                   eq_targets)
-from .streams import (BStream, History, VStream, _present, _streams_equal, base_of,
+                   causal_order, eq_targets)
+from .streams import (ABSENT, BStream, History, VStream, _present, _streams_equal, base_of,
                       const_stream, eval_clock, fby_lustre, fby_nlustre, ite_stream, lift_binop,
                       lift_unop, merge_stream, run_node, when_stream)
 
@@ -32,11 +33,33 @@ from .streams import (BStream, History, VStream, _present, _streams_equal, base_
 Col = Callable[[History, BStream], list]
 
 
-class _Rejected(EvalError):
-    """A call's witness history does not satisfy the callee's equations."""
+class Fault(NamedTuple):
+    """Where a history breaks a node's equations: the least (tick, causal
+    position) at which an equation's right-hand side differs from the
+    history or a target is off its declared clock. `variable` is the
+    target, or its call path (`N0.s`) for a fault in a call's witness;
+    `source` and `history` are its streams from the right-hand side and
+    from the history over ticks 0..tick. For an input off its clock, or a
+    variable the history lacks, `source` is None. Every equation holds
+    before the tick, so by causality the history is the node's own there,
+    and every equation before this one in causal order holds at the tick:
+    the right-hand side reads only the node's own values, and `source` is
+    the node's stream."""
 
-    def __init__(self, node: str):
-        super().__init__("bad-witness", f"the run of {node} does not satisfy its equations")
+    variable: str
+    tick: int
+    source: VStream | None
+    history: VStream
+
+
+class _Rejected(EvalError):
+    """A call's witness history does not satisfy the callee's equations:
+    `fault` is the callee's earliest fault, named by its call path."""
+
+    def __init__(self, node: str, fault: Fault):
+        super().__init__("bad-witness", f"the run of {node} does not satisfy its equations",
+                         fault.tick)
+        self.fault = fault._replace(variable=f"{node}.{fault.variable}")
 
 
 def _live(ck: Clock) -> Callable[[History, BStream], BStream]:
@@ -91,46 +114,49 @@ class _Semantics:
       on the ambient clock, `when` arguments run on the sampled variable's
       clock, and `merge` branches on `ck on x` and `ck on not x`;
     - `_equation` is `sem_eqn`: the right-hand side's streams are those of
-      the targets in H, value for value, and the targets are present
-      exactly where the equation's clock is live. `Def`, `NDef`, `NFby`
-      (through `fby_nlustre`) and `NCall` are read alike;
-    - `node` is `sem_node`: every declared variable is present exactly on
-      its declared clock, and every equation holds.
+      the targets in H, value for value, and each target is present
+      exactly where its declared clock, and the equation's, is live. `Def`,
+      `NDef`, `NFby` (through `fby_nlustre`) and `NCall` are read alike;
+    - `node` is `sem_node`: every input is present exactly on its declared
+      clock, and every equation holds.
 
     A call's witness is the callee run by `run_node` on its arguments, on
     the base clock of their presence, or on the activation clock for a call
     without arguments. The witness must satisfy the callee's own equations,
-    else the call raises `_Rejected`.
-    Every operator raises the `EvalError` of the interpreter's closure, so a
-    history the predicate accepts is one the interpreter computes without a
-    fault. Each node is compiled once per instance, callees first."""
+    else the call raises `_Rejected` with the callee's earliest fault.
+    Every operator raises an `EvalError` at the first tick where it is
+    stuck. Each node is compiled once per instance, callees first."""
 
     def __init__(self, prog: Program):
         self.prog = prog
-        self.nodes: dict[str, Callable[[History, BStream], bool]] = {}
+        self.nodes: dict[str, Callable[[History, BStream], Fault | None]] = {}
 
-    def node(self, name: str) -> Callable[[History, BStream], bool]:
-        holds = self.nodes.get(name)
-        if holds is None:
-            holds = self.nodes[name] = self._node(self.prog.node(name))
-        return holds
+    def node(self, name: str) -> Callable[[History, BStream], Fault | None]:
+        fault = self.nodes.get(name)
+        if fault is None:
+            fault = self.nodes[name] = self._node(self.prog.node(name))
+        return fault
 
-    def _node(self, node: Node) -> Callable[[History, BStream], bool]:
+    def _node(self, node: Node) -> Callable[[History, BStream], Fault | None]:
         clocks = {d.name: d.clock for d in node.declarations}
         names = set(clocks)
-        declared = [(x, _live(ck)) for x, ck in clocks.items()]
-        equations = [self._equation(eq, clocks) for eq in node.equations]
+        inputs = [(d.name, _live(d.clock)) for d in node.inputs]
+        equations = [self._equation(node.equations[i], clocks)
+                     for i in causal_order(self.prog, node.name)]
 
-        def holds(H, bs):
+        def fault(H, bs):
             if not names <= H.keys():
-                return False
-            for x, live in declared:
-                if _present(H[x]) != live(H, bs):
-                    return False
-            return all(eq(H, bs) for eq in equations)
-        return holds
+                x = next(d.name for d in node.declarations if d.name not in H)
+                return Fault(x, 0, None, [])
+            for x, live in inputs:
+                h, ck = H[x], live(H, bs)
+                if _present(h) != ck:
+                    t = _first_fault(h, h, ck, None)
+                    return Fault(x, t, None, h[:t + 1])
+            return _earliest(equations, H, bs)
+        return fault
 
-    def _equation(self, eq: Equation, clocks) -> Callable[[History, BStream], bool]:
+    def _equation(self, eq: Equation, clocks) -> Callable[[History, BStream], Fault | None]:
         match eq:
             case Def(targets, ck, exprs):
                 ambient = ck if ck is not None else BASE_CLOCK
@@ -151,18 +177,24 @@ class _Semantics:
             case _:
                 raise TypeError(f"unsupported equation {eq!r}")
         targets = eq_targets(eq)
-        # where the equation's clock is the targets' declared one, `_node` checks it
+        declared = [_live(clocks[x]) for x in targets]
+        # the equation's clock needs its own check only where a target is declared on another
         live = None if eq.clock is None or all(clocks.get(x) == eq.clock for x in targets) \
             else _live(eq.clock)
 
-        def holds(H, bs):
+        def fault(H, bs):
             outs = col(H, bs)
-            if live is not None:
-                b = live(H, bs)
-                if any(_present(s) != b for s in outs):
-                    return False
-            return all(_streams_equal(s, H[x]) for x, s in zip(targets, outs))
-        return holds
+            b = None if live is None else live(H, bs)
+            found = None
+            for x, s, own in zip(targets, outs, declared):
+                h, ck = H[x], own(H, bs)
+                if _streams_equal(s, h) and _present(h) == ck and (b is None or _present(s) == b):
+                    continue
+                t = _first_fault(s, h, ck, b)
+                if found is None or t < found.tick:
+                    found = Fault(x, t, s[:t + 1], h[:t + 1])
+            return found
+        return fault
 
     def exp(self, e: Expr, ambient: Clock, clocks) -> tuple[Col, int]:
         """The closure of an expression on clock `ambient`, and its width."""
@@ -218,7 +250,7 @@ class _Semantics:
 
     def _call(self, f: str, args, ck: Clock, clocks) -> tuple[Col, int]:
         callee = self.prog.node(f)
-        holds = self.node(f)
+        fault = self.node(f)
         argv, width = _columns([self.exp(a, ck, clocks) for a in args])
         inputs = [d.name for d in callee.inputs]
         if width != len(inputs):
@@ -231,27 +263,85 @@ class _Semantics:
             vs = argv(H, bs)
             witness_bs = base_of(vs) if vs else activation(H, bs)
             witness, _ = run_node(prog, f, dict(zip(inputs, vs)), len(witness_bs), witness_bs)
-            if not holds(witness, witness_bs):
-                raise _Rejected(f)
+            found = fault(witness, witness_bs)
+            if found is not None:
+                raise _Rejected(f, found)
             return [witness[x] for x in outputs]
         return call, len(outputs)
 
 
-def sem_node(prog: Program, name: str) -> Callable[[History, BStream], bool]:
-    """The paper's `sem_node` for node `name`, compiled once: the returned
-    `holds(history, bs)` tells whether a history of every declared variable
-    of the node, over the base clock `bs`, satisfies the node's equations.
-    It raises the interpreter's `EvalError` where an operator is stuck on
-    the history. A causal node's equations have one solution, so a history
-    it accepts is the one `run_node` and `interpret_node` compute."""
-    holds = _Semantics(prog).node(name)
+def _first_fault(s: VStream, h: VStream, ck: BStream, b: BStream | None) -> int:
+    """The first tick where the right-hand side's stream s and the history's
+    stream h differ, h is off its declared clock ck, or s is off the
+    equation's clock b (None for no check); or where the shortest of them
+    ends."""
+    n = min(len(s), len(h), len(ck), len(ck) if b is None else len(b))
+    for t in range(n):
+        v, w = s[t], h[t]
+        if type(v) is not type(w) or v != w or (w is not ABSENT) != ck[t] or \
+                (b is not None and (v is not ABSENT) != b[t]):
+            return t
+    return n
 
-    def check(history: History, bs: BStream) -> bool:
-        try:
-            return holds(history, bs)
-        except _Rejected:
-            return False
-    return check
+
+def _earliest(equations: list, H: History, bs: BStream) -> Fault | None:
+    """The least (tick, causal position) where one of `equations`, in
+    causal order, fails on the history: its `Fault`, the callee's for a
+    rejected witness, or the `EvalError` of an operator stuck there, raised.
+
+    One pass over the whole prefix accepts a history. Where an equation
+    raises at tick u, a part of it left unevaluated may fail earlier, so
+    the passes go on over shorter prefixes, each ending before the least
+    such u, down to one where nothing raises: its earliest fault is exact.
+    Without one, a last pass a tick longer finds the first equation to fail
+    there. An `EvalError` without a tick is raised at once."""
+    n = m = len(bs)
+    last = False  # whether the prefix [:m] ends at the tick that fails
+    while True:
+        Hm, bsm = (H, bs) if m == n else ({x: vs[:m] for x, vs in H.items()}, bs[:m])
+        failed, stuck = [], None
+        for p, eq in enumerate(equations):
+            try:
+                found = eq(Hm, bsm)
+            except EvalError as exc:
+                if exc.tick is None:
+                    raise
+                failed.append((exc.tick, p, exc))
+                stuck = exc.tick if stuck is None else min(stuck, exc.tick)
+            else:
+                if found is not None:
+                    failed.append((found.tick, p, found))
+        if stuck is not None and not last:
+            m = min(stuck, m - 1)
+            continue
+        if failed:
+            _, _, first = min(failed, key=lambda f: f[:2])
+            if isinstance(first, Fault):
+                return first
+            if isinstance(first, _Rejected):
+                return first.fault
+            raise first
+        if m == n:
+            return None
+        m, last = m + 1, True
+
+
+def earliest_fault(prog: Program, name: str) -> Callable[[History, BStream], Fault | None]:
+    """The earliest fault of node `name`, compiled once: the returned
+    `fault(history, bs)` is None when a history of every declared variable
+    of the node, over the base clock `bs`, satisfies the node's equations,
+    and else the `Fault` of the least (tick, causal position) where it does
+    not. It raises the `EvalError` of an operator stuck there instead. A
+    node that is not causal raises `CausalityError`."""
+    return _Semantics(prog).node(name)
+
+
+def sem_node(prog: Program, name: str) -> Callable[[History, BStream], bool]:
+    """The paper's `sem_node` for node `name`: whether a history has no
+    fault (`earliest_fault`). A causal node's equations have one solution,
+    so a history it accepts is the one `run_node` computes."""
+    fault = earliest_fault(prog, name)
+    return lambda history, bs: fault(history, bs) is None
 
 
 def sem_exp(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStream]:

@@ -135,7 +135,7 @@ def interpreted_normal_form(prog, name, ins, bs):
     locals, in declaration order. The normal form is `harness`'s, so a test
     that replaces `harness.normalize_program` runs its replacement."""
     from luset import harness
-    from luset.streams import interpret_node
+    from interpreter import interpret_node
     nprog, _ = harness.normalize_program(prog)
     node = nprog.node(name)
     history = interpret_node(nprog, node, dict(zip([d.name for d in node.inputs], ins)),

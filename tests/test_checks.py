@@ -18,9 +18,10 @@ from luset.infer import flatten_assignment
 from luset.lang import ClockOn, elaborate
 from luset.parser import parse_program
 from luset.sectypes import Lattice
-from luset.streams import ABSENT, NodeInstance, default_base_clock, interpret_node, run_node
+from luset.streams import ABSENT, default_base_clock, run_node
 
 from conftest import CTR_SRC, interpreted_normal_form
+from interpreter import NodeInstance, interpret_node
 
 ROOT = Path(__file__).parent.parent
 SAMPLES = ROOT / "samples"

@@ -99,8 +99,8 @@ def test_run_locals_flag(files, capsys):
 
 
 def test_run_input_off_its_sub_clock_exit_two(files, capsys):
-    """`y` is present at tick 1, where `b` is false: the compiled code
-    refuses the run, and so does the interpreter it falls back to."""
+    """`y` is present at tick 1, where `b` is false: the check of the
+    inputs at the node's interface refuses the run."""
     (files / "m.lus").write_text(
         "node M(b: bool; y: int when b) returns (o: int); let o = 1; tel")
     (files / "m.csv").write_text("b,y\ntrue,1\nfalse,5\ntrue,_\n")
@@ -509,6 +509,24 @@ def test_inconclusive_preserve_exits_two_with_its_report(tmp_path, capsys):
     assert out.startswith("semantics-preservation D: inconclusive (1 trials, seed 0)\n"
                           "  reason: div-by-zero at tick 7")
     assert "type-preservation: pass" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_a_refused_build_leaves_the_semantics_check_inconclusive(capsys, as_json):
+    """`(a, b) = (b, x)` normalises, since normalisation splits the tuple,
+    but is not causal, so the code generator refuses it: the semantics check
+    is inconclusive with the refusal as its reason, before any trial, and
+    the type check still reports."""
+    argv = ["preserve", str(DATA / "tuple_cycle.lus")] + ["--json"] * as_json
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    if as_json:
+        assert out == (DATA / "preserve_tuple_cycle.json").read_text()
+    else:
+        assert out == ("semantics-preservation f: inconclusive (0 trials, seed 0)\n"
+                       "  reason: f: causality cycle through b\n"
+                       "type-preservation: pass (4 trials)\n")
     assert err == ""
 
 

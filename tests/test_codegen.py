@@ -1,5 +1,5 @@
 """Differential test of the compiled path of `run_node` against the tree
-interpreter (`NodeInstance`, through `streams.interpret_node`).
+interpreter (`NodeInstance`, through `interpreter.interpret_node`).
 
 Every case requires `run_node` to return the interpreter's history (every
 declared variable, value and type) and base clock, or to raise the
@@ -20,9 +20,10 @@ from luset.harness import gen_inputs, gen_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import ABSENT, check_inputs, interpret_node, run_node
+from luset.streams import ABSENT, check_inputs, run_node
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC
+from interpreter import interpret_node
 
 A = ABSENT
 BIG = (1 << 63) - 1

@@ -139,12 +139,12 @@ def test_semantics_preservation_already_normal(ctr_prog):
 @pytest.mark.parametrize("runner_refuses", [False, True], ids=["compiled", "runner-refuses"])
 def test_semantics_preservation_catches_a_normalisation_bug(monkeypatch, cnt_dn_prog,
                                                             runner_refuses):
-    """The source side runs on the tree interpreter, not on the normal form,
-    so a wrong normal form fails the check even though every compiled run
-    goes through the same (wrong) normalisation. With the normal side run
-    on the tree interpreter (`runner-refuses`, as it ran when the compiler
-    refused a program), it interprets the normal form, never the source, and
-    the check still fails."""
+    """The check reads the source's equations, not the normal form's, so a
+    wrong normal form fails the check even though every compiled run goes
+    through the same (wrong) normalisation. With the normal side run on the
+    tree interpreter (`runner-refuses`, as it ran when the compiler refused
+    a program), it interprets the normal form, never the source, and the
+    check still fails."""
     from dataclasses import replace
     from luset import codegen, harness
     from luset.lang import Const, NFby

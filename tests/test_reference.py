@@ -1,4 +1,4 @@
-"""Pins the results of the tree interpreter (`streams.interpret_node`), the
+"""Pins the results of the tree interpreter (`interpreter.interpret_node`), the
 reference every faster path is checked against, and of security inference
 (`infer.infer_program`), so that a rewrite of either's internals is checked
 to give the very same histories, signatures and diagnostics."""
@@ -16,9 +16,10 @@ from luset.infer import infer_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import ABSENT, NodeInstance, interpret_node, show_value
+from luset.streams import ABSENT, show_value
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC, chain_src
+from interpreter import NodeInstance, interpret_node
 from test_codegen import CALLS_SRC, DIVMOD_SRC, OFF_CLOCK_SRC, WHEN2_SRC
 
 ROOT = Path(__file__).parent.parent
@@ -211,8 +212,8 @@ def test_reset_instance_gives_the_pinned_results():
 
 
 def test_long_flat_sum_preserves(tmp_path, capsys):
-    """A flat sum near the elaboration cap runs on the interpreter's source
-    side without a `RecursionError`: one frame per level of nesting."""
+    """A flat sum near the elaboration cap is checked against the source's
+    equations without a `RecursionError`: one frame per level of nesting."""
     src = tmp_path / "sum.lus"
     src.write_text("node f(x: int) returns (y: int); let y = " + " + ".join(["x"] * 480) + "; tel")
     assert main(["preserve", str(src), "--json", "--trials", "3"]) == 0

@@ -11,14 +11,15 @@ from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby,
                         Var, clock_vars, elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import (ABSENT, NodeInstance, _csv_rows, _trace_by_rows, base_of,
+from luset.streams import (ABSENT, _csv_rows, _trace_by_rows, base_of,
                            const_stream, default_base_clock, eval_clock, fby_lustre,
-                           fby_nlustre, interpret_node, ite_stream, lift_binop, lift_unop,
+                           fby_nlustre, ite_stream, lift_binop, lift_unop,
                            merge_stream, read_trace, run_node, show_value,
                            when_stream)
 from luset.semantics import sem_exp
 
 from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
+from interpreter import NodeInstance, interpret_node
 
 A = ABSENT
 
