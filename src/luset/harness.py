@@ -391,7 +391,9 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
                            details=details)
     levels = _variable_levels(res, solved, lat)
 
-    equal_inputs = _equal_closure(node, levels, cfg.level, lat)
+    # the inputs at or below the level, closed under their clock drivers
+    equal_inputs = input_dependences(node, [d.name for d in node.inputs
+                                            if lat.leq(levels[d.name], cfg.level)])
     declared = [d.name for d in node.inputs]
     names = declared + [d.name for d in node.outputs + node.locals]
     observed = _observed(levels, cfg.level, lat)
@@ -440,28 +442,6 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
                 details=details)
     return CheckReport("non-interference", PASS, node=cfg.node, trials=cfg.trials,
                        seed=cfg.seed, details=details)
-
-
-def _equal_closure(node: Node, levels: Mapping[str, str], level: str,
-                   lat: Lattice) -> set[str]:
-    """Inputs that must agree between the two runs: everything at or below
-    the observation level, closed under clock drivers (so that presence
-    patterns of compared streams agree)."""
-    return _with_clock_drivers(node, {d.name for d in node.inputs
-                                      if lat.leq(levels[d.name], level)})
-
-
-def _with_clock_drivers(node: Node, names: set[str]) -> set[str]:
-    """names closed under the clock drivers of the inputs among them."""
-    closed = set(names)
-    changed = True
-    while changed:
-        changed = False
-        for d in node.inputs:
-            if d.name in closed and not clock_vars(d.clock) <= closed:
-                closed |= clock_vars(d.clock)
-                changed = True
-    return closed
 
 
 def _first_difference(h1: History, h2: History) -> tuple[str, int] | None:

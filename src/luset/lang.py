@@ -375,18 +375,20 @@ def input_dependences(node: Node, names: Iterable[str]) -> set[str]:
     all of its arguments. Two runs on inputs that agree on these give the
     named variables the same streams, since a run is deterministic.
     """
+    inputs = {d.name for d in node.inputs}
     reads = {d.name: clock_vars(d.clock) for d in node.declarations}
-    for eq in node.equations:
-        eq_reads = _reads_and_calls(eq)[0] | clock_vars(eq.clock)
-        for x in eq_targets(eq):
-            reads[x] |= eq_reads
     seen = set(names)
+    if not seen <= inputs:  # an input's clock samples only inputs: it reads no equation
+        for eq in node.equations:
+            eq_reads = _reads_and_calls(eq)[0] | clock_vars(eq.clock)
+            for x in eq_targets(eq):
+                reads[x] |= eq_reads
     todo = list(seen)
     while todo:
         new = reads.get(todo.pop(), set()) - seen
         seen |= new
         todo.extend(new)
-    return seen & {d.name for d in node.inputs}
+    return seen & inputs
 
 
 def _schedule(deps: dict) -> list:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
@@ -59,13 +58,6 @@ _BINARY = {"or": (3, True), "and": (4, True),
            "+": (6, True), "-": (6, True),
            "*": (7, True), "div": (7, True), "mod": (7, True)}
 _FBY, _WHEN, _UNARY = 1, 2, 8
-
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | "kw" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
 
 
 def _starts_token(tok: str) -> bool:
@@ -107,27 +99,8 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return next(islice(_positions(text), index, None))
 
 
-def _kind(tok: str) -> str:
-    if not tok:
-        return "eof"
-    if tok in KEYWORDS:
-        return "kw"
-    if tok[0].isdecimal():
-        return "int"
-    if tok[0].isalpha() or tok[0] == "_":
-        return "ident"
-    return "sym"
-
-
 def _is_ident(tok: str) -> bool:
     return (tok[:1].isalpha() or tok[:1] == "_") and tok not in KEYWORDS
-
-
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    """The tokens of `text` with their kinds and positions, ending in an
-    "eof" token. The parser itself reads `_lex`'s strings."""
-    return [Token(_kind(tok), tok, line, col)
-            for tok, (line, col) in zip(_lex(text, filename), _positions(text))]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
 """The paper's relational stream semantics as a predicate over whole
-histories (`PAPER.md`), and the earliest place where a history breaks it.
+histories (`PAPER.md`), the stream operators it is built from, and the
+earliest place where a history breaks it.
+
+The stream operators (`const_stream` … `base_of`) compute a stream over a
+whole prefix at once and raise an `EvalError` at the first tick where an
+operator is stuck: they enforce the clocking regime, a value present where
+its clock is live and absent where it is idle.
 
 `earliest_fault(prog, name)` compiles the nodes of a program once into
-closures `col(H, bs)` over whole prefixes, built from the whole-prefix
-operators of `streams`, each node's equations in causal order
-(`lang.causal_order`). It returns `fault(history, bs)`: None when a
-history of every declared variable of the node satisfies the node's
-equations, else the earliest `Fault`. `sem_node` is "no fault", and
-`sem_exp` is the streams of one expression. The harness's
-semantics-preservation check asks for the fault of the history of each
-compiled run of the normal form against the source node's equations.
+closures `col(H, bs)` over whole prefixes, built from those operators, each
+node's equations in causal order (`lang.causal_order`). It returns
+`fault(history, bs)`: None when a history of every declared variable of the
+node satisfies the node's equations, else the earliest `Fault`. `sem_node`
+is "no fault", and `sem_exp` is the streams of one expression. The
+harness's semantics-preservation check asks for the fault of the history of
+each compiled run of the normal form against the source node's equations.
 
 The module is imported on first use (by `harness` and `luset.sem_node`): no
 command needs it before it checks a node.
@@ -17,15 +22,132 @@ command needs it before it checks a node.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import operator
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .diagnostics import EvalError
 from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var, When,
                    causal_order, eq_targets)
-from .streams import (ABSENT, BStream, History, VStream, _present, _streams_equal, base_of,
-                      const_stream, eval_clock, fby_lustre, fby_nlustre, ite_stream, lift_binop,
-                      lift_unop, merge_stream, run_node, when_stream)
+from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _apply_unop,
+                      _off_clock, _present, _streams_equal, _wrap64, eval_clock, run_node)
+
+# ---------------------------------------------------------------------------
+# The stream operators over whole prefixes
+# ---------------------------------------------------------------------------
+
+# Each operator compares the whole presence vectors of its operands first and
+# computes its stream in one comprehension. Only where they differ does it
+# ask `streams._off_clock` for the first tick at fault, and raise its
+# `EvalError` there; a partial operator computes its values up to that tick
+# first, so that an error of an earlier tick wins. A shorter operand cuts
+# the output to the common prefix.
+
+# The binary operators that cannot raise, as functions of two present
+# values; `_WRAPPING` ones wrap their result to 64 bits.
+_TOTAL = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
+          "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "and": lambda a, b: a and b, "or": lambda a, b: a or b}
+_WRAPPING = {"+", "-", "*"}
+
+
+def _mismatch(message: str, t: int) -> EvalError:
+    return EvalError("clocked-value-mismatch", message, t)
+
+
+def const_stream(c: Union[int, bool], bs: BStream) -> VStream:
+    """The constant pulsed on the given clock."""
+    return [c if b else ABSENT for b in bs]
+
+
+def lift_unop(op: str, es: VStream) -> VStream:
+    if op == "not":
+        return [v if v is ABSENT else not v for v in es]
+    if op == "-":
+        return [v if v is ABSENT else -v if -_HALF < v < _HALF else _wrap64(-v) for v in es]
+    return [ABSENT if v is ABSENT else _apply_unop(op, v, t) for t, v in enumerate(es)]
+
+
+def lift_binop(op: str, xs: VStream, ys: VStream) -> VStream:
+    fn = _TOTAL.get(op)
+    live = _present(xs)
+    t = None if live == _present(ys) else _off_clock([(live, ys)])
+    if fn is None or t is not None:
+        out = [ABSENT if a is ABSENT else _apply_binop(op, a, b, u)
+               for u, (a, b) in enumerate(zip(xs[:t], ys))]
+        if t is not None:
+            raise _mismatch(f"operands of {op} disagree on presence", t)
+        return out
+    if op in _WRAPPING:
+        return [a if a is ABSENT else v if -_HALF <= (v := fn(a, b)) < _HALF else _wrap64(v)
+                for a, b in zip(xs, ys)]
+    return [a if a is ABSENT else fn(a, b) for a, b in zip(xs, ys)]
+
+
+def when_stream(k: bool, xs: VStream, es: VStream) -> VStream:
+    """Sample es where xs carries the value k; both absent passes through."""
+    live = _present(xs)
+    if live != _present(es) and (t := _off_clock([(live, es)])) is not None:
+        raise _mismatch("when operands disagree on presence", t)
+    return [e if x == k else ABSENT for x, e in zip(xs, es)]
+
+
+def merge_stream(xs: VStream, ts: VStream, fs: VStream) -> VStream:
+    """Interpolate complementary streams steered by xs."""
+    on = [x is True for x in xs]
+    off = [x is not ABSENT and x is not True for x in xs]
+    if (_present(ts) != on or _present(fs) != off) and \
+            (t := _off_clock([(on, ts), (off, fs)])) is not None:
+        raise _mismatch("merge branch present while selector is absent" if xs[t] is ABSENT
+                        else "merge branches must be complementary", t)
+    return [a if x is True else b for x, a, b in zip(xs, ts, fs)]
+
+
+def ite_stream(es: VStream, ts: VStream, fs: VStream) -> VStream:
+    """Pointwise conditional; all three streams pulse together."""
+    live = _present(es)
+    if not live == _present(ts) == _present(fs) and \
+            (t := _off_clock([(live, ts), (live, fs)])) is not None:
+        raise _mismatch("if operands disagree on presence", t)
+    return [c if c is ABSENT else a if c else b for c, a, b in zip(es, ts, fs)]
+
+
+def fby_lustre(xs: VStream, ys: VStream) -> VStream:
+    """Full-language delay: the first present value comes from xs, every
+    later present value is the previous present value of ys."""
+    live = _present(xs)
+    if live != _present(ys):
+        t = _off_clock([(live, ys)])
+        if t is not None:
+            raise _mismatch("fby operands disagree on presence", t)
+        n = min(len(xs), len(ys))  # a shorter operand cuts the output
+        xs, ys, live = xs[:n], ys[:n], live[:n]
+    if True not in live:
+        return list(xs)
+    delayed = iter([xs[live.index(True)]] + [y for y in ys if y is not ABSENT])
+    return [ABSENT if x is ABSENT else next(delayed) for x in xs]
+
+
+def fby_nlustre(c: Union[int, bool], vs: VStream) -> VStream:
+    """Constant-initialised delay: emit the saved value, then store the
+    current input; absences keep the state."""
+    delayed = iter([c] + [v for v in vs if v is not ABSENT])
+    return [ABSENT if v is ABSENT else next(delayed) for v in vs]
+
+
+def base_of(streams: Sequence[VStream]) -> BStream:
+    """Clock on which a tuple of aligned streams pulses, over their common
+    prefix."""
+    if not streams:
+        raise EvalError("arity-mismatch", "base clock of an empty stream tuple")
+    live = _present(streams[0])
+    if all(_present(s) == live for s in streams[1:]):
+        return live
+    t = _off_clock([(live, s) for s in streams[1:]])
+    if t is not None:
+        raise _mismatch("stream tuple components disagree on presence", t)
+    return live[:min(map(len, streams))]
+
 
 # An expression compiled to a closure `col(H, bs)`: its streams over the
 # whole prefix, one per component, under the history H and the base clock
@@ -110,7 +232,7 @@ class _Semantics:
     compiled to closures over whole prefixes (`PAPER.md`):
 
     - `exp` is `sem_exp`: the streams of an expression under a history H,
-      built from the whole-prefix operators of `streams`. Constants pulse
+      built from the stream operators above. Constants pulse
       on the ambient clock, `when` arguments run on the sampled variable's
       clock, and `merge` branches on `ck on x` and `ck on not x`;
     - `_equation` is `sem_eqn`: the right-hand side's streams are those of

@@ -8,18 +8,16 @@ before the first tick, and runs the node as compiled core-form code (see
 `codegen`) through `run_compiled`: the package has one executable
 evaluator.
 
-The whole-prefix stream operators (`const_stream` … `base_of`) compute a
-stream over a whole prefix at once, and raise an `EvalError` at the first
-tick where an operator is stuck; `eval_clock` is the one clock evaluator.
-`semantics` builds the paper's relational semantics from them, as a
-predicate over whole histories (`sem_node`) and as the streams of one
-expression (`sem_exp`).
+`eval_clock` is the one clock evaluator. The scalar operators `_apply_unop`
+and `_apply_binop` give the value of an operator at one tick (the generated
+code's `binop` is `_apply_binop`). The paper's whole-prefix stream operators
+and its relational semantics are in `semantics`, which only a check of the
+predicate loads.
 """
 
 from __future__ import annotations
 
 import csv
-import operator
 from typing import Callable, Sequence, Union
 
 from .diagnostics import EvalError
@@ -66,17 +64,26 @@ def _present(vs: VStream) -> BStream:
     return [v is not ABSENT for v in vs]
 
 
+def _off_clock(pairs: list[tuple[BStream, VStream]]) -> int | None:
+    """The first tick of the common prefix of the (clock, stream) pairs where
+    a stream is absent while its clock is live or present while it is idle,
+    or None. It is the one search for a stream off its clock: `eval_clock`
+    and the stream operators of `semantics` call it only where whole
+    presence vectors differ."""
+    n = min(min(len(ck), len(vs)) for ck, vs in pairs)
+    for t in range(n):
+        for ck, vs in pairs:
+            if (vs[t] is not ABSENT) != bool(ck[t]):
+                return t
+    return None
+
+
 def _streams_equal(xs: VStream, ys: VStream) -> bool:
     """Same length and the same value and type at every tick, a whole list
     at a time: `==` alone takes `True` for `1` and `False` for `0`, so the
     types are compared too, and `ABSENT` is a singleton equal only to
     itself."""
     return xs == ys and list(map(type, xs)) == list(map(type, ys))
-
-
-def const_stream(c: Union[int, bool], bs: BStream) -> VStream:
-    """The constant pulsed on the given clock."""
-    return [c if b else ABSENT for b in bs]
 
 
 _I64 = 1 << 64
@@ -133,130 +140,6 @@ def _apply_binop(op: str, a, b, tick: int):
     raise EvalError("bad-operator", f"unknown operator {op}", tick)
 
 
-# The operators below compare the presence of their operands first and
-# compute the result in one comprehension. A partial operator, and operands
-# that disagree on presence, take the tick-by-tick loop, which raises the
-# `EvalError` of the first tick at fault.
-
-# The binary operators that cannot raise, as functions of two present
-# values; `_WRAPPING` ones wrap their result to 64 bits.
-_TOTAL = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
-          "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt,
-          ">=": operator.ge, "and": lambda a, b: a and b, "or": lambda a, b: a or b}
-_WRAPPING = {"+", "-", "*"}
-
-
-def lift_unop(op: str, es: VStream) -> VStream:
-    if op == "not":
-        return [v if v is ABSENT else not v for v in es]
-    if op == "-":
-        return [v if v is ABSENT else -v if -_HALF < v < _HALF else _wrap64(-v) for v in es]
-    return [ABSENT if v is ABSENT else _apply_unop(op, v, t) for t, v in enumerate(es)]
-
-
-def lift_binop(op: str, xs: VStream, ys: VStream) -> VStream:
-    fn = _TOTAL.get(op)
-    if fn is not None and _present(xs) == _present(ys):
-        if op in _WRAPPING:
-            return [a if a is ABSENT else v if -_HALF <= (v := fn(a, b)) < _HALF else _wrap64(v)
-                    for a, b in zip(xs, ys)]
-        return [a if a is ABSENT else fn(a, b) for a, b in zip(xs, ys)]
-    out = []
-    for t, (a, b) in enumerate(zip(xs, ys)):
-        if present(a) != present(b):
-            raise EvalError("clocked-value-mismatch",
-                            f"operands of {op} disagree on presence", t)
-        out.append(ABSENT if a is ABSENT else _apply_binop(op, a, b, t))
-    return out
-
-
-def when_stream(k: bool, xs: VStream, es: VStream) -> VStream:
-    """Sample es where xs carries the value k; both absent passes through."""
-    if _present(xs) != _present(es):
-        for t, (x, e) in enumerate(zip(xs, es)):
-            if present(x) != present(e):
-                raise EvalError("clocked-value-mismatch",
-                                "when operands disagree on presence", t)
-    return [e if x == k else ABSENT for x, e in zip(xs, es)]
-
-
-def merge_stream(xs: VStream, ts: VStream, fs: VStream) -> VStream:
-    """Interpolate complementary streams steered by xs."""
-    if _present(ts) == [x is True for x in xs] and \
-            _present(fs) == [x is not ABSENT and x is not True for x in xs]:
-        return [a if x is True else b for x, a, b in zip(xs, ts, fs)]
-    out = []
-    for t, (x, a, b) in enumerate(zip(xs, ts, fs)):
-        if x is ABSENT:
-            if present(a) or present(b):
-                raise EvalError("clocked-value-mismatch",
-                                "merge branch present while selector is absent", t)
-            out.append(ABSENT)
-        elif x is True:
-            if not present(a) or present(b):
-                raise EvalError("clocked-value-mismatch",
-                                "merge branches must be complementary", t)
-            out.append(a)
-        else:
-            if present(a) or not present(b):
-                raise EvalError("clocked-value-mismatch",
-                                "merge branches must be complementary", t)
-            out.append(b)
-    return out
-
-
-def ite_stream(es: VStream, ts: VStream, fs: VStream) -> VStream:
-    """Pointwise conditional; all three streams pulse together."""
-    if not _present(es) == _present(ts) == _present(fs):
-        for t, (c, a, b) in enumerate(zip(es, ts, fs)):
-            if present(c) != present(a) or present(c) != present(b):
-                raise EvalError("clocked-value-mismatch",
-                                "if operands disagree on presence", t)
-    return [c if c is ABSENT else a if c else b for c, a, b in zip(es, ts, fs)]
-
-
-def fby_lustre(xs: VStream, ys: VStream) -> VStream:
-    """Full-language delay: the first present value comes from xs, every
-    later present value is the previous present value of ys."""
-    live = _present(xs)
-    if live != _present(ys):
-        for t, (x, y) in enumerate(zip(xs, ys)):
-            if present(x) != present(y):
-                raise EvalError("clocked-value-mismatch",
-                                "fby operands disagree on presence", t)
-        n = min(len(xs), len(ys))  # a shorter operand cuts the output
-        xs, ys, live = xs[:n], ys[:n], live[:n]
-    if True not in live:
-        return list(xs)
-    delayed = iter([xs[live.index(True)]] + [y for y in ys if y is not ABSENT])
-    return [ABSENT if x is ABSENT else next(delayed) for x in xs]
-
-
-def fby_nlustre(c: Union[int, bool], vs: VStream) -> VStream:
-    """Constant-initialised delay: emit the saved value, then store the
-    current input; absences keep the state."""
-    delayed = iter([c] + [v for v in vs if v is not ABSENT])
-    return [ABSENT if v is ABSENT else next(delayed) for v in vs]
-
-
-def base_of(streams: Sequence[VStream]) -> BStream:
-    """Clock on which a tuple of aligned streams pulses."""
-    if not streams:
-        raise EvalError("arity-mismatch", "base clock of an empty stream tuple")
-    live = _present(streams[0])
-    if all(_present(s) == live for s in streams[1:]):
-        return live
-    out = []
-    n = len(streams[0])
-    for t in range(n):
-        flags = {present(s[t]) for s in streams}
-        if len(flags) > 1:
-            raise EvalError("clocked-value-mismatch",
-                            "stream tuple components disagree on presence", t)
-        out.append(flags.pop())
-    return out
-
-
 def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
     """Boolean stream denoted by a clock expression under a history, over the
     ticks where the base clock and every clock variable have a value, one
@@ -276,9 +159,8 @@ def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
     for level in levels:
         x, xs = level.var, history[level.var][:n]
         end = n if fault is None else fault.tick  # an outer fault wins at its tick
-        t = end if _present(xs) == live else \
-            next((t for t in range(end) if (xs[t] is not ABSENT) != bool(live[t])), end)
-        if t < end:
+        t = None if _present(xs) == live else _off_clock([(live[:end], xs)])
+        if t is not None:
             state = "absent while its clock is live" if live[t] else "present while its clock is idle"
             fault = EvalError("clocked-value-mismatch", f"clock variable {x} {state}", t, x)
         live = [v == level.value for v in xs]  # where the outer clock is idle, v is ABSENT

@@ -201,8 +201,8 @@ def test_ni_report_of_sample_golden(golden, args, code, monkeypatch, capsys):
 @pytest.mark.parametrize("node, sample, level, force", [
     ("Leak", "leak", "L", True), ("Leak2", "leak", "L", True),
     ("Ctr", "ctr", "L", False), ("Ctr", "ctr", "H", False)])
-def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node, sample,
-                                                               level, force):
+def test_ni_gives_the_same_report_on_the_interpreted_normal_form(monkeypatch, node, sample,
+                                                                 level, force):
     """With the normal form run on the tree interpreter instead of its
     compiled code, a check gives the very report of its compiled runs."""
     prog = parse_program((SAMPLES / f"{sample}.lus").read_text())
@@ -223,7 +223,7 @@ def test_ni_falls_back_to_the_interpreter_with_the_same_report(monkeypatch, node
       for s in ("ctr", "leak", "retrig")],
     *[(["suite", "--seed", str(seed), "--json"], f"suite_seed{seed}.json") for seed in (0, 1)],
 ], ids=["preserve-ctr", "preserve-leak", "preserve-retrig", "suite-0", "suite-1"])
-def test_semantics_check_falls_back_to_the_interpreter_with_the_same_report(
+def test_semantics_check_gives_the_same_report_on_the_interpreted_normal_form(
         monkeypatch, capsys, argv, golden):
     """With the normal form run on the tree interpreter instead of its
     compiled code, every report is the one the compiled runs give."""

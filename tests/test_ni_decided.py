@@ -16,9 +16,9 @@ import pytest
 from luset import codegen, infer, lang
 from luset.diagnostics import EvalError
 from luset.harness import (FAIL, INCONCLUSIVE, PASS, SKIPPED, CheckReport, NIConfig,
-                           _draw_inputs, _equal_closure, _first_difference, _input_order,
-                           _observed, _variable_levels, _with_clock_drivers,
-                           check_non_interference, gen_program, sample_satisfying_assignment)
+                           _draw_inputs, _first_difference, _input_order, _observed,
+                           _variable_levels, check_non_interference, gen_program,
+                           sample_satisfying_assignment)
 from luset.infer import infer_program, solve_interface
 from luset.lang import (BASE_CLOCK, Binop, Const, Def, Ite, Node, Program, Ty, Var, VarDecl,
                         elaborate, input_dependences)
@@ -47,7 +47,8 @@ def trial_loop_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
                            details=details)
     levels = _variable_levels(res, solved, lat)
 
-    equal_inputs = _equal_closure(node, levels, cfg.level, lat)
+    equal_inputs = input_dependences(node, [d.name for d in node.inputs
+                                            if lat.leq(levels[d.name], cfg.level)])
     observed = _observed(levels, cfg.level, lat)
     order = _input_order(node)
     declared = [d.name for d in node.inputs]
@@ -263,8 +264,8 @@ def test_ni_reports_match_the_trial_loop_under_an_inference_mutant(monkeypatch):
 def _dependence_differences(deps) -> tuple[int, int]:
     """(comparisons, differing ones) over 300 draws, source and normal form:
     for each declared variable x of the top node, two runs on draws that
-    agree exactly on `deps(node, x)`, closed under clock drivers, and
-    whether x's streams differ."""
+    agree exactly on `deps(node, x)`, closed under clock drivers
+    (`input_dependences` of it), and whether x's streams differ."""
     programs, rng = random.Random(28), random.Random(29)
     compared = differing = 0
     for _ in range(300):
@@ -275,7 +276,7 @@ def _dependence_differences(deps) -> tuple[int, int]:
             names = declared + [d.name for d in node.outputs + node.locals]
             bs = [True] * 12
             for x in names:
-                agree = _with_clock_drivers(node, deps(node, x))
+                agree = input_dependences(node, deps(node, x))
                 shared = _draw_inputs(rng, order, len(bs))
                 runs = []
                 for _ in range(2):

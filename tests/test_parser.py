@@ -7,12 +7,11 @@ from luset.diagnostics import ParseError
 from luset.harness import gen_program
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockOn, Const, Fby, Ite, Merge,
                         Ty, Var, When)
-from luset.parser import parse_program, pretty_print, tokenize
+from luset.parser import _lex, _positions, parse_program, pretty_print
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_SRC, LEAK_ITE_SRC,
                       LEAK_MERGE_SRC, RE_TRIG_SRC, ROOT, mutation_corpus)
 from luset.diagnostics import Diagnostic, SourceSpan
-from luset.parser import KEYWORDS
 
 
 def test_ctr_listing_shape():
@@ -197,13 +196,14 @@ def test_tuple_operand_diagnostic_positions(rhs, diagnostic):
 
 
 @pytest.mark.parametrize("text, tokens", [
-    ("12abc", [("int", "12"), ("ident", "abc")]),
-    ("<>=", [("sym", "<>"), ("sym", "=")]),
-    ("α1", [("ident", "α1")]),
-    ("٣", [("int", "٣")]),
+    ("12abc", ["12", "abc"]),
+    ("<>=", ["<>", "="]),
+    ("α1", ["α1"]),
+    ("٣", ["٣"]),
 ])
 def test_token_kinds(text, tokens):
-    assert [(t.kind, t.text) for t in tokenize(text)] == tokens + [("eof", "")]
+    """Where one token ends and the next starts."""
+    assert _lex(text, "<input>") == tokens + [""]
 
 
 def test_unicode_identifier_and_decimal_digit():
@@ -226,7 +226,7 @@ _ORACLE_LEXEME = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 
 
-def _tokenize_oracle(text: str, filename: str) -> list[tuple[str, str, int, int]]:
+def _tokenize_oracle(text: str, filename: str) -> list[tuple[str, int, int]]:
     toks = []
     line, line_start = 1, 0
     for m in _ORACLE_LEXEME.finditer(text):
@@ -239,30 +239,30 @@ def _tokenize_oracle(text: str, filename: str) -> list[tuple[str, str, int, int]
             continue
         lexeme = m.group()
         col = m.start() - line_start + 1
-        if kind == "word":
-            if lexeme[0].isalpha() or lexeme[0] == "_":
-                kind = "kw" if lexeme in KEYWORDS else "ident"
-            else:
-                kind = "bad"
-        if kind == "bad":
+        if kind == "bad" or kind == "word" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
             raise ParseError([Diagnostic("syntax-error", f"unexpected character {lexeme[0]!r}",
                                          span=SourceSpan(filename, line, col, line, col + 1))])
-        toks.append((kind, lexeme, line, col))
-    toks.append(("eof", "", line, len(text) - line_start + 1))
+        toks.append((lexeme, line, col))
+    toks.append(("", line, len(text) - line_start + 1))
     return toks
 
 
 def _lexed(lex, text: str, filename: str):
     try:
-        return [tuple(tok) for tok in lex(text, filename)]
+        return lex(text, filename)
     except ParseError as err:
         return str(err)
 
 
+def _lex_with_positions(text: str, filename: str):
+    return [(tok, line, col) for tok, (line, col) in zip(_lex(text, filename), _positions(text))]
+
+
 def test_tokenize_matches_the_reference_lexer():
-    """Kind, text, line and column of every token, or the exact diagnostic,
-    over the samples cut and spliced at every 11th offset, printed generated
-    programs, and short strings of characters the lexer tells apart."""
+    """Text, line and column of every token (`_lex` and `_positions`), or
+    the exact diagnostic, over the samples cut and spliced at every 11th
+    offset, printed generated programs, and short strings of characters the
+    lexer tells apart."""
     rng = random.Random(19)
     generated = ((f"gen{i}.lus", pretty_print(gen_program(rng))) for i in range(300))
     chars = "ab_1\u0663\u00b2\u00bd\u3007\u4e00\u0301 \t\r\n\f\xa0@-<>=():;,+*"
@@ -270,7 +270,8 @@ def test_tokenize_matches_the_reference_lexer():
               for i in range(3000))
     for corpus in (mutation_corpus(11), generated, scraps):
         for label, text in corpus:
-            assert _lexed(tokenize, text, label) == _lexed(_tokenize_oracle, text, label), label
+            assert _lexed(_lex_with_positions, text, label) == \
+                _lexed(_tokenize_oracle, text, label), label
 
 
 def test_parse_diagnostics_golden():

@@ -31,13 +31,13 @@ from luset.lang import (BASE_CLOCK, Binop, Const, Def, Node, Program, Ty, Var, V
                         elaborate)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.semantics import Fault, earliest_fault, sem_node
-from luset.streams import (ABSENT, _apply_binop, _apply_unop, base_of, fby_lustre, ite_stream,
-                           lift_binop, lift_unop, merge_stream, run_compiled, run_node,
-                           show_value, when_stream)
+from luset.semantics import (Fault, base_of, earliest_fault, fby_lustre, ite_stream, lift_binop,
+                             lift_unop, merge_stream, sem_node, when_stream)
+from luset.streams import ABSENT, _apply_binop, _apply_unop, run_compiled, run_node, show_value
 
 import interpreter
 from interpreter import NodeInstance, interpret_node
+from conftest import ROOT
 from test_codegen import DIVMOD_SRC
 from test_interface import CALL_SRC, MD_SRC
 
@@ -347,10 +347,13 @@ let s = merge d x (0 when not d); y = merge c s (0 when not c); tel
 node h(x: int when c when d; d: bool when c; c: bool) returns (y: int);
 var s: int when c;
 let s = merge d x (0 when not d); y = merge c s (0 when not c); tel
+node add(a: int; b: int) returns (s: int); let s = a + b; tel
+node top(x: int; y: int) returns (o: int); var l: int; let l = x; o = add(y, l); tel
 """
 _F = {"c": [True, False, True], "x": [1, A, 3], "y": [1, 0, 3]}
 _G = {"c": [True, True, False], "d": [True, False, A], "x": [1, A, A], "y": [1, 0, 0],
       "s": [1, 0, A]}
+_TOP = {"x": [1, 2, 3], "y": [4, 5, 6], "l": [1, 2, 3], "o": [5, 7, 9]}
 _CUT = "arity-mismatch: clock variable {} and its clock differ in length"
 
 # recorded when each clock of the predicate was its own closure over whole
@@ -379,6 +382,11 @@ UNEQUAL_LENGTHS = [
     ("h", _G, 2, _CUT.format("c")),
     ("h", {**_G, "d": [A, False, A]}, 3,
      "clocked-value-mismatch at tick 0 (d): clock variable d absent while its clock is live"),
+    # a call's arguments of unequal length: its witness runs on their common prefix
+    ("top", _TOP, 3, True),
+    ("top", {**_TOP, "l": [1, 2]}, 3, False),
+    ("top", {**_TOP, "y": [4, 5]}, 3, False),
+    ("top", {**_TOP, "l": [1, 2], "o": [5, 7]}, 3, False),
 ]
 
 
@@ -392,6 +400,14 @@ def test_the_predicate_on_streams_of_unequal_length(name, history, ticks, want):
     except EvalError as exc:
         got = str(exc)
     assert got == want
+
+
+def test_a_call_argument_shorter_than_the_history_faults_where_it_ends():
+    """The call's witness runs on the common prefix of its arguments, so the
+    shorter argument's own equation is the earliest fault, at the tick
+    where its stream ends."""
+    fault = earliest_fault(elaborate(parse_program(LENGTHS_SRC)), "top")
+    assert fault({**_TOP, "l": [1, 2]}, [True] * 3) == Fault("l", 2, [1, 2, 3], [1, 2])
 
 
 # sha256 of `json.dumps(reports, sort_keys=True)`, where `reports` are the
@@ -552,10 +568,12 @@ def _ref_fby_lustre(xs, ys):
 
 
 def _ref_base_of(streams_):
+    """The presence of the tuple over its common prefix, as the other
+    operators cut theirs."""
     if not streams_:
         raise EvalError("arity-mismatch", "base clock of an empty stream tuple")
     out = []
-    for t in range(len(streams_[0])):
+    for t in range(min(map(len, streams_))):
         flags = {_present(s[t]) for s in streams_}
         if len(flags) > 1:
             raise EvalError("clocked-value-mismatch",
@@ -642,13 +660,25 @@ def test_base_of_matches_its_tick_by_tick_definition():
 def test_import_luset_loads_neither_semantics_nor_codegen():
     """`import luset` in a fresh interpreter leaves `luset.semantics` and
     `luset.codegen` unloaded: each is imported by the first check that needs
-    it, so a command that needs neither does not pay for their code."""
+    it, so a command that needs neither does not pay for their code. `luset
+    run` needs the compiled code but never the predicate or its stream
+    operators, so it leaves `luset.semantics` unloaded."""
     src = str(Path(streams.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = ("import json, sys, luset; print(json.dumps([luset.__file__, "
-            "sorted(m for m in sys.modules if m.startswith('luset.'))]))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    path, loaded = json.loads(out)
+    loaded_modules = "sorted(m for m in sys.modules if m.startswith('luset.'))"
+
+    def fresh(code):
+        return json.loads(subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                                         capture_output=True, text=True, check=True).stdout)
+
+    path, loaded = fresh(f"import json, sys, luset; print(json.dumps([luset.__file__, "
+                         f"{loaded_modules}]))")
     assert Path(path).parent == Path(streams.__file__).parent  # this checkout's luset
     assert "luset.semantics" not in loaded and "luset.codegen" not in loaded, loaded
+    argv = ["run", "samples/ctr.lus", "--node", "Ctr", "--inputs", "samples/ctr_table.csv"]
+    code, loaded = fresh("import contextlib, io, json, sys, luset.cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    code = luset.cli.main({argv!r})\n"
+                         f"print(json.dumps([code, {loaded_modules}]))")
+    assert code == 0 and "luset.codegen" in loaded, loaded  # the run ran compiled code
+    assert "luset.semantics" not in loaded, loaded
