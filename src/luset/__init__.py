@@ -4,20 +4,18 @@ from .diagnostics import (CausalityError, Diagnostic, ElaborationError, EvalErro
                           InferError, LatticeError, LusetError, ParseError, SourceSpan)
 from .lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def, Fby, Ite,
                    Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var, VarDecl,
-                   When, causality, defined_vars, elaborate, free_vars,
+                   When, causality, elaborate, free_vars,
                    nlustre_violations, well_formed)
 from .parser import parse_program, pretty_print
 from .sectypes import (CanonType, Constraint, ConstraintSet, Lattice, canon,
-                       eval_ground, least_solution, satisfies)
+                       eval_ground, least_solution)
 from .infer import (FreshVars, NodeSignature, check_program, infer_node_signature,
-                    infer_program, signatures, simplify, type_clock, type_equation,
-                    type_expr)
+                    infer_program, signatures, type_expr)
 from .normalize import init_fby, normalize_program
 from .streams import ABSENT, eval_clock, read_trace, run_node
 from .harness import (NIConfig, check_equational_soundness, check_non_interference,
                       check_semantics_preservation, check_simple_security,
-                      check_type_preservation, gen_inputs, gen_program,
-                      project_history)
+                      check_type_preservation, gen_inputs, gen_program)
 
 __version__ = "0.1.0"
 

@@ -25,10 +25,12 @@ core form guarantees:
 What the core form takes for granted of the top node's inputs,
 `streams.check_inputs` checks once, before the first tick: each input is
 present exactly when its declared clock is live and holds a value of its
-declared type, and the base clock holds booleans. The code checks none of
-it again. It raises only where it calls `binop` (`div` and `mod`), and
-`may_raise` tells whether a build does; `streams.run_compiled` gives the
-error the tick it was raised at.
+declared type, and the base clock holds booleans. When a run is given no
+base clock, `check_inputs` also builds the default one, the pointwise
+presence of the inputs, and returns it for the code to run on. The code
+checks none of it again. It raises only where it calls `binop` (`div` and
+`mod`), and `may_raise` tells whether a build does; `streams.run_compiled`
+gives the error the tick it was raised at.
 
 The code is flat, one temporary per operator, so that neither `compile`
 nor the generator recurses more than once per level of expression nesting.
@@ -41,8 +43,7 @@ from typing import Callable
 
 from .diagnostics import LusetError
 from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
-                   Node, Program, Unop, Var, When, causal_order, check_causality, derived,
-                   elaborate)
+                   Program, Unop, Var, When, causal_order, derived, elaborate)
 from .normalize import normalize_program
 from .streams import ABSENT, _apply_binop, _wrap64
 
@@ -103,10 +104,10 @@ def _module(nprog: Program, reach: list[str], recorded: list[str]) -> tuple[str,
     lines: list[str] = []
     partial = False
     for f in reach[1:]:
-        code = _NodeCode(nprog.node(f), class_of, "self.")
+        code = _NodeCode(nprog, f, class_of, "self.")
         lines += code.class_lines(class_of[f])
         partial |= code.partial
-    code = _NodeCode(nprog.node(reach[0]), class_of, "")
+    code = _NodeCode(nprog, reach[0], class_of, "")
     lines += code.run_lines(recorded)
     return "\n".join(lines) + "\n", partial or code.partial
 
@@ -116,8 +117,9 @@ def _indent(lines: list[str], depth: int = 1) -> list[str]:
 
 
 class _NodeCode:
-    """Statements of one live tick of a normalised node, with the registers
-    and sub-instances they use.
+    """Statements of one live tick of node `name` of a normalised program,
+    in the causal order `lang.causal_order` keeps for that program, with the
+    registers and sub-instances they use.
 
     Each statement is kept with the test of the clock it runs on (None for
     the base clock) and, for an equation, the statement that makes its
@@ -127,8 +129,8 @@ class _NodeCode:
     that may raise.
     """
 
-    def __init__(self, node: Node, class_of: dict[str, str], ref: str):
-        self.node = node
+    def __init__(self, nprog: Program, name: str, class_of: dict[str, str], ref: str):
+        self.node = node = nprog.node(name)
         self.ref = ref
         self.var = {d.name: f"x{i}" for i, d in enumerate(node.declarations)}
         self.clock = {d.name: d.clock for d in node.declarations}
@@ -138,7 +140,7 @@ class _NodeCode:
         self.temps = 0
         self.partial = False
         delays = []
-        for i in check_causality(node):
+        for i in causal_order(nprog, name):
             eq = node.equations[i]
             match eq:
                 case NDef(x, ck, Merge(c, (a,), (b,))):

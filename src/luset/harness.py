@@ -292,8 +292,9 @@ def gen_inputs(rng: random.Random, node: Node, ticks: int,
 
     The clocks are evaluated under an always-live base clock, so the first
     input in that order is on the base clock and present at every tick, and
-    `default_base_clock` of a draw is always-live too. The checks below draw
-    through `_draw_inputs` with the order computed once per call.
+    the default base clock that `streams.check_inputs` builds and returns for
+    a draw run without one is always-live too. The checks below draw through
+    `_draw_inputs` with the order computed once per call.
     """
     return _draw_inputs(rng, _input_order(node), ticks, shared)
 
@@ -328,13 +329,6 @@ class NIConfig:
     ticks: int = 64
     seed: int = 0
     force: bool = False
-
-
-def project_history(history: History, levels: Mapping[str, str], level: str,
-                    lat: Lattice) -> History:
-    """Restrict a history to the variables at or below the given level."""
-    observed = _observed(levels, level, lat)
-    return {x: vs for x, vs in history.items() if x in observed}
 
 
 def _observed(levels: Mapping[str, str], level: str, lat: Lattice) -> set[str]:

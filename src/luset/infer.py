@@ -173,13 +173,6 @@ class _CallCtx:
         return ConstraintSet.of_canonical(Constraint(self.canon(l), self.canon(r)) for l, r in pairs)
 
 
-def type_clock(env: TypeEnv, ck: Clock) -> CanonType:
-    """Security type of a clock: the base entry joined with every sampled
-    variable on the chain."""
-    ctx = _CallCtx({}, FreshVars(), env)
-    return ctx.canon(_clock(ctx.env, ck))
-
-
 def _clock(env: dict[str, int], ck: Clock) -> int:
     match ck:
         case ClockBase():
@@ -284,15 +277,6 @@ def _type_call(ctx: _CallCtx, f: str, args, clock: int) -> list[int]:
     return results
 
 
-def type_equation(env: TypeEnv, eq: Equation,
-                  sigs: Mapping[str, NodeSignature]) -> ConstraintSet:
-    """Constraints of one equation: γ ⊔ αi ⊑ βi per defined variable, plus
-    the instantiated constraints of every node it calls."""
-    ctx = _CallCtx(sigs, FreshVars(), env)
-    _equation(ctx, eq)
-    return ctx.constraints(ctx.pairs)
-
-
 def _equation(ctx: _CallCtx, eq: Equation):
     match eq:
         case Def(targets, ck, exprs):
@@ -320,13 +304,6 @@ def _equation(ctx: _CallCtx, eq: Equation):
         lhs = (gamma | alpha) & ~rhs
         if lhs:
             ctx.pairs[lhs, rhs] = None
-
-
-def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
-    """Eliminate the given type variables from rho (see `_eliminate`)."""
-    ctx = _CallCtx({}, FreshVars())
-    pairs = [(ctx.mask(c.lhs), ctx.mask(c.rhs)) for c in rho]
-    return ctx.constraints(_eliminate(pairs, order, ctx.bits))
 
 
 def _eliminate(pairs, order: list[str], bits: Mapping[str, int]) -> set[tuple[int, int]]:

@@ -302,10 +302,6 @@ def free_vars(item) -> set[str]:
     return _walk((item,))[0]
 
 
-def defined_vars(eq: Equation) -> set[str]:
-    return set(eq_targets(eq))
-
-
 def eq_targets(eq: Equation) -> tuple[str, ...]:
     match eq:
         case Def(targets, _, _) | NCall(targets, _, _, _):

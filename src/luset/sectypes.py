@@ -374,10 +374,6 @@ def eval_ground(t: CanonType, s: Mapping[str, str], lat: Lattice) -> str:
     return out
 
 
-def satisfies(rho: ConstraintSet, s: Mapping[str, str], lat: Lattice) -> bool:
-    return all(lat.leq(eval_ground(c.lhs, s, lat), eval_ground(c.rhs, s, lat)) for c in rho)
-
-
 def violations(rho: ConstraintSet, s: Mapping[str, str], lat: Lattice) -> list[Constraint]:
     return [c for c in rho
             if not lat.leq(eval_ground(c.lhs, s, lat), eval_ground(c.rhs, s, lat))]

@@ -6,7 +6,9 @@ value is present and the ABSENT sentinel where it is not.
 `run_node` checks a run's inputs at the node's interface (`check_inputs`)
 before the first tick, and runs the node as compiled core-form code (see
 `codegen`) through `run_compiled`: the package has one executable
-evaluator.
+evaluator. When the run is given no base clock, `check_inputs` builds the
+default one, the pointwise presence of the inputs, in the same pass over
+the inputs' cells, and returns the clock it judged.
 
 `eval_clock` is the one clock evaluator. The scalar operators `_apply_unop`
 and `_apply_binop` give the value of an operator at one tick (the generated
@@ -42,10 +44,6 @@ Value = Union[int, bool, _Absent]
 VStream = list  # list[Value]
 BStream = list  # list[bool]
 History = dict  # dict[str, VStream]
-
-
-def present(v: Value) -> bool:
-    return v is not ABSENT
 
 
 def show_value(v: Value) -> str:
@@ -169,39 +167,68 @@ def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:
     return live
 
 
-def check_inputs(node: Node, ins: list[VStream], bs: BStream) -> None:
+def check_inputs(node: Node, ins: list[VStream], bs: BStream | None = None) -> BStream:
     """Refuse, before the first tick, a run whose inputs (`ins`, in
     declaration order, each as long as `bs`) lie outside the node's
-    interface: a cell of `bs` that is not a bool, or an input absent where
+    interface, and return the base clock it judged them on: `bs`, or when
+    no clock is given (`bs` None), the pointwise presence of the inputs,
+    live at every tick where an input is present throughout (inputs
+    declared on sub-clocks count where present; with no input it is empty,
+    and `run_node` gives such a node an always-live clock instead).
+
+    Refused are a cell of `bs` that is not a bool, and an input absent where
     its declared clock (`eval_clock`) is live, present where it is idle, or
     of another type than declared (`type(v) is int`: a bool is no int). The
     earliest faulty tick raises, at one tick the base clock first, then the
     inputs in declaration order; an input on a sub-clock is judged only
     before the first fault of its clock's variables. The README gives the
-    lines."""
-    stop = len(bs) if list(map(type, bs)) == [bool] * len(bs) else \
-        next(t for t, b in enumerate(bs) if type(b) is not bool)
-    faults = [] if stop == len(bs) else [(stop, -1, EvalError(
+    lines.
+
+    Each input's cells are typed once, and the default clock, presence and
+    type are all read off those types. Inputs on one clock share its column
+    and, per declared type, one list of expected types."""
+    types = [list(map(type, vs)) for vs in ins]
+    if bs is not None:
+        n = len(bs)
+        stop = n if list(map(type, bs)) == [bool] * n else \
+            next(t for t, b in enumerate(bs) if type(b) is not bool)
+    else:
+        n = stop = len(ins[0]) if ins else 0
+        bs = [True] * n
+        if ins and all(_Absent in ts for ts in types):  # no input is present throughout
+            bs = [False] * n
+            for ts in types:
+                bs = [b or ty is not _Absent for b, ty in zip(bs, ts)]
+    faults = [] if stop == n else [(stop, -1, EvalError(
         "type-mismatch", f"the base clock holds {show_value(bs[stop])}, not a bool", stop, BASE))]
     history = {d.name: vs for d, vs in zip(node.inputs, ins)}
     first: dict[str, int] = {}  # each judged input's first faulty tick, else where judging ended
-    # a clock variable of an input has fewer clock variables than the input: it is judged first
+    columns: dict[Clock, BStream] = {}  # a clock's column over its judged prefix
+    wanted: dict[tuple[Clock, type], list] = {}  # the type of each cell there, by clock and type
+    # a clock variable of an input has fewer clock variables than the input: it is judged first,
+    # and inputs on one clock are judged over one prefix
     for i, d in sorted(enumerate(node.inputs), key=lambda pair: len(clock_vars(pair[1].clock))):
         end = min([stop] + [first.get(v, stop) for v in clock_vars(d.clock)])
-        live, col = eval_clock(history, bs[:end], d.clock), history[d.name][:end]
         ty = type(d.ty.default)  # int or bool
-        want = [ty] * end if live.count(True) == end else [ty if b else _Absent for b in live]
-        t = first[d.name] = end if list(map(type, col)) == want else \
-            next((t for t, (v, w) in enumerate(zip(col, want)) if type(v) is not w), end)
-        if t < end and (col[t] is ABSENT) == live[t]:
+        if d.clock not in columns:
+            columns[d.clock] = eval_clock(history, bs if end == n else bs[:end], d.clock)
+        live = columns[d.clock]
+        if (d.clock, ty) not in wanted:
+            wanted[d.clock, ty] = [ty] * end if live.count(True) == end else \
+                [ty if b else _Absent for b in live]
+        want, got = wanted[d.clock, ty], types[i]  # unequal when `end` < n: the search stops there
+        t = first[d.name] = end if got == want else \
+            next((t for t, (g, w) in enumerate(zip(got, want)) if g is not w), end)
+        if t < end and (got[t] is _Absent) == live[t]:
             where = "its clock" if isinstance(d.clock, ClockOn) else "the base clock"
             faults.append((t, i, EvalError("clocked-value-mismatch", f"input {d.name} off {where}",
                                            t, d.name)))
         elif t < end:
             faults.append((t, i, EvalError("type-mismatch", f"input {d.name} is declared {d.ty} "
-                                           f"but holds {show_value(col[t])}", t, d.name)))
+                                           f"but holds {show_value(ins[i][t])}", t, d.name)))
     if faults:
         raise min(faults, key=lambda f: f[:2])[2]
+    return bs
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +240,9 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     """Run a node for a finite prefix, returning the full history of its
     variables (inputs, outputs and locals) along with the base clock used.
 
-    The base clock defaults to the pointwise presence of the inputs (inputs
-    declared on sub-clocks count where present); a node without inputs runs
-    on an always-live clock.
+    The base clock defaults to the pointwise presence of the inputs, which
+    `check_inputs` builds as it judges them; a node without inputs runs on
+    an always-live clock.
 
     The node runs as the compiled code of its elaborated program
     (`run_compiled`) once `check_inputs` has accepted the inputs. A program
@@ -234,14 +261,12 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
         if len(vs) < n_ticks:
             raise EvalError("arity-mismatch", f"input {x} is shorter than {n_ticks} ticks")
     ins = [inputs[x][:n_ticks] for x in declared]  # a copy: the compiled loop owns it
-    if bs is None:
-        bs = default_base_clock(ins, n_ticks)
-    elif len(bs) < n_ticks:
+    if bs is not None and len(bs) < n_ticks:
         raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
-    else:
-        bs = bs[:n_ticks]
     _runner(prog, name)  # a refused build raises here, before the inputs are checked
-    check_inputs(node, ins, bs)
+    if bs is None and not ins:
+        bs = [True] * n_ticks  # no input to take the presence of: every tick is live
+    bs = check_inputs(node, ins, bs if bs is None else bs[:n_ticks])
     hist = run_compiled(prog, name, ins, bs)
     rest = [d.name for d in node.outputs + node.locals]
     return dict(zip(declared + rest, ins + hist)), bs
@@ -266,18 +291,6 @@ def run_compiled(prog: Program, name: str, ins: list[VStream], bs: BStream) -> l
     except EvalError as exc:
         raise EvalError(exc.kind, exc.message, len(hist[0]) if hist else None, exc.var) from None
     return hist
-
-
-def default_base_clock(inputs: list[VStream], n_ticks: int) -> BStream:
-    """The pointwise presence of the inputs, each at least `n_ticks` long,
-    over the first `n_ticks` ticks; a node without inputs, or with an input
-    present throughout, runs at every tick."""
-    if not inputs or any(ABSENT not in vs for vs in inputs):
-        return [True] * n_ticks
-    bs = [False] * n_ticks
-    for vs in inputs:
-        bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
-    return bs
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from luset.harness import FAIL, PASS, CheckReport
-from luset.lang import elaborate
+from luset.harness import FAIL, PASS, CheckReport, _observed
+from luset.infer import FreshVars, _CallCtx, _clock, _eliminate, _equation
+from luset.lang import elaborate, eq_targets
 from luset.parser import parse_program
 from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, Lub, SecType, TVar,
-                            canon)
+                            canon, eval_ground)
+from luset.streams import ABSENT
 
 CTR_SRC = """
 -- a simple counter node with a reset
@@ -229,3 +231,56 @@ def _mask_lattice(masks: frozenset[int]) -> Lattice:
               if a != b and a | b == b]
     return Lattice(list(names.values()), names[0], covers,
                    name=f"random{len(masks)}")
+
+
+# ---------------------------------------------------------------------------
+# Small helpers of the tests, over the package's own paths
+# ---------------------------------------------------------------------------
+
+def present(v) -> bool:
+    return v is not ABSENT
+
+
+def presence_fold(inputs, n_ticks):
+    """The pointwise presence of the inputs over the first `n_ticks` ticks,
+    folded one input at a time; live at every tick with no input."""
+    bs = [not inputs] * n_ticks
+    for vs in inputs:
+        bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
+    return bs
+
+
+def defined_vars(eq) -> set[str]:
+    return set(eq_targets(eq))
+
+
+def project_history(history, levels, level: str, lat: Lattice):
+    """Restrict a history to the variables at or below the given level."""
+    observed = _observed(levels, level, lat)
+    return {x: vs for x, vs in history.items() if x in observed}
+
+
+def satisfies(rho: ConstraintSet, s, lat: Lattice) -> bool:
+    return all(lat.leq(eval_ground(c.lhs, s, lat), eval_ground(c.rhs, s, lat)) for c in rho)
+
+
+def type_clock(env, ck) -> CanonType:
+    """Security type of a clock: the base entry joined with every sampled
+    variable on the chain."""
+    ctx = _CallCtx({}, FreshVars(), env)
+    return ctx.canon(_clock(ctx.env, ck))
+
+
+def type_equation(env, eq, sigs) -> ConstraintSet:
+    """Constraints of one equation: γ ⊔ αi ⊑ βi per defined variable, plus
+    the instantiated constraints of every node it calls."""
+    ctx = _CallCtx(sigs, FreshVars(), env)
+    _equation(ctx, eq)
+    return ctx.constraints(ctx.pairs)
+
+
+def simplify(rho: ConstraintSet, order: list[str]) -> ConstraintSet:
+    """Eliminate the given type variables from rho (see `infer._eliminate`)."""
+    ctx = _CallCtx({}, FreshVars())
+    pairs = [(ctx.mask(c.lhs), ctx.mask(c.rhs)) for c in rho]
+    return ctx.constraints(_eliminate(pairs, order, ctx.bits))

@@ -10,17 +10,18 @@ import time
 from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, gen_program,
                            sample_satisfying_assignment)
-from luset.infer import check_program, infer_program, simplify
+from luset.infer import check_program, infer_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, cs, ct,
-                            least_fixpoint, satisfies, violations)
+                            least_fixpoint, violations)
 from luset.streams import run_node
 
 from conftest import (CNT_DN_SRC, CTR_SPDMTR_SRC, CTR_TABLE, LEAK_ITE_SRC,
                       LEAK_MERGE_SRC, RE_TRIG_SRC, chain_src,
-                      check_canonical_order_independence, gen_lattice, tree_src)
+                      check_canonical_order_independence, gen_lattice, satisfies, simplify,
+                      tree_src)
 
 TWO = Lattice.two_point()
 

@@ -18,7 +18,7 @@ from luset.infer import flatten_assignment
 from luset.lang import ClockOn, elaborate
 from luset.parser import parse_program
 from luset.sectypes import Lattice
-from luset.streams import ABSENT, default_base_clock, run_node
+from luset.streams import ABSENT, check_inputs, run_node
 
 from conftest import CTR_SRC, interpreted_normal_form
 from interpreter import NodeInstance, interpret_node
@@ -125,15 +125,16 @@ def test_step_and_run_share_one_tick_body():
 
 
 def test_drawn_inputs_run_on_an_always_live_base_clock():
-    """The checks run every draw on `[True] * ticks`, which is what
-    `run_node` would take as its base clock."""
+    """The checks run every draw on `[True] * ticks`, which is the clock
+    `check_inputs` builds and accepts the draw on when `run_node` is given
+    none."""
     rng = random.Random(12)
     draws = sub_clocked = 0
     while draws < 500:
         for node in elaborate(gen_program(rng)).nodes:
             n = rng.randint(0, 30)
             ins = gen_inputs(rng, node, n)
-            assert default_base_clock([ins[d.name] for d in node.inputs], n) == [True] * n
+            assert check_inputs(node, [ins[d.name] for d in node.inputs], None) == [True] * n
             draws += 1
             sub_clocked += any(isinstance(d.clock, ClockOn) for d in node.inputs)
     assert sub_clocked > 50

@@ -309,9 +309,12 @@ def test_faulty_traces_give_the_pinned_lines(tmp_path, capsys):
     inputs absent and present off their clocks, on the base clock and on
     sub-clocks; a bool in an int column and an int in a bool one; a clock
     variable at fault, alone and with an input clocked on it at the same
-    tick, declared before it or after; and an input fault at a later tick
-    than a division by zero, which the check before the first tick finds
-    first."""
+    tick, declared before it or after; two inputs on one clock off it at
+    the same tick, named in declaration order and not in the trace's column
+    order; an input fault at a later tick than a division by zero, which the
+    check before the first tick finds first; and an input fault after a tick
+    where every input is absent, so that the default base clock is the
+    presence fold and not always live."""
     root = DATA.parent.parent
     got = []
     for row in (DATA / "run_faults" / "traces.txt").read_text().splitlines():

@@ -10,18 +10,16 @@ from luset import harness, sectypes
 from luset.harness import (NIConfig, check_equational_soundness, check_non_interference,
                            check_semantics_preservation, check_simple_security,
                            check_type_preservation, gen_inputs, gen_program,
-                           generator_postcondition, project_history,
-                           sample_satisfying_assignment)
+                           generator_postcondition, sample_satisfying_assignment)
 from luset.infer import infer_program
 from luset.lang import ClockOn, Const, Ite, Merge, NDef, elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import Lattice
-from luset.streams import present
 
 from conftest import (CTR_SRC, CNT_DN_SRC, CTR_TABLE, LEAK_ITE_SRC, LEAK_MERGE_SRC,
                       check_canonical_order_independence, gen_lattice,
-                      interpreted_normal_form)
+                      interpreted_normal_form, present, project_history, satisfies)
 
 TWO = Lattice.two_point()
 
@@ -203,7 +201,7 @@ def test_type_preservation_catches_a_dropped_condition(monkeypatch):
     semantics check out of the picture: the type check alone fails, and
     each countermodel satisfies the side it names and violates the
     constraint it names."""
-    from luset.sectypes import ConstraintSet, satisfies
+    from luset.sectypes import ConstraintSet
 
     bad_normalize = _condition_dropping_normalize
     monkeypatch.setattr(harness, "normalize_program", bad_normalize)
@@ -396,7 +394,6 @@ def test_gen_inputs_two_level_clock():
 
 def test_sampled_assignments_satisfy():
     rng = random.Random(31)
-    from luset.sectypes import satisfies
     for _ in range(10):
         prog = elaborate(gen_program(rng))
         results = infer_program(prog)

@@ -6,7 +6,7 @@ import pytest
 from luset.diagnostics import InferError
 from luset.infer import (CallSite, FreshVars, NodeSignature, check_program,
                          display_constraints, infer_node_signature, infer_program,
-                         signatures, simplify, type_clock, type_equation, type_expr)
+                         signatures, type_expr)
 from luset.lang import (BASE, BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def,
                         Fby, Ite, Merge, NCall, NDef, NFby, Unop, Var, When, elaborate,
                         node_order)
@@ -16,7 +16,8 @@ from luset.harness import gen_program
 from luset.sectypes import (EMPTY, TBOT, CanonType, Constraint, ConstraintSet, Lattice,
                             cs, ct)
 
-from conftest import CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src, substitute_constraints
+from conftest import (CTR_SPDMTR_SRC, LEAK_ITE_SRC, LEAK_MERGE_SRC, chain_src, simplify,
+                      substitute_constraints, type_clock, type_equation)
 
 TWO = Lattice.two_point()
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"

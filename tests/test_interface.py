@@ -19,8 +19,9 @@ from luset.diagnostics import EvalError, LusetError
 from luset.harness import gen_inputs, gen_program
 from luset.lang import BASE, ClockBase, Program, Ty, clock_vars, elaborate
 from luset.parser import parse_program
-from luset.streams import ABSENT, check_inputs, default_base_clock, run_node, show_value
+from luset.streams import ABSENT, check_inputs, run_node, show_value
 
+from conftest import presence_fold
 from interpreter import interpret_node
 from test_codegen import DIVMOD_SRC
 
@@ -195,20 +196,28 @@ def _faulty_runs(draw):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_faulty_runs())
 def test_check_and_run_node_on_faulty_traces(case):
-    """The check gives the reference's line; `run_node` gives the tree
-    interpreter's history or error (kind, tick, variable and message); and
-    nothing but a `LusetError` leaves `run_node`."""
+    """The check gives the reference's line, and returns the clock it judged:
+    the one given, else the presence fold; `run_node` gives the tree
+    interpreter's history or error (kind, tick, variable and message) and
+    the same clock; and nothing but a `LusetError` leaves `run_node`."""
     prog, node, ins, n, bs = case
-    ref_bs = default_base_clock([ins[d.name] for d in node.inputs], n) if bs is None else bs
+    ref_bs = presence_fold([ins[d.name] for d in node.inputs], n) if bs is None else bs
     want = _ref_check(node, [ins[d.name] for d in node.inputs], ref_bs)
     try:
-        check_inputs(node, [ins[d.name] for d in node.inputs], ref_bs)
+        judged = check_inputs(node, [ins[d.name] for d in node.inputs], bs)
     except EvalError as exc:
         got = exc
     else:
         got = None
+        assert judged == ref_bs
     assert (got and (got.kind, got.tick, got.var, str(got))) == \
         (want and (want.kind, want.tick, want.var, str(want)))
-    ran = _outcome(lambda: run_node(prog, node.name, ins, n, bs)[0])
+
+    def run():
+        history, clock = run_node(prog, node.name, ins, n, bs)
+        assert clock == ref_bs
+        return history
+
+    ran = _outcome(run)
     assert ran == _outcome(lambda: interpret_node(prog, node, ins, n, ref_bs))
     assert isinstance(ran, tuple) == (want is not None)

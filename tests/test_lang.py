@@ -12,13 +12,13 @@ from luset.infer import infer_program
 from luset.lang import (ARITH_OPS, BASE, BASE_CLOCK, BOOL_OPS, CMP_OPS, EQ_OPS, Binop, Call,
                         ClockBase, ClockOn, Const, Def, Fby, Ite, Merge, NCall, NDef, NFby, Node,
                         Program, Ty, Unop, Var, VarDecl, When, _find_cycle, _reads_and_calls,
-                        _schedule, _subexprs, causality, clock_vars, defined_vars, elaborate,
+                        _schedule, _subexprs, causality, clock_vars, elaborate,
                         eq_instantaneous_deps, eq_targets, free_vars, nlustre_violations,
                         node_order, well_formed)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 
-from conftest import CTR_SPDMTR_SRC
+from conftest import CTR_SPDMTR_SRC, defined_vars
 
 DATA = Path(__file__).resolve().parent / "data"
 SAMPLES = DATA.parent.parent / "samples"

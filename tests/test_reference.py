@@ -36,7 +36,7 @@ SAMPLES = sorted((ROOT / "samples").glob("*.lus"))
 # in an int input and an int in the base clock, from a history)
 INTERPRETER_DIGEST = "a8e855f65935efd2623b5796ed290a30da00d899f08eaafd098a371dc0908de1"
 
-# recorded with the set-based local elimination of `infer.simplify`
+# recorded with the set-based local elimination `infer` used before it eliminated on bitsets
 INFERENCE_DIGEST = "d3b65a8366f3765ec33341e727fd9fbe68af474d52c7da5103520ea660a698af"
 
 A = ABSENT
@@ -230,28 +230,35 @@ def test_preserve_report_of_sample_golden(sample, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
-# (node, sample, trace) of each `luset run` golden
-RUNS = [("Ctr", "ctr", "samples/ctr_table.csv"),
-        ("SpdMtr", "ctr", "tests/data/spdmtr_base.csv"),
-        ("re_trig", "retrig", "tests/data/retrig_crlf.csv")]
+# (golden, node, sample, trace) of each `luset run` golden; Ctr_fold's trace
+# has no `base` column and a tick where every input is absent, so its base
+# clock is the presence fold
+RUNS = [("Ctr", "Ctr", "ctr", "samples/ctr_table.csv"),
+        ("SpdMtr", "SpdMtr", "ctr", "tests/data/spdmtr_base.csv"),
+        ("re_trig", "re_trig", "retrig", "tests/data/retrig_crlf.csv"),
+        ("Ctr_fold", "Ctr", "ctr", "tests/data/ctr_fold.csv")]
 
 
 @pytest.mark.parametrize("form", ["txt", "json"])
-@pytest.mark.parametrize("node, sample, trace", RUNS, ids=[node for node, _, _ in RUNS])
-def test_run_report_of_sample_golden(node, sample, trace, form, capsys):
+@pytest.mark.parametrize("golden, node, sample, trace", RUNS, ids=[g for g, _, _, _ in RUNS])
+def test_run_report_of_sample_golden(golden, node, sample, trace, form, capsys):
     """`luset run <sample> --node <node> --inputs <trace> --locals`, as text
     and with `--json`, byte for byte."""
     argv = ["run", str(ROOT / "samples" / f"{sample}.lus"), "--node", node,
             "--inputs", str(ROOT / trace), "--locals"]
     assert main(argv + ["--json"] * (form == "json")) == 0
-    assert capsys.readouterr().out == (ROOT / "tests" / "data" / f"run_{node}.{form}").read_text()
+    want = (ROOT / "tests" / "data" / f"run_{golden}.{form}").read_text()
+    assert capsys.readouterr().out == want
 
 
 def test_run_golden_traces_keep_their_form():
     """SpdMtr's trace has a `base` column and absent cells; re_trig's has
-    CRLF line ends only."""
+    CRLF line ends only; Ctr_fold's has no `base` column, a row of absent
+    cells and no input present throughout."""
     spdmtr = (ROOT / "tests" / "data" / "spdmtr_base.csv").read_text()
     assert spdmtr.startswith("base,") and ",_\n" in spdmtr
+    fold = (ROOT / "tests" / "data" / "ctr_fold.csv").read_text().splitlines()
+    assert "base" not in fold[0].split(",") and "_,_,_" in fold[1:]
     retrig = (ROOT / "tests" / "data" / "retrig_crlf.csv").read_bytes()
     assert retrig.count(b"\r\n") == retrig.count(b"\n") > 1
 

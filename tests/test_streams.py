@@ -13,10 +13,10 @@ from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.semantics import (base_of, const_stream, fby_lustre, fby_nlustre, ite_stream,
                              lift_binop, lift_unop, merge_stream, sem_exp, when_stream)
-from luset.streams import (ABSENT, _csv_rows, _trace_by_rows, default_base_clock, eval_clock,
-                           read_trace, run_node, show_value)
+from luset.streams import (ABSENT, _csv_rows, _trace_by_rows, eval_clock, read_trace, run_node,
+                           show_value)
 
-from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC
+from conftest import CTR_SRC, CTR_TABLE, RE_TRIG_SRC, presence_fold
 from interpreter import NodeInstance, interpret_node
 
 A = ABSENT
@@ -284,27 +284,43 @@ def test_run_node_copies_its_inputs(ctr_prog):
         assert ins == before
 
 
-def _zip_fold_base_clock(inputs, n_ticks):
-    bs = [not inputs] * n_ticks
-    for vs in inputs:
-        bs = [b or v is not ABSENT for b, v in zip(bs, vs)]
-    return bs
+def _run_outcome(prog, name, ins, n, bs=None):
+    """The typed history and base clock of a run, or its error's kind,
+    tick, variable and message."""
+    try:
+        history, bs = run_node(prog, name, ins, n, bs)
+    except EvalError as exc:
+        return (exc.kind, exc.tick, exc.var, str(exc))
+    return {x: [(type(v), v) for v in vs] for x, vs in history.items()}, bs
 
 
 def test_default_base_clock_matches_the_zip_fold():
-    """The early `[True] * n_ticks` of an input present throughout gives
-    the clock the presence fold gives, on inputs at least `n_ticks` long."""
+    """The clock a run given none is judged on (`check_inputs` builds it, with
+    the early `[True] * n_ticks` of an input present throughout) is the
+    presence fold: a run on it ends as a run on the fold, and one that
+    passes returns the fold, on inputs at least `n_ticks` long."""
+    progs = {(k, ty): parse_program(f"node f({', '.join(f'x{i}: {ty}' for i in range(k))}) "
+                                    "returns (y: int); let y = 1; tel")
+             for k in range(5) for ty in ("int", "bool")}
     rng = random.Random(3)
-    seen = {"no inputs": 0, "no ticks": 0, "all absent somewhere": 0, "mixed": 0}
+    seen = {"no inputs": 0, "no ticks": 0, "all absent somewhere": 0, "mixed": 0, "ran": 0}
     for _ in range(3000):
         n = rng.randint(0, 8)
+        k, ty = rng.randint(0, 4), rng.choice(["int", "bool"])
+        prog = progs[k, ty]
         ins = []
-        for _ in range(rng.randint(0, 4)):
+        for _ in range(k):
             p_absent = rng.choice([0.0, 0.3, 0.9, 1.0])
-            ins.append([A if rng.random() < p_absent else rng.choice([0, 5, True, False])
+            ins.append([A if rng.random() < p_absent else
+                        rng.choice([0, 5] if ty == "int" else [True, False])
                         for _ in range(n + rng.randint(0, 2))])
-        got = default_base_clock(ins, n)
-        assert got == _zip_fold_base_clock(ins, n) and all(type(b) is bool for b in got), ins
+        streams = {f"x{i}": vs for i, vs in enumerate(ins)}
+        fold = presence_fold(ins, n)
+        got = _run_outcome(prog, "f", streams, n)
+        assert got == _run_outcome(prog, "f", streams, n, fold), ins
+        if isinstance(got[0], dict):
+            assert got[1] == fold and all(type(b) is bool for b in got[1]), ins
+            seen["ran"] += 1
         present = [A not in vs for vs in ins]
         seen["no inputs"] += not ins
         seen["no ticks"] += n == 0
