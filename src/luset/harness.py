@@ -40,10 +40,6 @@ class CheckReport:
     counterexample: dict | None = None
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
-
     def to_json(self) -> dict:
         out = {"check": self.check, "verdict": self.verdict, "trials": self.trials}
         if self.node is not None:

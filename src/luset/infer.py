@@ -413,10 +413,6 @@ def _infer_program(prog: Program) -> dict[str, InferenceResult]:
     return {name: results[name] for name in prog.node_names}
 
 
-def signatures(prog: Program) -> dict[str, NodeSignature]:
-    return {name: res.signature for name, res in infer_program(prog).items()}
-
-
 # ---------------------------------------------------------------------------
 # Checking against a lattice
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ variables, elaboration and the instantaneous-dependency (causality) check.
 Elaboration is one pass over each equation: typing and clocking it also
 records what it reads and calls, and the structural well-formedness
 diagnostics and the call graph are built from those records, so
-`well_formed` and `node_order` read what elaboration found.
+`well_formed` and `node_order` read what elaboration found. Who reads whom
+inside a node is one table (`_read_table`): per equation, its targets, what
+it reads at the current tick and what it reads at all. `causal_order`, the
+one causality entry point, schedules the first column; `input_dependences`
+closes over the second.
 """
 
 from __future__ import annotations
@@ -259,11 +263,11 @@ def _subexprs(e: Expr) -> tuple[Expr, ...]:
     raise TypeError(f"_subexprs: unsupported {e!r}")
 
 
-def _walk(exprs: Iterable[Expr], instantaneous: bool = False) -> tuple[set[str], dict[str, None]]:
+def _walk(exprs: Iterable[Expr], delayed: list | None = None) -> tuple[set[str], dict[str, None]]:
     """The variables some expressions read and the nodes they call, in the
-    order a left-to-right walk meets them. With `instantaneous`, only what
-    is read at the current tick: a fby delays its second argument, but its
-    first is consumed every tick."""
+    order a left-to-right walk meets them. Given a `delayed` list, only what
+    is read at the current tick: a fby's second argument is appended to the
+    list instead of walked, but its first is consumed every tick."""
     reads: set[str] = set()
     calls: dict[str, None] = {}
     todo = list(exprs)
@@ -278,8 +282,9 @@ def _walk(exprs: Iterable[Expr], instantaneous: bool = False) -> tuple[set[str],
             calls[e.node] = None
         elif cls is When or cls is Merge:
             reads.add(e.var)
-        elif cls is Fby and instantaneous:
+        elif cls is Fby and delayed is not None:
             todo.extend(reversed(e.init))
+            delayed.extend(e.rest)
             continue
         todo.extend(reversed(_subexprs(e)))
     return reads, calls
@@ -346,45 +351,30 @@ def _structure(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
         return err.structural, err.calls
 
 
+def _rhs(eq: Equation) -> tuple[Expr, ...]:
+    """An equation's right-hand side as full-language expressions: a
+    normalised delay as a fby, a normalised call as a call."""
+    match eq:
+        case Def(_, _, exprs):
+            return exprs
+        case NDef(_, _, e):
+            return (e,)
+        case NFby(_, _, c, e):
+            return (Fby((c,), (e,)),)
+        case NCall(_, _, f, args):
+            return (Call(f, args),)
+    raise TypeError(f"_rhs: unsupported {eq!r}")
+
+
 def _reads_and_calls(eq: Equation) -> tuple[set[str], dict[str, None]]:
     """The variables an equation reads, a normalised equation's clock
     included, and the nodes it calls in the order they are met, an NCall's
     callee first. Less the equation's targets and `base`, the reads are
     `free_vars(eq)` less `base`."""
-    match eq:
-        case Def(_, _, exprs):
-            return _walk(exprs)
-        case NDef(_, ck, e) | NFby(_, ck, _, e):
-            reads, calls = _walk((e,))
-        case NCall(_, ck, f, args):
-            reads, calls = _walk(args)
-            calls = {f: None, **calls}
-    return reads | clock_vars(ck), calls
-
-
-def input_dependences(node: Node, names: Iterable[str]) -> set[str]:
-    """The inputs of an elaborated node that the named variables can read.
-
-    A variable reads what its declared clock samples, and what its equation
-    reads (`_reads_and_calls`) and samples on its clock, each transitively.
-    Every target of an equation reads all of it, so a call's outputs read
-    all of its arguments. Two runs on inputs that agree on these give the
-    named variables the same streams, since a run is deterministic.
-    """
-    inputs = {d.name for d in node.inputs}
-    reads = {d.name: clock_vars(d.clock) for d in node.declarations}
-    seen = set(names)
-    if not seen <= inputs:  # an input's clock samples only inputs: it reads no equation
-        for eq in node.equations:
-            eq_reads = _reads_and_calls(eq)[0] | clock_vars(eq.clock)
-            for x in eq_targets(eq):
-                reads[x] |= eq_reads
-    todo = list(seen)
-    while todo:
-        new = reads.get(todo.pop(), set()) - seen
-        seen |= new
-        todo.extend(new)
-    return seen & inputs
+    reads, calls = _walk(_rhs(eq))
+    if type(eq) is not Def:
+        reads |= clock_vars(eq.clock)
+    return reads, calls
 
 
 def _schedule(deps: dict) -> list:
@@ -786,18 +776,12 @@ def _elaborate(prog: Program) -> Program:
 def _elaborate_equation(env: _NodeEnv, eq: Equation, targets: tuple[str, ...], known: bool) -> Equation:
     """Type and clock one equation, a Def getting its clock. With `known`
     false, some target is undeclared, and only the right-hand side is typed."""
-    match eq:
-        case Def(_, _, exprs):
-            ck, what = _POLY, "stream(s)"  # a Def's clock is its targets'
-        case NDef(_, ck, e):
-            exprs, what = (e,), None
-        case NFby(_, ck, c, e):
-            exprs, what = (Fby((c,), (e,)),), None
-        case NCall(_, ck, f, args):
-            exprs, what = (Call(f, args),), "output(s)"
-    if type(eq) is not Def:
+    if type(eq) is Def:
+        ck, what = _POLY, "stream(s)"  # a Def's clock is its targets'
+    else:
+        ck, what = eq.clock, "output(s)" if type(eq) is NCall else None
         env.stray |= clock_vars(ck).difference(env.decls)
-    slots = env.all_slots(exprs)
+    slots = env.all_slots(_rhs(eq))
     if len(slots) != len(targets):
         env.bad("arity-mismatch",
                 f"{len(targets)} target(s) but {len(slots)} {what}" if what
@@ -837,7 +821,7 @@ def _check_decl_clock(env: _NodeEnv, decl: VarDecl, input_names: set[str]):
 
 
 # ---------------------------------------------------------------------------
-# Instantaneous dependencies and causality
+# Who reads whom: the read table, input dependences and causality
 # ---------------------------------------------------------------------------
 
 def clock_vars(ck: Clock | None) -> set[str]:
@@ -849,66 +833,65 @@ def clock_vars(ck: Clock | None) -> set[str]:
     return out
 
 
-def eq_instantaneous_deps(eq: Equation) -> set[str]:
-    """Variables an equation reads at the current tick, its clock's included."""
-    match eq:
-        case Def(_, ck, exprs) | NCall(_, ck, _, exprs):
-            pass
-        case NDef(_, ck, e):
-            exprs = (e,)
-        case NFby(_, ck, _, _):
-            exprs = ()  # the head is a constant, the body is delayed
-        case _:
-            raise TypeError(f"eq_instantaneous_deps: unsupported {eq!r}")
-    return _walk(exprs, instantaneous=True)[0] | clock_vars(ck)
+def _read_table(node: Node) -> list[tuple[tuple[str, ...], set[str], set[str]]]:
+    """Who reads whom in a node: for each equation, in order, its targets,
+    the variables it reads at the current tick and the variables it reads
+    at all, both with its clock's variables. A fby delays its second
+    argument, so what only that reads is read at all but not now. The
+    precision is the equation's: every target reads all of it."""
+    table = []
+    for eq in node.equations:
+        delayed: list[Expr] = []
+        now = _walk(_rhs(eq), delayed)[0] | clock_vars(eq.clock)
+        table.append((eq_targets(eq), now, now | _walk(delayed)[0]))
+    return table
 
 
-@dataclass(frozen=True)
-class Causality:
-    """Result of the per-node scheduling analysis."""
+def input_dependences(node: Node, names: Iterable[str]) -> set[str]:
+    """The inputs of an elaborated node that the named variables can read.
 
-    order: tuple[int, ...] | None  # equation indices, schedulable order
-    cycle: tuple[str, ...] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.cycle is None
-
-
-def causality(node: Node) -> Causality:
-    """Schedule equations so each reads only earlier or fby-delayed variables."""
-    owner: dict[str, int] = {}
-    for i, eq in enumerate(node.equations):
-        for x in eq_targets(eq):
-            owner[x] = i
-    reads = [eq_instantaneous_deps(eq) for eq in node.equations]
-    # owner == i marks a self-cycle
-    eq_deps = {i: {owner[y] for y in r if y in owner} for i, r in enumerate(reads)}
-    order = _schedule(eq_deps)
-    if len(order) == len(eq_deps):
-        return Causality(tuple(order), None)
-    done = set(order)
-    remaining = {x for x, i in owner.items() if i not in done}
-    # every unscheduled equation waits on another, so the variables they own hold a cycle
-    cycle = _find_cycle({x: reads[owner[x]] & remaining for x in remaining}, sorted(remaining))
-    return Causality(None, tuple(cycle))
-
-
-def check_causality(node: Node) -> tuple[int, ...]:
-    res = causality(node)
-    if not res.ok:
-        raise CausalityError(node.name, list(res.cycle or ()))
-    assert res.order is not None
-    return res.order
+    A variable reads what its declared clock samples, and what its
+    equation reads at all (`_read_table`), each transitively. Every target
+    of an equation reads all of it, so a call's outputs read all of its
+    arguments. Two runs on inputs that agree on these give the named
+    variables the same streams, since a run is deterministic.
+    """
+    inputs = {d.name for d in node.inputs}
+    reads = {d.name: clock_vars(d.clock) for d in node.declarations}
+    seen = set(names)
+    if not seen <= inputs:  # an input's clock samples only inputs: it reads no equation
+        for targets, _, ever in _read_table(node):
+            for x in targets:
+                reads[x] |= ever
+    todo = list(seen)
+    while todo:
+        new = reads.get(todo.pop(), set()) - seen
+        seen |= new
+        todo.extend(new)
+    return seen & inputs
 
 
 def causal_order(prog: Program, name: str) -> tuple[int, ...]:
-    """`check_causality` of node `name`, once per program object."""
+    """The equations of node `name` as indices in an order where each reads
+    at the current tick only what earlier ones define (`_read_table`), once
+    per program object. Raises CausalityError with a cycle when there is no
+    such order."""
     return derived(prog, _causal_order, name)
 
 
 def _causal_order(prog: Program, name: str) -> tuple[int, ...]:
-    return check_causality(prog.node(name))
+    table = _read_table(prog.node(name))
+    owner = {x: i for i, (targets, _, _) in enumerate(table) for x in targets}
+    # owner == i marks a self-cycle
+    deps = {i: {owner[y] for y in now if y in owner} for i, (_, now, _) in enumerate(table)}
+    order = _schedule(deps)
+    if len(order) < len(deps):
+        done = set(order)
+        remaining = {x for x, i in owner.items() if i not in done}
+        # every unscheduled equation waits on another, so the variables they own hold a cycle
+        cycle = _find_cycle({x: table[owner[x]][1] & remaining for x in remaining}, sorted(remaining))
+        raise CausalityError(name, cycle)
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

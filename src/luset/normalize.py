@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .lang import (ARITH_OPS, BASE_CLOCK, Binop, Call, Clock, ClockOn, Const, Def, Equation,
+from .lang import (ARITH_OPS, Binop, Call, Clock, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
                    VarDecl, When, derived, elaborate)
 
@@ -176,7 +176,7 @@ def _norm_equation(ctx: _Ctx, eq: Def):
     merge or conditional at the top defines the equation's own targets
     (a merge on x on x's clock, which elaboration has unified with the
     equation's); any other top is one simple expression per target."""
-    ck = eq.clock if eq.clock is not None else BASE_CLOCK
+    ck = eq.clock
     targets = iter(eq.targets)
     for top in eq.exprs:
         if isinstance(top, (Fby, Call, Merge, Ite)):

@@ -62,16 +62,6 @@ SecType = Union[Bot, TVar, Lub, Refine]
 BOT = Bot()
 
 
-def lub(*parts: SecType) -> SecType:
-    """Left-nested join of the given raw types (Bot when empty)."""
-    if not parts:
-        return BOT
-    out = parts[0]
-    for p in parts[1:]:
-        out = Lub(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms
 # ---------------------------------------------------------------------------
@@ -296,10 +286,6 @@ class Lattice:
         if e not in self._up:
             raise LatticeError(f"{e!r} is not an element of lattice {self.name}")
 
-    @property
-    def top(self) -> str | None:
-        tops = [e for e in self.elements if all(e in self._up[x] for x in self.elements)]
-        return tops[0] if tops else None
 
     # -- constructors --------------------------------------------------------
     @staticmethod

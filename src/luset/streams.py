@@ -307,6 +307,8 @@ def _parse_cell(text: str, where: str) -> Value:
         return False
     shown = cell if len(cell) <= 40 else cell[:40] + "…"  # keep the diagnostic one short line
     try:
+        if "_" in cell:  # `int` reads `1_0` as 10
+            raise ValueError
         v = int(cell)
     except ValueError:
         raise EvalError("bad-trace", f"cannot read {shown!r} in column {where}") from None
@@ -362,12 +364,16 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
     """The values of one column of cells, or None when a cell is unreadable
     or out of range. Equal to `_parse_cell` per cell: `int` accepts only
     whitespace that `str.strip` removes, and fails on the rest, which leaves
-    those cells to the slower tries; unpadded words go before padded ones."""
+    those cells to the slower tries; unpadded words go before padded ones.
+    `int` also reads `_` digit separators, which `_parse_cell` refuses, so a
+    column of ints with a `_` anywhere in its text is refused."""
     try:
         vs = list(map(int, col))
     except ValueError:
         pass
     else:
+        if "_" in "".join(col):
+            return None
         return vs if not vs or (min(vs) >= -(1 << 63) and max(vs) < 1 << 63) else None
     try:
         return list(map(_WORDS.__getitem__, col))

@@ -1,14 +1,15 @@
 import random
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from luset.harness import FAIL, PASS, CheckReport, _observed
-from luset.infer import FreshVars, _CallCtx, _clock, _eliminate, _equation
+from luset.infer import FreshVars, _CallCtx, _clock, _eliminate, _equation, infer_program
 from luset.lang import elaborate, eq_targets
 from luset.parser import parse_program
-from luset.sectypes import (CanonType, Constraint, ConstraintSet, Lattice, Lub, SecType, TVar,
-                            canon, eval_ground)
+from luset.sectypes import (BOT, CanonType, Constraint, ConstraintSet, Lattice, Lub, SecType,
+                            TVar, canon, eval_ground)
 from luset.streams import ABSENT
 
 CTR_SRC = """
@@ -258,6 +259,25 @@ def project_history(history, levels, level: str, lat: Lattice):
     """Restrict a history to the variables at or below the given level."""
     observed = _observed(levels, level, lat)
     return {x: vs for x, vs in history.items() if x in observed}
+
+
+def lub(*parts: SecType) -> SecType:
+    """Left-nested join of the given raw types (Bot when empty)."""
+    return reduce(Lub, parts) if parts else BOT
+
+
+def lattice_top(lat: Lattice) -> str | None:
+    """The greatest element of a lattice, None when it has none."""
+    tops = [e for e in lat.elements if all(lat.leq(x, e) for x in lat.elements)]
+    return tops[0] if tops else None
+
+
+Lattice.top = property(lattice_top)  # the tests read it as `lat.top`
+
+
+def signatures(prog) -> dict:
+    """Each node's inferred signature, by node name."""
+    return {name: res.signature for name, res in infer_program(prog).items()}
 
 
 def satisfies(rho: ConstraintSet, s, lat: Lattice) -> bool:

@@ -19,7 +19,7 @@ from typing import Callable
 from luset.diagnostics import EvalError
 from luset.lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
                         Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
-                        Var, When, check_causality, eq_targets)
+                        Var, When, causal_order, eq_targets)
 from luset.streams import ABSENT, BStream, History, _apply_binop, _apply_unop, check_inputs
 
 
@@ -260,7 +260,7 @@ class NodeInstance:
         self.vals: dict = {}
         clocks = {d.name: d.clock for d in node.declarations}
         self.equations = [self._compile_equation(node.equations[i], clocks)
-                          for i in check_causality(node)]
+                          for i in causal_order(self.prog, node.name)]
 
     # -- compilation --------------------------------------------------------
     def _compile_equation(self, eq: Equation, clocks):

@@ -314,7 +314,8 @@ def test_faulty_traces_give_the_pinned_lines(tmp_path, capsys):
     order; an input fault at a later tick than a division by zero, which the
     check before the first tick finds first; and an input fault after a tick
     where every input is absent, so that the default base clock is the
-    presence fold and not always live."""
+    presence fold and not always live; and an int cell with a `_` digit
+    separator, which `int` would read."""
     root = DATA.parent.parent
     got = []
     for row in (DATA / "run_faults" / "traces.txt").read_text().splitlines():

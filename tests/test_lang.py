@@ -6,17 +6,18 @@ from pathlib import Path
 import pytest
 
 from luset.cli import main
-from luset.diagnostics import Diagnostic, ElaborationError
+from luset.diagnostics import CausalityError, Diagnostic, ElaborationError
 from luset.harness import gen_program
 from luset.infer import infer_program
 from luset.lang import (ARITH_OPS, BASE, BASE_CLOCK, BOOL_OPS, CMP_OPS, EQ_OPS, Binop, Call,
                         ClockBase, ClockOn, Const, Def, Fby, Ite, Merge, NCall, NDef, NFby, Node,
-                        Program, Ty, Unop, Var, VarDecl, When, _find_cycle, _reads_and_calls,
-                        _schedule, _subexprs, causality, clock_vars, elaborate,
-                        eq_instantaneous_deps, eq_targets, free_vars, nlustre_violations,
-                        node_order, well_formed)
+                        Program, Ty, Unop, Var, VarDecl, When, _find_cycle, _read_table,
+                        _reads_and_calls, _schedule, _subexprs, causal_order, clock_vars,
+                        elaborate, eq_targets, free_vars, input_dependences,
+                        nlustre_violations, node_order, well_formed)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
+from luset.sectypes import cs, ct, not_entailed
 
 from conftest import CTR_SPDMTR_SRC, defined_vars
 
@@ -264,9 +265,7 @@ tel
 # ---------------------------------------------------------------------------
 
 def test_fby_breaks_cycle(ctr_prog):
-    res = causality(ctr_prog.node("Ctr"))
-    assert res.ok
-    order = [ctr_prog.node("Ctr").equations[i].targets[0] for i in res.order]
+    order = [ctr_prog.node("Ctr").equations[i].targets[0] for i in causal_order(ctr_prog, "Ctr")]
     # fst and pre_n are readable before n; n reads both instantaneously
     assert order.index("n") > order.index("fst")
     assert order.index("n") > order.index("pre_n")
@@ -274,9 +273,9 @@ def test_fby_breaks_cycle(ctr_prog):
 
 def test_self_cycle_detected():
     prog = parse_program("node f(x: int) returns (y: int); let y = y + 1; tel")
-    res = causality(prog.node("f"))
-    assert not res.ok
-    assert res.cycle == ("y",)
+    with pytest.raises(CausalityError) as exc:
+        causal_order(prog, "f")
+    assert exc.value.cycle == ["y"]
 
 
 def test_two_variable_cycle_detected():
@@ -288,22 +287,43 @@ let
   b = a;
 tel
 """)
-    res = causality(prog.node("f"))
-    assert not res.ok
-    assert set(res.cycle) == {"a", "b"}
+    with pytest.raises(CausalityError) as exc:
+        causal_order(prog, "f")
+    assert set(exc.value.cycle) == {"a", "b"}
 
 
 def test_order_reads_only_earlier_or_delayed(ctr_prog):
     node = ctr_prog.node("Ctr")
-    res = causality(node)
+    table = _read_table(node)
     seen = set()
-    from luset.lang import eq_instantaneous_deps, eq_targets
     inputs = {d.name for d in node.inputs}
-    for i in res.order:
-        eq = node.equations[i]
-        deps = eq_instantaneous_deps(eq) - inputs - {"base"}
-        assert deps <= seen
-        seen |= set(eq_targets(eq))
+    for i in causal_order(ctr_prog, "Ctr"):
+        targets, now, _ = table[i]
+        assert now - inputs - {"base"} <= seen
+        seen |= set(targets)
+
+
+def test_input_dependences_hold_every_flow_the_signature_forces():
+    """Inference as an oracle for the read table's reads-at-all column:
+    when a node's signature forces an input's type α below an output's β,
+    the output can read that input. Source and normal form of 500 draws."""
+    rng = random.Random(0)
+    forced = 0
+    for _ in range(500):
+        eprog = elaborate(gen_program(rng))
+        for prog in (eprog, normalize_program(eprog)[0]):
+            for name, res in infer_program(prog).items():
+                node, sig = prog.node(name), res.signature
+                names = dict(zip(sig.inputs + sig.outputs,
+                                 [d.name for d in node.inputs + node.outputs]))
+                flows = cs(*((ct(a), ct(b)) for a in sig.inputs for b in sig.outputs))
+                free = {c for c, _ in not_entailed(sig.constraints, flows)}
+                for c in flows:
+                    if c not in free:
+                        (a,), (b,) = c.lhs.vars, c.rhs.vars
+                        assert names[a] in input_dependences(node, [names[b]]), (name, a, b)
+                        forced += 1
+    assert forced > 2500
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +355,7 @@ let
   z = a;
 tel
 """)
-    assert causality(prog.node("f")).order == (2, 3, 1, 0)
+    assert causal_order(prog, "f") == (2, 3, 1, 0)
 
 
 def test_causality_cycle_found_from_smallest_name():
@@ -351,7 +371,9 @@ let
 tel
 """)
     # d and y wait on the cycle but are not part of it
-    assert causality(prog.node("f")).cycle == ("a", "b", "c")
+    with pytest.raises(CausalityError) as exc:
+        causal_order(prog, "f")
+    assert exc.value.cycle == ["a", "b", "c"]
 
 
 def test_call_cycle_message_closes_the_cycle():
@@ -561,12 +583,13 @@ def test_structural_walks_match_the_recursive_definitions():
         assert [str(d) for d in nlustre_violations(mixed)] == _nlustre_violations_oracle(mixed)
         assert nlustre_violations(nprog) == []
         for node in mixed.nodes:
-            for eq in node.equations:
+            for eq, (targets, now, ever) in zip(node.equations, _read_table(node), strict=True):
                 assert free_vars(eq) == _free_vars_oracle(eq), eq
                 assert free_vars(eq.clock or BASE_CLOCK) == _free_vars_oracle(eq.clock or BASE_CLOCK)
-                assert eq_instantaneous_deps(eq) == _eq_instantaneous_deps_oracle(eq), eq
+                assert now == _eq_instantaneous_deps_oracle(eq), eq
                 reads, calls = _reads_and_calls(eq)
                 assert (reads, list(calls)) == _reads_and_calls_oracle(eq), eq
+                assert (targets, ever) == (eq_targets(eq), reads | clock_vars(eq.clock)), eq
                 for e in _eq_exprs(eq):
                     assert free_vars(e) == _free_vars_oracle(e), e
 
@@ -604,7 +627,7 @@ def test_structural_walks_do_not_recurse():
     node = Node("f", (decl("x", Ty.BOOL),), (decl("y", Ty.BOOL),), (),
                 (Def(("y",), None, (deep,)),))
     assert free_vars(deep) == {"x"}
-    assert causality(node).order == (0,)
+    assert causal_order(Program((node,)), "f") == (0,)
     assert well_formed(Program((node,))) == []
 
 

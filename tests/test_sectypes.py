@@ -11,9 +11,9 @@ from luset.infer import infer_program
 from luset.lang import elaborate
 from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, ConstraintSet,
                             Lattice, Lub, Refine, TVar, canon, cs, ct, eval_ground,
-                            least_fixpoint, least_solution, lub, not_entailed, violations)
+                            least_fixpoint, least_solution, not_entailed, violations)
 
-from conftest import gen_lattice, satisfies, substitute_constraints, substitute_type
+from conftest import gen_lattice, lub, satisfies, substitute_constraints, substitute_type
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,17 @@ def test_trace_bad_cell(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("cells", ["1_0", '"1_0"'], ids=["plain", "quoted"])
+def test_trace_refuses_digit_separators(tmp_path, cells):
+    """`int` reads `1_0` as 10, but a trace cell is an integer without
+    separators: refused on the plain path and, quoted, on the `csv` one."""
+    path = tmp_path / "t.csv"
+    path.write_text(f"x,y\n1,2\n{cells},3\n")
+    assert (streams._plain_columns(path) is None) == (cells[0] == '"')
+    with pytest.raises(EvalError, match=r"^bad-trace: cannot read '1_0' in column x$"):
+        read_trace(path)
+
+
 TRACE_NAMES = ["a", "b", "base", " c", "a "]
 TRACE_CELLS = [" 1", "2 ", "-3", "0", "_", " _ ", "true", "false", " true", str(-(1 << 63)),
                str((1 << 63) - 1), "9223372036854775808", "-9223372036854775809", "1_000", "+4",
