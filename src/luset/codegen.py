@@ -3,10 +3,10 @@
 `streams.run_node` runs a node through this module. The program is
 normalised, every node reachable from the top node becomes one generated
 Python class whose `step` runs the node's equations in causal order, and
-the top node's equations are inlined in a generated tick loop that appends
-to the history lists. This is clock-directed modular code generation
-(Biernacki, Colaço, Hamon & Pouzet, LCTES 2008), and it rests on what the
-core form guarantees:
+the top node's equations are inlined in a generated tick loop that fills
+one preallocated column per output and local, by tick index. This is
+clock-directed modular code generation (Biernacki, Colaço, Hamon & Pouzet,
+LCTES 2008), and it rests on what the core form guarantees:
 
 - a value is present exactly when its clock is live, so values carry no
   presence flag. Each operator runs under an `if` on its own clock, which is
@@ -59,9 +59,10 @@ def runner(prog: Program, name: str) -> Callable:
     or schedule raises the error that refused it.
 
     Built once per program object, refusal included. `run(ins, bs, hist)`
-    takes the input streams in declaration order, the base clock, and one
-    empty list per output and local of the node, in declaration order,
-    which it fills with one value per tick.
+    takes the input streams in declaration order, the base clock, and a list
+    with one entry per output and local of the node, in declaration order.
+    Before the first tick it puts in each entry a column `[None] * len(bs)`,
+    and at the end of tick t it stores each variable's value at index t.
     """
     build = derived(prog, _build, name)
     if isinstance(build, BaseException):
@@ -256,9 +257,9 @@ class _NodeCode:
         ins = [self.var[d.name] for d in self.node.inputs]
         outs = [self.var[x] for x in recorded]
         idle = " = ".join(outs + ["ABSENT"]) if outs else "pass"
-        loop = (f"for b, {', '.join(ins)} in zip(bs, *ins):" if ins else "for b in bs:")
+        loop = f"for {', '.join(['t', 'b'] + ins)} in zip(range(len(bs)), bs, *ins):"
         return (["def run(ins, bs, hist):"] +
-                _indent([f"h{j} = hist[{j}].append" for j in range(len(outs))] +
+                _indent([f"h{j} = hist[{j}] = [None] * len(bs)" for j in range(len(outs))] +
                          self._setup() + [loop]) +
                 _indent(["if b:"] + _indent(self._body() or ["pass"]) + ["else:", f"    {idle}"] +
-                        [f"h{j}({x})" for j, x in enumerate(outs)], 2))
+                        [f"h{j}[t] = {x}" for j, x in enumerate(outs)], 2))

@@ -20,6 +20,7 @@ predicate loads.
 from __future__ import annotations
 
 import csv
+import re
 from typing import Callable, Sequence, Union
 
 from .diagnostics import EvalError
@@ -281,21 +282,27 @@ def run_compiled(prog: Program, name: str, ins: list[VStream], bs: BStream) -> l
     """The streams of the outputs and locals of node `name`, in declaration
     order, from its compiled code (`codegen.runner`) run on the input streams
     `ins` (in declaration order, as long as `bs`, as `check_inputs` accepts
-    them) and the base clock `bs`. An `EvalError` of the run gets its tick:
-    the length the history lists had reached."""
+    them) and the base clock `bs`. The run fills one column per output and
+    local, allocated as long as `bs` with `None`, which no value is, and
+    stores each tick's values by index at the end of the tick; so an
+    `EvalError` of the run gets its tick: the first cell still `None`."""
     run = _runner(prog, name)
     node = prog.node(name)
     hist = [[] for _ in range(len(node.outputs) + len(node.locals))]
     try:
         run(ins, bs, hist)
     except EvalError as exc:
-        raise EvalError(exc.kind, exc.message, len(hist[0]) if hist else None, exc.var) from None
+        raise EvalError(exc.kind, exc.message, hist[0].index(None) if hist else None,
+                        exc.var) from None
     return hist
 
 
 # ---------------------------------------------------------------------------
 # CSV traces
 # ---------------------------------------------------------------------------
+
+_INT = re.compile(r"-?[0-9]+")
+
 
 def _parse_cell(text: str, where: str) -> Value:
     cell = text.strip()
@@ -307,9 +314,9 @@ def _parse_cell(text: str, where: str) -> Value:
         return False
     shown = cell if len(cell) <= 40 else cell[:40] + "…"  # keep the diagnostic one short line
     try:
-        if "_" in cell:  # `int` reads `1_0` as 10
+        if not _INT.fullmatch(cell):  # `int` also reads `+4`, `1_0` and non-ASCII digits like `٣`
             raise ValueError
-        v = int(cell)
+        v = int(cell)  # refuses more digits than `sys.get_int_max_str_digits()`
     except ValueError:
         raise EvalError("bad-trace", f"cannot read {shown!r} in column {where}") from None
     if _wrap64(v) != v:
@@ -365,14 +372,16 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
     or out of range. Equal to `_parse_cell` per cell: `int` accepts only
     whitespace that `str.strip` removes, and fails on the rest, which leaves
     those cells to the slower tries; unpadded words go before padded ones.
-    `int` also reads `_` digit separators, which `_parse_cell` refuses, so a
-    column of ints with a `_` anywhere in its text is refused."""
+    `int` also reads a `+` sign, `_` digit separators and non-ASCII digits,
+    which `_parse_cell` refuses, so a column of ints whose text holds a `+`
+    or `_` or is not ASCII is refused."""
     try:
         vs = list(map(int, col))
     except ValueError:
         pass
     else:
-        if "_" in "".join(col):
+        text = "".join(col)
+        if "_" in text or "+" in text or not text.isascii():
             return None
         return vs if not vs or (min(vs) >= -(1 << 63) and max(vs) < 1 << 63) else None
     try:
