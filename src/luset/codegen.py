@@ -1,12 +1,14 @@
-"""Compilation of core-form nodes to Python step classes.
+"""Compilation of core-form nodes to Python step closures.
 
 `streams.run_node` runs a node through this module. The program is
-normalised, every node reachable from the top node becomes one generated
-Python class whose `step` runs the node's equations in causal order, and
-the top node's equations are inlined in a generated tick loop that fills
-one preallocated column per output and local, by tick index. This is
-clock-directed modular code generation (Biernacki, Colaço, Hamon & Pouzet,
-LCTES 2008), and it rests on what the core form guarantees:
+normalised, and every node reachable from the top node becomes a generated
+function that makes an instance: registers and sub-instances are its local
+names, and the `step` closure it returns runs the node's equations in
+causal order. The top node's equations are inlined, in the same shape, in
+a tick loop that fills by tick index the columns `streams.run_compiled`
+allocates. This is clock-directed modular code generation (Biernacki,
+Colaço, Hamon & Pouzet, LCTES 2008), and it rests on what the core form
+guarantees:
 
 - a value is present exactly when its clock is live, so values carry no
   presence flag. Each operator runs under an `if` on its own clock, which is
@@ -58,11 +60,11 @@ def runner(prog: Program, name: str) -> Callable:
     of the elaborated program. A program that does not elaborate, normalise
     or schedule raises the error that refused it.
 
-    Built once per program object, refusal included. `run(ins, bs, hist)`
-    takes the input streams in declaration order, the base clock, and a list
-    with one entry per output and local of the node, in declaration order.
-    Before the first tick it puts in each entry a column `[None] * len(bs)`,
-    and at the end of tick t it stores each variable's value at index t.
+    Built once per program object, refusal included. `run(ins, bs, cols)`
+    takes the input streams in declaration order, the base clock, and one
+    column per output and local of the node, in declaration order, each as
+    long as `bs`; at the end of tick t it stores each variable's value at
+    index t. `streams.run_compiled` is its one caller in the package.
     """
     build = derived(prog, _build, name)
     if isinstance(build, BaseException):
@@ -99,16 +101,16 @@ def _build(prog: Program, name: str) -> tuple[Callable, bool] | BaseException:
 
 
 def _module(nprog: Program, reach: list[str], recorded: list[str]) -> tuple[str, bool]:
-    """Source of `run` for the top node reach[0], and of one class for each
-    callee in the rest of `reach`; and whether any of them calls `binop`."""
-    class_of = {f: f"N{i}" for i, f in enumerate(reach)}
+    """Source of `run` for the top node reach[0] and of an instance maker
+    for each callee in the rest of `reach`; and whether any calls `binop`."""
+    maker = {f: f"N{i}" for i, f in enumerate(reach)}
     lines: list[str] = []
     partial = False
     for f in reach[1:]:
-        code = _NodeCode(nprog, f, class_of, "self.")
-        lines += code.class_lines(class_of[f])
+        code = _NodeCode(nprog, f, maker)
+        lines += code.maker_lines(maker[f])
         partial |= code.partial
-    code = _NodeCode(nprog, reach[0], class_of, "")
+    code = _NodeCode(nprog, reach[0], maker)
     lines += code.run_lines(recorded)
     return "\n".join(lines) + "\n", partial or code.partial
 
@@ -124,19 +126,18 @@ class _NodeCode:
 
     Each statement is kept with the test of the clock it runs on (None for
     the base clock) and, for an equation, the statement that makes its
-    targets absent when that clock is idle. `ref` prefixes registers and
-    sub-instances: "self." in a class, "" in the inlined tick loop.
-    `partial` tells whether a statement calls `binop`, the only operator
-    that may raise.
+    targets absent when that clock is idle. Registers and sub-instances are
+    plain names, local to the instance maker or to the tick loop. `partial`
+    tells whether a statement calls `binop`, the only operator that may
+    raise.
     """
 
-    def __init__(self, nprog: Program, name: str, class_of: dict[str, str], ref: str):
+    def __init__(self, nprog: Program, name: str, maker: dict[str, str]):
         self.node = node = nprog.node(name)
-        self.ref = ref
         self.var = {d.name: f"x{i}" for i, d in enumerate(node.declarations)}
         self.clock = {d.name: d.clock for d in node.declarations}
         self.registers: list[str] = []  # initial values, as literals
-        self.instances: list[str] = []  # class of each sub-instance
+        self.instances: list[str] = []  # maker of each sub-instance
         self.items: list[tuple[str | None, str, str | None]] = []
         self.temps = 0
         self.partial = False
@@ -154,14 +155,14 @@ class _NodeCode:
                 case NDef(x, ck, e):
                     self._assign(ck, [x], self._expr(e, ck))
                 case NFby(x, ck, c, e):
-                    reg = f"{ref}r{len(self.registers)}"
+                    reg = f"r{len(self.registers)}"
                     self.registers.append(self._const(c.value))
                     self._assign(ck, [x], reg)
                     delays.append((reg, ck, e))
                 case NCall(xs, ck, f, args):
                     argv = ", ".join(self._expr(a, ck) for a in args)
-                    inst = f"{ref}s{len(self.instances)}"
-                    self.instances.append(class_of[f])
+                    inst = f"s{len(self.instances)}"
+                    self.instances.append(maker[f])
                     self._assign(ck, xs, f"{inst}({argv})")
                 case _:
                     raise LusetError(f"cannot compile equation {eq!r}")
@@ -240,26 +241,24 @@ class _NodeCode:
 
     # -- rendering ----------------------------------------------------------
     def _setup(self) -> list[str]:
-        return ([f"{self.ref}r{i} = {v}" for i, v in enumerate(self.registers)] +
-                [f"{self.ref}s{i} = {c}().step" for i, c in enumerate(self.instances)])
+        return ([f"r{i} = {v}" for i, v in enumerate(self.registers)] +
+                [f"s{i} = {f}()" for i, f in enumerate(self.instances)])
 
-    def class_lines(self, cls: str) -> list[str]:
-        slots = tuple([f"r{i}" for i in range(len(self.registers))] +
-                      [f"s{i}" for i in range(len(self.instances))])
-        params = ", ".join(["self"] + [self.var[d.name] for d in self.node.inputs])
+    def maker_lines(self, fn: str) -> list[str]:
+        params = ", ".join(self.var[d.name] for d in self.node.inputs)
         outs = ", ".join(self.var[d.name] for d in self.node.outputs) or "None"
-        return ([f"class {cls}:", f"    __slots__ = {slots!r}",
-                 "    def __init__(self):"] + _indent(self._setup() or ["pass"], 2) +
-                [f"    def step({params}):"] + _indent(self._body(), 2) +
-                [f"        return {outs}", ""])
+        regs = ", ".join(f"r{i}" for i in range(len(self.registers)))
+        step = ([f"nonlocal {regs}"] if regs else []) + self._body() + [f"return {outs}"]
+        return ([f"def {fn}():"] +
+                _indent(self._setup() + [f"def step({params}):"] + _indent(step) + ["return step"]) +
+                [""])
 
     def run_lines(self, recorded: list[str]) -> list[str]:
         ins = [self.var[d.name] for d in self.node.inputs]
         outs = [self.var[x] for x in recorded]
         idle = " = ".join(outs + ["ABSENT"]) if outs else "pass"
         loop = f"for {', '.join(['t', 'b'] + ins)} in zip(range(len(bs)), bs, *ins):"
-        return (["def run(ins, bs, hist):"] +
-                _indent([f"h{j} = hist[{j}] = [None] * len(bs)" for j in range(len(outs))] +
-                         self._setup() + [loop]) +
+        unpack = f"[{', '.join(f'h{j}' for j in range(len(outs)))}] = cols"
+        return (["def run(ins, bs, cols):"] + _indent([unpack] + self._setup() + [loop]) +
                 _indent(["if b:"] + _indent(self._body() or ["pass"]) + ["else:", f"    {idle}"] +
                         [f"h{j}[t] = {x}" for j, x in enumerate(outs)], 2))

@@ -259,7 +259,7 @@ _INT_BITS = _INT_SPAN.bit_length()
 
 def _samples(rng: random.Random, ty: Ty, n: int) -> list:
     """n random values of a type: `random() < 0.5` for a bool, and for an
-    int what `randint(_INT_LO, _INT_HI)` draws in CPython 3.10-3.12
+    int what `randint(_INT_LO, _INT_HI)` draws in CPython 3.10-3.13
     (`getrandbits` of the span's bit length until below the span)."""
     if ty is Ty.BOOL:
         random_ = rng.random
@@ -348,13 +348,13 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     on both, and compares the projections of the full histories.
 
     What stays the same between trials is worked out once per call: the
-    input order of the draws, the names of the history and the observed
-    ones, and the base clock, always-live for every draw (see `gen_inputs`).
-    The node runs as compiled code (`streams.run_compiled`) on inputs drawn
-    on their clocks, as `run_node` would accept them. When every input must
-    agree, the two histories are copies of one draw and the node runs once:
-    the semantics is deterministic, so the second run could only repeat the
-    first. By the same argument, when every watched variable reads only
+    input order of the draws, the watched variables, and the base clock,
+    always-live for every draw (see `gen_inputs`). The node runs as compiled
+    code (`streams.run_compiled`, which returns its whole history) on
+    inputs drawn on their clocks, as `run_node` would accept them. When
+    every input must agree, the two histories are copies of one draw and
+    the node runs once: the semantics is deterministic, so the second run
+    could only repeat the first. By the same argument, when every watched variable reads only
     inputs that both runs share (`lang.input_dependences`), the two
     projections are equal and a trial can change the report only by
     raising. So when that holds, the assignment is satisfied and the
@@ -385,9 +385,8 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     equal_inputs = input_dependences(node, [d.name for d in node.inputs
                                             if lat.leq(levels[d.name], cfg.level)])
     declared = [d.name for d in node.inputs]
-    names = declared + [d.name for d in node.outputs + node.locals]
     observed = _observed(levels, cfg.level, lat)
-    watched = [x for x in names if x in observed]
+    watched = [d.name for d in node.declarations if d.name in observed]
     if (not violated and input_dependences(node, watched) <= equal_inputs
             and not codegen.may_raise(prog, cfg.node)):
         return CheckReport("non-interference", PASS, node=cfg.node, trials=cfg.trials,
@@ -397,8 +396,7 @@ def check_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     bs = [True] * cfg.ticks
 
     def run(ins: History) -> History:
-        positional = [ins[x] for x in declared]
-        return dict(zip(names, positional + run_compiled(prog, cfg.node, positional, bs)))
+        return run_compiled(prog, cfg.node, [ins[x] for x in declared], bs)
 
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
@@ -482,15 +480,12 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     node = prog.node(node_name)
     order = _input_order(node)
     declared = [d.name for d in node.inputs]
-    names = declared + [d.name for d in node.outputs + node.locals]
     bs = [True] * ticks
     rng = random.Random(seed)
     for trial in range(trials):
         ins = _draw_inputs(rng, order, ticks)
-        positional = [ins[x] for x in declared]
         try:
-            hist = run_compiled(prog, node_name, positional, bs)
-            found = fault(dict(zip(names, positional + hist)), bs)
+            found = fault(run_compiled(prog, node_name, [ins[x] for x in declared], bs), bs)
         except EvalError as exc:
             return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                                trials=trial + 1, seed=seed, reason=str(exc))

@@ -6,7 +6,8 @@ value is present and the ABSENT sentinel where it is not.
 `run_node` checks a run's inputs at the node's interface (`check_inputs`)
 before the first tick, and runs the node as compiled core-form code (see
 `codegen`) through `run_compiled`: the package has one executable
-evaluator. When the run is given no base clock, `check_inputs` builds the
+evaluator, and `run_compiled` alone allocates a run's columns and returns
+them, with the inputs, as the node's history. When the run is given no base clock, `check_inputs` builds the
 default one, the pointwise presence of the inputs, in the same pass over
 the inputs' cells, and returns the clock it judged.
 
@@ -261,16 +262,14 @@ def run_node(prog: Program, name: str, inputs: History, n_ticks: int,
     for x, vs in inputs.items():
         if len(vs) < n_ticks:
             raise EvalError("arity-mismatch", f"input {x} is shorter than {n_ticks} ticks")
-    ins = [inputs[x][:n_ticks] for x in declared]  # a copy: the compiled loop owns it
+    ins = [inputs[x][:n_ticks] for x in declared]  # a copy: the run's history keeps it
     if bs is not None and len(bs) < n_ticks:
         raise EvalError("arity-mismatch", f"base clock is shorter than {n_ticks} ticks")
     _runner(prog, name)  # a refused build raises here, before the inputs are checked
     if bs is None and not ins:
         bs = [True] * n_ticks  # no input to take the presence of: every tick is live
     bs = check_inputs(node, ins, bs if bs is None else bs[:n_ticks])
-    hist = run_compiled(prog, name, ins, bs)
-    rest = [d.name for d in node.outputs + node.locals]
-    return dict(zip(declared + rest, ins + hist)), bs
+    return run_compiled(prog, name, ins, bs), bs
 
 
 def _runner(prog: Program, name: str) -> Callable:
@@ -278,23 +277,24 @@ def _runner(prog: Program, name: str) -> Callable:
     return codegen.runner(prog, name)
 
 
-def run_compiled(prog: Program, name: str, ins: list[VStream], bs: BStream) -> list[VStream]:
-    """The streams of the outputs and locals of node `name`, in declaration
-    order, from its compiled code (`codegen.runner`) run on the input streams
-    `ins` (in declaration order, as long as `bs`, as `check_inputs` accepts
-    them) and the base clock `bs`. The run fills one column per output and
-    local, allocated as long as `bs` with `None`, which no value is, and
-    stores each tick's values by index at the end of the tick; so an
-    `EvalError` of the run gets its tick: the first cell still `None`."""
+def run_compiled(prog: Program, name: str, ins: list[VStream], bs: BStream) -> History:
+    """The history of node `name` in declaration order (inputs, outputs,
+    locals), from its compiled code (`codegen.runner`) run on the input
+    streams `ins` (in declaration order, as long as `bs`, as `check_inputs`
+    accepts them; the history keeps these lists) and the base clock `bs`.
+    It alone allocates a run's columns, one per output and local, as long as
+    `bs` and filled with `None`, which no value is; the run stores each
+    tick's values by index at the end of the tick, so an `EvalError` of the
+    run gets its tick: the first cell still `None`."""
     run = _runner(prog, name)
     node = prog.node(name)
-    hist = [[] for _ in range(len(node.outputs) + len(node.locals))]
+    cols = [[None] * len(bs) for _ in range(len(node.outputs) + len(node.locals))]
     try:
-        run(ins, bs, hist)
+        run(ins, bs, cols)
     except EvalError as exc:
-        raise EvalError(exc.kind, exc.message, hist[0].index(None) if hist else None,
+        raise EvalError(exc.kind, exc.message, cols[0].index(None) if cols else None,
                         exc.var) from None
-    return hist
+    return dict(zip([d.name for d in node.declarations], ins + cols))
 
 
 # ---------------------------------------------------------------------------

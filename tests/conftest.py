@@ -134,16 +134,18 @@ def mutation_corpus(step: int):
 
 def interpreted_normal_form(prog, name, ins, bs):
     """`streams.run_compiled` of node `name` with its normal form run on the
-    tree interpreter instead: the streams of the source node's outputs and
-    locals, in declaration order. The normal form is `harness`'s, so a test
-    that replaces `harness.normalize_program` runs its replacement."""
+    tree interpreter instead: the source node's history, in declaration
+    order, the inputs' streams being the lists of `ins`. The normal form is
+    `harness`'s, so a test that replaces `harness.normalize_program` runs its
+    replacement."""
     from luset import harness
     from interpreter import interpret_node
     nprog, _ = harness.normalize_program(prog)
     node = nprog.node(name)
-    history = interpret_node(nprog, node, dict(zip([d.name for d in node.inputs], ins)),
-                             len(bs), bs)
-    return [history[d.name] for d in prog.node(name).outputs + prog.node(name).locals]
+    inputs = dict(zip([d.name for d in node.inputs], ins))
+    history = interpret_node(nprog, node, inputs, len(bs), bs)
+    source = prog.node(name)
+    return inputs | {d.name: history[d.name] for d in source.outputs + source.locals}
 
 
 @pytest.fixture

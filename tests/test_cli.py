@@ -314,8 +314,12 @@ def test_faulty_traces_give_the_pinned_lines(tmp_path, capsys):
     order; an input fault at a later tick than a division by zero, which the
     check before the first tick finds first; and an input fault after a tick
     where every input is absent, so that the default base clock is the
-    presence fold and not always live; and an int cell with a `_` digit
-    separator, which `int` would read."""
+    presence fold and not always live; an int cell with a `_` digit
+    separator, a `+` sign (`ctr-incr-plus`) or a non-ASCII digit
+    (`ctr-incr-arabic-digit`), each of which `int` would read; and a
+    division by zero in the compiled run at tick 0 (`div-tick-0`), at tick 1
+    (`div-tick-1`) and inside a callee's step at tick 2 (`divcall-tick-2`),
+    which the run gives its tick."""
     root = DATA.parent.parent
     got = []
     for row in (DATA / "run_faults" / "traces.txt").read_text().splitlines():

@@ -11,6 +11,7 @@ agree.
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ from luset.harness import gen_inputs, gen_program
 from luset.lang import elaborate
 from luset.normalize import normalize_program
 from luset.parser import parse_program
-from luset.streams import ABSENT, check_inputs, run_node
+from luset.streams import ABSENT, check_inputs, run_compiled, run_node
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, RE_TRIG_SRC
 from interpreter import interpret_node
@@ -49,10 +50,10 @@ def _default_bs(node, inputs, n):
 
 
 def check_run(prog, name, inputs, n, bs=None, well_clocked=True):
-    """Compare run_node and the compiled loop with the interpreter on one
-    run; return whether the compiled loop completed it. The loop runs only
-    inputs that `check_inputs` accepts; where it refuses them, the
-    interpreter raises its error."""
+    """Compare run_node and the compiled loop (`run_compiled`) with the
+    interpreter on one run; return whether the compiled loop completed it.
+    The loop runs only inputs that `check_inputs` accepts; where it refuses
+    them, the interpreter raises its error."""
     node = prog.node(name)
     ref_bs = _default_bs(node, inputs, n) if bs is None else list(bs[:n])
     want = _outcome(lambda: (interpret_node(prog, node, inputs, n, ref_bs), ref_bs))
@@ -60,27 +61,24 @@ def check_run(prog, name, inputs, n, bs=None, well_clocked=True):
     assert got == want
 
     try:
-        run = codegen.runner(prog, name)
+        codegen.runner(prog, name)
     except LusetError:
         assert not well_clocked, f"{name} did not compile"
         return False
-    declared = [d.name for d in node.inputs]
-    rest = [d.name for d in node.outputs + node.locals]
-    ins = [list(inputs[x][:n]) for x in declared]
+    ins = [list(inputs[d.name][:n]) for d in node.inputs]
     try:
         check_inputs(node, ins, ref_bs)
     except EvalError as exc:
         assert not well_clocked, "the interface check refused a good run"
         assert want == ("error", EvalError, exc.kind, exc.tick, str(exc))
         return False
-    hist = [[] for _ in rest]
     try:
-        run(ins, ref_bs, hist)
+        history = run_compiled(prog, name, ins, ref_bs)
     except EvalError:
         assert want[0] == "error" or not well_clocked, "compiled loop refused a good run"
         return False
     assert want[0] != "error", f"compiled loop ran where the interpreter fails: {want}"
-    assert _typed(dict(zip(declared + rest, ins + hist))) == want[0]
+    assert _typed(history) == want[0]
     return True
 
 
@@ -328,3 +326,25 @@ def test_runner_kept_per_program_object():
     assert codegen.runner(prog, "SpdMtr") is run
     copy = elaborate(parse_program(CTR_SPDMTR_SRC))
     assert copy == prog and codegen.runner(copy, "SpdMtr") is not run
+
+
+def test_run_compiled_returns_the_history_and_the_error_tick():
+    """`run_compiled` returns the node's whole history: its declarations in
+    order (inputs, outputs, locals), each stream as long as the base clock.
+    A division by zero gets the tick it was raised at, in the top loop and
+    inside a callee's step, as the CLI rows `div-tick-0`, `div-tick-1` and
+    `divcall-tick-2` of `run_faults/traces.txt` pin it."""
+    path = Path(__file__).resolve().parent / "data" / "run_faults" / "nodes.lus"
+    prog = parse_program(path.read_text())
+    bs = [True] * 3
+    for name in ("Div", "DivCall"):
+        history = run_compiled(prog, name, [[4, -7, 9], [2, 3, -1]], bs)
+        assert list(history) == [d.name for d in prog.node(name).declarations] == ["a", "b", "q"]
+        assert [len(vs) for vs in history.values()] == [3, 3, 3]
+        assert history["q"] == [2, -2, -9]
+        for tick in range(3):
+            divisors = [1, 1, 1]
+            divisors[tick] = 0
+            with pytest.raises(EvalError) as raised:
+                run_compiled(prog, name, [[1, 2, 3], divisors], bs)
+            assert (raised.value.kind, raised.value.tick) == ("div-by-zero", tick), name

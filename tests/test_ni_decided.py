@@ -52,14 +52,12 @@ def trial_loop_non_interference(prog: Program, cfg: NIConfig) -> CheckReport:
     observed = _observed(levels, cfg.level, lat)
     order = _input_order(node)
     declared = [d.name for d in node.inputs]
-    names = declared + [d.name for d in node.outputs + node.locals]
-    watched = [x for x in names if x in observed]
+    watched = [d.name for d in node.declarations if d.name in observed]
     bs = [True] * cfg.ticks
     one_run = equal_inputs >= set(declared)
 
     def run(ins):
-        positional = [ins[x] for x in declared]
-        return dict(zip(names, positional + run_compiled(prog, cfg.node, positional, bs)))
+        return run_compiled(prog, cfg.node, [ins[x] for x in declared], bs)
 
     rng = random.Random(cfg.seed)
     for trial in range(cfg.trials):
@@ -273,17 +271,14 @@ def _dependence_differences(deps) -> tuple[int, int]:
         for p in (prog, elaborate(normalize_program(prog)[0])):
             node = p.nodes[-1]
             order, declared = _input_order(node), [d.name for d in node.inputs]
-            names = declared + [d.name for d in node.outputs + node.locals]
             bs = [True] * 12
-            for x in names:
+            for x in (d.name for d in node.declarations):
                 agree = input_dependences(node, deps(node, x))
                 shared = _draw_inputs(rng, order, len(bs))
                 runs = []
                 for _ in range(2):
                     ins = _draw_inputs(rng, order, len(bs), {y: shared[y] for y in agree})
-                    positional = [ins[y] for y in declared]
-                    runs.append(dict(zip(names, positional + run_compiled(p, node.name,
-                                                                          positional, bs))))
+                    runs.append(run_compiled(p, node.name, [ins[y] for y in declared], bs))
                 compared += 1
                 differing += _first_difference({x: runs[0][x]}, {x: runs[1][x]}) is not None
     return compared, differing
