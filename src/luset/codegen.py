@@ -30,9 +30,11 @@ present exactly when its declared clock is live and holds a value of its
 declared type, and the base clock holds booleans. When a run is given no
 base clock, `check_inputs` also builds the default one, the pointwise
 presence of the inputs, and returns it for the code to run on. The code
-checks none of it again. It raises only where it calls `binop` (`div` and
-`mod`), and `may_raise` tells whether a build does; `streams.run_compiled`
-gives the error the tick it was raised at.
+checks none of it again. Each operator is its inline text in
+`lang.OPERATORS`, wrapped to 64 bits where the table says so. The code
+raises only where it calls `binop` (the text of `div` and `mod`, the
+operators with no total function), and `may_raise` tells whether a build
+does; `streams.run_compiled` gives the error the tick it was raised at.
 
 The code is flat, one temporary per operator, so that neither `compile`
 nor the generator recurses more than once per level of expression nesting.
@@ -44,15 +46,13 @@ from itertools import groupby
 from typing import Callable
 
 from .diagnostics import LusetError
-from .lang import (Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall, NDef, NFby,
-                   Program, Unop, Var, When, causal_order, derived, elaborate)
+from .lang import (OPERATORS, Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall,
+                   NDef, NFby, Operator, Program, Unop, Var, When, causal_order, derived,
+                   elaborate)
 from .normalize import normalize_program
 from .streams import ABSENT, _apply_binop, _wrap64
 
 _MIN, _MAX = -(1 << 63), (1 << 63) - 1
-_INLINE = {"+": "+", "-": "-", "*": "*", "=": "==", "<>": "!=", "<": "<", "<=": "<=",
-           ">": ">", ">=": ">=", "and": "and", "or": "or"}
-_WRAPPED = {"+", "-", "*"}
 
 
 def runner(prog: Program, name: str) -> Callable:
@@ -192,6 +192,10 @@ class _NodeCode:
             self.items.append((flag, f"if not {_MIN} <= {t} <= {_MAX}: {t} = wrap64({t})", None))
         return t
 
+    def _apply(self, ck: Clock, o: Operator, *args: str) -> str:
+        self.partial |= o.fn is None
+        return self._temp(ck, o.python.format(*args), wrap=o.wraps)
+
     @staticmethod
     def _const(v) -> str:
         if type(v) is bool:
@@ -209,17 +213,10 @@ class _NodeCode:
             case Var(x):
                 return self.var[x]
             case Unop(op, a):
-                arg = self._expr(a, ck)
-                if op == "not":
-                    return self._temp(ck, f"not {arg}")
-                return self._temp(ck, f"-{arg}", wrap=True)  # elaboration refuses other operators
+                return self._apply(ck, OPERATORS[op, 1], self._expr(a, ck))
             case Binop(op, a, b):
                 left = self._expr(a, ck)
-                right = self._expr(b, ck)
-                if op in _INLINE:
-                    return self._temp(ck, f"{left} {_INLINE[op]} {right}", wrap=op in _WRAPPED)
-                self.partial = True
-                return self._temp(ck, f"binop({op!r}, {left}, {right}, None)")
+                return self._apply(ck, OPERATORS[op, 2], left, self._expr(b, ck))
             case When((a,), x, _):
                 return self._expr(a, self.clock[x])
         raise LusetError(f"cannot compile expression {e!r}")

@@ -17,9 +17,10 @@ closes over the second.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .diagnostics import CausalityError, Diagnostic, ElaborationError
 
@@ -58,7 +59,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unop:
-    op: str  # "-" | "not"
+    op: str  # the symbol of a unary entry of OPERATORS
     arg: "Expr"
 
 
@@ -104,10 +105,42 @@ class Call:
 
 Expr = Union[Const, Var, Unop, Binop, When, Merge, Ite, Fby, Call]
 
-ARITH_OPS = {"+", "-", "*", "div", "mod"}
-CMP_OPS = {"<", "<=", ">", ">="}
-EQ_OPS = {"=", "<>"}
-BOOL_OPS = {"and", "or"}
+
+@dataclass(frozen=True)
+class Operator:
+    """A scalar operator, lifted to streams pointwise. The parser, the
+    printer, elaboration, `normalize`, `codegen` and `semantics` read
+    everything they know of an operator from its entry in `OPERATORS`."""
+    symbol: str
+    arity: int
+    level: int  # how tightly it binds in the concrete syntax, loosest first
+    chains: bool  # `a op b op c` parses as `(a op b) op c`; comparisons do not chain
+    operand: Ty | None  # the type of every operand; None: any type, the same for both
+    result: Ty
+    fn: Callable | None  # of present operands; None for `div` and `mod`, which may raise
+    wraps: bool  # fn's value wraps to 64 bits, two's complement
+    python: str  # the generated code's inline text, one `{}` per operand
+
+
+# `div` and `mod` raise on a zero divisor, so they have no total function:
+# `streams._apply_binop`, the generated code's `binop`, gives their values.
+OPERATORS = {(o.symbol, o.arity): o for o in [
+    Operator("not", 1, 8, True, Ty.BOOL, Ty.BOOL, operator.not_, False, "not {}"),
+    Operator("-", 1, 8, True, Ty.INT, Ty.INT, operator.neg, True, "-{}"),
+    Operator("or", 2, 3, True, Ty.BOOL, Ty.BOOL, lambda a, b: a or b, False, "{} or {}"),
+    Operator("and", 2, 4, True, Ty.BOOL, Ty.BOOL, lambda a, b: a and b, False, "{} and {}"),
+    Operator("=", 2, 5, False, None, Ty.BOOL, operator.eq, False, "{} == {}"),
+    Operator("<>", 2, 5, False, None, Ty.BOOL, operator.ne, False, "{} != {}"),
+    Operator("<", 2, 5, False, Ty.INT, Ty.BOOL, operator.lt, False, "{} < {}"),
+    Operator("<=", 2, 5, False, Ty.INT, Ty.BOOL, operator.le, False, "{} <= {}"),
+    Operator(">", 2, 5, False, Ty.INT, Ty.BOOL, operator.gt, False, "{} > {}"),
+    Operator(">=", 2, 5, False, Ty.INT, Ty.BOOL, operator.ge, False, "{} >= {}"),
+    Operator("+", 2, 6, True, Ty.INT, Ty.INT, operator.add, True, "{} + {}"),
+    Operator("-", 2, 6, True, Ty.INT, Ty.INT, operator.sub, True, "{} - {}"),
+    Operator("*", 2, 7, True, Ty.INT, Ty.INT, operator.mul, True, "{} * {}"),
+    Operator("div", 2, 7, True, Ty.INT, Ty.INT, None, False, "binop('div', {}, {}, None)"),
+    Operator("mod", 2, 7, True, Ty.INT, Ty.INT, None, False, "binop('mod', {}, {}, None)"),
+]}
 
 
 # ---------------------------------------------------------------------------
@@ -499,37 +532,29 @@ class _NodeEnv:
 
     def _unop(self, e: Unop):
         a = e.arg
-        ty, ck = self.one(_SLOTS[type(a)](self, a))
-        want = Ty.BOOL if e.op == "not" else Ty.INT
-        if e.op not in ("-", "not"):
-            self.bad("type-mismatch", f"unknown operator {e.op}")
-        elif ty is not want:
-            self.bad("type-mismatch", f"operator {e.op} applied to {ty}")
-        return [(want, ck)]
+        return self.apply(e.op, [self.one(_SLOTS[type(a)](self, a))])
 
     def _binop(self, e: Binop):
-        op, a, b = e.op, e.left, e.right
-        lt, lc = self.one(_SLOTS[type(a)](self, a))
-        rt, rc = self.one(_SLOTS[type(b)](self, b))
-        ck = self.unify(lc, rc)
-        if op in ARITH_OPS:
-            if lt is not Ty.INT or rt is not Ty.INT:
-                self.bad("type-mismatch", f"operator {op} needs int operands")
+        a, b = e.left, e.right
+        left = self.one(_SLOTS[type(a)](self, a))
+        return self.apply(e.op, [left, self.one(_SLOTS[type(b)](self, b))])
+
+    def apply(self, op: str, slots) -> list[tuple[Ty, Clock | None]]:
+        """The slot of operator `op` applied to operands of the given slots:
+        their clocks unified, their types checked against `OPERATORS`."""
+        ck = slots[0][1] if len(slots) == 1 else self.unify(slots[0][1], slots[1][1])
+        o = OPERATORS.get((op, len(slots)))
+        if o is None:
+            self.bad("type-mismatch", f"unknown operator {op}")
             return [(Ty.INT, ck)]
-        if op in CMP_OPS:
-            if lt is not Ty.INT or rt is not Ty.INT:
-                self.bad("type-mismatch", f"operator {op} needs int operands")
-            return [(Ty.BOOL, ck)]
-        if op in EQ_OPS:
-            if lt is not rt:
+        tys = [ty for ty, _ in slots]
+        if o.operand is None:
+            if tys[0] is not tys[1]:
                 self.bad("type-mismatch", f"operator {op} compares unlike types")
-            return [(Ty.BOOL, ck)]
-        if op in BOOL_OPS:
-            if lt is not Ty.BOOL or rt is not Ty.BOOL:
-                self.bad("type-mismatch", f"operator {op} needs bool operands")
-            return [(Ty.BOOL, ck)]
-        self.bad("type-mismatch", f"unknown operator {op}")
-        return [(Ty.INT, ck)]
+        elif tys.count(o.operand) < len(tys):
+            self.bad("type-mismatch", f"operator {op} applied to {tys[0]}" if len(tys) == 1
+                     else f"operator {op} needs {o.operand} operands")
+        return [(o.result, ck)]
 
     def _when(self, e: When):
         slots = self.all_slots(e.args)

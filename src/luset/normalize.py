@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .lang import (ARITH_OPS, Binop, Call, Clock, ClockOn, Const, Def, Equation,
+from .lang import (OPERATORS, Binop, Call, Clock, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
                    VarDecl, When, derived, elaborate)
 
@@ -87,11 +87,11 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock,
             return [_Slot(e, ctx.decls[x].ty)]
         case Unop(op, a):
             [s] = _norm(ctx, a, ambient)
-            return [_Slot(Unop(op, s.expr), Ty.BOOL if op == "not" else Ty.INT)]
+            return [_Slot(Unop(op, s.expr), OPERATORS[op, 1].result)]
         case Binop(op, a, b):
             [l] = _norm(ctx, a, ambient)
             [r] = _norm(ctx, b, ambient)
-            return [_Slot(Binop(op, l.expr, r.expr), Ty.INT if op in ARITH_OPS else Ty.BOOL)]
+            return [_Slot(Binop(op, l.expr, r.expr), OPERATORS[op, 2].result)]
         case When(args, x, k):
             inner = _norm_list(ctx, args, ctx.decls[x].clock)
             return [_Slot(When((s.expr,), x, k), s.ty) for s in inner]

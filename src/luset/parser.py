@@ -18,8 +18,9 @@ to the end of the line. Any other character is `unexpected character`.
 The lexer is a single `findall` that yields the token strings; the parser
 reads those strings directly, and a token's line and column are worked out
 from its index only when a diagnostic needs them (`_positions`).
-Binary operators are parsed by precedence climbing over `_BINARY`, the table
-the printer reads too, so printed programs re-parse to themselves.
+Operators are parsed by precedence climbing over `_BINARY` and `_PREFIX`,
+read off `lang.OPERATORS`, which the printer reads too, so printed programs
+re-parse to themselves.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
-from .lang import (BASE, BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
-                   Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
+from .lang import (BASE, BASE_CLOCK, OPERATORS, Binop, Call, Clock, ClockBase, ClockOn, Const,
+                   Def, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
                    Var, VarDecl, When)
 
-KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else",
-            "merge", "when", "fby", "not", "and", "or", "div", "mod",
-            "true", "false", "int", "bool", BASE}
+KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else", "merge", "when",
+            "fby", "true", "false", "int", "bool", BASE,
+            *(symbol for symbol, _ in OPERATORS if symbol.isalpha())}
 
 # One match per token: the blanks and comments before it, skipped, then the
 # token, or else the character found where a token should start ("" at the
@@ -50,14 +51,12 @@ _SYMBOLS = frozenset(("<>", "<=", ">=", "(", ")", ":", ";", ",", "=", "<", ">", 
 # a character no token is made of
 _NOT_IN_TOKEN = re.compile(r"[^\w<>=():;,+*-]")
 
-# Binary operator -> (level, chains). Loosest first; comparisons do not chain.
-# `fby` (level 1) and `when` (level 2) bind looser, prefix `not` and `-`
-# (`_UNARY`) tighter.
-_BINARY = {"or": (3, True), "and": (4, True),
-           **{op: (5, False) for op in ("=", "<>", "<=", ">=", "<", ">")},
-           "+": (6, True), "-": (6, True),
-           "*": (7, True), "div": (7, True), "mod": (7, True)}
-_FBY, _WHEN, _UNARY = 1, 2, 8
+# Binary operator -> (level, chains), and the prefix operators, which bind
+# at `_UNARY`, tighter than every binary one; `fby` (level 1) and `when`
+# (level 2) bind looser than all of them.
+_BINARY = {o.symbol: (o.level, o.chains) for o in OPERATORS.values() if o.arity == 2}
+_PREFIX = frozenset(o.symbol for o in OPERATORS.values() if o.arity == 1)
+_FBY, _WHEN, _UNARY = 1, 2, max(o.level for o in OPERATORS.values())
 
 
 def _starts_token(tok: str) -> bool:
@@ -306,7 +305,7 @@ class _Parser:
 
     def unary(self):
         op = self.toks[self.pos]
-        if op == "not" or op == "-":
+        if op in _PREFIX:
             self.pos += 1
             return Unop(op, self.single(self.unary()))
         return self.primary()
@@ -401,7 +400,7 @@ def _show_expr(e: Expr, prec: int = 0) -> str:
             return x
         case Unop(op, a):
             body = _show_expr(a, _UNARY)
-            sep = " " if op == "not" or body.startswith("-") else ""
+            sep = " " if op.isalpha() or body.startswith("-") else ""
             return paren(f"{op}{sep}{body}", _UNARY)
         case Binop(op, a, b):
             p, chains = _BINARY[op]

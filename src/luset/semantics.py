@@ -22,15 +22,14 @@ command needs it before it checks a node.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .diagnostics import EvalError
-from .lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
-                   Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var, When,
-                   causal_order, eq_targets)
-from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _apply_unop,
-                      _off_clock, _present, _streams_equal, _wrap64, eval_clock, run_node)
+from .lang import (BASE_CLOCK, OPERATORS, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
+                   Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
+                   When, causal_order, eq_targets)
+from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _off_clock,
+                      _present, _streams_equal, _wrap64, eval_clock, run_node)
 
 # ---------------------------------------------------------------------------
 # The stream operators over whole prefixes
@@ -41,14 +40,8 @@ from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _a
 # ask `streams._off_clock` for the first tick at fault, and raise its
 # `EvalError` there; a partial operator computes its values up to that tick
 # first, so that an error of an earlier tick wins. A shorter operand cuts
-# the output to the common prefix.
-
-# The binary operators that cannot raise, as functions of two present
-# values; `_WRAPPING` ones wrap their result to 64 bits.
-_TOTAL = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
-          "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt,
-          ">=": operator.ge, "and": lambda a, b: a and b, "or": lambda a, b: a or b}
-_WRAPPING = {"+", "-", "*"}
+# the output to the common prefix. `lift_unop` and `lift_binop` read their
+# operator's total function and wrap flag off `lang.OPERATORS` once a call.
 
 
 def _mismatch(message: str, t: int) -> EvalError:
@@ -61,27 +54,35 @@ def const_stream(c: Union[int, bool], bs: BStream) -> VStream:
 
 
 def lift_unop(op: str, es: VStream) -> VStream:
-    if op == "not":
-        return [v if v is ABSENT else not v for v in es]
-    if op == "-":
-        return [v if v is ABSENT else -v if -_HALF < v < _HALF else _wrap64(-v) for v in es]
-    return [ABSENT if v is ABSENT else _apply_unop(op, v, t) for t, v in enumerate(es)]
+    o = OPERATORS.get((op, 1))
+    if o is None:
+        t = next((t for t, v in enumerate(es) if v is not ABSENT), None)
+        if t is None:
+            return list(es)
+        raise EvalError("bad-operator", f"unknown unary operator {op}", t)
+    fn = o.fn
+    if o.wraps:
+        return [v if v is ABSENT else u if -_HALF <= (u := fn(v)) < _HALF else _wrap64(u)
+                for v in es]
+    return [v if v is ABSENT else fn(v) for v in es]
 
 
 def lift_binop(op: str, xs: VStream, ys: VStream) -> VStream:
-    fn = _TOTAL.get(op)
+    o = OPERATORS.get((op, 2))
+    fn = o.fn if o else None
     live = _present(xs)
     t = None if live == _present(ys) else _off_clock([(live, ys)])
-    if fn is None or t is not None:
+    if t is None and fn is not None:
+        if o.wraps:
+            return [a if a is ABSENT else v if -_HALF <= (v := fn(a, b)) < _HALF else _wrap64(v)
+                    for a, b in zip(xs, ys)]
+        return [a if a is ABSENT else fn(a, b) for a, b in zip(xs, ys)]
+    if fn is None:  # `div`, `mod` or an unknown operator: an error before t wins
         out = [ABSENT if a is ABSENT else _apply_binop(op, a, b, u)
                for u, (a, b) in enumerate(zip(xs[:t], ys))]
-        if t is not None:
-            raise _mismatch(f"operands of {op} disagree on presence", t)
-        return out
-    if op in _WRAPPING:
-        return [a if a is ABSENT else v if -_HALF <= (v := fn(a, b)) < _HALF else _wrap64(v)
-                for a, b in zip(xs, ys)]
-    return [a if a is ABSENT else fn(a, b) for a, b in zip(xs, ys)]
+        if t is None:
+            return out
+    raise _mismatch(f"operands of {op} disagree on presence", t)
 
 
 def when_stream(k: bool, xs: VStream, es: VStream) -> VStream:

@@ -11,11 +11,11 @@ them, with the inputs, as the node's history. When the run is given no base cloc
 default one, the pointwise presence of the inputs, in the same pass over
 the inputs' cells, and returns the clock it judged.
 
-`eval_clock` is the one clock evaluator. The scalar operators `_apply_unop`
-and `_apply_binop` give the value of an operator at one tick (the generated
-code's `binop` is `_apply_binop`). The paper's whole-prefix stream operators
-and its relational semantics are in `semantics`, which only a check of the
-predicate loads.
+`eval_clock` is the one clock evaluator. The scalar operators are the
+entries of `lang.OPERATORS`; `_apply_binop` gives the value at one tick of
+the two that may raise, `div` and `mod` (the generated code's `binop`). The
+paper's whole-prefix stream operators and its relational semantics are in
+`semantics`, which only a check of the predicate loads.
 """
 
 from __future__ import annotations
@@ -96,48 +96,20 @@ def _wrap64(v: int) -> int:
     return v - _I64 if v >= _HALF else v
 
 
-def _apply_unop(op: str, v, tick: int):
-    if op == "-":
-        return _wrap64(-v)
-    if op == "not":
-        return not v
-    raise EvalError("bad-operator", f"unknown unary operator {op}", tick)
-
-
-def _apply_binop(op: str, a, b, tick: int):
-    match op:
-        case "+":
-            return _wrap64(a + b)
-        case "-":
-            return _wrap64(a - b)
-        case "*":
-            return _wrap64(a * b)
-        case "div":
-            if b == 0:
-                raise EvalError("div-by-zero", "division by zero", tick)
-            q = abs(a) // abs(b)
-            return _wrap64(q if (a >= 0) == (b >= 0) else -q)
-        case "mod":
-            if b == 0:
-                raise EvalError("div-by-zero", "modulo by zero", tick)
-            return _wrap64(a - b * _apply_binop("div", a, b, tick))
-        case "=":
-            return a == b
-        case "<>":
-            return a != b
-        case "<":
-            return a < b
-        case "<=":
-            return a <= b
-        case ">":
-            return a > b
-        case ">=":
-            return a >= b
-        case "and":
-            return a and b
-        case "or":
-            return a or b
-    raise EvalError("bad-operator", f"unknown operator {op}", tick)
+def _apply_binop(op: str, a, b, tick: int | None):
+    """The value of `div` or `mod` at one tick: the operators that may
+    raise, so `lang.OPERATORS` gives them no total function. Division
+    truncates toward zero, and wraps (`-2^63 div -1` is -2^63); `a mod b` is
+    `a - b * (a div b)`, without the wrap, so `-2^63 mod -1` is 0. The
+    generated code's `binop`."""
+    if op != "div" and op != "mod":
+        raise EvalError("bad-operator", f"unknown operator {op}", tick)
+    if b == 0:
+        raise EvalError("div-by-zero", "division by zero" if op == "div" else "modulo by zero", tick)
+    q = abs(a) // abs(b)
+    if (a >= 0) != (b >= 0):
+        q = -q
+    return _wrap64(q) if op == "div" else a - b * q
 
 
 def eval_clock(history: History, bs: BStream, ck: Clock) -> BStream:

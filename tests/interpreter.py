@@ -9,7 +9,8 @@ evaluates it, checks each target against the equation's clock and stores
 it in the tick's values; each clock becomes one closure `live(t, vals,
 bs_t)` (`_clock`). `step` and `run` share one tick body, and `run` checks
 its inputs as `run_node` does. `interpret_node` runs a node on a fresh
-instance.
+instance. `apply_op` gives an operator's value at one tick from its entry
+in `lang.OPERATORS`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 from typing import Callable
 
 from luset.diagnostics import EvalError
-from luset.lang import (BASE_CLOCK, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
-                        Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
-                        Var, When, causal_order, eq_targets)
-from luset.streams import ABSENT, BStream, History, _apply_binop, _apply_unop, check_inputs
+from luset.lang import (BASE_CLOCK, OPERATORS, Binop, Call, Clock, ClockBase, ClockOn, Const,
+                        Def, Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program,
+                        Unop, Var, When, causal_order, eq_targets)
+from luset.streams import ABSENT, BStream, History, _apply_binop, _wrap64, check_inputs
 
 
 # An expression of a node instance compiled to a closure `fn(t, vals, bs_t)`:
@@ -64,10 +65,24 @@ def _var(x: str) -> Tick:
     return lambda t, vals, bs_t: [vals[x]]
 
 
+def apply_op(op: str, args: tuple, t: int):
+    """The value at tick t of operator `op` applied to present operands: its
+    total function in `lang.OPERATORS`, wrapped to 64 bits where the table
+    says so, or `streams._apply_binop` for `div` and `mod`."""
+    o = OPERATORS.get((op, len(args)))
+    if o is None:
+        unknown = "unknown unary operator" if len(args) == 1 else "unknown operator"
+        raise EvalError("bad-operator", f"{unknown} {op}", t)
+    if o.fn is None:
+        return _apply_binop(op, *args, t)
+    v = o.fn(*args)
+    return _wrap64(v) if o.wraps else v
+
+
 def _unop(op: str, arg: Tick) -> Tick:
     def fn(t, vals, bs_t):
         [v] = arg(t, vals, bs_t)
-        return [ABSENT if v is ABSENT else _apply_unop(op, v, t)]
+        return [ABSENT if v is ABSENT else apply_op(op, (v,), t)]
     return fn
 
 
@@ -77,7 +92,7 @@ def _binop(op: str, left: Tick, right: Tick) -> Tick:
         [b] = right(t, vals, bs_t)
         if (a is ABSENT) != (b is ABSENT):
             raise EvalError("clocked-value-mismatch", f"operands of {op} disagree on presence", t)
-        return [ABSENT if a is ABSENT else _apply_binop(op, a, b, t)]
+        return [ABSENT if a is ABSENT else apply_op(op, (a, b), t)]
     return fn
 
 

@@ -9,12 +9,11 @@ from luset.cli import main
 from luset.diagnostics import CausalityError, Diagnostic, ElaborationError
 from luset.harness import gen_program
 from luset.infer import infer_program
-from luset.lang import (ARITH_OPS, BASE, BASE_CLOCK, BOOL_OPS, CMP_OPS, EQ_OPS, Binop, Call,
-                        ClockBase, ClockOn, Const, Def, Fby, Ite, Merge, NCall, NDef, NFby, Node,
-                        Program, Ty, Unop, Var, VarDecl, When, _find_cycle, _read_table,
-                        _reads_and_calls, _schedule, _subexprs, causal_order, clock_vars,
-                        elaborate, eq_targets, free_vars, input_dependences,
-                        nlustre_violations, node_order, well_formed)
+from luset.lang import (BASE, BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Def, Fby, Ite,
+                        Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var, VarDecl, When,
+                        _find_cycle, _read_table, _reads_and_calls, _schedule, _subexprs,
+                        causal_order, clock_vars, elaborate, eq_targets, free_vars,
+                        input_dependences, nlustre_violations, node_order, well_formed)
 from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.sectypes import cs, ct, not_entailed
@@ -694,6 +693,14 @@ def _well_formed_oracle(prog):
     if cycle:
         diags.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
     return diags, deps
+
+
+# The typing walk's own operator sets, so that it does not read the table
+# `lang.OPERATORS` it checks elaboration against.
+ARITH_OPS = {"+", "-", "*", "div", "mod"}
+CMP_OPS = {"<", "<=", ">", ">="}
+EQ_OPS = {"=", "<>"}
+BOOL_OPS = {"and", "or"}
 
 
 class _NodeEnvOracle:

@@ -19,11 +19,12 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from luset import codegen, streams
+from luset import codegen, lang, streams
 from luset.diagnostics import EvalError
 from luset.harness import (_draw_inputs, _input_order, check_semantics_preservation, gen_inputs,
                            gen_program)
@@ -33,10 +34,10 @@ from luset.normalize import normalize_program
 from luset.parser import parse_program
 from luset.semantics import (Fault, base_of, earliest_fault, fby_lustre, ite_stream, lift_binop,
                              lift_unop, merge_stream, sem_node, when_stream)
-from luset.streams import ABSENT, _apply_binop, _apply_unop, run_compiled, run_node, show_value
+from luset.streams import ABSENT, run_compiled, run_node, show_value
 
 import interpreter
-from interpreter import NodeInstance, interpret_node
+from interpreter import NodeInstance, apply_op, interpret_node
 from conftest import ROOT
 from test_codegen import DIVMOD_SRC
 from test_interface import CALL_SRC, MD_SRC
@@ -98,8 +99,9 @@ def test_the_predicate_accepts_every_evaluator_history():
 
 def _swap_le_lt(monkeypatch):
     """The codegen mutant: `<=` compiles to `<` and `<` to `<=`."""
-    monkeypatch.setitem(codegen._INLINE, "<=", "<")
-    monkeypatch.setitem(codegen._INLINE, "<", "<=")
+    le, lt = lang.OPERATORS["<=", 2], lang.OPERATORS["<", 2]
+    monkeypatch.setitem(lang.OPERATORS, ("<=", 2), replace(le, python=lt.python))
+    monkeypatch.setitem(lang.OPERATORS, ("<", 2), replace(lt, python=le.python))
 
 
 class _LateDelay1(interpreter._Delay):
@@ -502,7 +504,7 @@ def _present(v):
 
 
 def _ref_lift_unop(op, es):
-    return [ABSENT if v is ABSENT else _apply_unop(op, v, t) for t, v in enumerate(es)]
+    return [ABSENT if v is ABSENT else apply_op(op, (v,), t) for t, v in enumerate(es)]
 
 
 def _ref_lift_binop(op, xs, ys):
@@ -510,7 +512,7 @@ def _ref_lift_binop(op, xs, ys):
     for t, (a, b) in enumerate(zip(xs, ys)):
         if _present(a) != _present(b):
             raise EvalError("clocked-value-mismatch", f"operands of {op} disagree on presence", t)
-        out.append(ABSENT if a is ABSENT else _apply_binop(op, a, b, t))
+        out.append(ABSENT if a is ABSENT else apply_op(op, (a, b), t))
     return out
 
 
