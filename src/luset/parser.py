@@ -38,18 +38,20 @@ KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else", "merge
             "fby", "true", "false", "int", "bool", BASE,
             *(symbol for symbol, _ in OPERATORS if symbol.isalpha())}
 
+# The tokens that are not words: the operator symbols and the punctuation.
+_SYMBOLS = frozenset({symbol for symbol, _ in OPERATORS if not symbol.isalpha()} | set("():;,="))
 # One match per token: the blanks and comments before it, skipped, then the
 # token, or else the character found where a token should start ("" at the
-# end of the text). `\d` is a Unicode decimal digit, as `int` reads it; a
-# `\w+` word may still start with a numeric character such as `²`, which
-# `_lex` refuses.
+# end of the text). Longer symbols are tried first. `\d` is a Unicode decimal
+# digit, as `int` reads it; a `\w+` word may still start with a numeric
+# character such as `²`, which `_lex` refuses.
 _LEX = re.compile(r"""
     [ \t\r\n]* (?:--[^\n]*[ \t\r\n]*)*
-    (\d+|\w+|<>|<=|>=|[():;,=<>+*-]|.?)
-""", re.VERBOSE | re.DOTALL)
-_SYMBOLS = frozenset(("<>", "<=", ">=", "(", ")", ":", ";", ",", "=", "<", ">", "+", "*", "-"))
+    (\d+|\w+|%s|.?)
+""" % "|".join(map(re.escape, sorted(_SYMBOLS, key=lambda s: (-len(s), s)))),
+    re.VERBOSE | re.DOTALL)
 # a character no token is made of
-_NOT_IN_TOKEN = re.compile(r"[^\w<>=():;,+*-]")
+_NOT_IN_TOKEN = re.compile("[^\\w%s]" % re.escape("".join(sorted(set("".join(_SYMBOLS))))))
 
 # Binary operator -> (level, chains), and the prefix operators, which bind
 # at `_UNARY`, tighter than every binary one; `fby` (level 1) and `when`

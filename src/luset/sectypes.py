@@ -227,6 +227,7 @@ class Lattice:
     Constructed from covering pairs; the order is their reflexive-transitive
     closure. Join-completeness (every pair has a unique least upper bound)
     is validated eagerly and a violating poset is rejected at load time.
+    Each element is held as its upper set, so a ⊑ b iff b's is within a's.
     """
 
     def __init__(self, elements: Iterable[str], bottom: str, covers: Iterable[tuple[str, str]],
@@ -236,56 +237,55 @@ class Lattice:
         if bottom not in self.elements:
             raise LatticeError(f"bottom {bottom!r} is not an element")
         self.bottom = bottom
-        leq: dict[str, set[str]] = {e: {e} for e in self.elements}  # e -> upper set
+        up = {e: 1 << i for i, e in enumerate(self.elements)}  # upper sets, bit i: elements[i]
         cov = list(covers)
         for lo, hi in cov:
-            if lo not in leq or hi not in leq:
+            if lo not in up or hi not in up:
                 raise LatticeError(f"cover ({lo!r}, {hi!r}) uses unknown elements")
         changed = True
         while changed:
             changed = False
             for lo, hi in cov:
-                ups = leq[lo]
-                new = leq[hi] - ups
-                if new:
-                    ups |= new
+                new = up[lo] | up[hi]
+                if new != up[lo]:
+                    up[lo] = new
                     changed = True
-        for a in self.elements:
-            for b in self.elements:
-                if a != b and b in leq[a] and a in leq[b]:
-                    raise LatticeError(f"order is not antisymmetric: {a!r} and {b!r}")
+        # Two elements are each above the other iff their upper sets are equal:
+        # name the first element that shares its upper set, then the next one.
+        alike: dict[int, list[str]] = {}
         for e in self.elements:
-            if e not in leq[self.bottom]:
-                raise LatticeError(f"bottom is not below {e!r}")
-        self._up = leq
+            alike.setdefault(up[e], []).append(e)
+        cycle = next((es for es in alike.values() if len(es) > 1), None)
+        if cycle:
+            raise LatticeError(f"order is not antisymmetric: {cycle[0]!r} and {cycle[1]!r}")
+        missing = ~up[bottom] & ((1 << len(self.elements)) - 1)  # elements not above bottom
+        if missing:
+            first = self.elements[(missing & -missing).bit_length() - 1]
+            raise LatticeError(f"bottom is not below {first!r}")
+        self._up = up
         # The common upper set of a and b is itself an upper set, so its
         # unique minimal element, when there is one, is the element whose
-        # own upper set equals it. Antisymmetry makes that element unique.
-        # The first failing pair in element order lies on or above the
-        # diagonal, so the upper triangle finds the same one.
-        by_up = {frozenset(up): e for e, up in leq.items()}
-        self._join: dict[tuple[str, str], str] = {}
+        # own upper set equals it: a ⊔ b. The first failing pair in element
+        # order lies on or above the diagonal, so the upper triangle finds it.
+        self._by_up = {u: es[0] for u, es in alike.items()}
         for i, a in enumerate(self.elements):
             for b in self.elements[i:]:
-                lub_ab = by_up.get(frozenset(leq[a] & leq[b]))
-                if lub_ab is None:
+                if up[a] & up[b] not in self._by_up:
                     raise LatticeError(f"elements {a!r} and {b!r} lack a unique join")
-                self._join[(a, b)] = self._join[(b, a)] = lub_ab
 
     def leq(self, a: str, b: str) -> bool:
         self._check(a)
         self._check(b)
-        return b in self._up[a]
+        return not self._up[b] & ~self._up[a]
 
     def join(self, a: str, b: str) -> str:
         self._check(a)
         self._check(b)
-        return self._join[(a, b)]
+        return self._by_up[self._up[a] & self._up[b]]
 
     def _check(self, e: str):
         if e not in self._up:
             raise LatticeError(f"{e!r} is not an element of lattice {self.name}")
-
 
     # -- constructors --------------------------------------------------------
     @staticmethod

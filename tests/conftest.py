@@ -227,13 +227,17 @@ def _draw_masks(rng: random.Random, max_elements: int = 8) -> frozenset[int]:
             return frozenset(masks)
 
 
-def _mask_lattice(masks: frozenset[int]) -> Lattice:
-    """The lattice of a set of masks ordered by inclusion."""
+def _mask_poset(masks: frozenset[int]) -> tuple[list[str], str, list[tuple[str, str]]]:
+    """The elements, bottom and covers of a set of masks ordered by inclusion."""
     names = {m: f"m{m}" for m in sorted(masks)}
     covers = [(names[a], names[b]) for a in masks for b in masks
               if a != b and a | b == b]
-    return Lattice(list(names.values()), names[0], covers,
-                   name=f"random{len(masks)}")
+    return list(names.values()), names[0], covers
+
+
+def _mask_lattice(masks: frozenset[int]) -> Lattice:
+    """The lattice of a set of masks ordered by inclusion."""
+    return Lattice(*_mask_poset(masks), name=f"random{len(masks)}")
 
 
 # ---------------------------------------------------------------------------

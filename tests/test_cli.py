@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -8,6 +9,7 @@ from luset.cli import _checks_exit_code, main
 from luset.harness import CheckReport
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
+from lattice_files import FILES as LATTICE_FILES
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -135,6 +137,20 @@ def test_check_text_lists_calls(files, capsys):
     out = capsys.readouterr().out
     assert "SpdMtr: Secure" in out
     assert "call to Ctr (eq 0): secure" in out and "call to Ctr (eq 1): secure" in out
+
+
+@pytest.mark.parametrize("lattice, assign", [("chain800", "chain"), ("powerset1024", "powerset")])
+def test_check_on_large_lattices_golden(tmp_path, capsys, lattice, assign):
+    # the lattice file's name is the report's "lattice"; Ctr's output is set
+    # below its increment, so Ctr is insecure
+    path = tmp_path / f"{lattice}.json"
+    path.write_text(json.dumps(LATTICE_FILES[path.name]), encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["check", str(DATA.parent.parent / "samples" / "ctr.lus"), "--lattice", str(path),
+                 "--assign", str(DATA / f"ctr_{assign}_assign.json"), "--json"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert capsys.readouterr().out == (DATA / f"check_ctr_{lattice}.json").read_text()
 
 
 # parses (the parser loops over a flat sum) but nests 3000 deep for the later passes

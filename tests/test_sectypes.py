@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,9 @@ from luset.sectypes import (BOT, EMPTY, TBOT, Bot, CanonType, Constraint, Constr
                             Lattice, Lub, Refine, TVar, canon, cs, ct, eval_ground,
                             least_fixpoint, least_solution, not_entailed, violations)
 
-from conftest import gen_lattice, lub, satisfies, substitute_constraints, substitute_type
+from conftest import (_draw_masks, _mask_poset, gen_lattice, lub, satisfies,
+                      substitute_constraints, substitute_type)
+from lattice_files import chain, powerset
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +125,52 @@ def test_powerset_lattice():
     assert not lat.leq("a", "b")
 
 
-def test_lattice_rejects_join_incomplete_poset():
+# (elements, bottom, covers, the message of the poset's first fault)
+_MALFORMED = {
+    "bottom-not-an-element": (["a", "b"], "z", [("a", "b")], "bottom 'z' is not an element"),
+    "unknown-cover-element": (["a", "b"], "a", [("a", "b"), ("b", "zzz"), ("yyy", "a")],
+                              "cover ('b', 'zzz') uses unknown elements"),
+    "two-cycle": (["a", "b"], "a", [("a", "b"), ("b", "a")],
+                  "order is not antisymmetric: 'a' and 'b'"),
+    # two cycles, {e0, e2} and {e4, e5}: the pair named is the first element in
+    # element order that lies on a cycle, then the first other element of its
+    # cycle, although e5 is the first element whose upper set repeats one seen
+    "first-pair-in-element-order": (
+        ["e2", "e1", "e4", "e5", "e3", "e0"], "e0",
+        [("e2", "e0"), ("e4", "e5"), ("e5", "e4"), ("e1", "e4"), ("e0", "e3"),
+         ("e1", "e5"), ("e0", "e2"), ("e2", "e1")],
+        "order is not antisymmetric: 'e2' and 'e0'"),
+    "bottom-not-below": (["a", "b", "c"], "a", [("a", "c")], "bottom is not below 'b'"),
     # two maximal elements above two minimal ones: {a,b} have two upper bounds
-    with pytest.raises(LatticeError):
-        Lattice(["bot", "a", "b", "x", "y"], "bot",
-                [("bot", "a"), ("bot", "b"), ("a", "x"), ("b", "x"), ("a", "y"), ("b", "y")])
+    "two-minimal-upper-bounds": (
+        ["bot", "a", "b", "x", "y"], "bot",
+        [("bot", "a"), ("bot", "b"), ("a", "x"), ("b", "x"), ("a", "y"), ("b", "y")],
+        "elements 'a' and 'b' lack a unique join"),
+}
 
 
-def test_lattice_rejects_cycles_and_unknowns():
-    with pytest.raises(LatticeError):
-        Lattice(["a", "b"], "a", [("a", "b"), ("b", "a")])
-    with pytest.raises(LatticeError):
-        Lattice(["a"], "a", [("a", "zzz")])
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_lattice_error_messages(case):
+    elements, bottom, covers, message = _MALFORMED[case]
+    with pytest.raises(LatticeError) as exc:
+        Lattice(elements, bottom, covers)
+    assert str(exc.value) == message
+
+
+def test_lattice_operations_reject_non_elements():
+    lat = Lattice.two_point()
+    for call in (lambda: lat.leq("L", "Z"), lambda: lat.leq("Z", "Y"),
+                 lambda: lat.join("H", "Z"), lambda: lat.join("Z", "Y")):
+        with pytest.raises(LatticeError) as exc:
+            call()
+        assert str(exc.value) == "'Z' is not an element of lattice two-point"
+
+
+def test_lattice_deduplicates_repeated_elements():
+    lat = Lattice(["L", "M", "L", "H", "M"], "L", [("L", "M"), ("M", "M"), ("M", "H")])
+    assert lat.elements == ("L", "M", "H")
+    assert lat.leq("L", "H") and not lat.leq("H", "M")
+    assert lat.join("M", "L") == "M" and lat.join("H", "L") == "H"
 
 
 def _join_oracle(elements, covers):
@@ -158,28 +195,111 @@ def _join_oracle(elements, covers):
     return table
 
 
+def _construction_oracle(elements, bottom, covers):
+    """Reference lattice construction over sets of names: each element's
+    upper set as a set, every pair's join in a table. The text of the first
+    `LatticeError` it finds, or else its `leq` and `join` tables."""
+    elements = tuple(dict.fromkeys(elements))
+    if bottom not in elements:
+        return f"bottom {bottom!r} is not an element"
+    up = {e: {e} for e in elements}
+    for lo, hi in covers:
+        if lo not in up or hi not in up:
+            return f"cover ({lo!r}, {hi!r}) uses unknown elements"
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in covers:
+            new = up[hi] - up[lo]
+            if new:
+                up[lo] |= new
+                changed = True
+    for a in elements:
+        for b in elements:
+            if a != b and b in up[a] and a in up[b]:
+                return f"order is not antisymmetric: {a!r} and {b!r}"
+    for e in elements:
+        if e not in up[bottom]:
+            return f"bottom is not below {e!r}"
+    by_up = {frozenset(u): e for e, u in up.items()}
+    join = {}
+    for i, a in enumerate(elements):
+        for b in elements[i:]:
+            lub_ab = by_up.get(frozenset(up[a] & up[b]))
+            if lub_ab is None:
+                return f"elements {a!r} and {b!r} lack a unique join"
+            join[(a, b)] = join[(b, a)] = lub_ab
+    return {(a, b): b in up[a] for a in elements for b in elements}, join
+
+
+def _draw_poset(rng):
+    """Elements, bottom and covers of a random poset, often malformed: covers
+    upward from e0 and between later elements, and at times random covers
+    (cycles, self-covers), a cover naming an unknown element, a repeated
+    element or another bottom."""
+    n = rng.randint(1, 7)
+    names = [f"e{i}" for i in range(n)]
+    covers = [("e0", e) for e in names[1:] if rng.random() < 0.9]
+    covers += [(names[i], names[j]) for i in range(1, n) for j in range(i + 1, n)
+               if rng.random() < 0.3]
+    covers += [(rng.choice(names), rng.choice(names)) for _ in range(rng.choice((0, 0, 1, 3)))]
+    if rng.random() < 0.05:
+        covers.insert(rng.randint(0, len(covers)), rng.choice([("x", "e0"), ("e0", "x")]))
+    rng.shuffle(covers)
+    elements = names[:]
+    rng.shuffle(elements)
+    if rng.random() < 0.2:
+        elements.insert(rng.randint(0, n), rng.choice(names))
+    bottom = "e0" if rng.random() < 0.85 else rng.choice(names + ["x"])
+    return elements, bottom, covers
+
+
 def test_join_table_matches_oracle_on_random_posets():
-    # acyclic covers over a bottom element; many of these posets are not
-    # join-complete, and the element order decides which pair is reported
+    # many of these posets are malformed, and the element order decides which
+    # pair a message names; every accepted one also matches the join of all
+    # common upper bounds
     rng = random.Random(11)
-    rejected = 0
-    for _ in range(1500):
-        n = rng.randint(1, 7)
-        names = [f"e{i}" for i in range(n)]
-        covers = [("e0", e) for e in names[1:]]
-        covers += [(names[i], names[j]) for i in range(1, n) for j in range(i + 1, n)
-                   if rng.random() < 0.3]
-        elements = names[:]
-        rng.shuffle(elements)
-        expected = _join_oracle(elements, covers)
+    rejected, messages = 0, set()
+    for _ in range(5000):
+        elements, bottom, covers = _draw_poset(rng)
+        expected = _construction_oracle(elements, bottom, covers)
         try:
-            lat = Lattice(elements, "e0", covers)
+            lat = Lattice(elements, bottom, covers)
         except LatticeError as exc:
             assert str(exc) == expected
             rejected += 1
+            messages.add(str(exc).split("'")[0])
             continue
-        assert {(a, b): lat.join(a, b) for a in elements for b in elements} == expected
-    assert 0 < rejected < 1500
+        leq, join = expected
+        assert {(a, b): lat.leq(a, b) for a in lat.elements for b in lat.elements} == leq
+        assert {(a, b): lat.join(a, b) for a in lat.elements for b in lat.elements} == join
+        assert _join_oracle(lat.elements, covers) == join
+    assert 1000 < rejected < 4000
+    assert messages == {"bottom ", "cover (", "order is not antisymmetric: ",
+                        "bottom is not below ", "elements "}
+
+
+def test_lattice_matches_construction_oracle_on_generated_lattices():
+    rng = random.Random(15)
+    for _ in range(500):
+        elements, bottom, covers = _mask_poset(_draw_masks(rng))
+        lat = Lattice(elements, bottom, covers)
+        leq, join = _construction_oracle(elements, bottom, covers)
+        assert {(a, b): lat.leq(a, b) for a in elements for b in elements} == leq
+        assert {(a, b): lat.join(a, b) for a in elements for b in elements} == join
+
+
+@pytest.mark.parametrize("data", [chain(800), chain(800, descending=True), powerset(10)],
+                         ids=["chain800-ascending", "chain800-descending", "powerset1024"])
+def test_large_lattices_build_in_time(data):
+    start = time.perf_counter()
+    lat = Lattice.from_json(data)
+    assert time.perf_counter() - start < 2
+    assert lat.elements == tuple(data["elements"])
+    top = data["elements"][-1]
+    assert lat.join(lat.bottom, top) == top and lat.leq(lat.bottom, top)
+    a, b = data["elements"][3], data["elements"][-2]
+    assert lat.leq(a, lat.join(a, b)) and lat.leq(b, lat.join(a, b))
 
 
 def test_lattice_load_builtins(tmp_path):
