@@ -46,9 +46,9 @@ from itertools import groupby
 from typing import Callable
 
 from .diagnostics import LusetError
-from .lang import (OPERATORS, Binop, Clock, ClockBase, ClockOn, Const, Expr, Ite, Merge, NCall,
-                   NDef, NFby, Operator, Program, Unop, Var, When, causal_order, derived,
-                   elaborate)
+from .lang import (OPERATORS, Binop, ByClass, Call, Clock, ClockBase, ClockOn, Const, Expr, Fby,
+                   Ite, Merge, NCall, NDef, NFby, Operator, Program, Unop, Var, When,
+                   causal_order, derived, elaborate)
 from .normalize import normalize_program
 from .streams import ABSENT, _apply_binop, _wrap64
 
@@ -144,28 +144,35 @@ class _NodeCode:
         delays = []
         for i in causal_order(nprog, name):
             eq = node.equations[i]
-            match eq:
-                case NDef(x, ck, Merge(c, (a,), (b,))):
-                    on_true = self._expr(a, ClockOn(self.clock[c], c, True))
-                    on_false = self._expr(b, ClockOn(self.clock[c], c, False))
-                    self._assign(ck, [x], f"{on_true} if {self.var[c]} else {on_false}")
-                case NDef(x, ck, Ite(c, (a,), (b,))):
-                    cond, on_true, on_false = (self._expr(e, ck) for e in (c, a, b))
-                    self._assign(ck, [x], f"{on_true} if {cond} else {on_false}")
-                case NDef(x, ck, e):
+            cls = type(eq)
+            if cls is not NDef and cls is not NFby and cls is not NCall:
+                raise LusetError(f"cannot compile equation {eq!r}")
+            ck = eq.clock
+            if cls is NDef:
+                x, e = eq.target, eq.expr
+                top = type(e)
+                if (top is Merge or top is Ite) and len(e.on_true) == 1 == len(e.on_false):
+                    (a,), (b,) = e.on_true, e.on_false
+                    if top is Merge:
+                        c = e.var
+                        on_true = self._expr(a, ClockOn(self.clock[c], c, True))
+                        on_false = self._expr(b, ClockOn(self.clock[c], c, False))
+                        self._assign(ck, [x], f"{on_true} if {self.var[c]} else {on_false}")
+                    else:
+                        cond, on_true, on_false = (self._expr(s, ck) for s in (e.cond, a, b))
+                        self._assign(ck, [x], f"{on_true} if {cond} else {on_false}")
+                else:
                     self._assign(ck, [x], self._expr(e, ck))
-                case NFby(x, ck, c, e):
-                    reg = f"r{len(self.registers)}"
-                    self.registers.append(self._const(c.value))
-                    self._assign(ck, [x], reg)
-                    delays.append((reg, ck, e))
-                case NCall(xs, ck, f, args):
-                    argv = ", ".join(self._expr(a, ck) for a in args)
-                    inst = f"s{len(self.instances)}"
-                    self.instances.append(maker[f])
-                    self._assign(ck, xs, f"{inst}({argv})")
-                case _:
-                    raise LusetError(f"cannot compile equation {eq!r}")
+            elif cls is NFby:
+                reg = f"r{len(self.registers)}"
+                self.registers.append(self._const(eq.init.value))
+                self._assign(ck, [eq.target], reg)
+                delays.append((reg, ck, eq.expr))
+            else:
+                argv = ", ".join(self._expr(a, ck) for a in eq.args)
+                inst = f"s{len(self.instances)}"
+                self.instances.append(maker[eq.node])
+                self._assign(ck, eq.targets, f"{inst}({argv})")
         for reg, ck, e in delays:
             value = self._expr(e, ck)
             self.items.append((self._flag(ck), f"{reg} = {value}", None))
@@ -207,18 +214,24 @@ class _NodeCode:
     def _expr(self, e: Expr, ck: Clock) -> str:
         """Emit the operators of a simple expression on clock ck; return the
         Python expression (a name or a literal) holding its value."""
-        match e:
-            case Const(v):
-                return self._const(v)
-            case Var(x):
-                return self.var[x]
-            case Unop(op, a):
-                return self._apply(ck, OPERATORS[op, 1], self._expr(a, ck))
-            case Binop(op, a, b):
-                left = self._expr(a, ck)
-                return self._apply(ck, OPERATORS[op, 2], left, self._expr(b, ck))
-            case When((a,), x, _):
-                return self._expr(a, self.clock[x])
+        return _CODE[type(e)](self, e, ck)
+
+    def _unop(self, e: Unop, ck: Clock) -> str:
+        a = e.arg
+        return self._apply(ck, OPERATORS[e.op, 1], _CODE[type(a)](self, a, ck))
+
+    def _binop(self, e: Binop, ck: Clock) -> str:
+        a, b = e.left, e.right
+        left = _CODE[type(a)](self, a, ck)
+        return self._apply(ck, OPERATORS[e.op, 2], left, _CODE[type(b)](self, b, ck))
+
+    def _when(self, e: When, ck: Clock) -> str:
+        if len(e.args) != 1:
+            return self._not_simple(e, ck)
+        a = e.args[0]
+        return _CODE[type(a)](self, a, self.clock[e.var])
+
+    def _not_simple(self, e: Expr, ck: Clock):
         raise LusetError(f"cannot compile expression {e!r}")
 
     def _body(self) -> list[str]:
@@ -259,3 +272,11 @@ class _NodeCode:
         return (["def run(ins, bs, cols):"] + _indent([unpack] + self._setup() + [loop]) +
                 _indent(["if b:"] + _indent(self._body() or ["pass"]) + ["else:", f"    {idle}"] +
                         [f"h{j}[t] = {x}" for j, x in enumerate(outs)], 2))
+
+
+# The code of a simple expression: `_CODE[type(e)](code, e, ck)`.
+_CODE = ByClass({
+    Const: lambda code, e, ck: code._const(e.value), Var: lambda code, e, ck: code.var[e.name],
+    Unop: _NodeCode._unop, Binop: _NodeCode._binop, When: _NodeCode._when,
+    Merge: _NodeCode._not_simple, Ite: _NodeCode._not_simple, Fby: _NodeCode._not_simple,
+    Call: _NodeCode._not_simple}, _NodeCode._not_simple)

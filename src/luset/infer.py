@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .diagnostics import InferError
-from .lang import (BASE, Binop, Call, Clock, ClockBase, ClockOn, Const, Def, Equation,
-                   Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
-                   When, derived, node_order)
+from .lang import (BASE, BASE_CLOCK, Binop, ByClass, Call, Clock, ClockBase, ClockOn, Const,
+                   Def, Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
+                   Var, When, derived, node_order)
 from .sectypes import (CanonType, Constraint, ConstraintSet, Lattice, eval_ground,
                        least_fixpoint, least_solution, violations)
 
@@ -174,12 +174,13 @@ class _CallCtx:
 
 
 def _clock(env: dict[str, int], ck: Clock) -> int:
-    match ck:
-        case ClockBase():
-            return _lookup(env, BASE)
-        case ClockOn(base, x, _):
-            return _lookup(env, x) | _clock(env, base)
-    raise TypeError(f"type_clock: unsupported {ck!r}")
+    m = 0
+    while type(ck) is ClockOn:
+        m |= _lookup(env, ck.var)
+        ck = ck.base
+    if type(ck) is not ClockBase:
+        raise TypeError(f"type_clock: unsupported {ck!r}")
+    return m | _lookup(env, BASE)
 
 
 def _lookup(env: Mapping, name: str):
@@ -193,54 +194,65 @@ def type_expr(env: TypeEnv, e: Expr,
     """One type per component stream of e, and the constraints its node
     calls generate."""
     ctx = _CallCtx(sigs, FreshVars(), env)
-    slots = _expr(ctx, e)
+    slots = _MASKS[type(e)](ctx, e)
     return [ctx.canon(m) for m in slots], ctx.constraints(ctx.pairs)
-
-
-def _expr(ctx: _CallCtx, e: Expr) -> list[int]:
-    """One type mask per component stream of e; a join is `|`.
-
-    Node calls instantiate the callee signature into ctx.pairs: the clock
-    variable maps to the caller's base entry, inputs to argument types,
-    and outputs to fresh variables that stand for the results at this call
-    site.
-    """
-    match e:
-        case Const():
-            return [0]
-        case Var(x):
-            return [_lookup(ctx.env, x)]
-        case Unop(_, a):
-            return [_one(_expr(ctx, a))]
-        case Binop(_, a, b):
-            return [_one(_expr(ctx, a)) | _one(_expr(ctx, b))]
-        case When(args, x, _):
-            gx = _lookup(ctx.env, x)
-            return [t | gx for t in _exprs(ctx, args)]
-        case Merge(x, ts, fs):
-            gx = _lookup(ctx.env, x)
-            tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
-            _same_width(tslots, fslots, "merge")
-            return [gx | a | b for a, b in zip(tslots, fslots)]
-        case Ite(c, ts, fs):
-            theta = _one(_expr(ctx, c))
-            tslots, fslots = _exprs(ctx, ts), _exprs(ctx, fs)
-            _same_width(tslots, fslots, "if")
-            return [theta | a | b for a, b in zip(tslots, fslots)]
-        case Fby(e0s, es):
-            islots, rslots = _exprs(ctx, e0s), _exprs(ctx, es)
-            _same_width(islots, rslots, "fby")
-            return [a | b for a, b in zip(islots, rslots)]
-        case Call(f, args):
-            return _type_call(ctx, f, args, _lookup(ctx.env, BASE))
-    raise TypeError(f"type_expr: unsupported {e!r}")
 
 
 def _exprs(ctx: _CallCtx, items) -> list[int]:
     out: list[int] = []
     for it in items:
-        out.extend(_expr(ctx, it))
+        out.extend(_MASKS[type(it)](ctx, it))
     return out
+
+
+def _unop(ctx: _CallCtx, e: Unop) -> list[int]:
+    a = e.arg
+    return [_one(_MASKS[type(a)](ctx, a))]
+
+
+def _binop(ctx: _CallCtx, e: Binop) -> list[int]:
+    a, b = e.left, e.right
+    return [_one(_MASKS[type(a)](ctx, a)) | _one(_MASKS[type(b)](ctx, b))]
+
+
+def _when(ctx: _CallCtx, e: When) -> list[int]:
+    gx = _lookup(ctx.env, e.var)
+    return [t | gx for t in _exprs(ctx, e.args)]
+
+
+def _merge(ctx: _CallCtx, e: Merge) -> list[int]:
+    gx = _lookup(ctx.env, e.var)
+    tslots, fslots = _exprs(ctx, e.on_true), _exprs(ctx, e.on_false)
+    _same_width(tslots, fslots, "merge")
+    return [gx | a | b for a, b in zip(tslots, fslots)]
+
+
+def _ite(ctx: _CallCtx, e: Ite) -> list[int]:
+    c = e.cond
+    theta = _one(_MASKS[type(c)](ctx, c))
+    tslots, fslots = _exprs(ctx, e.on_true), _exprs(ctx, e.on_false)
+    _same_width(tslots, fslots, "if")
+    return [theta | a | b for a, b in zip(tslots, fslots)]
+
+
+def _fby(ctx: _CallCtx, e: Fby) -> list[int]:
+    islots, rslots = _exprs(ctx, e.init), _exprs(ctx, e.rest)
+    _same_width(islots, rslots, "fby")
+    return [a | b for a, b in zip(islots, rslots)]
+
+
+def _unsupported(ctx: _CallCtx, e: Expr):
+    raise TypeError(f"type_expr: unsupported {e!r}")
+
+
+# One type mask per component stream of e, a join being `|`: `_MASKS[type(e)](ctx, e)`.
+# Node calls instantiate the callee signature into ctx.pairs: the clock
+# variable maps to the caller's base entry, inputs to argument types, and
+# outputs to fresh variables that stand for the results at this call site.
+_MASKS = ByClass({
+    Const: lambda ctx, e: [0], Var: lambda ctx, e: [_lookup(ctx.env, e.name)],
+    Unop: _unop, Binop: _binop, When: _when, Merge: _merge, Ite: _ite, Fby: _fby,
+    Call: lambda ctx, e: _type_call(ctx, e.node, e.args, _lookup(ctx.env, BASE))}, _unsupported)
 
 
 def _one(slots: list[int]) -> int:
@@ -278,24 +290,22 @@ def _type_call(ctx: _CallCtx, f: str, args, clock: int) -> list[int]:
 
 
 def _equation(ctx: _CallCtx, eq: Equation):
-    match eq:
-        case Def(targets, ck, exprs):
-            gamma = _clock(ctx.env, ck if ck is not None else ClockBase())
-            slots = _exprs(ctx, exprs)
-        case NDef(x, ck, e):
-            gamma = _clock(ctx.env, ck)
-            targets = (x,)
-            slots = _expr(ctx, e)
-        case NFby(x, ck, _, e):
-            gamma = _clock(ctx.env, ck)
-            targets = (x,)
-            slots = _expr(ctx, e)  # the constant head adds ⊥
-        case NCall(xs, ck, f, args):
-            gamma = _clock(ctx.env, ck)
-            targets = xs
-            slots = _type_call(ctx, f, args, gamma)
-        case _:
-            raise TypeError(f"type_equation: unsupported {eq!r}")
+    cls = type(eq)
+    if cls is Def:
+        gamma = _clock(ctx.env, eq.clock if eq.clock is not None else BASE_CLOCK)
+        targets = eq.targets
+        slots = _exprs(ctx, eq.exprs)
+    elif cls is NCall:
+        gamma = _clock(ctx.env, eq.clock)
+        targets = eq.targets
+        slots = _type_call(ctx, eq.node, eq.args, gamma)
+    elif cls is NDef or cls is NFby:  # a delay's constant head adds ⊥
+        gamma = _clock(ctx.env, eq.clock)
+        targets = (eq.target,)
+        e = eq.expr
+        slots = _MASKS[type(e)](ctx, e)
+    else:
+        raise TypeError(f"type_equation: unsupported {eq!r}")
     if len(slots) != len(targets):
         raise InferError("arity-mismatch",
                          f"{len(targets)} target(s) but {len(slots)} stream(s)")

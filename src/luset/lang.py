@@ -106,6 +106,23 @@ class Call:
 Expr = Union[Const, Var, Unop, Binop, When, Merge, Ite, Fby, Call]
 
 
+class ByClass(dict):
+    """The rules of a walk over the AST, one per node class, picked as
+    `rules[type(e)](..., e, ...)`: one dict lookup a node, where a `match` on
+    class patterns pays an `isinstance` for each earlier case and a
+    `getattr` for each captured field. A rule passes each sub-expression to
+    the same table directly, so a level of nesting costs one stack frame. A
+    class without a rule gets `fail`, called like a rule, which raises the
+    walk's own error."""
+
+    def __init__(self, rules: dict, fail: Callable):
+        super().__init__(rules)
+        self.fail = fail
+
+    def __missing__(self, cls):
+        return self.fail
+
+
 @dataclass(frozen=True)
 class Operator:
     """A scalar operator, lifted to streams pointwise. The parser, the
@@ -268,32 +285,28 @@ class Program:
 # Free and defined variables
 # ---------------------------------------------------------------------------
 
+def _no_subexprs(e: Expr):
+    raise TypeError(f"_subexprs: unsupported {e!r}")
+
+
+_SUBEXPRS = ByClass({
+    Const: lambda e: (), Var: lambda e: (), Unop: lambda e: (e.arg,),
+    Binop: lambda e: (e.left, e.right), When: lambda e: e.args, Call: lambda e: e.args,
+    Merge: lambda e: e.on_true + e.on_false, Ite: lambda e: (e.cond,) + e.on_true + e.on_false,
+    Fby: lambda e: e.init + e.rest}, _no_subexprs)
+
+
 def _subexprs(e: Expr) -> tuple[Expr, ...]:
     """Immediate sub-expressions of an expression, left to right.
 
-    The one place that knows the shape of every expression form. The
-    structural questions asked of an expression (what it reads, what it
-    calls, what it reads at the current tick, whether it has the core
-    shape) are answered by walks that keep their pending sub-expressions
-    on a list, `_walk` and `_shape_errors`, so no nesting depth exhausts
-    the stack.
+    `_SUBEXPRS` is the one place that knows the shape of every expression
+    form. The structural questions asked of an expression (what it reads,
+    what it calls, what it reads at the current tick, whether it has the
+    core shape) are answered by walks that keep their pending
+    sub-expressions on a list, `_walk` and `_shape_errors`, so no nesting
+    depth exhausts the stack.
     """
-    match e:
-        case Const() | Var():
-            return ()
-        case Unop(_, a):
-            return (a,)
-        case Binop(_, a, b):
-            return (a, b)
-        case When(args, _, _) | Call(_, args):
-            return args
-        case Merge(_, ts, fs):
-            return ts + fs
-        case Ite(c, ts, fs):
-            return (c,) + ts + fs
-        case Fby(e0s, es):
-            return e0s + es
-    raise TypeError(f"_subexprs: unsupported {e!r}")
+    return _SUBEXPRS[type(e)](e)
 
 
 def _walk(exprs: Iterable[Expr], delayed: list | None = None) -> tuple[set[str], dict[str, None]]:
@@ -319,7 +332,7 @@ def _walk(exprs: Iterable[Expr], delayed: list | None = None) -> tuple[set[str],
             todo.extend(reversed(e.init))
             delayed.extend(e.rest)
             continue
-        todo.extend(reversed(_subexprs(e)))
+        todo.extend(reversed(_SUBEXPRS[cls](e)))
     return reads, calls
 
 
@@ -330,22 +343,22 @@ def free_vars(item) -> set[str]:
     defined variables. Normalised equations include their clock's variables,
     plain equations do not.
     """
-    match item:
-        case ClockBase() | ClockOn():
-            return clock_vars(item) | {BASE}
-        case Def(targets, _, exprs):
-            return _walk(exprs)[0] - set(targets)
-        case NDef() | NFby() | NCall():
-            return (_reads_and_calls(item)[0] | {BASE}) - set(eq_targets(item))
+    cls = type(item)
+    if cls is ClockBase or cls is ClockOn:
+        return clock_vars(item) | {BASE}
+    if cls is Def:
+        return _walk(item.exprs)[0] - set(item.targets)
+    if cls is NDef or cls is NFby or cls is NCall:
+        return (_reads_and_calls(item)[0] | {BASE}) - set(eq_targets(item))
     return _walk((item,))[0]
 
 
 def eq_targets(eq: Equation) -> tuple[str, ...]:
-    match eq:
-        case Def(targets, _, _) | NCall(targets, _, _, _):
-            return targets
-        case NDef(x, _, _) | NFby(x, _, _, _):
-            return (x,)
+    cls = type(eq)
+    if cls is Def or cls is NCall:
+        return eq.targets
+    if cls is NDef or cls is NFby:
+        return (eq.target,)
     raise TypeError(f"eq_targets: unsupported {eq!r}")
 
 
@@ -387,15 +400,15 @@ def _structure(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
 def _rhs(eq: Equation) -> tuple[Expr, ...]:
     """An equation's right-hand side as full-language expressions: a
     normalised delay as a fby, a normalised call as a call."""
-    match eq:
-        case Def(_, _, exprs):
-            return exprs
-        case NDef(_, _, e):
-            return (e,)
-        case NFby(_, _, c, e):
-            return (Fby((c,), (e,)),)
-        case NCall(_, _, f, args):
-            return (Call(f, args),)
+    cls = type(eq)
+    if cls is Def:
+        return eq.exprs
+    if cls is NDef:
+        return (eq.expr,)
+    if cls is NFby:
+        return (Fby((eq.init,), (eq.expr,)),)
+    if cls is NCall:
+        return (Call(eq.node, eq.args),)
     raise TypeError(f"_rhs: unsupported {eq!r}")
 
 
@@ -942,7 +955,7 @@ def _shape_errors(exprs: Iterable[Expr]) -> list[str]:
             continue
         if cls is When and len(e.args) != 1:
             out.append("when over a tuple")
-        todo.extend(reversed(_subexprs(e)))
+        todo.extend(reversed(_SUBEXPRS[cls](e)))
     return out
 
 
@@ -956,16 +969,17 @@ def nlustre_violations(prog: Program) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for node in prog.nodes:
         for i, eq in enumerate(node.equations):
-            match eq:
-                case NDef(_, _, Merge(_, ts, fs) | Ite(_, ts, fs) as e):
-                    msgs = _shape_errors(_subexprs(e))
-                    if len(ts) != 1 or len(fs) != 1:
-                        msgs.append(f"{'merge' if type(e) is Merge else 'if'} over a tuple")
-                case NDef(_, _, e) | NFby(_, _, _, e):
-                    msgs = _shape_errors((e,))
-                case NCall(_, _, _, args):
-                    msgs = _shape_errors(args)
-                case _:
-                    msgs = ["unnormalised equation"]
+            cls = type(eq)
+            top = type(eq.expr) if cls is NDef else None
+            if top is Merge or top is Ite:
+                msgs = _shape_errors(_subexprs(eq.expr))
+                if len(eq.expr.on_true) != 1 or len(eq.expr.on_false) != 1:
+                    msgs.append(f"{'merge' if top is Merge else 'if'} over a tuple")
+            elif cls is NDef or cls is NFby:
+                msgs = _shape_errors((eq.expr,))
+            elif cls is NCall:
+                msgs = _shape_errors(eq.args)
+            else:
+                msgs = ["unnormalised equation"]
             diags += [Diagnostic("nlustre-shape", m, node=node.name, eq_index=i) for m in msgs]
     return diags

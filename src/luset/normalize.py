@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from .lang import (OPERATORS, Binop, Call, Clock, ClockOn, Const, Def, Equation,
+from .lang import (OPERATORS, Binop, ByClass, Call, Clock, ClockOn, Const, Def, Equation,
                    Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop, Var,
                    VarDecl, When, derived, elaborate)
 
@@ -68,7 +68,7 @@ class _Ctx:
 def _norm_list(ctx: _Ctx, exprs, ambient: Clock) -> list[_Slot]:
     out: list[_Slot] = []
     for e in exprs:
-        out.extend(_norm(ctx, e, ambient))
+        out.extend(_NORM[type(e)](ctx, e, ambient, None))
     return out
 
 
@@ -77,60 +77,89 @@ def _norm(ctx: _Ctx, e: Expr, ambient: Clock,
     """Rewrite e to simple expressions (one per component stream), emitting
     equations for delays, calls and control expressions. `name(ty, clock)`
     gives the target of each equation emitted for e itself: a fresh local by
-    default, the source equation's own target at its top (`_norm_equation`).
-    Nested expressions always get fresh locals."""
+    default (None), the source equation's own target at its top
+    (`_norm_equation`). Nested expressions always get fresh locals."""
+    return _NORM[type(e)](ctx, e, ambient, name)
+
+
+def _unop(ctx: _Ctx, e: Unop, ambient: Clock, name) -> list[_Slot]:
+    a = e.arg
+    [s] = _NORM[type(a)](ctx, a, ambient, None)
+    return [_Slot(Unop(e.op, s.expr), OPERATORS[e.op, 1].result)]
+
+
+def _binop(ctx: _Ctx, e: Binop, ambient: Clock, name) -> list[_Slot]:
+    a, b = e.left, e.right
+    [l] = _NORM[type(a)](ctx, a, ambient, None)
+    [r] = _NORM[type(b)](ctx, b, ambient, None)
+    return [_Slot(Binop(e.op, l.expr, r.expr), OPERATORS[e.op, 2].result)]
+
+
+def _when(ctx: _Ctx, e: When, ambient: Clock, name) -> list[_Slot]:
+    x, k = e.var, e.value
+    inner = _norm_list(ctx, e.args, ctx.decls[x].clock)
+    return [_Slot(When((s.expr,), x, k), s.ty) for s in inner]
+
+
+def _merge(ctx: _Ctx, e: Merge, ambient: Clock, name) -> list[_Slot]:
     name = name or ctx.fresh_local
-    match e:
-        case Const():
-            return [_Slot(e, e.ty)]
-        case Var(x):
-            return [_Slot(e, ctx.decls[x].ty)]
-        case Unop(op, a):
-            [s] = _norm(ctx, a, ambient)
-            return [_Slot(Unop(op, s.expr), OPERATORS[op, 1].result)]
-        case Binop(op, a, b):
-            [l] = _norm(ctx, a, ambient)
-            [r] = _norm(ctx, b, ambient)
-            return [_Slot(Binop(op, l.expr, r.expr), OPERATORS[op, 2].result)]
-        case When(args, x, k):
-            inner = _norm_list(ctx, args, ctx.decls[x].clock)
-            return [_Slot(When((s.expr,), x, k), s.ty) for s in inner]
-        case Merge(x, ts, fs):
-            ck = ctx.decls[x].clock
-            tslots = _norm_list(ctx, ts, ClockOn(ck, x, True))
-            fslots = _norm_list(ctx, fs, ClockOn(ck, x, False))
-            out = []
-            for a, b in zip(tslots, fslots):
-                target = name(a.ty, ck)
-                ctx.equations.append(NDef(target, ck, Merge(x, (a.expr,), (b.expr,))))
-                out.append(_Slot(Var(target), a.ty))
-            return out
-        case Ite(c, ts, fs):
-            [cond] = _norm(ctx, c, ambient)
-            tslots = _norm_list(ctx, ts, ambient)
-            fslots = _norm_list(ctx, fs, ambient)
-            out = []
-            for a, b in zip(tslots, fslots):
-                target = name(a.ty, ambient)
-                ctx.equations.append(NDef(target, ambient, Ite(cond.expr, (a.expr,), (b.expr,))))
-                out.append(_Slot(Var(target), a.ty))
-            return out
-        case Fby(e0s, es):
-            heads = _norm_list(ctx, e0s, ambient)
-            bodies = _norm_list(ctx, es, ambient)
-            out = []
-            for h, b in zip(heads, bodies):
-                target = name(h.ty, ambient)
-                ctx.equations.append(_FbyEq(target, ambient, h, b))
-                out.append(_Slot(Var(target), h.ty))
-            return out
-        case Call(f, args):
-            arg_slots = _norm_list(ctx, args, ambient)
-            out = [_Slot(Var(name(d.ty, ambient)), d.ty) for d in ctx.prog.node(f).outputs]
-            ctx.equations.append(NCall(tuple(s.expr.name for s in out), ambient, f,
-                                       tuple(s.expr for s in arg_slots)))
-            return out
+    x = e.var
+    ck = ctx.decls[x].clock
+    tslots = _norm_list(ctx, e.on_true, ClockOn(ck, x, True))
+    fslots = _norm_list(ctx, e.on_false, ClockOn(ck, x, False))
+    out = []
+    for a, b in zip(tslots, fslots):
+        target = name(a.ty, ck)
+        ctx.equations.append(NDef(target, ck, Merge(x, (a.expr,), (b.expr,))))
+        out.append(_Slot(Var(target), a.ty))
+    return out
+
+
+def _ite(ctx: _Ctx, e: Ite, ambient: Clock, name) -> list[_Slot]:
+    name = name or ctx.fresh_local
+    c = e.cond
+    [cond] = _NORM[type(c)](ctx, c, ambient, None)
+    tslots = _norm_list(ctx, e.on_true, ambient)
+    fslots = _norm_list(ctx, e.on_false, ambient)
+    out = []
+    for a, b in zip(tslots, fslots):
+        target = name(a.ty, ambient)
+        ctx.equations.append(NDef(target, ambient, Ite(cond.expr, (a.expr,), (b.expr,))))
+        out.append(_Slot(Var(target), a.ty))
+    return out
+
+
+def _fby(ctx: _Ctx, e: Fby, ambient: Clock, name) -> list[_Slot]:
+    name = name or ctx.fresh_local
+    heads = _norm_list(ctx, e.init, ambient)
+    bodies = _norm_list(ctx, e.rest, ambient)
+    out = []
+    for h, b in zip(heads, bodies):
+        target = name(h.ty, ambient)
+        ctx.equations.append(_FbyEq(target, ambient, h, b))
+        out.append(_Slot(Var(target), h.ty))
+    return out
+
+
+def _call(ctx: _Ctx, e: Call, ambient: Clock, name) -> list[_Slot]:
+    name = name or ctx.fresh_local
+    arg_slots = _norm_list(ctx, e.args, ambient)
+    out = [_Slot(Var(name(d.ty, ambient)), d.ty) for d in ctx.prog.node(e.node).outputs]
+    ctx.equations.append(NCall(tuple(s.expr.name for s in out), ambient, e.node,
+                               tuple(s.expr for s in arg_slots)))
+    return out
+
+
+def _unsupported(ctx: _Ctx, e: Expr, ambient: Clock, name):
     raise TypeError(f"_norm: unsupported {e!r}")
+
+
+# `_NORM[type(e)](ctx, e, ambient, name)` is `_norm(ctx, e, ambient, name)`.
+_NORM = ByClass({
+    Const: lambda ctx, e, ambient, name: [_Slot(e, e.ty)],
+    Var: lambda ctx, e, ambient, name: [_Slot(e, ctx.decls[e.name].ty)],
+    Unop: _unop, Binop: _binop, When: _when, Merge: _merge, Ite: _ite, Fby: _fby,
+    Call: _call}, _unsupported)
 
 
 def _all_idents(prog: Program) -> set[str]:

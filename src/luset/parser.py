@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
-from .lang import (BASE, BASE_CLOCK, OPERATORS, Binop, Call, Clock, ClockBase, ClockOn, Const,
-                   Def, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
-                   Var, VarDecl, When)
+from .lang import (BASE, BASE_CLOCK, OPERATORS, Binop, ByClass, Call, Clock, ClockBase, ClockOn,
+                   Const, Def, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
+                   Var, VarDecl, When, _rhs, eq_targets)
 
 KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else", "merge", "when",
             "fby", "true", "false", "int", "bool", BASE,
@@ -385,53 +385,80 @@ def parse_program(text: str, filename: str = "<input>") -> Program:
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-def _show_const(c: Const) -> str:
-    if isinstance(c.value, bool):
-        return "true" if c.value else "false"
-    return str(c.value)
+def _paren(s: str, mine: int, prec: int) -> str:
+    return f"({s})" if mine < prec else s
 
 
-def _show_expr(e: Expr, prec: int = 0) -> str:
-    def paren(s: str, mine: int) -> str:
-        return f"({s})" if mine < prec else s
+def _show_const(e: Const, prec: int) -> str:
+    if isinstance(e.value, bool):
+        return "true" if e.value else "false"
+    return str(e.value)
 
-    match e:
-        case Const():
-            return _show_const(e)
-        case Var(x):
-            return x
-        case Unop(op, a):
-            body = _show_expr(a, _UNARY)
-            sep = " " if op.isalpha() or body.startswith("-") else ""
-            return paren(f"{op}{sep}{body}", _UNARY)
-        case Binop(op, a, b):
-            p, chains = _BINARY[op]
-            return paren(f"{_show_expr(a, p if chains else p + 1)} {op} {_show_expr(b, p + 1)}", p)
-        case When(args, x, k):
-            tail = x if k else f"not {x}"
-            return paren(f"{_show_tuple(args, _WHEN)} when {tail}", _WHEN)
-        case Merge(x, ts, fs):
-            return f"merge {x} {_show_branch(ts)} {_show_branch(fs)}"
-        case Ite(c, ts, fs):
-            body = f"if {_show_expr(c)} then {_show_tuple(ts, 0)} else {_show_tuple(fs, 0)}"
-            return paren(body, 0) if prec > 0 else body
-        case Fby(e0s, es):
-            return paren(f"{_show_tuple(e0s, _FBY + 1)} fby {_show_tuple(es, _FBY)}", _FBY)
-        case Call(f, args):
-            return f"{f}({', '.join(_show_expr(a) for a in args)})"
-    raise TypeError(f"_show_expr: unsupported {e!r}")
+
+def _show_unop(e: Unop, prec: int) -> str:
+    a = e.arg
+    body = _SHOW[type(a)](a, _UNARY)
+    sep = " " if e.op.isalpha() or body.startswith("-") else ""
+    return _paren(f"{e.op}{sep}{body}", _UNARY, prec)
+
+
+def _show_binop(e: Binop, prec: int) -> str:
+    op, a, b = e.op, e.left, e.right
+    p, chains = _BINARY[op]
+    return _paren(f"{_SHOW[type(a)](a, p if chains else p + 1)} {op} {_SHOW[type(b)](b, p + 1)}",
+                  p, prec)
+
+
+def _show_when(e: When, prec: int) -> str:
+    tail = e.var if e.value else f"not {e.var}"
+    return _paren(f"{_show_tuple(e.args, _WHEN)} when {tail}", _WHEN, prec)
+
+
+def _show_merge(e: Merge, prec: int) -> str:
+    return f"merge {e.var} {_show_branch(e.on_true)} {_show_branch(e.on_false)}"
+
+
+def _show_ite(e: Ite, prec: int) -> str:
+    c = e.cond
+    body = (f"if {_SHOW[type(c)](c, 0)} then {_show_tuple(e.on_true, 0)} "
+            f"else {_show_tuple(e.on_false, 0)}")
+    return f"({body})" if prec > 0 else body
+
+
+def _show_fby(e: Fby, prec: int) -> str:
+    return _paren(f"{_show_tuple(e.init, _FBY + 1)} fby {_show_tuple(e.rest, _FBY)}", _FBY, prec)
+
+
+def _show_list(items: tuple[Expr, ...]) -> str:
+    out = []  # a loop, not a generator: one stack frame a level of nesting
+    for e in items:
+        out.append(_SHOW[type(e)](e, 0))
+    return ", ".join(out)
 
 
 def _show_tuple(items: tuple[Expr, ...], prec: int) -> str:
     if len(items) == 1:
-        return _show_expr(items[0], prec)
-    return "(" + ", ".join(_show_expr(i) for i in items) + ")"
+        e = items[0]
+        return _SHOW[type(e)](e, prec)
+    return f"({_show_list(items)})"
 
 
 def _show_branch(items: tuple[Expr, ...]) -> str:
     if len(items) == 1 and isinstance(items[0], (Const, Var)):
-        return _show_expr(items[0])
-    return "(" + ", ".join(_show_expr(i) for i in items) + ")"
+        return _show_list(items)
+    return f"({_show_list(items)})"
+
+
+def _unsupported(e: Expr, prec: int):
+    raise TypeError(f"_show_expr: unsupported {e!r}")
+
+
+# An expression's concrete syntax, parenthesised where it binds looser than
+# `prec`: `_SHOW[type(e)](e, prec)`.
+_SHOW = ByClass({
+    Const: _show_const, Var: lambda e, prec: e.name, Unop: _show_unop, Binop: _show_binop,
+    When: _show_when, Merge: _show_merge, Ite: _show_ite, Fby: _show_fby,
+    Call: lambda e, prec: f"{e.node}({_show_list(e.args)})"}, _unsupported)
 
 
 def _clock_suffix_text(ck: Clock) -> str:
@@ -457,19 +484,12 @@ def _show_decls(decls: tuple[VarDecl, ...]) -> str:
 
 
 def _show_equation(eq) -> str:
-    match eq:
-        case Def(targets, ck, exprs):
-            lhs = targets[0] if len(targets) == 1 else "(" + ", ".join(targets) + ")"
-            rhs = ", ".join(_show_expr(e) for e in exprs)
-            note = f" -- on {ck}" if ck is not None and not isinstance(ck, ClockBase) else ""
-            return f"  {lhs} = {rhs};{note}"
-        case NDef(x, ck, e):
-            return _show_equation(Def((x,), ck, (e,)))
-        case NFby(x, ck, c, e):
-            return _show_equation(Def((x,), ck, (Fby((c,), (e,)),)))
-        case NCall(xs, ck, f, args):
-            return _show_equation(Def(xs, ck, (Call(f, args),)))
-    raise TypeError(f"_show_equation: unsupported {eq!r}")
+    if type(eq) not in (Def, NDef, NFby, NCall):
+        raise TypeError(f"_show_equation: unsupported {eq!r}")
+    targets, ck = eq_targets(eq), eq.clock
+    lhs = targets[0] if len(targets) == 1 else "(" + ", ".join(targets) + ")"
+    note = f" -- on {ck}" if ck is not None and not isinstance(ck, ClockBase) else ""
+    return f"  {lhs} = {_show_list(_rhs(eq))};{note}"
 
 
 def pretty_print(prog: Program) -> str:

@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .diagnostics import EvalError
-from .lang import (BASE_CLOCK, OPERATORS, Binop, Call, Clock, ClockBase, ClockOn, Const, Def,
-                   Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop, Var,
-                   When, causal_order, eq_targets)
+from .lang import (BASE_CLOCK, OPERATORS, Binop, ByClass, Call, Clock, ClockBase, ClockOn, Const,
+                   Def, Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
+                   Var, When, causal_order, eq_targets)
 from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _off_clock,
                       _present, _streams_equal, _wrap64, eval_clock, run_node)
 
@@ -213,29 +213,15 @@ def _one(col: Col, width: int) -> Col:
     return col
 
 
-def _columns(parts: list[tuple[Col, int]]) -> tuple[Col, int]:
-    """The flattened streams of a list of compiled expressions, and their
-    total width."""
-    if len(parts) == 1:
-        return parts[0]
-    cols = [col for col, _ in parts]
-
-    def col(H, bs):
-        out = []
-        for c in cols:
-            out += c(H, bs)
-        return out
-    return col, sum(w for _, w in parts)
-
-
 class _Semantics:
     """The paper's relational semantics of the nodes of one program,
     compiled to closures over whole prefixes (`PAPER.md`):
 
-    - `exp` is `sem_exp`: the streams of an expression under a history H,
-      built from the stream operators above. Constants pulse
-      on the ambient clock, `when` arguments run on the sampled variable's
-      clock, and `merge` branches on `ck on x` and `ck on not x`;
+    - `_EXP`, a rule per expression class, is `sem_exp`: the streams of an
+      expression under a history H, built from the stream operators above.
+      Constants pulse on the ambient clock, `when` arguments run on the
+      sampled variable's clock, and `merge` branches on `ck on x` and
+      `ck on not x`;
     - `_equation` is `sem_eqn`: the right-hand side's streams are those of
       the targets in H, value for value, and each target is present
       exactly where its declared clock, and the equation's, is live. `Def`,
@@ -280,25 +266,27 @@ class _Semantics:
         return fault
 
     def _equation(self, eq: Equation, clocks) -> Callable[[History, BStream], Fault | None]:
-        match eq:
-            case Def(targets, ck, exprs):
-                ambient = ck if ck is not None else BASE_CLOCK
-                col, width = _columns([self.exp(e, ambient, clocks) for e in exprs])
-                if width != len(targets):
-                    raise EvalError("arity-mismatch",
-                                    f"{len(targets)} target(s) but {width} stream(s)")
-            case NDef(_, ck, e):
-                col = _one(*self.exp(e, ck, clocks))
-            case NFby(_, ck, c, e):
-                tail = _one(*self.exp(e, ck, clocks))
-                col = lambda H, bs: [fby_nlustre(c.value, tail(H, bs)[0])]  # noqa: E731
-            case NCall(targets, ck, f, args):
-                col, width = self._call(f, args, ck, clocks)
-                if width != len(targets):
-                    raise EvalError("arity-mismatch",
-                                    f"{len(targets)} target(s) but {width} output(s)")
-            case _:
-                raise TypeError(f"unsupported equation {eq!r}")
+        cls = type(eq)
+        if cls is Def:
+            ambient = eq.clock if eq.clock is not None else BASE_CLOCK
+            col, width = self._columns(eq.exprs, ambient, clocks)
+            if width != len(eq.targets):
+                raise EvalError("arity-mismatch",
+                                f"{len(eq.targets)} target(s) but {width} stream(s)")
+        elif cls is NDef:
+            e = eq.expr
+            col = _one(*_EXP[type(e)](self, e, eq.clock, clocks))
+        elif cls is NFby:
+            e, c = eq.expr, eq.init.value
+            tail = _one(*_EXP[type(e)](self, e, eq.clock, clocks))
+            col = lambda H, bs: [fby_nlustre(c, tail(H, bs)[0])]  # noqa: E731
+        elif cls is NCall:
+            col, width = self._call(eq.node, eq.args, eq.clock, clocks)
+            if width != len(eq.targets):
+                raise EvalError("arity-mismatch",
+                                f"{len(eq.targets)} target(s) but {width} output(s)")
+        else:
+            raise TypeError(f"unsupported equation {eq!r}")
         targets = eq_targets(eq)
         declared = [_live(clocks[x]) for x in targets]
         # the equation's clock needs its own check only where a target is declared on another
@@ -319,62 +307,88 @@ class _Semantics:
             return found
         return fault
 
-    def exp(self, e: Expr, ambient: Clock, clocks) -> tuple[Col, int]:
-        """The closure of an expression on clock `ambient`, and its width."""
-        match e:
-            case Const(v):
-                if isinstance(ambient, ClockBase):
-                    return (lambda H, bs: [const_stream(v, bs)]), 1
-                live = _live(ambient)
-                return (lambda H, bs: [const_stream(v, live(H, bs))]), 1
-            case Var(x):
-                return (lambda H, bs: [H[x]]), 1
-            case Unop(op, a):
-                arg = _one(*self.exp(a, ambient, clocks))
-                return (lambda H, bs: [lift_unop(op, arg(H, bs)[0])]), 1
-            case Binop(op, a, b):
-                left = _one(*self.exp(a, ambient, clocks))
-                right = _one(*self.exp(b, ambient, clocks))
-                return (lambda H, bs: [lift_binop(op, left(H, bs)[0], right(H, bs)[0])]), 1
-            case When(args, x, k):
-                col, width = _columns([self.exp(a, clocks.get(x, ambient), clocks)
-                                       for a in args])
-                return (lambda H, bs: [when_stream(k, H[x], s) for s in col(H, bs)]), width
-            case Merge(x, ts, fs):
-                base = clocks.get(x, ambient)
-                on_t, width = _columns([self.exp(a, ClockOn(base, x, True), clocks) for a in ts])
-                on_f, width_f = _columns([self.exp(a, ClockOn(base, x, False), clocks)
-                                          for a in fs])
-                if width != width_f:
-                    raise EvalError("arity-mismatch", "merge branches have different widths")
-                return (lambda H, bs: [merge_stream(H[x], a, b)
-                                       for a, b in zip(on_t(H, bs), on_f(H, bs))]), width
-            case Ite(c, ts, fs):
-                cond = _one(*self.exp(c, ambient, clocks))
-                on_t, width = _columns([self.exp(a, ambient, clocks) for a in ts])
-                on_f, width_f = _columns([self.exp(a, ambient, clocks) for a in fs])
-                if width != width_f:
-                    raise EvalError("arity-mismatch", "if branches have different widths")
+    def _columns(self, items, ambient: Clock, clocks) -> tuple[Col, int]:
+        """The closure of the flattened streams of some expressions on clock
+        `ambient`, and their total width."""
+        parts = []  # a loop, not a comprehension: one stack frame a level of nesting
+        for a in items:
+            parts.append(_EXP[type(a)](self, a, ambient, clocks))
+        if len(parts) == 1:
+            return parts[0]
+        cols = [col for col, _ in parts]
 
-                def ite(H, bs):
-                    cs = cond(H, bs)[0]
-                    return [ite_stream(cs, a, b) for a, b in zip(on_t(H, bs), on_f(H, bs))]
-                return ite, width
-            case Fby(e0s, es):
-                heads, width = _columns([self.exp(a, ambient, clocks) for a in e0s])
-                tails, width_t = _columns([self.exp(a, ambient, clocks) for a in es])
-                if width != width_t:
-                    raise EvalError("arity-mismatch", "fby arguments have different widths")
-                return (lambda H, bs: [fby_lustre(h, t)
-                                       for h, t in zip(heads(H, bs), tails(H, bs))]), width
-            case Call(f, args):
-                return self._call(f, args, ambient, clocks)
+        def col(H, bs):
+            out = []
+            for c in cols:
+                out += c(H, bs)
+            return out
+        return col, sum(w for _, w in parts)
+
+    def _const(self, e: Const, ambient: Clock, clocks) -> tuple[Col, int]:
+        v = e.value
+        if isinstance(ambient, ClockBase):
+            return (lambda H, bs: [const_stream(v, bs)]), 1
+        live = _live(ambient)
+        return (lambda H, bs: [const_stream(v, live(H, bs))]), 1
+
+    def _var(self, e: Var, ambient: Clock, clocks) -> tuple[Col, int]:
+        x = e.name
+        return (lambda H, bs: [H[x]]), 1
+
+    def _unop(self, e: Unop, ambient: Clock, clocks) -> tuple[Col, int]:
+        op, a = e.op, e.arg
+        arg = _one(*_EXP[type(a)](self, a, ambient, clocks))
+        return (lambda H, bs: [lift_unop(op, arg(H, bs)[0])]), 1
+
+    def _binop(self, e: Binop, ambient: Clock, clocks) -> tuple[Col, int]:
+        op, a, b = e.op, e.left, e.right
+        left = _one(*_EXP[type(a)](self, a, ambient, clocks))
+        right = _one(*_EXP[type(b)](self, b, ambient, clocks))
+        return (lambda H, bs: [lift_binop(op, left(H, bs)[0], right(H, bs)[0])]), 1
+
+    def _when(self, e: When, ambient: Clock, clocks) -> tuple[Col, int]:
+        x, k = e.var, e.value
+        col, width = self._columns(e.args, clocks.get(x, ambient), clocks)
+        return (lambda H, bs: [when_stream(k, H[x], s) for s in col(H, bs)]), width
+
+    def _merge(self, e: Merge, ambient: Clock, clocks) -> tuple[Col, int]:
+        x = e.var
+        base = clocks.get(x, ambient)
+        on_t, width = self._columns(e.on_true, ClockOn(base, x, True), clocks)
+        on_f, width_f = self._columns(e.on_false, ClockOn(base, x, False), clocks)
+        if width != width_f:
+            raise EvalError("arity-mismatch", "merge branches have different widths")
+        return (lambda H, bs: [merge_stream(H[x], a, b)
+                               for a, b in zip(on_t(H, bs), on_f(H, bs))]), width
+
+    def _ite(self, e: Ite, ambient: Clock, clocks) -> tuple[Col, int]:
+        c = e.cond
+        cond = _one(*_EXP[type(c)](self, c, ambient, clocks))
+        on_t, width = self._columns(e.on_true, ambient, clocks)
+        on_f, width_f = self._columns(e.on_false, ambient, clocks)
+        if width != width_f:
+            raise EvalError("arity-mismatch", "if branches have different widths")
+
+        def ite(H, bs):
+            cs = cond(H, bs)[0]
+            return [ite_stream(cs, a, b) for a, b in zip(on_t(H, bs), on_f(H, bs))]
+        return ite, width
+
+    def _fby(self, e: Fby, ambient: Clock, clocks) -> tuple[Col, int]:
+        heads, width = self._columns(e.init, ambient, clocks)
+        tails, width_t = self._columns(e.rest, ambient, clocks)
+        if width != width_t:
+            raise EvalError("arity-mismatch", "fby arguments have different widths")
+        return (lambda H, bs: [fby_lustre(h, t)
+                               for h, t in zip(heads(H, bs), tails(H, bs))]), width
+
+    def _unsupported(self, e: Expr, ambient: Clock, clocks):
         raise TypeError(f"unsupported expression {e!r}")
 
     def _call(self, f: str, args, ck: Clock, clocks) -> tuple[Col, int]:
         callee = self.prog.node(f)
         fault = self.node(f)
-        argv, width = _columns([self.exp(a, ck, clocks) for a in args])
+        argv, width = self._columns(args, ck, clocks)
         inputs = [d.name for d in callee.inputs]
         if width != len(inputs):
             raise EvalError("arity-mismatch", f"{f} expects {len(inputs)} input(s)")
@@ -391,6 +405,16 @@ class _Semantics:
                 raise _Rejected(f, found)
             return [witness[x] for x in outputs]
         return call, len(outputs)
+
+
+# The closure of an expression on clock `ambient`, and its width:
+# `_EXP[type(e)](sem, e, ambient, clocks)`.
+_EXP = ByClass({
+    Const: _Semantics._const, Var: _Semantics._var, Unop: _Semantics._unop,
+    Binop: _Semantics._binop, When: _Semantics._when, Merge: _Semantics._merge,
+    Ite: _Semantics._ite, Fby: _Semantics._fby,
+    Call: lambda sem, e, ambient, clocks: sem._call(e.node, e.args, ambient, clocks)},
+    _Semantics._unsupported)
 
 
 def _first_fault(s: VStream, h: VStream, ck: BStream, b: BStream | None) -> int:
@@ -472,7 +496,7 @@ def sem_exp(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStre
     history and a base clock, as `sem_node` computes them. Constants pulse
     on the ambient clock (the base clock here); variables carry their own
     presence from the history."""
-    col, _ = _Semantics(prog).exp(e, BASE_CLOCK, {})
+    col, _ = _EXP[type(e)](_Semantics(prog), e, BASE_CLOCK, {})
     n = len(bs)
     for vs in history.values():
         if len(vs) != n:

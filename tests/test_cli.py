@@ -7,6 +7,7 @@ import pytest
 
 from luset.cli import _checks_exit_code, main
 from luset.harness import CheckReport
+from luset.parser import parse_program
 
 from conftest import CNT_DN_SRC, CTR_SPDMTR_SRC, LEAK_ITE_SRC, RE_TRIG_SRC
 from lattice_files import FILES as LATTICE_FILES
@@ -349,25 +350,40 @@ def test_faulty_traces_give_the_pinned_lines(tmp_path, capsys):
     assert "".join(got) == (DATA / "run_faults" / "errors.txt").read_text()
 
 
+_NESTED_FORMS = {  # form: interface, one level around {}, innermost expression
+    "fby": ("x: int) returns (y: int", "0 fby {}", "x"),
+    "if": ("b: bool; x: int) returns (y: int", "if b then x else {}", "x"),
+    "not": ("b: bool) returns (y: bool", "not {}", "b"),
+    "sum": ("x: int) returns (y: int", "({} + x)", "x"),
+    "merge": ("c: bool; x: int) returns (y: int", "merge c ({} when c) (x when not c)", "x"),
+    "neg": ("x: int) returns (y: int", "-({})", "x")}
+
+
 def _nested_program(form: str, depth: int) -> str:
     """A node whose one equation nests `form` `depth` times."""
-    interface, level, leaf = {
-        "fby": ("x: int) returns (y: int", "0 fby {}", "x"),
-        "if": ("b: bool; x: int) returns (y: int", "if b then x else {}", "x"),
-        "not": ("b: bool) returns (y: bool", "not {}", "b"),
-        "sum": ("x: int) returns (y: int", "({} + x)", "x")}[form]
+    interface, level, leaf = _NESTED_FORMS[form]
     rhs = leaf
     for _ in range(depth):
         rhs = level.format(rhs)
     return f"node f({interface}); let y = {rhs}; tel\n"
 
 
-@pytest.mark.parametrize("command", ["signature", "normalize"])
-@pytest.mark.parametrize("form, depth", [("fby", 400), ("if", 200), ("not", 800), ("sum", 200)])
+@pytest.mark.parametrize("command", [["signature"], ["normalize"], ["check"],
+                                     ["preserve", "--trials", "2"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("form, depth", [("fby", 400), ("if", 200), ("not", 800), ("sum", 200),
+                                         ("merge", 150), ("neg", 100)])
 def test_nesting_within_the_recursion_budget(tmp_path, capsys, command, form, depth):
+    """Every walk of each command, the printer's and the checks' included,
+    takes these depths: one stack frame per level of nesting. `check` runs
+    on the assignment that labels the whole interface `L`."""
     src = tmp_path / "nested.lus"
     src.write_text(_nested_program(form, depth))
-    assert main([command, str(src)]) == 0
+    if command == ["check"]:
+        inputs = {d.name: "L" for d in parse_program(src.read_text()).nodes[0].inputs}
+        low = {"node": "f", "base": "L", "inputs": inputs, "outputs": {"y": "L"}}
+        (tmp_path / "low.json").write_text(json.dumps(low))
+        command = ["check", "--lattice", "two-point", "--assign", str(tmp_path / "low.json")]
+    assert main([command[0], str(src)] + command[1:]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from luset import infer
 from luset.diagnostics import InferError
 from luset.infer import (CallSite, FreshVars, NodeSignature, check_program,
                          display_constraints, infer_node_signature, infer_program,
@@ -680,3 +681,25 @@ def test_display_constraints_order():
     rho = cs((ct("γ", "α1", "α2"), ct("β")))
     assert display_constraints(rho) == "γ⊔α1⊔α2 ⊑ β"
     assert display_constraints(rho, ascii_=True) == "g lub a1 lub a2 <= b"
+
+
+def _no_merge_selector(ctx, e):
+    """`infer`'s rule for `merge` with the selector dropped from the types
+    of its branches, a mutant that hides implicit flows."""
+    tslots, fslots = infer._exprs(ctx, e.on_true), infer._exprs(ctx, e.on_false)
+    infer._same_width(tslots, fslots, "merge")
+    return [a | b for a, b in zip(tslots, fslots)]
+
+
+def test_a_merge_selector_mutant_changes_signatures(monkeypatch):
+    """Dropping the `merge` selector from inference, one entry of its rule
+    table, changes the signatures of some of the first 300 generated
+    programs."""
+    def sigs(prog):
+        return {name: res.signature.display() for name, res in infer._infer_program(prog).items()}
+
+    rng = random.Random(0)
+    progs = [elaborate(gen_program(rng)) for _ in range(300)]
+    before = [sigs(p) for p in progs]
+    monkeypatch.setitem(infer._MASKS, Merge, _no_merge_selector)
+    assert sum(sigs(p) != want for p, want in zip(progs, before)) > 0

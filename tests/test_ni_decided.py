@@ -225,15 +225,11 @@ def test_total_code_is_decided_and_a_refused_build_is_not(monkeypatch):
         (INCONCLUSIVE, 1, "refused: no code")
 
 
-def _no_if_condition(expr):
-    """`infer._expr` with the condition of an `if` dropped from the types
-    of its branches, a mutant that hides implicit flows."""
-    def mutant(ctx, e):
-        if isinstance(e, Ite):
-            tslots, fslots = infer._exprs(ctx, e.on_true), infer._exprs(ctx, e.on_false)
-            return [a | b for a, b in zip(tslots, fslots)]
-        return expr(ctx, e)
-    return mutant
+def _no_if_condition(ctx, e):
+    """`infer`'s rule for `if` with the condition dropped from the types of
+    its branches, a mutant that hides implicit flows."""
+    tslots, fslots = infer._exprs(ctx, e.on_true), infer._exprs(ctx, e.on_false)
+    return [a | b for a, b in zip(tslots, fslots)]
 
 
 def test_ni_reports_match_the_trial_loop_under_an_inference_mutant(monkeypatch):
@@ -241,7 +237,7 @@ def test_ni_reports_match_the_trial_loop_under_an_inference_mutant(monkeypatch):
     satisfy the mutant signatures leak, and the trial loop finds some of the
     leaks: the decided branch gives every report the loop gives, so it
     hides none of them."""
-    monkeypatch.setattr(infer, "_expr", _no_if_condition(infer._expr))
+    monkeypatch.setitem(infer._MASKS, Ite, _no_if_condition)
     rng = random.Random(8)
     verdicts = Counter()
     for label, prog in _population(300):
