@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-from pathlib import Path
 
-from .diagnostics import InferError, LusetError, ParseError
+from .diagnostics import InferError, LusetError, read_json, read_text
 from .harness import (FAIL, INCONCLUSIVE, PASS, NIConfig, check_equational_soundness,
                       check_non_interference, check_semantics_preservation,
-                      check_simple_security, check_type_preservation, generator_postcondition)
+                      check_simple_security, check_type_preservation, gen_program,
+                      generator_postcondition, sample_satisfying_assignment)
 from .infer import (check_assignment_sections, check_program, display_constraint,
                     flatten_assignment, infer_program)
 from .lang import elaborate
@@ -27,36 +28,12 @@ from .streams import read_trace, run_node, show_value
 
 
 def _load_program(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_program(text, filename=path)
+    return parse_program(read_text(path), filename=path)
 
 
 def _load_assignments(path: str) -> list[dict]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = read_json(path)
     return data if isinstance(data, list) else [data]
-
-
-def _undecodable_input(args) -> str:
-    """The input file that failed to decode. Every command reads its files
-    in this order and stops at the first failure."""
-    for attr in ("program", "lattice", "assign", "inputs"):
-        path = getattr(args, attr, None)
-        if path and Path(path).is_file():
-            try:
-                Path(path).read_text(encoding="utf-8")
-            except UnicodeDecodeError:
-                return path
-    return "input"
-
-
-def _fail_usage(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
-
-
-def _print_diags(diags) -> None:
-    for d in diags:
-        print(str(d), file=sys.stderr)
 
 
 def _checks_exit_code(reports) -> int:
@@ -92,7 +69,7 @@ def cmd_signature(args) -> int:
     out = {}
     for name in names:
         if name not in results:
-            return _fail_usage(f"no node named {name}")
+            raise LusetError(f"no node named {name}")
         sig = results[name].signature
         out[name] = sig.display(ascii_=args.ascii)
         if not args.json:
@@ -104,7 +81,7 @@ def cmd_signature(args) -> int:
 
 def cmd_normalize(args) -> int:
     if args.emit not in (None, "nlustre"):
-        return _fail_usage(f"unknown --emit target {args.emit!r}")
+        raise LusetError(f"unknown --emit target {args.emit!r}")
     prog = elaborate(_load_program(args.program))
     nprog, _ = normalize_program(prog)
     sys.stdout.write(pretty_print(nprog))
@@ -115,7 +92,7 @@ def cmd_run(args) -> int:
     prog = elaborate(_load_program(args.program))
     node = prog.node(args.node) if prog.has_node(args.node) else None
     if node is None:
-        return _fail_usage(f"no node named {args.node}")
+        raise LusetError(f"no node named {args.node}")
     streams, bs = read_trace(args.inputs)
     declared = {d.name for d in node.inputs}
     streams = {x: vs for x, vs in streams.items() if x in declared}
@@ -142,12 +119,12 @@ def cmd_run(args) -> int:
 def cmd_ni(args) -> int:
     prog = _load_program(args.program)
     if not prog.has_node(args.node):
-        return _fail_usage(f"no node named {args.node}")
+        raise LusetError(f"no node named {args.node}")
     lat = Lattice.load(args.lattice)
     raw = _load_assignments(args.assign)
     entries = [flatten_assignment(e) for e in raw]
     if not entries:
-        return _fail_usage(f"{args.assign}: no assignment entries")
+        raise LusetError(f"{args.assign}: no assignment entries")
     i = next((i for i, (name, _) in enumerate(entries) if name == args.node), None)
     if i is None:
         raise InferError("unknown-node", f"assignment has no entry for node {args.node}")
@@ -180,7 +157,7 @@ def cmd_ni(args) -> int:
 def cmd_preserve(args) -> int:
     prog = _load_program(args.program)
     if args.node and not prog.has_node(args.node):
-        return _fail_usage(f"no node named {args.node}")
+        raise LusetError(f"no node named {args.node}")
     names = [args.node] if args.node else [n.name for n in prog.nodes]
     reports = []
     for name in names:
@@ -205,10 +182,6 @@ def cmd_suite(args) -> int:
         check_equational_soundness(samples=args.samples, seed=args.seed),
         check_simple_security(samples=args.samples, seed=args.seed),
     ]
-    import random
-
-    from .harness import gen_program, sample_satisfying_assignment
-
     rng = random.Random(args.seed)
     lat = Lattice.two_point()
     for i in range(args.programs):
@@ -320,25 +293,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
-        _print_diags(exc.diagnostics)
-        return 2
-    except LusetError as exc:
+    except LusetError as exc:  # every refusal, raised where its input is read
         print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"{_undecodable_input(args)}: not UTF-8 text ({exc.reason})", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"bad JSON input: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # The parser bounds its own nesting; the later passes recurse once per level.
-        print(f"{getattr(args, 'program', 'input')}: nesting-too-deep: expression nested too deeply",
-              file=sys.stderr)
         return 2
 
 

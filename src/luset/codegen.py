@@ -60,10 +60,11 @@ def runner(prog: Program, name: str) -> Callable:
     of the elaborated program. A program that does not elaborate, normalise
     or schedule raises the error that refused it.
 
-    Built once per program object, refusal included. `run(ins, bs, cols)`
-    takes the input streams in declaration order, the base clock, and one
-    column per output and local of the node, in declaration order, each as
-    long as `bs`; at the end of tick t it stores each variable's value at
+    Built once per program object, refusal included; a caller's stack too
+    deep for the build is not a refusal, and nothing is kept. `run(ins, bs,
+    cols)` takes the input streams in declaration order, the base clock, and
+    one column per output and local of the node, in declaration order, each
+    as long as `bs`; at the end of tick t it stores each variable's value at
     index t. `streams.run_compiled` is its one caller in the package.
     """
     build = derived(prog, _build, name)
@@ -93,7 +94,7 @@ def _build(prog: Program, name: str) -> tuple[Callable, bool] | BaseException:
                 if isinstance(eq, NCall) and eq.node not in reach:
                     reach.append(eq.node)
         source, partial = _module(nprog, reach, [d.name for d in node.outputs + node.locals])
-    except (LusetError, RecursionError) as exc:
+    except LusetError as exc:
         return exc
     namespace = {"ABSENT": ABSENT, "wrap64": _wrap64, "binop": _apply_binop}
     exec(compile(source, f"<step code of {name}>", "exec"), namespace)

@@ -1,7 +1,9 @@
-"""Source spans, diagnostics and the exception hierarchy shared by all passes."""
+"""Source spans, diagnostics, the exception hierarchy shared by all passes,
+and the one reader of input files."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 
@@ -91,3 +93,26 @@ class InferError(LusetError):
 
 class LatticeError(LusetError):
     """A lattice description that is not a join-semilattice with bottom."""
+
+
+def read_text(path, newline: str | None = None) -> str:
+    """The UTF-8 text of the file at `path`, its line endings kept as
+    `open` keeps them for `newline`. A file that cannot be read, or is not
+    UTF-8, is a one-line LusetError that names it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise LusetError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise LusetError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_json(path):
+    """The JSON value in the file at `path`. Text that is not JSON, or JSON
+    nested past the stack, is a one-line LusetError that names the file."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise LusetError(f"{path}: bad JSON input: {exc}") from None

@@ -474,7 +474,7 @@ def check_semantics_preservation(prog: Program, node_name: str, trials: int = 10
     try:
         codegen.runner(prog, node_name)
         fault = earliest_fault(prog, node_name)
-    except (LusetError, RecursionError) as exc:  # a build refused for its depth too
+    except LusetError as exc:
         return CheckReport("semantics-preservation", INCONCLUSIVE, node=node_name,
                            seed=seed, reason=str(exc))
     node = prog.node(node_name)

@@ -336,6 +336,43 @@ def _walk(exprs: Iterable[Expr], delayed: list | None = None) -> tuple[set[str],
     return reads, calls
 
 
+# The stack frames that the recursive walks spend on one level of each
+# construct: a rule that passes its operand on directly spends one, a rule
+# that goes through a list of sub-expressions two, and a walk that enters
+# the callee at a call (the semantics predicate) `CALL_FRAMES` more; a
+# constant or a variable spends none. Clocks are compared at every level,
+# and a comparison spends `CLOCK_FRAMES` per level of the clock. The parser
+# refuses a clock, or an equation with its node's deepest clock, and
+# elaboration a chain of calls, that weighs more than `MAX_NESTING`, so
+# every walk fits the default recursion limit of 1000 with room to spare.
+_WEIGHT = {Unop: 1, Binop: 1, When: 2, Merge: 2, Ite: 2, Fby: 2, Call: 2}
+CALL_FRAMES, CLOCK_FRAMES = 6, 4
+MAX_NESTING = 800
+
+
+def nesting(exprs: Iterable[Expr], callees: dict[str, int] | None = None) -> int:
+    """The most `_WEIGHT` on a path down from one of `exprs`, a call to a
+    node of `callees` going on into that node's own weight after
+    `CALL_FRAMES`. Walked with a list instead of the stack."""
+    deepest = 0
+    todo = [(e, 0) for e in exprs]
+    push = todo.append
+    while todo:
+        e, d = todo.pop()
+        cls = type(e)
+        w = _WEIGHT.get(cls)
+        if w is None:  # a constant or a variable: no deeper than its parent
+            continue
+        d += w
+        if cls is Call and callees:
+            deepest = max(deepest, d + CALL_FRAMES + callees.get(e.node, 0))
+        elif d > deepest:
+            deepest = d
+        for sub in _SUBEXPRS[cls](e):
+            push((sub, d))
+    return deepest
+
+
 def free_vars(item) -> set[str]:
     """Free variables of an expression, clock or equation.
 
@@ -393,7 +430,7 @@ def _structure(prog: Program) -> tuple[list[Diagnostic], dict[str, set[str]]]:
     and keeps the graph on its output or on the error it raises."""
     try:
         return [], elaborate(prog).memo[_CALL_GRAPH]
-    except (_Refused, _TooDeep) as err:
+    except _Refused as err:
         return err.structural, err.calls
 
 
@@ -665,12 +702,16 @@ class _NodeEnv:
         return [(d.ty, ck) for d in callee.outputs]
 
 
+def _no_slots(env: _NodeEnv, e: Expr):
+    raise TypeError(f"elaborate: unsupported {e!r}")
+
+
 # Per-component (type, clock) of an expression, clock None when polymorphic:
 # `_SLOTS[type(e)](env, e)`. Each method passes a sub-expression to its own
 # entry directly, so one level of nesting costs one stack frame.
-_SLOTS = {Const: _NodeEnv._const, Var: _NodeEnv._var, Unop: _NodeEnv._unop,
-          Binop: _NodeEnv._binop, When: _NodeEnv._when, Merge: _NodeEnv._merge,
-          Ite: _NodeEnv._ite, Fby: _NodeEnv._fby, Call: _NodeEnv._call}
+_SLOTS = ByClass({Const: _NodeEnv._const, Var: _NodeEnv._var, Unop: _NodeEnv._unop,
+                  Binop: _NodeEnv._binop, When: _NodeEnv._when, Merge: _NodeEnv._merge,
+                  Ite: _NodeEnv._ite, Fby: _NodeEnv._fby, Call: _NodeEnv._call}, _no_slots)
 
 
 class _Refused(ElaborationError):
@@ -680,16 +721,6 @@ class _Refused(ElaborationError):
     def __init__(self, diagnostics: list[Diagnostic], structural: list[Diagnostic], calls: dict):
         super().__init__(diagnostics)
         self.structural = structural
-        self.calls = calls
-
-
-class _TooDeep(RecursionError):
-    """An expression nested past the stack in a structurally sound program,
-    with the program's call graph."""
-
-    def __init__(self, calls: dict):
-        super().__init__("expression nested too deeply")
-        self.structural: list[Diagnostic] = []
         self.calls = calls
 
 
@@ -723,7 +754,10 @@ def elaborate(prog: Program) -> Program:
 def _elaborate(prog: Program) -> Program:
     """One pass over the program. Typing each equation also records what it
     reads and calls, and the structural diagnostics are built from those.
-    An equation nested too deeply for the typing is walked without it."""
+    An equation that runs the typing out of stack and weighs more than
+    `MAX_NESTING`, which only a hand-built AST can (the parser bounds
+    nesting), is walked without it and refused; so is a chain of calls that
+    weighs more than `MAX_NESTING`."""
     structural: list[Diagnostic] = []
     callees: dict[str, Node] = {}
     definitions = Counter(node.name for node in prog.nodes)
@@ -736,7 +770,6 @@ def _elaborate(prog: Program) -> Program:
                                          node=node.name))
     deps: dict[str, set[str]] = {n.name: set() for n in prog.nodes}
     diags: list[Diagnostic] = []
-    too_deep = False
     new_nodes = []
     for node in prog.nodes:
         env = _NodeEnv(callees, node, diags)
@@ -774,7 +807,9 @@ def _elaborate(prog: Program) -> Program:
             try:
                 new_eqs.append(_elaborate_equation(env, eq, targets, known))
             except RecursionError:
-                too_deep = True
+                if nesting(_rhs(eq)) <= MAX_NESTING:
+                    raise  # the caller's stack was too deep, not the equation
+                env.bad("nesting-too-deep", "expression nested too deeply")
                 reads, env.calls = _reads_and_calls(eq)
                 env.stray = reads.difference(decls)
             if env.stray:
@@ -802,8 +837,14 @@ def _elaborate(prog: Program) -> Program:
         structural.append(Diagnostic("recursive-call", f"node call cycle: {' -> '.join(cycle + cycle[:1])}"))
     if structural:
         raise _Refused(structural, structural, deps)
-    if too_deep:
-        raise _TooDeep(deps)
+    weight: dict[str, int] = {}  # of each node, through its calls, once any node calls
+    for f in _schedule(deps) if any(deps.values()) else ():
+        node = callees[f]
+        weight[f] = CLOCK_FRAMES * max(map(clock_depth, node.declarations), default=0) + \
+            max((nesting(_rhs(eq), weight) for eq in node.equations), default=0)
+        if weight[f] > MAX_NESTING:
+            diags.append(Diagnostic("nesting-too-deep", "calls nested too deeply", node=f))
+            break
     if diags:
         raise _Refused(diags, [], deps)
     out = Program(tuple(new_nodes))
@@ -861,6 +902,14 @@ def _check_decl_clock(env: _NodeEnv, decl: VarDecl, input_names: set[str]):
 # ---------------------------------------------------------------------------
 # Who reads whom: the read table, input dependences and causality
 # ---------------------------------------------------------------------------
+
+def clock_depth(decl: VarDecl) -> int:
+    """How many `when`s a declaration's clock has."""
+    depth, ck = 0, decl.clock
+    while type(ck) is ClockOn:
+        depth, ck = depth + 1, ck.base
+    return depth
+
 
 def clock_vars(ck: Clock | None) -> set[str]:
     """Variables sampled anywhere on a clock's chain (none for the base clock)."""

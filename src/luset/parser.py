@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
-from .lang import (BASE, BASE_CLOCK, OPERATORS, Binop, ByClass, Call, Clock, ClockBase, ClockOn,
-                   Const, Def, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Ty, Unop,
-                   Var, VarDecl, When, _rhs, eq_targets)
+from .lang import (BASE, BASE_CLOCK, CLOCK_FRAMES, MAX_NESTING, OPERATORS, Binop, ByClass,
+                   Call, Clock, ClockBase, ClockOn, Const, Def, Expr, Fby, Ite, Merge, NCall, NDef,
+                   NFby, Node, Program, Ty, Unop, Var, VarDecl, When, _rhs, eq_targets, nesting)
 
 KEYWORDS = {"node", "returns", "var", "let", "tel", "if", "then", "else", "merge", "when",
             "fby", "true", "false", "int", "bool", BASE,
@@ -160,9 +160,11 @@ class _Parser:
             self.fail("expected an identifier")
         return self.next()
 
-    def error(self, kind: str, message: str) -> ParseError:
-        line, col = _position(self.text, self.pos)
-        span = SourceSpan(self.filename, line, col, line, col + len(self.toks[self.pos]))
+    def error(self, kind: str, message: str, pos: int | None = None) -> ParseError:
+        """The error `kind` at the token at `pos`, by default the next one."""
+        pos = self.pos if pos is None else pos
+        line, col = _position(self.text, pos)
+        span = SourceSpan(self.filename, line, col, line, col + len(self.toks[pos]))
         return ParseError([Diagnostic(kind, message, span=span)])
 
     def fail(self, message: str):
@@ -177,6 +179,7 @@ class _Parser:
         return Program(tuple(nodes))
 
     def node(self) -> Node:
+        self.clocks = 0  # the weight of the node's deepest declared clock
         self.expect("node")
         name = self.expect_ident()
         self.expect("(")
@@ -210,8 +213,13 @@ class _Parser:
         else:
             self.fail("expected a type (int or bool)")
         ck: Clock = BASE_CLOCK
+        depth = 0
         while self.at("when"):
+            depth += CLOCK_FRAMES
+            if depth > MAX_NESTING:
+                raise self.error("nesting-too-deep", "clock nested too deeply")
             ck = ClockOn(ck, *self.when_suffix())
+        self.clocks = max(self.clocks, depth)
         return [VarDecl(nm, ty, ck) for nm in names]
 
     def decls(self, stop: str) -> tuple[VarDecl, ...]:
@@ -257,6 +265,7 @@ class _Parser:
         raise AssertionError
 
     def equation(self) -> Def:
+        start = self.pos
         targets: list[str]
         if self.eat("("):
             targets = [self.expect_ident()]
@@ -270,13 +279,19 @@ class _Parser:
         while self.eat(","):
             exprs.append(self.expr())
         self.expect(";")
-        return Def(tuple(targets), None, _flatten(exprs))
+        flat = _flatten(exprs)
+        budget = MAX_NESTING - self.clocks
+        # each AST node holds a token and weighs at most 2: a shorter equation is within budget
+        if self.pos - start > budget // 2 and nesting(flat) > budget:
+            raise self.error("nesting-too-deep", "expression nested too deeply", start)
+        return Def(tuple(targets), None, flat)
 
     # -- expressions, loosest binding first ---------------------------------
     # The hot path: these read `self.toks` directly instead of through the
     # token helpers. Each nesting level still costs one frame of `expr`,
-    # `binary`, `unary` and `primary`, which fixes the depth at which
-    # `nesting-too-deep` is reported.
+    # `binary`, `unary` and `primary`, which fixes the depth at which the
+    # descent itself reports `nesting-too-deep`; what it reads in a loop,
+    # a left-associative chain or a `fby` chain, is bounded by `MAX_NESTING`.
     def expr(self):
         e = self.binary(_WHEN + 1)
         toks = self.toks

@@ -21,14 +21,13 @@ in mind.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, Union
 
-from .diagnostics import InferError, LatticeError
+from .diagnostics import InferError, LatticeError, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +340,7 @@ class Lattice:
             except ValueError:
                 raise LatticeError(f"powerset size {size!r} is not an integer") from None
             return Lattice.powerset(n)
-        path = Path(spec)
-        return Lattice.from_json(json.loads(path.read_text(encoding="utf-8")), name=path.name)
+        return Lattice.from_json(read_json(spec), name=Path(spec).name)
 
 
 # ---------------------------------------------------------------------------

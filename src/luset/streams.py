@@ -21,10 +21,11 @@ paper's whole-prefix stream operators and its relational semantics are in
 from __future__ import annotations
 
 import csv
+import io
 import re
 from typing import Callable, Sequence, Union
 
-from .diagnostics import EvalError
+from .diagnostics import EvalError, read_text
 from .lang import BASE, Clock, ClockOn, Node, Program, clock_vars
 
 
@@ -297,12 +298,11 @@ def _parse_cell(text: str, where: str) -> Value:
 
 
 def _csv_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            return list(reader)
-        except csv.Error as exc:
-            raise EvalError("bad-trace", f"line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise EvalError("bad-trace", f"line {reader.line_num}: {exc}") from None
 
 
 def _trace_by_rows(rows) -> tuple[History, BStream | None]:
@@ -372,14 +372,10 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
 
 def _plain_columns(path) -> tuple[list[str], list[list[str]]] | None:
     """The stripped header of a plain trace and the cells of each column below
-    it, split by `str` methods; None when the file is not plain: not UTF-8,
-    holding a `"`, CR or NUL (which `csv` reads its own way), with an empty or
-    repeated header, a cell over `csv.field_size_limit()` or a ragged row."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
+    it, split by `str` methods; None when the file is not plain: holding a
+    `"`, CR or NUL (which `csv` reads its own way), with an empty or repeated
+    header, a cell over `csv.field_size_limit()` or a ragged row."""
+    text = read_text(path, newline="")
     if text.endswith("\n"):
         text = text[:-1]  # it ends the last row
     if '"' in text or "\r" in text or "\0" in text or not text or text[0] == "\n":
@@ -404,7 +400,8 @@ def read_trace(path) -> tuple[History, BStream | None]:
 
     A plain file (`_plain_columns`) is decoded a column at a time. Any other
     file, and one with a column `_decode_column` refuses or a `base` column
-    not all true/false, goes to the reference `_trace_by_rows`."""
+    not all true/false, goes to the reference `_trace_by_rows`. A file that
+    cannot be read, or is not UTF-8, is a LusetError that names it."""
     plain = _plain_columns(path)
     if plain is None:
         return _trace_by_rows(_csv_rows(path))

@@ -288,7 +288,7 @@ def test_deep_flat_sum_is_one_line_diagnostic(files, capsys):
     flat = files / "flat.lus"
     flat.write_text(FLAT_SUM_SRC)
     assert main(["signature", str(flat)]) == 2
-    assert capsys.readouterr().err == f"{flat}: nesting-too-deep: expression nested too deeply\n"
+    assert capsys.readouterr().err == f"{flat}:1:38: nesting-too-deep: expression nested too deeply\n"
 
 
 def test_nested_merge_clock_error_reported_once(files, capsys):
@@ -389,11 +389,12 @@ def test_nesting_within_the_recursion_budget(tmp_path, capsys, command, form, de
 
 @pytest.mark.parametrize("command", ["signature", "normalize"])
 def test_nesting_past_the_recursion_budget(tmp_path, capsys, command):
-    """600 nested `fby` parse, and the passes after parsing run out of stack."""
+    """600 nested `fby` weigh 1200, past the parser's bound of 800: refused at
+    the equation, before any pass after parsing could run out of stack."""
     src = tmp_path / "nested.lus"
     src.write_text(_nested_program("fby", 600))
     assert main([command, str(src)]) == 2
-    assert capsys.readouterr().err == f"{src}: nesting-too-deep: expression nested too deeply\n"
+    assert capsys.readouterr().err == f"{src}:1:38: nesting-too-deep: expression nested too deeply\n"
 
 
 def test_check_json_schema(files, capsys):

@@ -12,8 +12,8 @@ import pytest
 
 from luset import codegen, infer, lang, normalize, parser, semantics
 from luset.diagnostics import LusetError
-from luset.lang import (BASE_CLOCK, Clock, Def, Equation, Expr, Node, Program, Unop, _rhs,
-                        eq_targets, free_vars)
+from luset.lang import (BASE_CLOCK, Clock, Def, Equation, Expr, Node, Program, Ty, Unop,
+                        VarDecl, _rhs, eq_targets, free_vars)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "luset"
 
@@ -38,7 +38,7 @@ def test_every_table_of_the_package_is_checked():
     found = {f"{m.__name__.split('.')[-1]}.{k}" for m in (lang, infer, normalize, parser,
                                                           codegen, semantics)
              for k, v in vars(m).items() if isinstance(v, lang.ByClass)}
-    assert found == set(TABLES) - {"lang._SLOTS"}
+    assert found == set(TABLES)
 
 
 def _norm(e):
@@ -51,11 +51,17 @@ def _print(e):
     return parser.pretty_print(Program((Node("f", (), (), (), (Def(("y",), None, (e,)),)),)))
 
 
+def _elaborate(e):
+    y = VarDecl("y", Ty.INT, BASE_CLOCK)
+    return lang.elaborate(Program((Node("f", (), (y,), (), (Def(("y",), None, (e,)),)),)))
+
+
 @pytest.mark.parametrize("where, walk", [
     ("type_expr", lambda e: infer.type_expr({}, e, {})),
     ("_norm", _norm),
     ("_show_expr", _print),
     ("_subexprs", free_vars),
+    ("elaborate", _elaborate),
 ])
 @pytest.mark.parametrize("nested", [False, True], ids=["top", "nested"])
 def test_an_unknown_expression_class_is_a_type_error(where, walk, nested):

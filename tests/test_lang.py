@@ -628,6 +628,9 @@ def test_structural_walks_do_not_recurse():
     assert free_vars(deep) == {"x"}
     assert causal_order(Program((node,)), "f") == (0,)
     assert well_formed(Program((node,))) == []
+    with pytest.raises(ElaborationError) as err:  # the typing walk does recurse
+        elaborate(Program((node,)))
+    assert [d.kind for d in err.value.diagnostics] == ["nesting-too-deep"]
 
 
 # ---------------------------------------------------------------------------
