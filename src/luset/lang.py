@@ -338,15 +338,15 @@ def _walk(exprs: Iterable[Expr], delayed: list | None = None) -> tuple[set[str],
 
 # The stack frames that the recursive walks spend on one level of each
 # construct: a rule that passes its operand on directly spends one, a rule
-# that goes through a list of sub-expressions two, and a walk that enters
-# the callee at a call (the semantics predicate) `CALL_FRAMES` more; a
-# constant or a variable spends none. Clocks are compared at every level,
+# that goes through a list of sub-expressions two, and a call `CALL_FRAMES`
+# more: the semantics predicate checks a callee's run in three frames a call.
+# A constant or a variable spends none. Clocks are compared at every level,
 # and a comparison spends `CLOCK_FRAMES` per level of the clock. The parser
 # refuses a clock, or an equation with its node's deepest clock, and
 # elaboration a chain of calls, that weighs more than `MAX_NESTING`, so
 # every walk fits the default recursion limit of 1000 with room to spare.
 _WEIGHT = {Unop: 1, Binop: 1, When: 2, Merge: 2, Ite: 2, Fby: 2, Call: 2}
-CALL_FRAMES, CLOCK_FRAMES = 6, 4
+CALL_FRAMES, CLOCK_FRAMES = 1, 4
 MAX_NESTING = 800
 
 

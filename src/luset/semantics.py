@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple, Sequence, Union
 from .diagnostics import EvalError
 from .lang import (BASE_CLOCK, OPERATORS, Binop, ByClass, Call, Clock, ClockBase, ClockOn, Const,
                    Def, Equation, Expr, Fby, Ite, Merge, NCall, NDef, NFby, Node, Program, Unop,
-                   Var, When, causal_order, eq_targets)
+                   Var, When, _structure, causal_order, eq_targets)
 from .streams import (_HALF, ABSENT, BStream, History, VStream, _apply_binop, _off_clock,
-                      _present, _streams_equal, _wrap64, eval_clock, run_node)
+                      _present, _runner, _streams_equal, _wrap64, eval_clock, run_node)
 
 # ---------------------------------------------------------------------------
 # The stream operators over whole prefixes
@@ -231,30 +231,33 @@ class _Semantics:
 
     A call's witness is the callee run by `run_node` on its arguments, on
     the base clock of their presence, or on the activation clock for a call
-    without arguments. The witness must satisfy the callee's own equations,
-    else the call raises `_Rejected` with the callee's earliest fault.
-    Every operator raises an `EvalError` at the first tick where it is
-    stuck. Each node is compiled once per instance, callees first."""
+    without arguments. Once its equation has its columns, the witness must
+    satisfy the callee's own equations, else `_Rejected` carries the callee's
+    earliest fault. Every operator raises an `EvalError` at the first tick
+    where it is stuck. Each node is compiled once per instance, callees first."""
 
     def __init__(self, prog: Program):
         self.prog = prog
         self.nodes: dict[str, Callable[[History, BStream], Fault | None]] = {}
+        self.witnesses: list = []  # (callee, its fault, witness, base) of each call not yet checked
 
     def node(self, name: str) -> Callable[[History, BStream], Fault | None]:
-        fault = self.nodes.get(name)
-        if fault is None:
-            fault = self.nodes[name] = self._node(self.prog.node(name))
-        return fault
+        if name not in self.nodes:
+            causal_order(self.prog, name)  # the node's own cycle is reported before a callee's
+            for f in sorted(_structure(self.prog)[1][name]):  # the callees, in the call graph
+                self.node(f)
+                _runner(self.prog, f)  # the witnesses' build, under no caller's expression
+            self.nodes[name] = self._node(self.prog.node(name))
+        return self.nodes[name]
 
     def _node(self, node: Node) -> Callable[[History, BStream], Fault | None]:
         clocks = {d.name: d.clock for d in node.declarations}
-        names = set(clocks)
         inputs = [(d.name, _live(d.clock)) for d in node.inputs]
         equations = [self._equation(node.equations[i], clocks)
                      for i in causal_order(self.prog, node.name)]
 
         def fault(H, bs):
-            if not names <= H.keys():
+            if not clocks.keys() <= H.keys():
                 x = next(d.name for d in node.declarations if d.name not in H)
                 return Fault(x, 0, None, [])
             for x, live in inputs:
@@ -305,7 +308,7 @@ class _Semantics:
                 if found is None or t < found.tick:
                     found = Fault(x, t, s[:t + 1], h[:t + 1])
             return found
-        return fault
+        return _checked(self.witnesses, fault)
 
     def _columns(self, items, ambient: Clock, clocks) -> tuple[Col, int]:
         """The closure of the flattened streams of some expressions on clock
@@ -325,10 +328,7 @@ class _Semantics:
         return col, sum(w for _, w in parts)
 
     def _const(self, e: Const, ambient: Clock, clocks) -> tuple[Col, int]:
-        v = e.value
-        if isinstance(ambient, ClockBase):
-            return (lambda H, bs: [const_stream(v, bs)]), 1
-        live = _live(ambient)
+        v, live = e.value, _live(ambient)
         return (lambda H, bs: [const_stream(v, live(H, bs))]), 1
 
     def _var(self, e: Var, ambient: Clock, clocks) -> tuple[Col, int]:
@@ -393,16 +393,13 @@ class _Semantics:
         if width != len(inputs):
             raise EvalError("arity-mismatch", f"{f} expects {len(inputs)} input(s)")
         outputs = [d.name for d in callee.outputs]
-        activation = _live(ck)
-        prog = self.prog
+        prog, witnesses, activation = self.prog, self.witnesses, _live(ck)
 
         def call(H, bs):
             vs = argv(H, bs)
             witness_bs = base_of(vs) if vs else activation(H, bs)
             witness, _ = run_node(prog, f, dict(zip(inputs, vs)), len(witness_bs), witness_bs)
-            found = fault(witness, witness_bs)
-            if found is not None:
-                raise _Rejected(f, found)
+            witnesses.append((f, fault, witness, witness_bs))
             return [witness[x] for x in outputs]
         return call, len(outputs)
 
@@ -415,6 +412,21 @@ _EXP = ByClass({
     Ite: _Semantics._ite, Fby: _Semantics._fby,
     Call: lambda sem, e, ambient, clocks: sem._call(e.node, e.args, ambient, clocks)},
     _Semantics._unsupported)
+
+
+def _checked(witnesses: list, fn: Col) -> Col:
+    """`fn`, then, also when it raises, a check of each witness its calls add
+    to `witnesses` in the order they ran: the first rejected one raises."""
+    def checked(H, bs):
+        mark = len(witnesses)
+        try:
+            return fn(H, bs)
+        finally:
+            runs, witnesses[mark:] = witnesses[mark:], []
+            for f, fault, witness, wbs in runs:
+                if (found := fault(witness, wbs)) is not None:
+                    raise _Rejected(f, found)
+    return checked
 
 
 def _first_fault(s: VStream, h: VStream, ck: BStream, b: BStream | None) -> int:
@@ -478,8 +490,8 @@ def earliest_fault(prog: Program, name: str) -> Callable[[History, BStream], Fau
     `fault(history, bs)` is None when a history of every declared variable
     of the node, over the base clock `bs`, satisfies the node's equations,
     and else the `Fault` of the least (tick, causal position) where it does
-    not. It raises the `EvalError` of an operator stuck there instead. A
-    node that is not causal raises `CausalityError`."""
+    not, or it raises the `EvalError` of an operator stuck there. A node
+    that is not causal, or a callee that does not build, raises here."""
     return _Semantics(prog).node(name)
 
 
@@ -496,9 +508,9 @@ def sem_exp(prog: Program, history: History, bs: BStream, e: Expr) -> list[VStre
     history and a base clock, as `sem_node` computes them. Constants pulse
     on the ambient clock (the base clock here); variables carry their own
     presence from the history."""
-    col, _ = _EXP[type(e)](_Semantics(prog), e, BASE_CLOCK, {})
+    col, _ = _EXP[type(e)](sem := _Semantics(prog), e, BASE_CLOCK, {})
     n = len(bs)
     for vs in history.values():
         if len(vs) != n:
             raise EvalError("arity-mismatch", "history streams must share the prefix length")
-    return col(history, bs)
+    return _checked(sem.witnesses, col)(history, bs)

@@ -297,8 +297,8 @@ def _parse_cell(text: str, where: str) -> Value:
     return v
 
 
-def _csv_rows(path) -> list[list[str]]:
-    reader = csv.reader(io.StringIO(read_text(path, newline=""), newline=""))
+def _csv_rows(text: str) -> list[list[str]]:
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return list(reader)
     except csv.Error as exc:
@@ -370,26 +370,24 @@ def _decode_column(col: Sequence[str]) -> VStream | None:
         return None
 
 
-def _plain_columns(path) -> tuple[list[str], list[list[str]]] | None:
+def _plain_columns(path) -> tuple[list[str], list[list[str]]] | str:
     """The stripped header of a plain trace and the cells of each column below
-    it, split by `str` methods; None when the file is not plain: holding a
-    `"`, CR or NUL (which `csv` reads its own way), with an empty or repeated
-    header, a cell over `csv.field_size_limit()` or a ragged row."""
+    it, split by `str` methods; the text read when the file is not plain:
+    holding a `"`, CR or NUL (which `csv` reads its own way), with an empty or
+    repeated header, a cell over `csv.field_size_limit()` or a ragged row."""
     text = read_text(path, newline="")
-    if text.endswith("\n"):
-        text = text[:-1]  # it ends the last row
     if '"' in text or "\r" in text or "\0" in text or not text or text[0] == "\n":
-        return None
-    rows, long_cells = text.count("\n"), len(text) > csv.field_size_limit()
-    text = text.replace("\n", ",\n,")  # a "\n" cell between rows
-    cells = text.split(",")
-    del text
+        return text
+    end = text.endswith("\n")  # it ends the last row
+    rows, long_cells = text.count("\n") - end, len(text) > csv.field_size_limit()
+    cells = text.replace("\n", ",\n,").split(",")  # a "\n" cell between rows
+    del cells[len(cells) - 2 * end:]  # the last row's "\n" cell and the empty one after it
     n = cells.index("\n") if rows else len(cells)
     header = [h.strip() for h in cells[:n]]
     if len(cells) != n + rows * (n + 1) or cells[n::n + 1].count("\n") != rows \
             or len(set(header)) < n \
             or long_cells and max(map(len, cells)) > csv.field_size_limit():
-        return None
+        return text
     return header, [cells[j::n + 1] for j in range(n + 1, 2 * n + 1)]
 
 
@@ -403,13 +401,15 @@ def read_trace(path) -> tuple[History, BStream | None]:
     not all true/false, goes to the reference `_trace_by_rows`. A file that
     cannot be read, or is not UTF-8, is a LusetError that names it."""
     plain = _plain_columns(path)
-    if plain is None:
-        return _trace_by_rows(_csv_rows(path))
+    if isinstance(plain, str):
+        return _trace_by_rows(_csv_rows(plain))
     header, cols = plain
     streams: History = {}
     for name in header:
         vs = _decode_column(cols.pop(0))  # each column's cells go once decoded
         if vs is None or name == BASE and not all(isinstance(v, bool) for v in vs):
-            return _trace_by_rows(_csv_rows(path))
+            # read again: holding the text beside the cells would raise the peak memory of
+            # every plain trace, the path a simulation takes, for the rare file that needs it
+            return _trace_by_rows(_csv_rows(read_text(path, newline="")))
         streams[name] = vs
     return streams, streams.pop(BASE, None)

@@ -153,6 +153,13 @@ def _chain(n: int):
     return "\n".join(lines) + "\n", f"n{n}", {"x": "int"}
 
 
+def _chain_over_sum(n: int):
+    """100 nodes that each only call the one before, over a leaf node that
+    sums n + 1 terms."""
+    src, top, inputs = _chain(101)
+    return src.replace("let y = x;", f"let y = {' + '.join(['x'] * (n + 1))};"), top, inputs
+
+
 def _deep_call(n: int):
     """A call at the bottom of n additions, to a node of n additions."""
     sums = [" + ".join([head] + ["x"] * n) for head in ("x", "g(x)")]
@@ -176,6 +183,7 @@ _SHAPES = {  # shape: its source, top node and inputs at n levels
                          + _one("x: int) returns (y: int", "g({})", "x", {})(n)[0]),
                         "f", {"x": "int"}),
     "call chain": _chain,
+    "chain over a deep leaf": _chain_over_sum,
     "deep call": _deep_call,
 }
 
@@ -185,6 +193,7 @@ _BOUND = {
     "flat sum": MAX_NESTING, "not": MAX_NESTING, "fby": MAX_NESTING // 2,
     "when": MAX_NESTING // (2 + CLOCK_FRAMES), "clock": MAX_NESTING // CLOCK_FRAMES,
     "call chain": MAX_NESTING // (2 + CALL_FRAMES) + 1,
+    "chain over a deep leaf": MAX_NESTING - 100 * (2 + CALL_FRAMES),
     "deep call": (MAX_NESTING - 2 - CALL_FRAMES) // 2,
     "paren sum": None, "neg": None, "if": None, "merge": None, "calls": None,
 }
@@ -231,7 +240,7 @@ def test_every_command_runs_at_the_bound(tmp_path, capsys, shape, command):
 @pytest.mark.parametrize("shape", [s for s, n in _BOUND.items() if n is not None])
 def test_one_past_the_bound_is_refused(shape):
     src, top, _ = _SHAPES[shape](_BOUND[shape] + 1)
-    if shape in ("call chain", "deep call"):
+    if shape in ("call chain", "chain over a deep leaf", "deep call"):
         with pytest.raises(ElaborationError) as err:
             elaborate(parse_program(src))
         assert [str(d) for d in err.value.diagnostics] == [
@@ -247,7 +256,7 @@ def test_the_parsers_descent_stops_first(shape):
     _refused_by_the_parser(_SHAPES[shape](MAX_NESTING // _WEIGHT[shape])[0])
 
 
-@pytest.mark.parametrize("command, n", [("check", 1200), ("run", 1200), ("preserve", 142)])
+@pytest.mark.parametrize("command, n", [("check", 1200), ("run", 1200), ("preserve", 1200)])
 def test_a_long_chain_of_calls_is_refused_by_elaboration(tmp_path, capsys, command, n):
     """No expression is nested here: elaboration refuses the chain of calls,
     with the node at fault, for every command alike."""

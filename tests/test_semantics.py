@@ -335,6 +335,60 @@ def test_a_fault_in_a_witness_is_named_by_its_call_path(monkeypatch):
         Fault("g.s", 1, [True, False], [True, True])
 
 
+ORDER_SRC = """
+node g(x: int) returns (y: bool);
+var s: bool;
+let s = x < 3; y = s; tel
+node r(x: int) returns (y: int); let y = 5 fby x; tel
+node q(x: int) returns (y: int); let y = 7 fby x; tel
+"""
+
+# Under both codegen mutants, `g`'s witness is wrong where its argument is 3,
+# and `r`'s and `q`'s at their first present tick. Each case is the right-hand
+# side of `f`'s one equation, f's input x and output y, and the fault or
+# error recorded when a call checked its witness inside its caller's
+# expression, at once: the least tick wins, and at one tick, what the
+# expression meets first, a rejected witness or a stuck `div`.
+WITNESS_ORDER = [
+    ("g(x) and 10 div (x - 2) > 0", [1, 3, 2], [False, False, False],
+     Fault("g.s", 1, [True, False], [True, True])),
+    ("g(x) and 10 div (x - 2) > 0", [1, 2, 3], [False, False, False],
+     "div-by-zero at tick 1: division by zero"),
+    ("10 div (x - 2) > 0 and g(x)", [1, 3, 2], [False, False, False],
+     Fault("g.s", 1, [True, False], [True, True])),
+    ("g(x) and 10 div (x - 3) > 0", [1, 3], [False, False],
+     Fault("g.s", 1, [True, False], [True, True])),
+    ("10 div (x - 3) > 0 and g(x)", [1, 3], [False, False],
+     "div-by-zero at tick 1: division by zero"),
+    ("r(x) + 10 div x > 0", [0, 1], [True, True], Fault("r.y", 0, [5], [0])),
+    ("10 div x + r(x) > 0", [0, 1], [True, True], "div-by-zero at tick 0: division by zero"),
+    ("g(x) and g(x + 1)", [1, 2, 3], [True, False, False],
+     Fault("g.s", 1, [True, False], [True, True])),
+    ("g(x) and r(x) > 0", [1, 3], [True, False], Fault("r.y", 0, [5], [0])),
+    ("r(x) > 0 and q(x) > 0", [1, 3], [True, True], Fault("r.y", 0, [5], [0])),
+    ("q(x) > 0 and r(x) > 0", [1, 3], [True, True], Fault("q.y", 0, [7], [0])),
+    ("g(x)", [1, 3], [False, False], Fault("y", 0, [True], [False])),
+]
+
+
+@pytest.mark.parametrize("rhs, x, y, want", WITNESS_ORDER, ids=[
+    "rejected-before-stuck", "stuck-before-rejected",
+    "rejected-earlier-stuck-first-in-the-expression",
+    "rejected-first-at-one-tick", "stuck-first-at-one-tick", "register-first-at-one-tick",
+    "stuck-first-before-a-register", "later-call-rejected-earlier", "two-mutants",
+    "two-registers", "two-registers-swapped", "target-before-rejected"])
+def test_rejected_witnesses_and_stuck_operators_keep_their_order(monkeypatch, rhs, x, y, want):
+    _swap_le_lt(monkeypatch)
+    _zero_registers(monkeypatch)
+    src = f"{ORDER_SRC}node f(x: int) returns (y: bool); let y = {rhs}; tel\n"
+    prog = elaborate(parse_program(src))
+    try:
+        got = earliest_fault(prog, "f")({"x": x, "y": y}, [True] * len(x))
+    except EvalError as exc:
+        got = str(exc)
+    assert got == want
+
+
 LENGTHS_SRC = """
 node f(c: bool; x: int when c) returns (y: int);
 let y = merge c x (0 when not c); tel

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from luset import streams
-from luset.diagnostics import CausalityError, ElaborationError, EvalError
+from luset.diagnostics import CausalityError, ElaborationError, EvalError, read_text
 from luset.lang import (BASE_CLOCK, Binop, Call, ClockBase, ClockOn, Const, Fby, NCall, Unop,
                         Var, clock_vars, elaborate)
 from luset.normalize import normalize_program
@@ -550,7 +550,7 @@ def test_trace_refuses_digit_separators(tmp_path, cells):
     separators: refused on the plain path and, quoted, on the `csv` one."""
     path = tmp_path / "t.csv"
     path.write_text(f"x,y\n1,2\n{cells},3\n")
-    assert (streams._plain_columns(path) is None) == (cells[0] == '"')
+    assert isinstance(streams._plain_columns(path), str) == (cells[0] == '"')
     with pytest.raises(EvalError, match=r"^bad-trace: cannot read '1_0' in column x$"):
         read_trace(path)
 
@@ -561,6 +561,11 @@ TRACE_CELLS = [" 1", "2 ", "-3", "0", "_", " _ ", "true", "false", " true", str(
                "٣", "\x1c5", "True", "junk", "", " "]
 COLUMN_KINDS = {"int": ["-7", "0", "12", " 3"], "bool": ["true", "false"],
                 "mixed": ["_", "1", " 2", "true"], "pool": TRACE_CELLS}
+
+
+def _text(path):
+    """The text of a trace as `read_trace` reads it."""
+    return read_text(path, newline="")
 
 
 def _trace_outcome(read):
@@ -592,7 +597,7 @@ def test_read_trace_matches_row_major_reader(tmp_path):
             lines.append(",".join(row))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got = _trace_outcome(lambda: read_trace(path))
-        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(path))), lines
+        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(_text(path)))), lines
         seen[got[0]] += 1
     assert min(seen.values()) > 500, seen
 
@@ -654,16 +659,33 @@ def test_read_trace_matches_row_major_reader_off_the_plain_path(tmp_path):
         text, must_leave = _irregular_trace(rng)
         path.write_bytes(text.encode("utf-8"))
         if must_leave:
-            assert streams._plain_columns(path) is None, repr(text[:200])
+            assert isinstance(streams._plain_columns(path), str), repr(text[:200])
         got = _trace_outcome(lambda: read_trace(path))
-        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(path))), repr(text[:200])
+        assert got == _trace_outcome(lambda: _trace_by_rows(_csv_rows(_text(path)))), \
+            repr(text[:200])
         seen[got[0]] += 1
     assert min(seen.values()) > 500, seen
 
 
+def test_a_quoted_trace_is_read_once(tmp_path, monkeypatch):
+    """A file that is not plain goes to `csv` as the text the plain reader
+    read: one read of the file in all."""
+    reads = []
+
+    def counted(path, newline=None):
+        reads.append(path)
+        return read_text(path, newline)
+
+    monkeypatch.setattr(streams, "read_text", counted)
+    path = tmp_path / "t.csv"
+    path.write_text('x,"y"\n1,"2"\n_,3\n')
+    assert read_trace(path) == ({"x": [1, A], "y": [2, 3]}, None)
+    assert reads == [path]
+
+
 def test_plain_trace_never_reaches_csv(tmp_path, monkeypatch):
     """A plain multi-column trace is read without `csv`."""
-    def refuse(path):
+    def refuse(text):
         raise AssertionError("the plain trace went to the row-major reader")
 
     monkeypatch.setattr(streams, "_csv_rows", refuse)
